@@ -6,44 +6,32 @@
 //   single_process   1 backend process (pure P-K / compound-Poisson path)
 //   degraded_scaled  1.5x-inflated disks (Scaled nodes, what-if shape)
 //
-// Each scenario times a CDF sweep over an SLA grid in four modes:
+// Each scenario times a CDF sweep over an SLA grid in three modes:
 //
 //   scalar     cdf_from_laplace on the distribution tree walk (baseline)
-//   batched    batched-contour cdf_from_laplace, tree walk per node
 //   tape       TransformTape::cdf per point (flattened kernel)
 //   tape_many  TransformTape::cdf_many, one concatenated-contour call
-//   simd       TransformTape::cdf per point, TapeEvalMode::kSimd (the
-//              structure-of-arrays evaluator over the runtime-dispatched
-//              vector kernels — still bit-identical to scalar)
-//   simd_many  cdf_many under kSimd, one concatenated-contour call
-//   simd_fast  cdf_many under kSimdFast (vector transcendentals; NOT
-//              bit-identical — gated by a CDF-level ULP bound instead,
-//              see docs/PERFORMANCE.md §7)
 //
-// verifies every mode except simd_fast reproduces the scalar outputs
-// bit-for-bit (the tape's hard contract), verifies simd_fast stays
-// inside its documented ULP bound, and emits machine-readable
-// BENCH_numerics.json.  Exit status: 0 ok, 1 outputs not bit-identical
-// (or simd_fast out of bound), 2 a speedup gate unmet, 3 JSON
-// write/readback failure.
+// verifies every mode reproduces the scalar outputs bit-for-bit (the
+// tape's hard contract), and emits machine-readable BENCH_numerics.json.
+// Exit status: 0 ok, 1 outputs not bit-identical, 2 the speedup gate
+// unmet, 3 JSON write/readback failure.
 //
 // Flags: --points=N       (SLA points per sweep; default 24)
 //        --repeat=R       (timing repetitions, best-of; default 3)
 //        --min-speedup=S  (tape-vs-scalar gate per scenario; default 0 = off)
-//        --min-simd-speedup=S  (simd-vs-scalar gate; at least two
-//                          scenarios must reach S; default 0 = off)
 //        --out=PATH       (default BENCH_numerics.json)
 #include <algorithm>
 #include <chrono>
 #include <complex>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -51,7 +39,6 @@
 #include "core/system_model.hpp"
 #include "numerics/compose.hpp"
 #include "numerics/lt_inversion.hpp"
-#include "numerics/simd_kernels.hpp"
 #include "numerics/transform_tape.hpp"
 #include "obs/obs.hpp"
 
@@ -61,27 +48,15 @@ using cosm::core::DeviceParams;
 using cosm::core::ModelOptions;
 using cosm::core::SystemModel;
 using cosm::core::SystemParams;
-using cosm::numerics::BatchLaplaceFn;
 using cosm::numerics::cdf_from_laplace;
 using cosm::numerics::DistPtr;
 using cosm::numerics::LaplaceFn;
-using cosm::numerics::TapeEvalMode;
 using cosm::numerics::TransformTape;
-
-// CDF-level tolerance for the simd_fast mode: the vector transcendentals
-// are a few ULP off per evaluation and the deviations compound through
-// the tape's combinators and the Euler sum, so the gate is on the final
-// CDF double, not the transform components — and it is ABSOLUTE, because
-// a CDF is a probability: near-zero tail values make relative/ULP
-// distance meaningless while an absolute 1e-9 is far below any decision
-// threshold the model serves.  Derivation: docs/PERFORMANCE.md §7.
-constexpr double kFastCdfAbsBound = 1e-9;
 
 struct Config {
   int sla_points = 24;
   int repeat = 3;
-  double min_speedup = 0.0;       // 0 disables the perf gate
-  double min_simd_speedup = 0.0;  // 0 disables the simd perf gate
+  double min_speedup = 0.0;  // 0 disables the perf gate
   std::string out = "BENCH_numerics.json";
   std::string trace_json;  // empty = observability stays disabled
 };
@@ -97,8 +72,6 @@ Config parse_args(int argc, char** argv) {
       config.sla_points = std::stoi(value_of("--points="));
     } else if (arg.rfind("--repeat=", 0) == 0) {
       config.repeat = std::stoi(value_of("--repeat="));
-    } else if (arg.rfind("--min-simd-speedup=", 0) == 0) {
-      config.min_simd_speedup = std::stod(value_of("--min-simd-speedup="));
     } else if (arg.rfind("--min-speedup=", 0) == 0) {
       config.min_speedup = std::stod(value_of("--min-speedup="));
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -178,7 +151,6 @@ struct ModeResult {
   double wall_ms = 0.0;  // best over repetitions
   bool bit_identical = true;
   std::int64_t max_ulp = 0;  // max ULP distance to scalar over the sweep
-  double max_abs = 0.0;      // max absolute deviation from scalar
   std::vector<double> outputs;
 };
 
@@ -205,7 +177,6 @@ struct ScenarioResult {
   std::size_t generic_leaves = 0;
   std::vector<ModeResult> modes;
   double tape_speedup = 0.0;  // tape vs scalar, per-point sweep
-  double simd_speedup = 0.0;  // simd vs scalar, per-point sweep
 };
 
 ScenarioResult run_scenario(const Scenario& scenario,
@@ -223,26 +194,11 @@ ScenarioResult run_scenario(const Scenario& scenario,
   const LaplaceFn scalar_lt = [&response](std::complex<double> s) {
     return response->laplace(s);
   };
-  // Batched contour API, but still walking the tree per node: isolates
-  // the contour batching from the tape flattening.
-  const BatchLaplaceFn batched_lt =
-      [&response](std::span<const std::complex<double>> s,
-                  std::span<std::complex<double>> out) {
-        for (std::size_t i = 0; i < s.size(); ++i) {
-          out[i] = response->laplace(s[i]);
-        }
-      };
 
   result.modes.push_back(run_mode("scalar", repeat, [&] {
     std::vector<double> out;
     out.reserve(ts.size());
     for (const double t : ts) out.push_back(cdf_from_laplace(scalar_lt, t));
-    return out;
-  }));
-  result.modes.push_back(run_mode("batched", repeat, [&] {
-    std::vector<double> out;
-    out.reserve(ts.size());
-    for (const double t : ts) out.push_back(cdf_from_laplace(batched_lt, t));
     return out;
   }));
   result.modes.push_back(run_mode("tape", repeat, [&] {
@@ -253,20 +209,6 @@ ScenarioResult run_scenario(const Scenario& scenario,
   }));
   result.modes.push_back(
       run_mode("tape_many", repeat, [&] { return tape.cdf_many(ts); }));
-  result.modes.push_back(run_mode("simd", repeat, [&] {
-    std::vector<double> out;
-    out.reserve(ts.size());
-    for (const double t : ts) {
-      out.push_back(tape.cdf(t, 20, TapeEvalMode::kSimd));
-    }
-    return out;
-  }));
-  result.modes.push_back(run_mode("simd_many", repeat, [&] {
-    return tape.cdf_many(ts, 20, TapeEvalMode::kSimd);
-  }));
-  result.modes.push_back(run_mode("simd_fast", repeat, [&] {
-    return tape.cdf_many(ts, 20, TapeEvalMode::kSimdFast);
-  }));
 
   const ModeResult& scalar = result.modes.front();
   for (ModeResult& mode : result.modes) {
@@ -275,20 +217,9 @@ ScenarioResult run_scenario(const Scenario& scenario,
       mode.max_ulp = std::max(
           mode.max_ulp,
           cosm::common::ulp_distance(mode.outputs[i], scalar.outputs[i]));
-      mode.max_abs = std::max(
-          mode.max_abs, std::abs(mode.outputs[i] - scalar.outputs[i]));
     }
   }
-  const ModeResult& tape_mode = result.modes[2];
-  result.tape_speedup = scalar.wall_ms / tape_mode.wall_ms;
-  // The simd figure is the best of the SoA family (simd, simd_many,
-  // simd_fast): kSimd holds bit-identity, kSimdFast holds the documented
-  // ULP/absolute bound — both are gated, so the family's best wall time
-  // is a legitimate "what vectorization buys" number.
-  double simd_best_ms = result.modes[4].wall_ms;
-  simd_best_ms = std::min(simd_best_ms, result.modes[5].wall_ms);
-  simd_best_ms = std::min(simd_best_ms, result.modes[6].wall_ms);
-  result.simd_speedup = scalar.wall_ms / simd_best_ms;
+  result.tape_speedup = scalar.wall_ms / result.modes[1].wall_ms;
   return result;
 }
 
@@ -313,36 +244,21 @@ int main(int argc, char** argv) {
   }
 
   bool all_identical = true;
-  bool fast_within_bound = true;
   bool speedup_ok = true;
   double min_tape_speedup = 0.0;
-  double min_simd_speedup = 0.0;
-  std::vector<double> simd_speedups;
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   std::cout << "perf_numerics_tape: " << ts.size()
-            << " SLA points per sweep, repeat=" << config.repeat
-            << ", simd dispatch=" << cosm::numerics::simd::dispatch_name() << "\n";
+            << " SLA points per sweep, repeat=" << config.repeat << ", "
+            << hardware << " hardware threads\n";
   for (const ScenarioResult& scenario : results) {
     std::cout << "\n  " << scenario.name << " (" << scenario.op_count
               << " ops, " << scenario.slot_count << " CSE slots, "
               << scenario.generic_leaves << " generic leaves)\n";
     const double scalar_ms = scenario.modes.front().wall_ms;
     for (const ModeResult& mode : scenario.modes) {
-      const bool is_fast = mode.name == "simd_fast";
-      std::string verdict;
-      if (is_fast) {
-        // simd_fast trades bit-identity for speed; its contract is the
-        // CDF-level absolute bound.
-        const bool within = mode.max_abs <= kFastCdfAbsBound;
-        fast_within_bound = fast_within_bound && within;
-        std::ostringstream abs_text;
-        abs_text.precision(2);
-        abs_text << std::scientific << mode.max_abs;
-        verdict = "max |dF| " + abs_text.str() +
-                  (within ? " (within bound)" : " (OUT OF BOUND)");
-      } else {
-        verdict = mode.bit_identical ? "bit-identical" : "DIVERGED";
-        all_identical = all_identical && mode.bit_identical;
-      }
+      all_identical = all_identical && mode.bit_identical;
+      const std::string verdict =
+          mode.bit_identical ? "bit-identical" : "DIVERGED";
       std::cout << "    " << mode.name
                 << std::string(12 - std::min<std::size_t>(11,
                                                           mode.name.size()),
@@ -355,11 +271,6 @@ int main(int argc, char** argv) {
         scenario.tape_speedup < min_tape_speedup) {
       min_tape_speedup = scenario.tape_speedup;
     }
-    if (min_simd_speedup == 0.0 ||
-        scenario.simd_speedup < min_simd_speedup) {
-      min_simd_speedup = scenario.simd_speedup;
-    }
-    simd_speedups.push_back(scenario.simd_speedup);
     if (config.min_speedup > 0.0 &&
         scenario.tape_speedup < config.min_speedup) {
       speedup_ok = false;
@@ -368,22 +279,6 @@ int main(int argc, char** argv) {
   std::cout << "\n  min tape speedup across scenarios: "
             << fmt(min_tape_speedup, 2) << "x (gate: "
             << (config.min_speedup > 0.0 ? fmt(config.min_speedup, 2) : "off")
-            << ")\n";
-  // The simd gate asks that the vectorized evaluator pays off broadly,
-  // not just on one lucky shape: at least TWO scenarios must reach the
-  // threshold (ranked second-best decides).
-  std::sort(simd_speedups.begin(), simd_speedups.end(),
-            std::greater<double>());
-  const double simd_second_best =
-      simd_speedups.size() > 1 ? simd_speedups[1] : simd_speedups.front();
-  if (config.min_simd_speedup > 0.0 &&
-      simd_second_best < config.min_simd_speedup) {
-    speedup_ok = false;
-  }
-  std::cout << "  simd speedup vs scalar: min " << fmt(min_simd_speedup, 2)
-            << "x, second-best " << fmt(simd_second_best, 2) << "x (gate: "
-            << (config.min_simd_speedup > 0.0 ? fmt(config.min_simd_speedup, 2)
-                                              : "off")
             << ")\n";
 
   std::ostringstream json;
@@ -394,11 +289,7 @@ int main(int argc, char** argv) {
        << "    \"sla_points\": " << ts.size() << ",\n"
        << "    \"repeat\": " << config.repeat << ",\n"
        << "    \"min_speedup\": " << fmt(config.min_speedup, 2) << ",\n"
-       << "    \"min_simd_speedup\": " << fmt(config.min_simd_speedup, 2)
-       << ",\n"
-       << "    \"simd_dispatch\": \"" << cosm::numerics::simd::dispatch_name()
-       << "\",\n"
-       << "    \"fast_cdf_abs_bound\": " << kFastCdfAbsBound << "\n"
+       << "    \"hardware_threads\": " << hardware << "\n"
        << "  },\n"
        << "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -419,27 +310,19 @@ int main(int argc, char** argv) {
            << fmt(scalar_ms / mode.wall_ms, 3) << ",\n"
            << "          \"bit_identical_to_scalar\": "
            << (mode.bit_identical ? "true" : "false") << ",\n"
-           << "          \"max_ulp_vs_scalar\": " << mode.max_ulp << ",\n"
-           << "          \"max_abs_vs_scalar\": " << mode.max_abs << "\n"
+           << "          \"max_ulp_vs_scalar\": " << mode.max_ulp << "\n"
            << "        }" << (k + 1 == scenario.modes.size() ? "\n" : ",\n");
     }
     json << "      ],\n"
          << "      \"tape_speedup\": " << fmt(scenario.tape_speedup, 3)
-         << ",\n"
-         << "      \"simd_speedup\": " << fmt(scenario.simd_speedup, 3)
          << "\n"
          << "    }" << (i + 1 == results.size() ? "\n" : ",\n");
   }
   json << "  ],\n"
        << "  \"min_tape_speedup\": " << fmt(min_tape_speedup, 3) << ",\n"
-       << "  \"min_simd_speedup\": " << fmt(min_simd_speedup, 3) << ",\n"
-       << "  \"simd_second_best_speedup\": " << fmt(simd_second_best, 3)
-       << ",\n"
        << "  \"checks\": {\n"
        << "    \"bit_identical\": " << (all_identical ? "true" : "false")
        << ",\n"
-       << "    \"simd_fast_within_bound\": "
-       << (fast_within_bound ? "true" : "false") << ",\n"
        << "    \"min_speedup_met\": " << (speedup_ok ? "true" : "false")
        << "\n"
        << "  }\n"
@@ -458,8 +341,7 @@ int main(int argc, char** argv) {
   if (!cosm_bench::verify_bench_json(
           config.out, 1,
           {"benchmark", "schema_version", "config", "scenarios",
-           "min_tape_speedup", "min_simd_speedup", "simd_second_best_speedup",
-           "checks"})) {
+           "min_tape_speedup", "checks"})) {
     return 3;
   }
   std::cout << "  wrote " << config.out << "\n";
@@ -478,15 +360,9 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: a mode's outputs differ from the scalar tree walk\n";
     return 1;
   }
-  if (!fast_within_bound) {
-    std::cerr << "FAIL: simd_fast exceeded its CDF-level absolute bound of "
-              << kFastCdfAbsBound << "\n";
-    return 1;
-  }
   if (!speedup_ok) {
-    std::cerr << "FAIL: a speedup gate was unmet (tape gate "
-              << fmt(config.min_speedup, 2) << "x, simd gate "
-              << fmt(config.min_simd_speedup, 2) << "x)\n";
+    std::cerr << "FAIL: tape speedup below the " << fmt(config.min_speedup, 2)
+              << "x gate\n";
     return 2;
   }
   return 0;

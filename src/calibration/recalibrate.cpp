@@ -131,7 +131,6 @@ bool CalibrationLoop::refit(const WindowObservation& window,
     core::PredictOptions predict;
     predict.num_threads = config_.num_threads;
     predict.cache = config_.cache;
-    predict.tape_mode = config_.tape_mode;
     const core::SystemModel model(sys, config_.options, predict);
     predictions = model.predict_sla_percentiles(config_.slas);
     fingerprint = model.devices().front().fingerprint();
@@ -150,8 +149,8 @@ bool CalibrationLoop::refit(const WindowObservation& window,
       ++evictions;
     }
     for (const double sla : config_.slas) {
-      if (config_.cache->cdf.erase(core::cdf_cache_key(
-              published_fingerprint_, sla, config_.tape_mode))) {
+      if (config_.cache->cdf.erase(
+              core::cdf_cache_key(published_fingerprint_, sla))) {
         ++evictions;
       }
     }

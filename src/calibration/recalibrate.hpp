@@ -24,8 +24,8 @@
 //  * the backend entry of the PREVIOUS params,
 //    key core::backend_fingerprint(old_params, options);
 //  * the cdf entries of the previous model's response tape over the
-//    published SLA grid, keys core::cdf_cache_key(old_fingerprint, sla,
-//    tape_mode) — enumerable because the loop knows its own grid.
+//    published SLA grid, keys core::cdf_cache_key(old_fingerprint, sla)
+//    — enumerable because the loop knows its own grid.
 // Everything else (other tenants' devices, other SLA points) stays
 // resident; erasures are counted under calib.refit.cache_evictions.
 #pragma once
@@ -57,7 +57,6 @@ struct RecalibrateConfig {
   // Shared memoization to maintain (may be null: no caching, nothing to
   // invalidate).  Must outlive the loop.
   core::PredictionCache* cache = nullptr;
-  numerics::TapeEvalMode tape_mode = numerics::TapeEvalMode::kExact;
   unsigned num_threads = 1;
 
   // SSD-tier re-prediction (tiering extension).  Tier hit ratios are

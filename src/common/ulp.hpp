@@ -2,8 +2,8 @@
 
 // ULP (units-in-the-last-place) distance between doubles, for comparing
 // nearly-equal floating-point results with a resolution-independent metric.
-// Used by the SIMD kernel gates (tests and perf_numerics_tape) and by
-// numerics tests that previously rolled ad-hoc epsilon checks.
+// Used by perf_numerics_tape's divergence report and by numerics tests
+// that previously rolled ad-hoc epsilon checks.
 //
 // The mapping: every finite double is sent to a signed integer such that
 // consecutive representable doubles map to consecutive integers, with the

@@ -14,7 +14,6 @@
 
 #include "numerics/distribution.hpp"
 #include "numerics/memo_cache.hpp"
-#include "numerics/tape_mode.hpp"
 
 namespace cosm::core {
 
@@ -206,11 +205,6 @@ struct PredictOptions {
   // Optional shared memoization; nullptr disables caching.  The cache
   // must outlive every model constructed with it.
   PredictionCache* cache = nullptr;
-  // How compiled transform tapes are evaluated (see numerics/tape_mode.hpp).
-  // kExact and kSimd are bit-identical (kSimd vectorizes); kSimdFast is
-  // ULP-bounded.  The mode is mixed into CDF cache keys, so models with
-  // different modes can safely share one PredictionCache.
-  numerics::TapeEvalMode tape_mode = numerics::TapeEvalMode::kExact;
 };
 
 }  // namespace cosm::core

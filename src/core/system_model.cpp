@@ -47,13 +47,8 @@ std::uint64_t backend_fingerprint(const DeviceParams& params,
   return h;
 }
 
-std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla,
-                            numerics::TapeEvalMode mode) {
-  std::uint64_t key = hash_mix(device_fingerprint, sla);
-  if (mode == numerics::TapeEvalMode::kSimdFast) {
-    key = hash_mix(key, std::uint64_t{0x73696d6466617374ULL});  // "simdfast"
-  }
-  return key;
+std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla) {
+  return hash_mix(device_fingerprint, sla);
 }
 
 DeviceModel::DeviceModel(const FrontendModel& frontend, DeviceParams params,
@@ -143,20 +138,16 @@ SystemModel::SystemModel(SystemParams params, ModelOptions options,
 double SystemModel::device_cdf(std::size_t device, double sla) const {
   // The tape CDF is bit-identical to response_time()->cdf(sla) (the
   // scalar tree walk) — the tape's hard contract — so cache hits, cold
-  // evaluations, and every thread count return the same doubles.  kExact
-  // and kSimd produce the same bits and share cache entries; kSimdFast is
-  // only ULP-bounded, so its entries are keyed apart — a cache shared
-  // across tenants with different modes never crosses the two streams.
+  // evaluations, and every thread count return the same doubles.
   const DeviceModel& model = devices_[device];
-  const numerics::TapeEvalMode mode = predict_.tape_mode;
-  if (predict_.cache == nullptr) return model.response_tape().cdf(sla, 20, mode);
-  const std::uint64_t key = cdf_cache_key(model.fingerprint(), sla, mode);
+  if (predict_.cache == nullptr) return model.response_tape().cdf(sla);
+  const std::uint64_t key = cdf_cache_key(model.fingerprint(), sla);
   if (auto cached = predict_.cache->cdf.lookup(key)) {
     obs::add(obs::Counter::kCdfCacheHit);
     return *cached;
   }
   obs::add(obs::Counter::kCdfCacheMiss);
-  const double value = model.response_tape().cdf(sla, 20, mode);
+  const double value = model.response_tape().cdf(sla);
   predict_.cache->cdf.insert(key, value);
   return value;
 }
@@ -189,7 +180,7 @@ std::vector<double> SystemModel::predict_sla_percentiles(
     // to the per-cell path below.
     parallel_for(count, predict_.num_threads, [&](std::size_t d) {
       const std::vector<double> device_cdfs =
-          devices_[d].response_tape().cdf_many(slas, 20, predict_.tape_mode);
+          devices_[d].response_tape().cdf_many(slas);
       std::copy(device_cdfs.begin(), device_cdfs.end(),
                 cdfs.begin() + static_cast<std::ptrdiff_t>(d * n_slas));
     });

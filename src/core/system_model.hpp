@@ -41,12 +41,10 @@ std::uint64_t backend_fingerprint(const DeviceParams& params,
                                   ModelOptions options);
 
 // Key under which PredictionCache::cdf stores one device's CDF value at
-// one SLA point: (response-tape fingerprint, SLA bits), with kSimdFast
-// keyed apart (it is only ULP-bounded, so its entries must never serve a
-// bit-exact mode).  device_cdf derives its keys through this function, so
-// external invalidation can never drift from the lookup path.
-std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla,
-                            numerics::TapeEvalMode mode);
+// one SLA point: (response-tape fingerprint, SLA bits).  device_cdf
+// derives its keys through this function, so external invalidation can
+// never drift from the lookup path.
+std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla);
 
 class DeviceModel {
  public:

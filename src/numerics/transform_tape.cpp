@@ -13,7 +13,6 @@
 #include "numerics/memo_cache.hpp"
 #include "numerics/order_statistics.hpp"
 #include "numerics/phase_type.hpp"
-#include "numerics/simd_kernels.hpp"
 #include "numerics/transform_nodes.hpp"
 
 namespace cosm::numerics {
@@ -22,23 +21,12 @@ namespace {
 
 // Evaluation workspace, leased from a thread-local free list so steady
 // state allocates nothing and re-entrant evaluations (a generic leaf
-// whose laplace() runs its own inversion) never share buffers.  The AoS
-// vectors serve the exact evaluator; the *_re/_im planes are the
-// structure-of-arrays layout of the SIMD evaluator (plus an AoS scratch
-// for generic leaves, which still speak std::complex).  One lease carries
-// both so a pooled workspace serves either mode.
+// whose laplace() runs its own inversion) never share buffers.
 struct TapeWorkspace {
   std::vector<std::complex<double>> values;  // value stack, batch-major
   std::vector<std::complex<double>> args;    // scaled-argument batches
   std::vector<std::complex<double>> slots;   // CSE slots
   std::vector<const std::complex<double>*> arg_stack;
-
-  std::vector<double> values_re, values_im;  // SoA value stack
-  std::vector<double> args_re, args_im;      // SoA argument planes; plane 0
-                                             // holds the deinterleaved s
-  std::vector<double> slots_re, slots_im;    // SoA CSE slots
-  std::vector<const double*> arg_stack_re, arg_stack_im;
-  std::vector<std::complex<double>> aos;     // generic-leaf interleave
 };
 
 class WorkspaceLease {
@@ -347,36 +335,15 @@ TransformTape TransformTape::compile(const DistPtr& root) {
 
 void TransformTape::evaluate(std::span<const std::complex<double>> s,
                              std::span<std::complex<double>> out) const {
-  evaluate(s, out, TapeEvalMode::kExact);
-}
-
-void TransformTape::evaluate(std::span<const std::complex<double>> s,
-                             std::span<std::complex<double>> out,
-                             TapeEvalMode mode) const {
   COSM_REQUIRE(compiled(), "cannot evaluate an empty transform tape");
   COSM_REQUIRE(s.size() == out.size(),
                "evaluate spans must have equal length");
   if (s.empty()) return;
-  const bool simd = mode != TapeEvalMode::kExact;
   if (obs::enabled()) {
     obs::add(obs::Counter::kTapeEvalBatches);
     obs::add(obs::Counter::kTapeEvalPoints,
              static_cast<std::uint64_t>(s.size()));
-    if (simd) {
-      obs::add(obs::Counter::kTapeSimdBatches);
-      obs::add(obs::Counter::kTapeSimdPoints,
-               static_cast<std::uint64_t>(s.size()));
-    }
   }
-  if (simd) {
-    evaluate_simd(s, out, mode == TapeEvalMode::kSimdFast);
-  } else {
-    evaluate_exact(s, out);
-  }
-}
-
-void TransformTape::evaluate_exact(std::span<const std::complex<double>> s,
-                                   std::span<std::complex<double>> out) const {
   const std::size_t batch = s.size();
 
   WorkspaceLease ws;
@@ -632,214 +599,25 @@ void TransformTape::evaluate_exact(std::span<const std::complex<double>> s,
   for (std::size_t i = 0; i < batch; ++i) out[i] = result[i];
 }
 
-// The structure-of-arrays evaluator: the same stack machine, but every
-// batch lives as separate re/im planes and every op body is a call into
-// the runtime-dispatched kernel table (numerics/simd_kernels.hpp).  Stack
-// discipline, CSE slots, and the scaled-argument stack are identical to
-// evaluate_exact; only the data layout and the op arithmetic provider
-// change.
-void TransformTape::evaluate_simd(std::span<const std::complex<double>> s,
-                                  std::span<std::complex<double>> out,
-                                  bool fast) const {
-  const std::size_t batch = s.size();
-  const simd::TapeKernels& kern = simd::active_kernels();
-
-  WorkspaceLease ws;
-  ws->values_re.resize(value_depth_ * batch);
-  ws->values_im.resize(value_depth_ * batch);
-  ws->args_re.resize((arg_depth_ + 1) * batch);
-  ws->args_im.resize((arg_depth_ + 1) * batch);
-  ws->slots_re.resize(slot_count_ * batch);
-  ws->slots_im.resize(slot_count_ * batch);
-  ws->arg_stack_re.clear();
-  ws->arg_stack_im.clear();
-
-  // Argument plane 0: the deinterleaved contour.
-  double* const s_re = ws->args_re.data();
-  double* const s_im = ws->args_im.data();
-  for (std::size_t i = 0; i < batch; ++i) {
-    s_re[i] = s[i].real();
-    s_im[i] = s[i].imag();
-  }
-  ws->arg_stack_re.push_back(s_re);
-  ws->arg_stack_im.push_back(s_im);
-
-  double* const vre = ws->values_re.data();
-  double* const vim = ws->values_im.data();
-  double* const slre = ws->slots_re.data();
-  double* const slim = ws->slots_im.data();
-  std::size_t top = 0;       // value-stack height, in batches
-  std::size_t arg_used = 1;  // argument planes in use (plane 0 is s)
-
-  for (const Op& op : ops_) {
-    const double* const svr = ws->arg_stack_re.back();
-    const double* const svi = ws->arg_stack_im.back();
-    const double* const p = params_.data() + op.b;
-    switch (op.code) {
-      case OpCode::kLeafDegenerate:
-        (fast ? kern.leaf_degenerate_fast : kern.leaf_degenerate)(
-            svr, svi, p[0], vre + top * batch, vim + top * batch, batch);
-        ++top;
-        break;
-      case OpCode::kLeafExponential:
-        kern.leaf_exponential(svr, svi, p[0], vre + top * batch,
-                              vim + top * batch, batch);
-        ++top;
-        break;
-      case OpCode::kLeafGamma:
-        (fast ? kern.leaf_gamma_fast : kern.leaf_gamma)(
-            svr, svi, p[0], p[1], vre + top * batch, vim + top * batch, batch);
-        ++top;
-        break;
-      case OpCode::kLeafUniform:
-        (fast ? kern.leaf_uniform_fast : kern.leaf_uniform)(
-            svr, svi, p[0], p[1], vre + top * batch, vim + top * batch, batch);
-        ++top;
-        break;
-      case OpCode::kLeafErlang:
-        (fast ? kern.leaf_erlang_fast : kern.leaf_erlang)(
-            svr, svi, p[0], p[1], vre + top * batch, vim + top * batch, batch);
-        ++top;
-        break;
-      case OpCode::kLeafHyperExp:
-        kern.leaf_hyperexp(svr, svi, p, op.a, vre + top * batch,
-                           vim + top * batch, batch);
-        ++top;
-        break;
-      case OpCode::kLeafMM1K:
-        kern.leaf_mm1k(svr, svi, p, vre + top * batch, vim + top * batch,
-                       batch);
-        ++top;
-        break;
-      case OpCode::kMinOfK:
-      case OpCode::kKthOfN:
-        (fast ? kern.order_stat_fast : kern.order_stat)(
-            svr, svi, p[0], p + 1, op.a, vre + top * batch, vim + top * batch,
-            batch);
-        ++top;
-        break;
-      case OpCode::kLeafGeneric: {
-        // Compatibility path: generic leaves speak std::complex, so
-        // interleave the current argument plane, call laplace_many, and
-        // deinterleave the results.
-        ws->aos.resize(2 * batch);
-        std::complex<double>* const in = ws->aos.data();
-        std::complex<double>* const res = ws->aos.data() + batch;
-        for (std::size_t i = 0; i < batch; ++i) {
-          in[i] = std::complex<double>(svr[i], svi[i]);
-        }
-        leaves_[op.a]->laplace_many(
-            std::span<const std::complex<double>>(in, batch),
-            std::span<std::complex<double>>(res, batch));
-        double* const dr = vre + top * batch;
-        double* const di = vim + top * batch;
-        for (std::size_t i = 0; i < batch; ++i) {
-          dr[i] = res[i].real();
-          di[i] = res[i].imag();
-        }
-        ++top;
-        break;
-      }
-      case OpCode::kMul:
-        kern.mul(vre + (top - op.a) * batch, vim + (top - op.a) * batch,
-                 op.a, batch);
-        top -= op.a - 1;
-        break;
-      case OpCode::kMix:
-        kern.mix(vre + (top - op.a) * batch, vim + (top - op.a) * batch, p,
-                 op.a, batch);
-        top -= op.a - 1;
-        break;
-      case OpCode::kCPoisson:
-        (fast ? kern.cpoisson_fast : kern.cpoisson)(
-            vre + (top - 2) * batch, vim + (top - 2) * batch,
-            vre + (top - 1) * batch, vim + (top - 1) * batch, p[0], batch);
-        --top;
-        break;
-      case OpCode::kTierMix:
-        kern.tier_mix(vre + (top - 2) * batch, vim + (top - 2) * batch,
-                      vre + (top - 1) * batch, vim + (top - 1) * batch, p[0],
-                      p[1], batch);
-        --top;
-        break;
-      case OpCode::kShift:
-        (fast ? kern.shift_fast : kern.shift)(svr, svi, p[0],
-                                              vre + (top - 1) * batch,
-                                              vim + (top - 1) * batch, batch);
-        break;
-      case OpCode::kScaleArg: {
-        double* const dr = ws->args_re.data() + arg_used * batch;
-        double* const di = ws->args_im.data() + arg_used * batch;
-        kern.scale_arg(svr, svi, p[0], dr, di, batch);
-        ws->arg_stack_re.push_back(dr);
-        ws->arg_stack_im.push_back(di);
-        ++arg_used;
-        break;
-      }
-      case OpCode::kPopArg:
-        ws->arg_stack_re.pop_back();
-        ws->arg_stack_im.pop_back();
-        --arg_used;
-        break;
-      case OpCode::kPKWait:
-        kern.pk_wait(svr, svi, p[0], p[1], vre + (top - 1) * batch,
-                     vim + (top - 1) * batch, batch);
-        break;
-      case OpCode::kMG1KSojourn:
-        kern.mg1k(svr, svi, p, op.a, vre + (top - 1) * batch,
-                  vim + (top - 1) * batch, batch);
-        break;
-      case OpCode::kStore:
-        std::memcpy(slre + op.a * batch, vre + (top - 1) * batch,
-                    batch * sizeof(double));
-        std::memcpy(slim + op.a * batch, vim + (top - 1) * batch,
-                    batch * sizeof(double));
-        break;
-      case OpCode::kLoad:
-        std::memcpy(vre + top * batch, slre + op.a * batch,
-                    batch * sizeof(double));
-        std::memcpy(vim + top * batch, slim + op.a * batch,
-                    batch * sizeof(double));
-        ++top;
-        break;
-    }
-  }
-  COSM_REQUIRE(top == 1, "tape evaluation finished with a non-unit stack");
-  for (std::size_t i = 0; i < batch; ++i) {
-    out[i] = std::complex<double>(vre[i], vim[i]);
-  }
-}
-
 // ----------------------------- entry points ------------------------------
 
-BatchLaplaceFn TransformTape::batch_fn(TapeEvalMode mode) const {
-  return [this, mode](std::span<const std::complex<double>> s,
-                      std::span<std::complex<double>> out) {
-    evaluate(s, out, mode);
-  };
+BatchLaplaceFn TransformTape::batch_fn() const {
+  return [this](std::span<const std::complex<double>> s,
+                std::span<std::complex<double>> out) { evaluate(s, out); };
 }
 
-double TransformTape::cdf(double t, int m, TapeEvalMode mode) const {
-  return cdf_from_laplace(batch_fn(mode), t, m);
+double TransformTape::cdf(double t, int m) const {
+  return cdf_from_laplace(batch_fn(), t, m);
 }
 
-std::vector<double> TransformTape::cdf_many(std::span<const double> ts, int m,
-                                            TapeEvalMode mode) const {
-  return cdf_many_from_laplace(batch_fn(mode), ts, m);
+std::vector<double> TransformTape::cdf_many(std::span<const double> ts,
+                                            int m) const {
+  return cdf_many_from_laplace(batch_fn(), ts, m);
 }
 
 double TransformTape::quantile(double p, double mean_hint, double t_max,
-                               QuantileWarmStart* warm,
-                               TapeEvalMode mode) const {
-  return quantile_from_laplace(batch_fn(mode), p, mean_hint, t_max, warm);
-}
-
-double TransformTape::invert_density(double t, int m) const {
-  return invert_euler(batch_fn(), t, m);
-}
-
-double TransformTape::invert_density_talbot(double t, int m) const {
-  return invert_talbot(batch_fn(), t, m);
+                               QuantileWarmStart* warm) const {
+  return quantile_from_laplace(batch_fn(), p, mean_hint, t_max, warm);
 }
 
 }  // namespace cosm::numerics

@@ -68,7 +68,6 @@
 
 #include "numerics/distribution.hpp"
 #include "numerics/lt_inversion.hpp"
-#include "numerics/tape_mode.hpp"
 
 namespace cosm::numerics {
 
@@ -86,46 +85,29 @@ class TransformTape {
 
   bool compiled() const { return !ops_.empty(); }
 
-  // Batched transform evaluation: out[i] = L(s[i]).  With
-  // TapeEvalMode::kExact (the two-argument form and the default), values
-  // are bit-identical to the scalar tree walk (see batching contract
-  // above).  TapeEvalMode::kSimd runs the structure-of-arrays evaluator
-  // over the runtime-dispatched vector kernels and is STILL bit-identical
-  // to kExact; TapeEvalMode::kSimdFast additionally swaps the
-  // exp/pow-family ops to branchless vector transcendentals and is only
-  // ULP-bounded (documented in docs/PERFORMANCE.md §7).  All modes are
-  // deterministic across build variants and CPUs.  Preconditions:
+  // Batched transform evaluation: out[i] = L(s[i]), bit-identical to the
+  // scalar tree walk (see batching contract above).  Preconditions:
   // compiled(), s.size() == out.size().
   void evaluate(std::span<const std::complex<double>> s,
                 std::span<std::complex<double>> out) const;
-  void evaluate(std::span<const std::complex<double>> s,
-                std::span<std::complex<double>> out, TapeEvalMode mode) const;
 
   // The tape as a BatchLaplaceFn, for lt_inversion's batched overloads.
-  BatchLaplaceFn batch_fn(TapeEvalMode mode = TapeEvalMode::kExact) const;
+  BatchLaplaceFn batch_fn() const;
 
   // CDF at t via batched Euler inversion of L(s)/s (the fused DIV-BY-S
-  // op); in kExact mode bit-identical to cdf_from_laplace on the scalar
-  // tree.
-  double cdf(double t, int m = 20,
-             TapeEvalMode mode = TapeEvalMode::kExact) const;
+  // op); bit-identical to cdf_from_laplace on the scalar tree.
+  double cdf(double t, int m = 20) const;
 
   // CDF at many points with ONE batched evaluation over all contours —
   // the amortized path for SLA sweeps and Brent ladders.  Element i is
-  // bit-identical to cdf(ts[i], m, mode).
-  std::vector<double> cdf_many(std::span<const double> ts, int m = 20,
-                               TapeEvalMode mode = TapeEvalMode::kExact) const;
+  // bit-identical to cdf(ts[i], m).
+  std::vector<double> cdf_many(std::span<const double> ts, int m = 20) const;
 
   // p-quantile via bracketing + Brent over batched CDF probes; `warm`
   // carries the previous root across monotone sweeps (see
   // QuantileWarmStart in lt_inversion.hpp).
   double quantile(double p, double mean_hint, double t_max = 1e9,
-                  QuantileWarmStart* warm = nullptr,
-                  TapeEvalMode mode = TapeEvalMode::kExact) const;
-
-  // Density at t via batched Euler / fixed-Talbot inversion of L(s).
-  double invert_density(double t, int m = 20) const;
-  double invert_density_talbot(double t, int m = 32) const;
+                  QuantileWarmStart* warm = nullptr) const;
 
   // Structural 64-bit identity of the compiled program (see header doc).
   std::uint64_t fingerprint() const { return fingerprint_; }
@@ -180,11 +162,6 @@ class TransformTape {
   };
 
   friend class TapeCompiler;
-
-  void evaluate_exact(std::span<const std::complex<double>> s,
-                      std::span<std::complex<double>> out) const;
-  void evaluate_simd(std::span<const std::complex<double>> s,
-                     std::span<std::complex<double>> out, bool fast) const;
 
   std::vector<Op> ops_;
   std::vector<double> params_;

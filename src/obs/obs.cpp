@@ -34,8 +34,6 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "tape.ops",
     "tape.eval_batches",
     "tape.eval_points",
-    "tape.simd.batches",
-    "tape.simd.points",
     "hist.underflow_add",
     "hist.overflow_add",
     "hist.quantile_clamped",

@@ -83,8 +83,6 @@ enum class Counter : std::uint32_t {
   kTapeOps,          // ops emitted across all compiles
   kTapeEvalBatches,  // evaluate() calls
   kTapeEvalPoints,   // contour points pushed through evaluate()
-  kTapeSimdBatches,  // evaluate() calls routed to the SoA/SIMD evaluator
-  kTapeSimdPoints,   // contour points pushed through the SoA/SIMD evaluator
 
   // stats::LogHistogram clamp buckets (and through it the simulator's
   // streaming latency histogram).

@@ -10,10 +10,6 @@
 //
 // Flags:
 //   --threads=N        per-request model-build fan-out (default 1)
-//   --mode=exact|simd|simd_fast
-//                      tape evaluation mode (default simd — bit-identical
-//                      to exact; simd_fast is ULP-bounded, see
-//                      docs/PERFORMANCE.md §7)
 //   --trace-json=FILE  enable observability; export the obs trace
 //                      (counters incl. service.requests, spans) at EOF
 #include <fstream>
@@ -34,18 +30,6 @@ int main(int argc, char** argv) {
     if (arg.rfind("--threads=", 0) == 0) {
       config.num_threads =
           static_cast<unsigned>(std::stoul(value_of("--threads=")));
-    } else if (arg.rfind("--mode=", 0) == 0) {
-      const std::string mode = value_of("--mode=");
-      if (mode == "exact") {
-        config.tape_mode = cosm::numerics::TapeEvalMode::kExact;
-      } else if (mode == "simd") {
-        config.tape_mode = cosm::numerics::TapeEvalMode::kSimd;
-      } else if (mode == "simd_fast") {
-        config.tape_mode = cosm::numerics::TapeEvalMode::kSimdFast;
-      } else {
-        std::cerr << "unknown --mode: " << mode << "\n";
-        return 3;
-      }
     } else if (arg.rfind("--trace-json=", 0) == 0) {
       trace_json = value_of("--trace-json=");
     } else {

@@ -149,7 +149,6 @@ core::PredictOptions WhatIfService::predict_options() const {
   core::PredictOptions predict;
   predict.num_threads = config_.num_threads;
   predict.cache = &cache_;
-  predict.tape_mode = config_.tape_mode;
   return predict;
 }
 

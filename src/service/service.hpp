@@ -56,13 +56,12 @@
 // object is safe to drive from many threads at once (the registry is
 // guarded by a shared_mutex, specs are copied out before model building,
 // and the PredictionCache is internally lock-striped).  ServiceConfig
-// picks the tape evaluation mode — kSimd by default, which is
-// bit-identical to kExact (numerics/tape_mode.hpp) — and the fan-out
-// width each request's model building may use.
+// picks the fan-out width each request's model building may use.
 //
 // Determinism: identical requests against identical registry state
 // produce byte-identical response lines, cached or not, whatever the
-// thread count — the property bench/perf_service.cpp gates on.
+// thread count — the property tests/service/test_service.cpp and the
+// repository benchmark's service_hit workload check.
 //
 // Observability: every request bumps obs::Counter::kServiceRequests,
 // error responses bump kServiceErrors, each produced number bumps
@@ -86,10 +85,6 @@ struct ServiceConfig {
   // PredictOptions::num_threads for each request's model building /
   // sweeps (1 = serial; results are identical for every setting).
   unsigned num_threads = 1;
-  // Tape evaluation mode for every prediction.  The default kSimd is
-  // bit-identical to kExact; kSimdFast trades ULP-bounded deviations for
-  // speed (see numerics/tape_mode.hpp and docs/PERFORMANCE.md §7).
-  numerics::TapeEvalMode tape_mode = numerics::TapeEvalMode::kSimd;
 };
 
 // A registered cluster family: everything needed to build SystemParams

@@ -1,5 +1,5 @@
-// common/ulp.hpp: the ULP-distance comparison helper the SIMD gates and
-// numerics tests share.  The properties under test are the ones callers
+// common/ulp.hpp: the ULP-distance comparison helper perf_numerics_tape
+// and the numerics tests share.  The properties under test are the ones callers
 // lean on: exact symmetry, monotonicity with actual spacing, saturation
 // on sign changes and NaN, and the complex overload taking the worse
 // component.

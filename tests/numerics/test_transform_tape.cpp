@@ -279,15 +279,14 @@ TEST(LaplaceManyDefault, MatchesScalarLoop) {
 // buffers from a thread-local pool, so (a) steady state allocates
 // NOTHING, and (b) concurrent or interleaved evaluations never share a
 // live workspace.  The hammer drives mixed tape shapes and batch widths
-// from {1, 2, 8} threads in both evaluator modes; any cross-lease
-// aliasing would corrupt values against the single-threaded reference,
-// and any per-evaluation allocation trips the counter.
+// from {1, 2, 8} threads; any cross-lease aliasing would corrupt values
+// against the single-threaded reference, and any per-evaluation
+// allocation trips the counter.
 
 struct HammerScenario {
   TransformTape tape;
   std::vector<Complex> points;
-  std::vector<Complex> exact;  // single-threaded kExact reference
-  std::vector<Complex> simd;   // single-threaded kSimd reference
+  std::vector<Complex> exact;  // single-threaded reference
 };
 
 std::vector<HammerScenario> build_hammer_scenarios() {
@@ -326,9 +325,7 @@ std::vector<HammerScenario> build_hammer_scenarios() {
     const std::size_t width = 5 + 7 * i;
     s.points.assign(all.begin(), all.begin() + std::min(width, all.size()));
     s.exact.resize(s.points.size());
-    s.simd.resize(s.points.size());
-    s.tape.evaluate(s.points, s.exact, TapeEvalMode::kExact);
-    s.tape.evaluate(s.points, s.simd, TapeEvalMode::kSimd);
+    s.tape.evaluate(s.points, s.exact);
     scenarios.push_back(std::move(s));
   }
   return scenarios;
@@ -359,27 +356,19 @@ TEST(TransformTapeConcurrency, LeasedEvaluationIsAllocationFreeAndUnaliased) {
       workers.emplace_back([&] {
         std::vector<Complex> out(max_batch);
         // Warmup leases and sizes this thread's pooled workspace for
-        // every tape shape and both modes.
+        // every tape shape.
         for (const HammerScenario& s : scenarios) {
-          const std::span<Complex> window(out.data(), s.points.size());
-          s.tape.evaluate(s.points, window, TapeEvalMode::kExact);
-          s.tape.evaluate(s.points, window, TapeEvalMode::kSimd);
+          s.tape.evaluate(s.points,
+                          std::span<Complex>(out.data(), s.points.size()));
         }
         start.arrive_and_wait();
         for (int round = 0; round < 40; ++round) {
           for (const HammerScenario& s : scenarios) {
             const std::span<Complex> window(out.data(), s.points.size());
-            s.tape.evaluate(s.points, window, TapeEvalMode::kExact);
+            s.tape.evaluate(s.points, window);
             for (std::size_t i = 0; i < s.points.size(); ++i) {
               if (out[i].real() != s.exact[i].real() ||
                   out[i].imag() != s.exact[i].imag()) {
-                mismatches.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-            s.tape.evaluate(s.points, window, TapeEvalMode::kSimd);
-            for (std::size_t i = 0; i < s.points.size(); ++i) {
-              if (out[i].real() != s.simd[i].real() ||
-                  out[i].imag() != s.simd[i].imag()) {
                 mismatches.fetch_add(1, std::memory_order_relaxed);
               }
             }
@@ -391,7 +380,7 @@ TEST(TransformTapeConcurrency, LeasedEvaluationIsAllocationFreeAndUnaliased) {
     for (std::thread& worker : workers) worker.join();
 
     EXPECT_EQ(mismatches.load(), 0u)
-        << thread_count << " threads: cross-lease aliasing or mode drift";
+        << thread_count << " threads: cross-lease aliasing";
     EXPECT_EQ(allocs_after, allocs_before)
         << thread_count
         << " threads: steady-state evaluation touched the heap";

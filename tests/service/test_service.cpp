@@ -1,7 +1,6 @@
 // WhatIfService protocol round-trips: registration, every query op, the
 // error paths (which must produce {"ok": false} lines, never throw), id
-// correlation, determinism, and the kSimd == kExact byte-identity the
-// service inherits from the tape contract.
+// correlation, and determinism.
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
@@ -193,22 +192,6 @@ TEST(WhatIfService, RepeatedQueriesAreByteIdentical) {
   // Second time is served from the shared cache; bytes must not change.
   EXPECT_EQ(service.handle_line(query), first);
   EXPECT_EQ(service.handle_line(query), first);
-}
-
-TEST(WhatIfService, SimdModeByteIdenticalToExactMode) {
-  ServiceConfig exact_config;
-  exact_config.tape_mode = numerics::TapeEvalMode::kExact;
-  WhatIfService exact(exact_config);
-  WhatIfService simd;  // default mode is kSimd
-  const std::vector<std::string> script = {
-      kRegisterA,
-      R"({"op":"sla","cluster":"a","slas":[0.05,0.1,0.15,0.25]})",
-      R"({"op":"quantile","cluster":"a","p":0.95})",
-      R"({"op":"devices","cluster":"a","sla":0.1,"percentile":0.9})",
-  };
-  for (const std::string& line : script) {
-    EXPECT_EQ(simd.handle_line(line), exact.handle_line(line)) << line;
-  }
 }
 
 TEST(WhatIfService, ConcurrentMixedTenantsStayConsistent) {
