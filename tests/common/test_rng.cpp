@@ -10,6 +10,7 @@
 #include <cmath>
 #include <functional>
 #include <numbers>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,13 @@ struct MomentCase {
   double expected_var;
   std::function<double(Rng&)> draw;
 };
+
+// gtest_discover_tests copies the printed parameter into the ctest test
+// name.  gtest's default printout of this struct is its raw bytes, and the
+// label and std::function pointers in them move with address-space
+// randomisation, so print the label to keep the names the same on every
+// build.
+void PrintTo(const MomentCase& c, std::ostream* os) { *os << c.label; }
 
 class RngMomentTest : public ::testing::TestWithParam<MomentCase> {};
 

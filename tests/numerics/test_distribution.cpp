@@ -10,12 +10,25 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "numerics/special.hpp"
 
 namespace cosm::numerics {
+
+// gtest_discover_tests copies the printed parameter into the ctest test
+// name.  gtest prints a shared_ptr as "(ptr = <address>, value = <bytes>)",
+// and the heap address moves with address-space randomisation, so keep that
+// layout with the address elided and the distribution in place of its bytes.
+// This lives outside the anonymous namespace so argument-dependent lookup on
+// DistPtr finds it.
+void PrintTo(const DistPtr& d, std::ostream* os) {
+  *os << "(ptr = 0x..., value = " << d->name() << " mean=" << d->mean()
+      << ")";
+}
+
 namespace {
 
 // All distributions must satisfy L(0) = 1 and L'(0) = -mean; we check the
