@@ -113,6 +113,7 @@ bool CalibrationLoop::refit(const WindowObservation& window,
   core::SystemParams sys;
   std::vector<double> predictions;
   std::uint64_t fingerprint = 0;
+  std::uint64_t device_key = 0;
   try {
     core::DeviceParams params = build_device_params(
         window.observation, disk_calibration_, backend_parse_, processes_,
@@ -134,6 +135,8 @@ bool CalibrationLoop::refit(const WindowObservation& window,
     const core::SystemModel model(sys, config_.options, predict);
     predictions = model.predict_sla_percentiles(config_.slas);
     fingerprint = model.devices().front().fingerprint();
+    device_key = core::device_model_key(sys.frontend, sys.devices.front(),
+                                        config_.options);
   } catch (const std::exception&) {
     // Unfittable regime (saturated device, degenerate split, exhausted
     // Che bracket): keep the previous calibration published rather than
@@ -144,6 +147,7 @@ bool CalibrationLoop::refit(const WindowObservation& window,
   // Evict exactly the entries the previous publication made stale.
   std::size_t evictions = 0;
   if (config_.cache != nullptr && calibrated()) {
+    if (config_.cache->devices.erase(published_device_key_)) ++evictions;
     if (config_.cache->backends.erase(
             core::backend_fingerprint(*params_, config_.options))) {
       ++evictions;
@@ -160,6 +164,7 @@ bool CalibrationLoop::refit(const WindowObservation& window,
   params_ = sys.devices.front();
   predictions_ = std::move(predictions);
   published_fingerprint_ = fingerprint;
+  published_device_key_ = device_key;
   obs::add(obs::Counter::kCalibRefitModels);
 
   RefitEvent event;

@@ -19,8 +19,10 @@
 // keeps the previous calibration — and throws only on caller misuse.
 //
 // Cache-invalidation contract (docs/CALIBRATION.md): a re-fit makes
-// exactly two kinds of PredictionCache entries stale, and the loop
+// exactly three kinds of PredictionCache entries stale, and the loop
 // erases exactly those —
+//  * the device-model entry of the PREVIOUS model,
+//    key core::device_model_key(old_frontend, old_params, options);
 //  * the backend entry of the PREVIOUS params,
 //    key core::backend_fingerprint(old_params, options);
 //  * the cdf entries of the previous model's response tape over the
@@ -149,6 +151,8 @@ class CalibrationLoop {
   // Response-tape fingerprint of the published model's device — the key
   // root for cdf invalidation at the next re-fit.
   std::uint64_t published_fingerprint_ = 0;
+  // core::device_model_key of the published model's device.
+  std::uint64_t published_device_key_ = 0;
   std::vector<RefitEvent> refits_;
 };
 

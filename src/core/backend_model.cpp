@@ -220,12 +220,6 @@ void BackendModel::build() {
   // Eq. (1): S_be = W * parse * index * meta * data.
   response_ = std::make_shared<Convolution>(std::vector<DistPtr>{
       waiting_, params_.backend_parse, index_, meta_, data_});
-
-  // Flatten once: the tree above is immutable from here on, and the tape
-  // shares the heavily repeated subtrees (the disk sojourn appears under
-  // all three cache mixtures, the mixtures appear under both the union
-  // service and the response convolution) via CSE slots.
-  response_tape_ = numerics::TransformTape::compile(response_);
 }
 
 double BackendModel::utilization() const {

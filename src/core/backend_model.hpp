@@ -11,7 +11,6 @@
 
 #include "core/params.hpp"
 #include "numerics/compose.hpp"
-#include "numerics/transform_tape.hpp"
 
 namespace cosm::core {
 
@@ -35,13 +34,6 @@ class BackendModel {
   numerics::DistPtr union_service() const { return union_service_; }
   numerics::DistPtr waiting_time() const { return waiting_; }
   numerics::DistPtr response_time() const { return response_; }
-
-  // The backend response transform compiled to a flat evaluation tape
-  // (bit-identical to response_time()->laplace, see
-  // numerics/transform_tape.hpp); compiled once at build time.
-  const numerics::TransformTape& response_tape() const {
-    return response_tape_;
-  }
 
   // The effective (possibly M/M/1/K-substituted) per-operation
   // distributions, exposed for tests and the ablation benches.
@@ -68,7 +60,6 @@ class BackendModel {
   numerics::DistPtr union_service_;
   numerics::DistPtr waiting_;
   numerics::DistPtr response_;
-  numerics::TransformTape response_tape_;
 };
 
 }  // namespace cosm::core

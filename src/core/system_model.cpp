@@ -1,6 +1,7 @@
 #include "core/system_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <utility>
@@ -45,6 +46,89 @@ std::uint64_t backend_fingerprint(const DeviceParams& params,
     h = hash_mix(h, static_cast<std::uint64_t>(params.tier.promote_on_read));
   }
   return h;
+}
+
+namespace {
+
+// Value fingerprint of the frontend parameters: every field FrontendModel
+// reads to build S_q.
+std::uint64_t frontend_fingerprint(const FrontendParams& frontend) {
+  std::uint64_t h = 0x636f736d00000003ULL;
+  h = hash_mix(h, frontend.arrival_rate);
+  h = hash_mix(h, static_cast<std::uint64_t>(frontend.processes));
+  if (frontend.frontend_parse) {
+    h = hash_mix(h, numerics::fingerprint(*frontend.frontend_parse));
+  }
+  h = hash_mix(h, static_cast<std::uint64_t>(frontend.groups.size()));
+  for (const FrontendGroup& group : frontend.groups) {
+    h = hash_mix(h, static_cast<std::uint64_t>(group.processes));
+    h = hash_mix(h, group.traffic_share);
+    h = hash_mix(h, numerics::fingerprint(*group.frontend_parse));
+  }
+  return h;
+}
+
+// device_model_key with the frontend fingerprint already folded.
+std::uint64_t device_key(std::uint64_t frontend_fp, const DeviceParams& params,
+                         const ModelOptions& options) {
+  std::uint64_t h = hash_mix(backend_fingerprint(params, options), frontend_fp);
+  h = hash_mix(h, static_cast<std::uint64_t>(options.include_wta));
+  const RedundancyOptions& red = options.redundancy;
+  h = hash_mix(h, static_cast<std::uint64_t>(red.mode));
+  h = hash_mix(h, static_cast<std::uint64_t>(red.n));
+  h = hash_mix(h, static_cast<std::uint64_t>(red.k));
+  h = hash_mix(h, red.hedge_delay);
+  h = hash_mix(h, static_cast<std::uint64_t>(red.fork_join_correction));
+  return h;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// True when `a` and `b` match field for field, distributions compared by
+// pointer: a cheap sufficient test for equal device_key values, which
+// spares fingerprinting the copies of one parameter set.
+bool same_params(const DeviceParams& a, const DeviceParams& b) {
+  return same_bits(a.arrival_rate, b.arrival_rate) &&
+         same_bits(a.data_read_rate, b.data_read_rate) &&
+         same_bits(a.index_miss_ratio, b.index_miss_ratio) &&
+         same_bits(a.meta_miss_ratio, b.meta_miss_ratio) &&
+         same_bits(a.data_miss_ratio, b.data_miss_ratio) &&
+         a.index_disk == b.index_disk && a.meta_disk == b.meta_disk &&
+         a.data_disk == b.data_disk && a.backend_parse == b.backend_parse &&
+         a.processes == b.processes && a.tier.enabled == b.tier.enabled &&
+         same_bits(a.tier.hit_ratio, b.tier.hit_ratio) &&
+         a.tier.read_service == b.tier.read_service &&
+         a.tier.write_service == b.tier.write_service &&
+         a.tier.promote_on_read == b.tier.promote_on_read;
+}
+
+// One device model, served from PredictionCache::devices when a cache is
+// attached.  Copies share the build (DeviceModel holds only shared state).
+DeviceModel build_device(const FrontendModel& frontend, DeviceParams params,
+                         const ModelOptions& options,
+                         const PredictOptions& predict, std::uint64_t key) {
+  if (predict.cache == nullptr) {
+    return DeviceModel(frontend, std::move(params), options, predict);
+  }
+  if (auto cached = predict.cache->devices.lookup(key)) {
+    obs::add(obs::Counter::kDeviceCacheHit);
+    return **cached;
+  }
+  obs::add(obs::Counter::kDeviceCacheMiss);
+  auto model = std::make_shared<const DeviceModel>(frontend, std::move(params),
+                                                   options, predict);
+  predict.cache->devices.insert(key, model);
+  return *model;
+}
+
+}  // namespace
+
+std::uint64_t device_model_key(const FrontendParams& frontend,
+                               const DeviceParams& params,
+                               const ModelOptions& options) {
+  return device_key(frontend_fingerprint(frontend), params, options);
 }
 
 std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla) {
@@ -111,35 +195,59 @@ DeviceModel::DeviceModel(const FrontendModel& frontend, DeviceParams params,
   // grid lands in the op params; the hedged wrap in the generic-leaf
   // fingerprint) — lands in the compiled op/param stream, and identically
   // constructed devices compile identical tapes.
-  tape_ = numerics::TransformTape::compile(response_);
-  fingerprint_ = tape_.fingerprint();
+  tape_ = std::make_shared<const numerics::TransformTape>(
+      numerics::TransformTape::compile(response_));
+  fingerprint_ = tape_->fingerprint();
 }
 
 SystemModel::SystemModel(SystemParams params, ModelOptions options,
                          PredictOptions predict)
     : frontend_(params.frontend), predict_(predict) {
   params.validate();
-  // Device builds are independent (the expensive part is the per-device
-  // queueing solve), so they fan out; slots keep the reduction below in
-  // device order, which keeps total_rate_ bit-identical to serial.
+  // Group devices by value before building: a homogeneous cluster repeats
+  // one device N times, often as N separately allocated but equal
+  // parameter sets, so the grouping keys on value, never on pointers.
   const std::size_t count = params.devices.size();
-  std::vector<std::optional<DeviceModel>> built(count);
-  parallel_for(count, predict_.num_threads, [&](std::size_t i) {
-    built[i].emplace(frontend_, std::move(params.devices[i]), options,
-                     predict_);
+  const std::uint64_t frontend_fp = frontend_fingerprint(params.frontend);
+  std::vector<std::uint64_t> keys;
+  slot_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const DeviceParams& device = params.devices[i];
+    const auto copy = std::find_if(
+        distinct_.begin(), distinct_.end(),
+        [&](std::size_t j) { return same_params(device, params.devices[j]); });
+    if (copy != distinct_.end()) {
+      slot_.push_back(static_cast<std::size_t>(copy - distinct_.begin()));
+      continue;
+    }
+    const std::uint64_t key = device_key(frontend_fp, device, options);
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    slot_.push_back(static_cast<std::size_t>(it - keys.begin()));
+    if (it == keys.end()) {
+      keys.push_back(key);
+      distinct_.push_back(i);
+    }
+  }
+  // Distinct device builds are independent (the expensive part is the
+  // per-device queueing solve), so they fan out; the reduction below runs
+  // in device order, which keeps total_rate_ bit-identical to serial.
+  std::vector<std::optional<DeviceModel>> built(distinct_.size());
+  parallel_for(distinct_.size(), predict_.num_threads, [&](std::size_t u) {
+    built[u].emplace(build_device(frontend_,
+                                  std::move(params.devices[distinct_[u]]),
+                                  options, predict_, keys[u]));
   });
   devices_.reserve(count);
-  for (auto& device : built) {
-    total_rate_ += device->arrival_rate();
-    devices_.push_back(std::move(*device));
+  for (std::size_t i = 0; i < count; ++i) {
+    devices_.push_back(*built[slot_[i]]);
+    total_rate_ += devices_.back().arrival_rate();
   }
 }
 
-double SystemModel::device_cdf(std::size_t device, double sla) const {
+double SystemModel::device_cdf(const DeviceModel& model, double sla) const {
   // The tape CDF is bit-identical to response_time()->cdf(sla) (the
   // scalar tree walk) — the tape's hard contract — so cache hits, cold
   // evaluations, and every thread count return the same doubles.
-  const DeviceModel& model = devices_[device];
   if (predict_.cache == nullptr) return model.response_tape().cdf(sla);
   const std::uint64_t key = cdf_cache_key(model.fingerprint(), sla);
   if (auto cached = predict_.cache->cdf.lookup(key)) {
@@ -155,13 +263,16 @@ double SystemModel::device_cdf(std::size_t device, double sla) const {
 double SystemModel::predict_sla_percentile(double sla) const {
   COSM_REQUIRE(sla > 0, "SLA must be positive");
   obs::Span span("core.predict_sla");
-  const std::size_t count = devices_.size();
-  std::vector<double> cdfs(count);
-  parallel_for(count, predict_.num_threads,
-               [&](std::size_t i) { cdfs[i] = device_cdf(i, sla); });
+  // One CDF per distinct device; the weighted sum reads each device's
+  // value class in device order.
+  const std::size_t distinct = distinct_.size();
+  std::vector<double> cdfs(distinct);
+  parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
+    cdfs[u] = device_cdf(devices_[distinct_[u]], sla);
+  });
   double weighted = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    weighted += devices_[i].arrival_rate() * cdfs[i];
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    weighted += devices_[i].arrival_rate() * cdfs[slot_[i]];
   }
   return weighted / total_rate_;
 }
@@ -171,31 +282,32 @@ std::vector<double> SystemModel::predict_sla_percentiles(
   for (const double sla : slas) COSM_REQUIRE(sla > 0, "SLA must be positive");
   obs::Span span("core.predict_sla_sweep");
   const std::size_t n_slas = slas.size();
-  const std::size_t count = devices_.size();
-  std::vector<double> cdfs(count * n_slas);
+  const std::size_t distinct = distinct_.size();
+  std::vector<double> cdfs(distinct * n_slas);
   if (predict_.cache == nullptr) {
-    // Uncached sweep: one batched tape evaluation per device covers ALL
-    // SLA points at once (cdf_many concatenates the contours), amortizing
-    // tape dispatch across the sweep.  Element-for-element bit-identical
-    // to the per-cell path below.
-    parallel_for(count, predict_.num_threads, [&](std::size_t d) {
+    // Uncached sweep: one batched tape evaluation per distinct device
+    // covers ALL SLA points at once (cdf_many concatenates the contours),
+    // amortizing tape dispatch across the sweep.  Element-for-element
+    // bit-identical to the per-cell path below.
+    parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
       const std::vector<double> device_cdfs =
-          devices_[d].response_tape().cdf_many(slas);
+          devices_[distinct_[u]].response_tape().cdf_many(slas);
       std::copy(device_cdfs.begin(), device_cdfs.end(),
-                cdfs.begin() + static_cast<std::ptrdiff_t>(d * n_slas));
+                cdfs.begin() + static_cast<std::ptrdiff_t>(u * n_slas));
     });
   } else {
-    // Cached sweep: flatten the (device × SLA point) grid — each cell is
-    // one cacheable Euler inversion, the natural unit of shared work.
-    parallel_for(count * n_slas, predict_.num_threads, [&](std::size_t k) {
-      cdfs[k] = device_cdf(k / n_slas, slas[k % n_slas]);
+    // Cached sweep: flatten the (distinct device × SLA point) grid — each
+    // cell is one cacheable Euler inversion, the natural unit of shared
+    // work.
+    parallel_for(distinct * n_slas, predict_.num_threads, [&](std::size_t k) {
+      cdfs[k] = device_cdf(devices_[distinct_[k / n_slas]], slas[k % n_slas]);
     });
   }
   std::vector<double> out(n_slas, 0.0);
   for (std::size_t s = 0; s < n_slas; ++s) {
     double weighted = 0.0;
-    for (std::size_t d = 0; d < count; ++d) {
-      weighted += devices_[d].arrival_rate() * cdfs[d * n_slas + s];
+    for (std::size_t d = 0; d < devices_.size(); ++d) {
+      weighted += devices_[d].arrival_rate() * cdfs[slot_[d] * n_slas + s];
     }
     out[s] = weighted / total_rate_;
   }
@@ -206,7 +318,7 @@ double SystemModel::predict_sla_percentile_device(std::size_t device,
                                                   double sla) const {
   COSM_REQUIRE(device < devices_.size(), "device index out of range");
   COSM_REQUIRE(sla > 0, "SLA must be positive");
-  return device_cdf(device, sla);
+  return device_cdf(devices_[device], sla);
 }
 
 std::uint64_t SystemModel::regime_fingerprint() const {

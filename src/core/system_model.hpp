@@ -14,6 +14,10 @@
 // may fan out across ThreadPool::global() when
 // PredictOptions::num_threads != 1.
 //
+// Dedup: devices equal by value (device_model_key) are built once and
+// every CDF query evaluates once per distinct device; the rate-weighted
+// reduction still runs over every device in device order.
+//
 // Determinism: for fixed parameters, every query returns bit-identical
 // results regardless of num_threads and of whether a cache is attached —
 // parallel workers write disjoint slots that are reduced in device order,
@@ -28,6 +32,7 @@
 #include "core/backend_model.hpp"
 #include "core/frontend_model.hpp"
 #include "core/params.hpp"
+#include "numerics/transform_tape.hpp"
 
 namespace cosm::core {
 
@@ -40,19 +45,36 @@ namespace cosm::core {
 std::uint64_t backend_fingerprint(const DeviceParams& params,
                                   ModelOptions options);
 
+// Key under which PredictionCache::devices stores a built DeviceModel:
+// backend_fingerprint(params, options) plus a value fingerprint of the
+// frontend parameters (rate, processes, parse distribution, groups),
+// include_wta and every RedundancyOptions field — everything that shapes
+// the device's response.  SystemModel also groups its devices by this key,
+// so devices equal by value are built and evaluated once.  Public so
+// external invalidation (the calibration loop, the service's re-fit)
+// erases exactly the entries the lookup path would find.  Dereferences
+// the distribution pointers: call only on validated parameters.
+std::uint64_t device_model_key(const FrontendParams& frontend,
+                               const DeviceParams& params,
+                               const ModelOptions& options);
+
 // Key under which PredictionCache::cdf stores one device's CDF value at
 // one SLA point: (response-tape fingerprint, SLA bits).  device_cdf
 // derives its keys through this function, so external invalidation can
 // never drift from the lookup path.
 std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla);
 
+// One device's model: backend, response tree S_fe and its compiled tape.
+// Immutable once built and cheap to copy (every member is shared), so
+// one build — held in PredictionCache::devices or shared by the identical
+// devices of a SystemModel — backs every copy.
 class DeviceModel {
  public:
   // Builds the device model for `params` (rates in req/s, latencies in
-  // seconds).  `frontend` must outlive the DeviceModel (SystemModel owns
-  // both).  When `predict.cache` is set, the backend build is served from
-  // the cache: identical device parameter sets (by value fingerprint)
-  // share one BackendModel.
+  // seconds).  The model keeps shared ownership of `frontend`'s S_q, not a
+  // reference to `frontend`.  When `predict.cache` is set, the backend
+  // build is served from the cache: identical device parameter sets (by
+  // value fingerprint) share one BackendModel.
   // Throws OverloadError when the device violates the model's stability
   // precondition, std::invalid_argument for genuinely bad parameters.
   DeviceModel(const FrontendModel& frontend, DeviceParams params,
@@ -64,7 +86,7 @@ class DeviceModel {
   // S_fe compiled to a flat transform tape — what every CDF/quantile
   // query evaluates; bit-identical to response_time()->laplace (see
   // numerics/transform_tape.hpp).
-  const numerics::TransformTape& response_tape() const { return tape_; }
+  const numerics::TransformTape& response_tape() const { return *tape_; }
   // r_j, requests/s.
   double arrival_rate() const { return backend_->params().arrival_rate; }
   // Cache key identity of this device's response distribution: the
@@ -77,7 +99,7 @@ class DeviceModel {
  private:
   std::shared_ptr<const BackendModel> backend_;
   numerics::DistPtr response_;
-  numerics::TransformTape tape_;
+  std::shared_ptr<const numerics::TransformTape> tape_;
   std::uint64_t fingerprint_ = 0;
 };
 
@@ -130,10 +152,14 @@ class SystemModel {
   std::uint64_t regime_fingerprint() const;
 
  private:
-  double device_cdf(std::size_t device, double sla) const;
+  double device_cdf(const DeviceModel& model, double sla) const;
 
   FrontendModel frontend_;
   std::vector<DeviceModel> devices_;
+  // slot_[i]: index into distinct_ of device i's value class;
+  // distinct_[u]: the first device of class u.
+  std::vector<std::size_t> slot_;
+  std::vector<std::size_t> distinct_;
   double total_rate_ = 0.0;
   PredictOptions predict_;
 };

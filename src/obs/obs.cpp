@@ -30,6 +30,8 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "cache.cdf.miss",
     "cache.backend.hit",
     "cache.backend.miss",
+    "cache.device.hit",
+    "cache.device.miss",
     "tape.compiles",
     "tape.ops",
     "tape.eval_batches",

@@ -77,6 +77,8 @@ enum class Counter : std::uint32_t {
   kCdfCacheMiss,
   kBackendCacheHit,
   kBackendCacheMiss,
+  kDeviceCacheHit,
+  kDeviceCacheMiss,
 
   // numerics::TransformTape.
   kTapeCompiles,

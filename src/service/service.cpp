@@ -358,15 +358,20 @@ JsonValue WhatIfService::op_calibrate(const JsonValue& request) {
       refitted.data_disk_rate = refitted.data_disk_shape / split.data_mean;
       refitted.build(refitted.rate, refitted.devices).validate();
 
-      // Erase the stale backend entry by fingerprint (all devices of a
-      // family share one entry — they are identical by value).  The old
-      // cdf entries are keyed under the old response-tape fingerprint and
-      // can never be hit again; LRU ages them out.
+      // Erase the stale device-model and backend entries by key (all
+      // devices of a family share one of each — they are identical by
+      // value).  The old cdf entries are keyed under the old response-tape
+      // fingerprint and can never be hit again; LRU ages them out.
       std::size_t evictions = 0;
       const core::SystemParams old_params =
           spec.build(spec.rate, spec.devices);
-      if (cache_.backends.erase(core::backend_fingerprint(
-              old_params.devices.front(), core::ModelOptions{}))) {
+      const core::DeviceParams& old_device = old_params.devices.front();
+      if (cache_.devices.erase(core::device_model_key(
+              old_params.frontend, old_device, core::ModelOptions{}))) {
+        ++evictions;
+      }
+      if (cache_.backends.erase(
+              core::backend_fingerprint(old_device, core::ModelOptions{}))) {
         ++evictions;
       }
       obs::add(obs::Counter::kCalibRefitCacheEvictions, evictions);
@@ -624,6 +629,7 @@ JsonValue WhatIfService::op_list() const {
 }
 
 JsonValue WhatIfService::op_stats() const {
+  const numerics::CacheStats devices = cache_.devices.stats();
   const numerics::CacheStats backends = cache_.backends.stats();
   const numerics::CacheStats cdf = cache_.cdf.stats();
   JsonValue stats = JsonValue::object();
@@ -638,6 +644,8 @@ JsonValue WhatIfService::op_stats() const {
     obj.set("shards", static_cast<double>(shards));
     return obj;
   };
+  stats.set("device_cache",
+            cache_object(devices, cache_.devices.shard_count()));
   stats.set("backend_cache",
             cache_object(backends, cache_.backends.shard_count()));
   stats.set("cdf_cache", cache_object(cdf, cache_.cdf.shard_count()));

@@ -42,15 +42,17 @@
 //             (calibration/drift.hpp).  On confirmed drift the spec is
 //             re-fitted in place (rates, miss ratios, disk service means
 //             re-split via calibration::split_disk_service with the
-//             registered shapes kept) and the stale backend cache entry
-//             is erased by fingerprint; stale cdf entries are unreachable
-//             under the new fingerprint and age out by LRU.  Detector
-//             knobs are read at the first calibrate call per cluster.
+//             registered shapes kept) and the stale device-model and
+//             backend cache entries are erased by key; stale cdf
+//             entries are unreachable under the new fingerprint and age
+//             out by LRU.  Detector knobs are read at the first
+//             calibrate call per cluster.
 //   drift_status cluster — the cluster's loop state: windows offered,
 //             last verdict, alarmed signals, re-fit count, current rate.
 //   list      — registered cluster names.
-//   stats     — shared-cache counters (hits/misses/evictions/shards) and
-//             request counters.
+//   stats     — shared-cache counters (hits/misses/evictions/shards) of
+//             the device_cache, backend_cache and cdf_cache, and request
+//             counters.
 //
 // Execution.  Requests are handled on the caller's thread; the service
 // object is safe to drive from many threads at once (the registry is

@@ -456,8 +456,21 @@ TEST(DriftCalibrationLoop, ConvergesToPostStepTruthAndInvalidatesByKey) {
       loop.params(), loop.config().options);
   EXPECT_FALSE(cache.backends.lookup(old_key).has_value());
   EXPECT_TRUE(cache.backends.lookup(new_key).has_value());
+  // The same holds for the compiled device model: the loop's frontend
+  // runs at each fit's device rate.
+  const auto device_key = [&](const core::DeviceParams& params) {
+    core::FrontendParams frontend;
+    frontend.arrival_rate = params.arrival_rate;
+    frontend.processes = run.config.frontend_processes;
+    frontend.frontend_parse = run.config.frontend_parse;
+    return core::device_model_key(frontend, params, loop.config().options);
+  };
+  EXPECT_FALSE(cache.devices.lookup(device_key(loop.refits().front().params))
+                   .has_value());
+  EXPECT_TRUE(cache.devices.lookup(device_key(loop.params())).has_value());
+  // One device-model entry, one backend entry, one cdf entry per SLA.
   EXPECT_EQ(loop.refits().back().cache_evictions,
-            1 + loop.config().slas.size());
+            2 + loop.config().slas.size());
   EXPECT_GE(obs::counter_value(obs::Counter::kCalibRefitCacheEvictions),
             loop.refits().back().cache_evictions);
   EXPECT_EQ(obs::counter_value(obs::Counter::kCalibDriftDetected), 1u);

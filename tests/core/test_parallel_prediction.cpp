@@ -1,5 +1,5 @@
 // The pipeline's determinism contract: predictions are bit-identical
-// across thread counts {1, 2, 8} and with/without a PredictionCache
+// across thread counts {1, 2, 4, 8} and with/without a PredictionCache
 // attached — parallel workers fill disjoint slots reduced in fixed
 // order, and cached values are deterministic functions of their keys.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "core/system_model.hpp"
 #include "core/whatif.hpp"
 #include "numerics/distribution.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -61,7 +62,7 @@ TEST(ParallelPrediction, BitIdenticalAcrossThreadCountsAndCache) {
   const std::vector<double> expected =
       reference.predict_sla_percentiles(kSlas);
 
-  for (const unsigned threads : {1u, 2u, 8u}) {
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     for (const bool with_cache : {false, true}) {
       PredictionCache cache;
       const PredictOptions predict{threads, with_cache ? &cache : nullptr};
@@ -96,24 +97,156 @@ TEST(ParallelPrediction, IdenticalDevicesShareOneBackendBuild) {
   PredictionCache cache;
   const SystemModel model(make_cluster(140.0, 4), {},
                           PredictOptions{1, &cache});
-  const auto backend_stats = cache.backends.stats();
-  EXPECT_EQ(backend_stats.misses, 1u);  // built once...
-  EXPECT_EQ(backend_stats.hits, 3u);    // ...shared by the other 3 devices
+  // The 4 identical devices are one value class: one device-model build,
+  // one backend solve, and no duplicate lookups.
+  EXPECT_EQ(cache.devices.stats().misses, 1u);
+  EXPECT_EQ(cache.devices.stats().hits, 0u);
+  EXPECT_EQ(cache.backends.stats().misses, 1u);
+  EXPECT_EQ(cache.backends.stats().hits, 0u);
   // The shared build really is shared, not copied.
   EXPECT_EQ(&model.devices()[0].backend(), &model.devices()[3].backend());
+  EXPECT_EQ(&model.devices()[0].response_tape(),
+            &model.devices()[3].response_tape());
 
-  // A second identical model reuses everything.
+  // One CDF inversion per SLA point, not one per device.
+  const std::vector<double> first = model.predict_sla_percentiles(kSlas);
+  EXPECT_EQ(cache.cdf.stats().misses, kSlas.size());
+  EXPECT_EQ(cache.cdf.stats().hits, 0u);
+
+  // A second identical model is one device-model hit; the backend cache
+  // is not consulted again.
   const SystemModel again(make_cluster(140.0, 4), {},
                           PredictOptions{1, &cache});
+  EXPECT_EQ(cache.devices.stats().misses, 1u);
+  EXPECT_EQ(cache.devices.stats().hits, 1u);
   EXPECT_EQ(cache.backends.stats().misses, 1u);
-  EXPECT_EQ(cache.backends.stats().hits, 7u);
-
-  // Identical devices also collapse to one CDF inversion per SLA point.
-  const std::vector<double> first = model.predict_sla_percentiles(kSlas);
-  const auto cdf_stats = cache.cdf.stats();
-  EXPECT_EQ(cdf_stats.misses, kSlas.size());
-  EXPECT_EQ(cdf_stats.hits, 3 * kSlas.size());
+  EXPECT_EQ(cache.backends.stats().hits, 0u);
   EXPECT_EQ(first, again.predict_sla_percentiles(kSlas));
+}
+
+TEST(ParallelPrediction, ValueEqualDevicesBuildOnce) {
+  cosm::obs::set_enabled(true);
+  // make_cluster allocates fresh distributions per device: equal by
+  // value, distinct by pointer.  The service's shape repeats one
+  // parameter set by copy, sharing the pointers.  Both build once.
+  SystemParams copies = make_cluster(140.0, 4);
+  copies.devices.assign(4, copies.devices.front());
+  for (const SystemParams& params : {make_cluster(140.0, 4), copies}) {
+    for (const unsigned threads : {1u, 4u}) {
+      cosm::obs::reset();
+      const SystemModel model(params, {}, PredictOptions{threads, nullptr});
+      EXPECT_EQ(cosm::obs::counter_value(cosm::obs::Counter::kTapeCompiles),
+                1u)
+          << "threads=" << threads;
+      EXPECT_EQ(&model.devices()[0].backend(), &model.devices()[3].backend());
+      PredictionCache cache;
+      const SystemModel cached(params, {}, PredictOptions{threads, &cache});
+      EXPECT_EQ(cache.devices.stats().misses, 1u) << "threads=" << threads;
+      EXPECT_EQ(cache.devices.stats().hits, 0u) << "threads=" << threads;
+    }
+  }
+  cosm::obs::set_enabled(false);
+}
+
+TEST(ParallelPrediction, EveryResponseFieldMissesTheDeviceCache) {
+  using cosm::core::FrontendGroup;
+  using cosm::core::RedundancyOptions;
+  using cosm::numerics::Degenerate;
+  const SystemParams base = make_cluster(140.0, 2);
+  ModelOptions base_options;
+  base_options.redundancy.mode = RedundancyOptions::Mode::kKthOfN;
+  base_options.redundancy.n = 3;
+  base_options.redundancy.k = 2;
+
+  struct Variant {
+    const char* field;
+    SystemParams params;
+    ModelOptions options;
+  };
+  std::vector<Variant> variants;
+  const auto add = [&](const char* field, auto&& mutate) {
+    Variant v{field, base, base_options};
+    mutate(v.params.frontend, v.options);
+    variants.push_back(std::move(v));
+  };
+  using Frontend = cosm::core::FrontendParams;
+  add("frontend.processes", [](Frontend& f, ModelOptions&) { f.processes = 4; });
+  add("frontend.frontend_parse", [](Frontend& f, ModelOptions&) {
+    f.frontend_parse = std::make_shared<Degenerate>(0.9e-3);
+  });
+  add("frontend.groups", [](Frontend& f, ModelOptions&) {
+    f.groups = {FrontendGroup{3, 1.0, f.frontend_parse}};
+  });
+  add("include_wta", [](Frontend&, ModelOptions& o) { o.include_wta = false; });
+  add("redundancy.mode", [](Frontend&, ModelOptions& o) {
+    o.redundancy.mode = RedundancyOptions::Mode::kMinOfN;
+  });
+  add("redundancy.n", [](Frontend&, ModelOptions& o) { o.redundancy.n = 4; });
+  add("redundancy.k", [](Frontend&, ModelOptions& o) { o.redundancy.k = 1; });
+  add("redundancy.hedge_delay",
+      [](Frontend&, ModelOptions& o) { o.redundancy.hedge_delay = 0.02; });
+  add("redundancy.fork_join_correction", [](Frontend&, ModelOptions& o) {
+    o.redundancy.fork_join_correction = false;
+  });
+
+  PredictionCache cache;
+  const SystemModel first(base, base_options, PredictOptions{1, &cache});
+  EXPECT_EQ(cache.devices.stats().misses, 1u);
+  for (const Variant& v : variants) {
+    const std::uint64_t misses = cache.devices.stats().misses;
+    const SystemModel model(v.params, v.options, PredictOptions{1, &cache});
+    EXPECT_EQ(cache.devices.stats().misses, misses + 1) << v.field;
+    EXPECT_EQ(cache.devices.stats().hits, 0u) << v.field;
+    // Whatever the cache holds, the answer is the uncached model's.
+    const SystemModel uncached(v.params, v.options);
+    EXPECT_EQ(model.predict_sla_percentile(0.08),
+              uncached.predict_sla_percentile(0.08))
+        << v.field;
+  }
+  // The frontend arrival rate cannot change alone in a valid SystemParams
+  // (device rates must sum to it), so check its key directly.
+  cosm::core::FrontendParams faster = base.frontend;
+  faster.arrival_rate *= 2.0;
+  EXPECT_NE(cosm::core::device_model_key(faster, base.devices[0],
+                                         base_options),
+            cosm::core::device_model_key(base.frontend, base.devices[0],
+                                         base_options));
+  // The unchanged configuration still hits.
+  const SystemModel twin(base, base_options, PredictOptions{1, &cache});
+  EXPECT_EQ(cache.devices.stats().hits, 1u);
+}
+
+TEST(ParallelPrediction, MixedClusterMatchesPerDeviceWeightedSum) {
+  // Two value classes interleaved (A B A B A): the reduction must read
+  // each device's own class, in device order.
+  SystemParams params = make_cluster(150.0, 5);
+  params.devices[1] = make_device(30.0, 3);
+  params.devices[3] = make_device(30.0, 3);
+  for (const unsigned threads : {1u, 4u}) {
+    for (const bool with_cache : {false, true}) {
+      PredictionCache cache;
+      const SystemModel model(params, {},
+                              PredictOptions{threads, with_cache ? &cache
+                                                                 : nullptr});
+      ASSERT_EQ(model.devices().size(), 5u);
+      EXPECT_EQ(&model.devices()[0].backend(), &model.devices()[4].backend());
+      EXPECT_EQ(&model.devices()[1].backend(), &model.devices()[3].backend());
+      EXPECT_NE(&model.devices()[0].backend(), &model.devices()[1].backend());
+      const std::vector<double> got = model.predict_sla_percentiles(kSlas);
+      for (std::size_t s = 0; s < kSlas.size(); ++s) {
+        double weighted = 0.0;
+        double total = 0.0;
+        for (const auto& device : model.devices()) {
+          weighted +=
+              device.arrival_rate() * device.response_tape().cdf(kSlas[s]);
+          total += device.arrival_rate();
+        }
+        EXPECT_EQ(got[s], weighted / total)
+            << "threads=" << threads << " cache=" << with_cache;
+        EXPECT_EQ(model.predict_sla_percentile(kSlas[s]), got[s]);
+      }
+    }
+  }
 }
 
 TEST(ParallelPrediction, ModelVariantsKeyedSeparately) {

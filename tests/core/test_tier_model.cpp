@@ -57,8 +57,8 @@ TEST(TierModel, ZeroHitRatioMatchesUntieredModel) {
   EXPECT_DOUBLE_EQ(tiered.response_time()->mean(),
                    baseline.response_time()->mean());
   for (double sla : {0.020, 0.060, 0.150}) {
-    EXPECT_DOUBLE_EQ(tiered.response_tape().cdf(sla),
-                     baseline.response_tape().cdf(sla));
+    EXPECT_DOUBLE_EQ(tiered.response_time()->cdf(sla),
+                     baseline.response_time()->cdf(sla));
   }
 }
 
@@ -66,7 +66,7 @@ TEST(TierModel, HigherHitRatioImprovesPercentiles) {
   double last = 0.0;
   for (double h : {0.0, 0.4, 0.8}) {
     const BackendModel model(tiered_params(h));
-    const double percentile = model.response_tape().cdf(0.060);
+    const double percentile = model.response_time()->cdf(0.060);
     EXPECT_GT(percentile, last);
     last = percentile;
   }

@@ -53,6 +53,11 @@ struct CdfCase {
   double tol;
 };
 
+// gtest copies the printed parameter into each ctest name; the default
+// byte dump would carry the label and distribution pointers, which move
+// with address-space randomisation, so print the label.
+void PrintTo(const CdfCase& c, std::ostream* os) { *os << c.label; }
+
 class CdfInversionTest : public ::testing::TestWithParam<CdfCase> {};
 
 TEST_P(CdfInversionTest, MatchesClosedFormCdf) {

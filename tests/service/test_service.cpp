@@ -135,6 +135,12 @@ TEST(WhatIfService, ListAndStatsReflectRegistry) {
   const JsonValue* backend = stats->find("backend_cache");
   ASSERT_NE(backend, nullptr);
   EXPECT_GT(backend->number_or("shards", 0.0), 1.0);
+  // Cluster a's 8 identical devices are one device-model build.
+  const JsonValue* device = stats->find("device_cache");
+  ASSERT_NE(device, nullptr);
+  EXPECT_EQ(device->number_or("misses", -1.0), 1.0);
+  EXPECT_EQ(device->number_or("hits", -1.0), 0.0);
+  EXPECT_EQ(backend->number_or("misses", -1.0), 1.0);
 }
 
 TEST(WhatIfService, IdIsEchoedVerbatim) {
@@ -267,6 +273,12 @@ TEST(WhatIfServiceDrift, CalibrateRefitsSpecOnConfirmedShift) {
   EXPECT_EQ(response.string_or("verdict", ""), "stable");
   EXPECT_FALSE(response.bool_or("refit", true));
 
+  // Answer a what-if at the published spec, so the re-fit below has a
+  // device-model and a backend entry to evict.
+  ASSERT_TRUE(parse_response(service.handle_line(
+                                 R"({"op":"sla","cluster":"a","sla":0.5})"))
+                  .bool_or("ok", false));
+
   // 2x rate shift: alarm, then confirmed drift with an in-place re-fit.
   response = parse_response(service.handle_line(calibrate_line(800, 5)));
   EXPECT_EQ(response.string_or("verdict", ""), "alarm");
@@ -276,6 +288,7 @@ TEST(WhatIfServiceDrift, CalibrateRefitsSpecOnConfirmedShift) {
   EXPECT_EQ(response.string_or("verdict", ""), "drift");
   EXPECT_TRUE(response.bool_or("refit", false));
   EXPECT_DOUBLE_EQ(response.number_or("rate", 0.0), 800.0);
+  EXPECT_DOUBLE_EQ(response.number_or("evictions", -1.0), 2.0);
 
   // The registered family now answers what-ifs at the drifted rate.
   const JsonValue status = parse_response(

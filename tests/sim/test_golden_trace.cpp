@@ -122,6 +122,17 @@ int main() {
   return 0;
 }
 #else
+namespace {
+
+// gtest copies the printed parameter into each ctest name; the default
+// byte dump would carry the name pointer, which moves with address-space
+// randomisation, so print the scenario name.
+void PrintTo(const GoldenScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
+
+}  // namespace
+
 class GoldenTrace : public ::testing::TestWithParam<GoldenScenario> {};
 
 TEST_P(GoldenTrace, LatencySamplesBitIdenticalToSeedBuild) {
