@@ -175,7 +175,10 @@ struct ModelOptions {
 //  * cdf — per-device SLA-percentile values (one Euler inversion each),
 //    keyed by (response-tape fingerprint, SLA bits); the tape fingerprint
 //    covers the device, frontend, and option state that shapes the
-//    response (see numerics::TransformTape::fingerprint).
+//    response (see numerics::TransformTape::fingerprint).  The same map
+//    holds the final bound of each cold SystemModel::latency_quantile
+//    search, keyed by core::quantile_cache_key (every device's
+//    fingerprint and rate, plus p); the search's probes are not cached.
 // Keys are 64-bit value fingerprints (numerics::hash_mix /
 // numerics::fingerprint): bit-identical parameters hit, anything else
 // misses (up to ~2^-64 fingerprint-collision odds).  Cached values are

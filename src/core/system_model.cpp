@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <optional>
 #include <utility>
 
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "numerics/order_statistics.hpp"
-#include "numerics/roots.hpp"
 #include "obs/obs.hpp"
 
 namespace cosm::core {
@@ -133,6 +131,16 @@ std::uint64_t device_model_key(const FrontendParams& frontend,
 
 std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla) {
   return hash_mix(device_fingerprint, sla);
+}
+
+std::uint64_t quantile_cache_key(const std::vector<DeviceModel>& devices,
+                                 double percentile) {
+  std::uint64_t h = 0x636f736d00000004ULL;
+  for (const DeviceModel& device : devices) {
+    h = hash_mix(h, device.fingerprint());
+    h = hash_mix(h, device.arrival_rate());
+  }
+  return hash_mix(h, percentile);
 }
 
 DeviceModel::DeviceModel(const FrontendModel& frontend, DeviceParams params,
@@ -336,54 +344,51 @@ std::uint64_t SystemModel::regime_fingerprint() const {
   return h | 1;  // never 0, which QuantileWarmStart reads as "untracked"
 }
 
+numerics::CdfDensityPoint SystemModel::cdf_density(double t) const {
+  obs::Span span("core.predict_sla");
+  const std::size_t distinct = distinct_.size();
+  std::vector<numerics::CdfDensityPoint> points(distinct);
+  parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
+    points[u] = devices_[distinct_[u]].response_tape().cdf_density(t);
+  });
+  // Same weights and order as predict_sla_percentile, so F is its value.
+  double cdf = 0.0;
+  double density = 0.0;
+  numerics::InversionQuality quality = numerics::InversionQuality::kConverged;
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    const numerics::CdfDensityPoint& point = points[slot_[i]];
+    cdf += devices_[i].arrival_rate() * point.cdf.value;
+    density += devices_[i].arrival_rate() * point.density;
+    quality = std::max(quality, point.cdf.quality);  // worst verdict
+  }
+  return {{cdf / total_rate_, quality}, density / total_rate_};
+}
+
 double SystemModel::latency_quantile(
     double percentile, numerics::QuantileWarmStart* warm) const {
   COSM_REQUIRE(percentile > 0 && percentile < 1,
                "percentile must be in (0, 1)");
   obs::Span span("core.latency_quantile");
   if (warm != nullptr) warm->enter_regime(regime_fingerprint());
-  const auto residual = [this, percentile](double t) {
-    return predict_sla_percentile(t) - percentile;
-  };
-  bool use_warm = warm != nullptr && std::isfinite(warm->previous) &&
-                  warm->previous > 0;
-  double lo;
-  double hi;
-  if (use_warm) {
-    // Seed around the previous root; on a monotone sweep this brackets
-    // in O(1) probes instead of re-growing from the mean.  The shrink
-    // loop below restores lo when the seed overshoots the new root, so
-    // correctness never depends on the sweep direction.
-    lo = 0.5 * warm->previous;
-    hi = 2.0 * warm->previous;
-    int shrink = 0;
-    while (residual(lo) > 0 && ++shrink < 80) lo *= 0.5;
-    if (residual(lo) > 0) {
-      // The carried root is so far above the new one that 80 halvings
-      // never found the left edge — a stale seed the regime guard could
-      // not catch (same structure, wildly different rates).  Fall back
-      // to a cold seed instead of handing Brent an invalid bracket.
-      obs::add(obs::Counter::kQuantileWarmFallback);
-      use_warm = false;
+  // Only a cold search is a function of the key alone; a warm one
+  // depends on its seed, so it bypasses the answer cache entirely.
+  PredictionCache* const cache =
+      warm != nullptr && warm->seeded() ? nullptr : predict_.cache;
+  std::uint64_t key = 0;
+  if (cache != nullptr) {
+    key = quantile_cache_key(devices_, percentile);
+    if (auto cached = cache->cdf.lookup(key)) {
+      obs::add(obs::Counter::kQuantileColdStart);
+      obs::add(obs::Counter::kQuantileCacheHit);
+      if (warm != nullptr) warm->previous = *cached;
+      return *cached;
     }
   }
-  if (!use_warm) {
-    obs::add(obs::Counter::kQuantileColdStart);
-    hi = mean_response_latency() * 2.0;
-    lo = hi * 1e-6;
-  } else {
-    obs::add(obs::Counter::kQuantileWarmAccept);
-  }
-  const bool ok = numerics::expand_bracket_upward(residual, lo, hi);
-  COSM_REQUIRE(ok, "quantile could not be bracketed");
-  const auto root = numerics::brent(residual, lo, hi, 1e-9);
-  // Silent-failure fix: brent reports non-convergence through
-  // RootResult::converged, and this was the one call site that never
-  // looked — a diverged search handed its last iterate to callers as if
-  // it were the quantile.
-  COSM_REQUIRE(root.converged, "quantile root search failed to converge");
-  if (warm != nullptr) warm->previous = root.x;
-  return root.x;
+  const double bound = numerics::solve_quantile(
+      [this](double t) { return cdf_density(t); }, percentile,
+      mean_response_latency(), 1e9, warm);
+  if (cache != nullptr) cache->cdf.insert(key, bound);
+  return bound;
 }
 
 std::vector<double> SystemModel::latency_quantiles(

@@ -103,6 +103,15 @@ class DeviceModel {
   std::uint64_t fingerprint_ = 0;
 };
 
+// Key under which PredictionCache::cdf stores a system's answer to a cold
+// latency_quantile(percentile) search: every device's fingerprint() and
+// arrival_rate(), in device order, plus the percentile bits, under a
+// domain constant of its own (distinct from cdf_cache_key's SLA points).
+// Those values fix every probe of the search and its seed, so the cached
+// bound is the one the search would return.
+std::uint64_t quantile_cache_key(const std::vector<DeviceModel>& devices,
+                                 double percentile);
+
 class SystemModel {
  public:
   // Validates and assembles the whole-system model.  `predict` controls
@@ -130,16 +139,24 @@ class SystemModel {
   double predict_sla_percentile_device(std::size_t device,
                                        double sla) const;
   // Inverse: latency bound (seconds) such that `percentile` of requests
-  // meet it.  Precondition: percentile in (0, 1).  When `warm` is
-  // non-null the bracket seeds from the previous root and the new root is
-  // written back (see numerics::QuantileWarmStart) — intended for
-  // monotone sweeps; warm results agree with cold calls to the Brent
-  // tolerance, not bit-exactly.
+  // meet it.  Precondition: percentile in (0, 1).  Runs
+  // numerics::solve_quantile (safeguarded Newton, 1e-9 relative
+  // tolerance) seeded from mean_response_latency(); each probe evaluates
+  // (F, f) once per distinct device and reduces them rate-weighted in
+  // device order, so its F equals predict_sla_percentile.  Probes never
+  // touch PredictionCache::cdf.  A cold search (no usable warm seed)
+  // reads and writes its final answer there under quantile_cache_key; a
+  // warm one neither reads nor writes it.  When `warm` is non-null the
+  // search seeds from the previous root and the new root is written back
+  // (see numerics::QuantileWarmStart) — intended for monotone sweeps;
+  // warm results agree with cold calls to the solver tolerance, not
+  // bit-exactly.
   double latency_quantile(double percentile,
                           numerics::QuantileWarmStart* warm = nullptr) const;
-  // Quantile ladder: one bound per entry, warm-chaining the bracket from
-  // element to element (sort ascending for the best amortization).
-  // Equivalent to per-element latency_quantile within Brent tolerance.
+  // Quantile ladder: one bound per entry, the first searched cold and
+  // each later one warm-seeded from its predecessor (sort ascending for
+  // the best amortization).  Equivalent to per-element latency_quantile
+  // within the solver tolerance.
   std::vector<double> latency_quantiles(
       const std::vector<double>& percentiles) const;
   // Rate-weighted mean response latency in seconds (for what-if analyses).
@@ -153,6 +170,9 @@ class SystemModel {
 
  private:
   double device_cdf(const DeviceModel& model, double sla) const;
+  // One quantile-search probe: system F and f at t (Eq. 3 and its
+  // derivative).
+  numerics::CdfDensityPoint cdf_density(double t) const;
 
   FrontendModel frontend_;
   std::vector<DeviceModel> devices_;

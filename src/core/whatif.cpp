@@ -142,7 +142,7 @@ std::vector<double> latency_quantile_trend(const ClusterFactory& factory,
       // An overloaded period has no finite quantile — and the root
       // carried from the last healthy period was measured right at the
       // saturation wall, the worst possible seed for whatever rate the
-      // trend recovers to.  Restart cold after the gap (stale-bracket
+      // trend recovers to.  Restart cold after the gap (stale-seed
       // fix; tests/core/test_warm_start_regime.cpp covers the recovery).
       warm.reset();
     }

@@ -89,12 +89,12 @@ std::vector<std::optional<unsigned>> elastic_schedule(
 // Latency-quantile trend: the `percentile` latency bound (seconds) for
 // each period of a workload curve with a fixed device count — "how does
 // our p99 move over the day".  Periods run SERIALLY on purpose: each
-// quantile search warm-starts its bracket from the previous period's
-// root (numerics::QuantileWarmStart), which on the typical smooth daily
-// curve collapses the bracketing phase to a couple of probes.  Entries
-// are NaN where the configuration is overloaded.  Results agree with an
-// independent per-period SystemModel::latency_quantile call to the Brent
-// tolerance (warm starting changes the bracket, not the root).
+// quantile search seeds from the previous period's root
+// (numerics::QuantileWarmStart), which on the typical smooth daily curve
+// starts the Newton search next to the answer.  Entries are NaN where the
+// configuration is overloaded.  Results agree with an independent
+// per-period SystemModel::latency_quantile call to the solver tolerance
+// (warm starting changes the seed, not the root).
 // Preconditions: factory non-null, percentile in (0, 1),
 // device_count >= 1.
 std::vector<double> latency_quantile_trend(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "common/require.hpp"
-#include "numerics/roots.hpp"
 #include "obs/obs.hpp"
 
 namespace cosm::numerics {
@@ -157,55 +157,26 @@ CdfPoint finish_cdf(double raw, int terms) {
   return CdfPoint{std::clamp(raw, 0.0, 1.0), quality};
 }
 
-// Shared bracketing + Brent over an arbitrary CDF evaluator; both
-// quantile_from_laplace overloads (and TransformTape::quantile) reduce to
-// this.  The cold path reproduces the historical bracketing exactly; the
-// warm path only changes where the bracket starts (see QuantileWarmStart).
-double quantile_impl(const std::function<double(double)>& cdf_at, double p,
-                     double mean_hint, double t_max,
-                     QuantileWarmStart* warm) {
-  COSM_REQUIRE(p > 0 && p < 1, "quantile level must be in (0, 1)");
-  COSM_REQUIRE(mean_hint > 0, "mean hint must be positive");
-  const auto residual = [&](double t) { return cdf_at(t) - p; };
-  bool use_warm =
-      warm != nullptr && std::isfinite(warm->previous) && warm->previous > 0;
-  double lo;
-  double hi;
-  if (use_warm) {
-    // A monotone sweep moves the root a little between calls: [prev/2,
-    // 2·prev] almost always brackets immediately, skipping the geometric
-    // growth from mean_hint·1e-6.  The shrink/expand loops below still
-    // run, so correctness never depends on the sweep actually being
-    // monotone — a bad seed only costs extra probes.
-    lo = 0.5 * warm->previous;
-    hi = 2.0 * warm->previous;
-    obs::add(obs::Counter::kQuantileWarmAccept);
-  } else {
-    lo = mean_hint * 1e-6;
-    hi = std::max(mean_hint, lo * 2.0);
-    obs::add(obs::Counter::kQuantileColdStart);
+// Fills the Euler contour for t into `scratch` and evaluates lt_many over
+// it: scratch.values[k] = L[f](nodes[k]).  The batched inverters share
+// this, so the CDF and (F, f) entry points see the same node values.
+void euler_evaluate(const BatchLaplaceFn& lt_many, double t, int m,
+                    ContourScratch& scratch) {
+  check_euler_args(t, m);
+  const std::size_t terms = static_cast<std::size_t>(euler_terms(m));
+  scratch.nodes.resize(terms);
+  scratch.values.resize(terms);
+  euler_fill_nodes(t, m, scratch.nodes);
+  lt_many(scratch.nodes, scratch.values);
+}
+
+// DIV-BY-S in place (inverting L[f](s)/s turns the density transform into
+// the CDF transform), then the Euler reduction: the raw, unclamped F(t).
+double euler_cdf_raw(double t, int m, ContourScratch& scratch) {
+  for (std::size_t k = 0; k < scratch.values.size(); ++k) {
+    scratch.values[k] = scratch.values[k] / scratch.nodes[k];
   }
-  if (use_warm) {
-    // A seed that needs more than 12 decades of shrink to recover the
-    // left edge is not warm — it is stale beyond repair (a regime change
-    // the caller did not fingerprint).  Bound the ladder and re-seed
-    // cold rather than probing toward an invalid bracket.
-    int shrink = 0;
-    while (residual(lo) > 0 && ++shrink <= 12) lo *= 0.1;
-    if (residual(lo) > 0) {
-      obs::add(obs::Counter::kQuantileWarmFallback);
-      lo = mean_hint * 1e-6;
-      hi = std::max(mean_hint, lo * 2.0);
-    }
-  }
-  while (residual(lo) > 0 && lo > 1e-14 * mean_hint) lo *= 0.1;
-  bool bracketed = expand_bracket_upward(residual, lo, hi);
-  COSM_REQUIRE(bracketed && hi <= t_max,
-               "quantile could not be bracketed below t_max");
-  const RootResult root = brent(residual, lo, hi, 1e-10 * mean_hint);
-  COSM_REQUIRE(root.converged, "quantile root search did not converge");
-  if (warm != nullptr) warm->previous = root.x;
-  return root.x;
+  return euler_reduce(t, m, scratch.values);
 }
 
 }  // namespace
@@ -302,13 +273,8 @@ double invert_euler(const LaplaceFn& lt, double t, int m) {
 }
 
 double invert_euler(const BatchLaplaceFn& lt_many, double t, int m) {
-  check_euler_args(t, m);
-  const std::size_t terms = static_cast<std::size_t>(euler_terms(m));
   ScratchLease scratch;
-  scratch->nodes.resize(terms);
-  scratch->values.resize(terms);
-  euler_fill_nodes(t, m, scratch->nodes);
-  lt_many(scratch->nodes, scratch->values);
+  euler_evaluate(lt_many, t, m, *scratch);
   return euler_reduce(t, m, scratch->values);
 }
 
@@ -389,18 +355,21 @@ CdfPoint cdf_from_laplace_checked(const LaplaceFn& lt, double t, int m) {
 CdfPoint cdf_from_laplace_checked(const BatchLaplaceFn& lt_many, double t,
                                   int m) {
   if (t <= 0.0) return CdfPoint{0.0, InversionQuality::kConverged};
-  check_euler_args(t, m);
-  const std::size_t terms = static_cast<std::size_t>(euler_terms(m));
   ScratchLease scratch;
-  scratch->nodes.resize(terms);
-  scratch->values.resize(terms);
-  euler_fill_nodes(t, m, scratch->nodes);
-  lt_many(scratch->nodes, scratch->values);
-  for (std::size_t k = 0; k < terms; ++k) {
-    scratch->values[k] = scratch->values[k] / scratch->nodes[k];
-  }
-  return finish_cdf(euler_reduce(t, m, scratch->values),
-                    static_cast<int>(terms));
+  euler_evaluate(lt_many, t, m, *scratch);
+  return finish_cdf(euler_cdf_raw(t, m, *scratch), euler_terms(m));
+}
+
+CdfDensityPoint cdf_density_from_laplace(const BatchLaplaceFn& lt_many,
+                                         double t, int m) {
+  if (t <= 0.0) return {};
+  ScratchLease scratch;
+  euler_evaluate(lt_many, t, m, *scratch);
+  // The density reduces the node values before euler_cdf_raw divides
+  // them by s in place.
+  const double density = euler_reduce(t, m, scratch->values);
+  return {finish_cdf(euler_cdf_raw(t, m, *scratch), euler_terms(m)),
+          density};
 }
 
 double cdf_from_laplace(const LaplaceFn& lt, double t, int m) {
@@ -476,19 +445,91 @@ std::vector<double> cdf_many_from_laplace(
   return cdf_many_impl(lt_many, ts, m, quality);
 }
 
+double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
+                      double t_max, QuantileWarmStart* warm) {
+  COSM_REQUIRE(p > 0 && p < 1, "quantile level must be in (0, 1)");
+  COSM_REQUIRE(mean_hint > 0, "mean hint must be positive");
+  constexpr double kTolerance = 1e-9;  // relative to t
+  constexpr int kMaxProbes = 200;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double cold_seed = mean_hint * std::max(1.0, -std::log1p(-p));
+  const double log_target = std::log1p(-p);  // ln(1 - p)
+  bool use_warm = warm != nullptr && warm->seeded();
+  obs::add(use_warm ? obs::Counter::kQuantileWarmAccept
+                    : obs::Counter::kQuantileColdStart);
+  const double seed = use_warm ? warm->previous : cold_seed;
+  double t = seed;
+  // Probed bracket: F(lo) < p <= F(hi); 0 / +inf while a side is unknown.
+  double lo = 0.0;
+  double hi = kInf;
+  // |step| of the last two moves; a Newton step must at least halve the
+  // one before last, so progress is geometric even where f is noisy.
+  double last_step = kInf;
+  double step_before_last = kInf;
+  for (int probes = 0;; ++probes) {
+    COSM_REQUIRE(probes < kMaxProbes, "quantile root search did not converge");
+    const CdfDensityPoint at = probe(t);
+    const double cdf = at.cdf.value;
+    COSM_REQUIRE(std::isfinite(cdf),
+                 "quantile probe returned a non-finite CDF");
+    (cdf < p ? lo : hi) = t;
+    const double survival = 1.0 - cdf;
+    double next = kInf;
+    if (survival > 0.0 && at.density > 0.0) {
+      next = t + (std::log(survival) - log_target) * survival / at.density;
+    }
+    const bool newton = next > lo && next < hi &&
+                        std::abs(next - t) <= 0.5 * step_before_last &&
+                        (hi < kInf || next <= 2.0 * t) &&
+                        (lo > 0.0 || next >= 0.1 * t);
+    if (newton) {
+      obs::add(obs::Counter::kQuantileNewtonSteps);
+    } else {
+      obs::add(obs::Counter::kQuantileBisectSteps);
+      next = hi == kInf ? 2.0 * lo : lo == 0.0 ? 0.1 * hi : 0.5 * (lo + hi);
+    }
+    COSM_REQUIRE(hi < kInf || next <= t_max,
+                 "quantile could not be bracketed below t_max");
+    if (lo == 0.0 && use_warm && next < 1e-12 * seed) {
+      // More than 12 decades below the seed and still above the root: the
+      // seed is stale beyond repair (a regime change the caller did not
+      // fingerprint).  Restart cold rather than keep shrinking.
+      obs::add(obs::Counter::kQuantileWarmFallback);
+      use_warm = false;
+      t = cold_seed;
+      hi = last_step = step_before_last = kInf;
+      continue;
+    }
+    COSM_REQUIRE(lo > 0.0 || next >= 1e-14 * mean_hint,
+                 "quantile could not be bracketed above zero");
+    const double step = next - t;
+    if (std::abs(step) <= kTolerance * t) {
+      if (warm != nullptr) warm->previous = next;
+      return next;
+    }
+    step_before_last = last_step;
+    last_step = std::abs(step);
+    t = next;
+  }
+}
+
 double quantile_from_laplace(const LaplaceFn& lt, double p, double mean_hint,
                              double t_max, QuantileWarmStart* warm) {
-  return quantile_impl(
-      [&lt](double t) { return cdf_from_laplace(lt, t); }, p, mean_hint,
-      t_max, warm);
+  // The scalar callback evaluated node by node: per-node arithmetic is the
+  // scalar cdf_from_laplace's.
+  const BatchLaplaceFn lt_many = [&lt](std::span<const std::complex<double>> s,
+                                       std::span<std::complex<double>> out) {
+    for (std::size_t k = 0; k < s.size(); ++k) out[k] = lt(s[k]);
+  };
+  return quantile_from_laplace(lt_many, p, mean_hint, t_max, warm);
 }
 
 double quantile_from_laplace(const BatchLaplaceFn& lt_many, double p,
                              double mean_hint, double t_max,
                              QuantileWarmStart* warm) {
-  return quantile_impl(
-      [&lt_many](double t) { return cdf_from_laplace(lt_many, t); }, p,
-      mean_hint, t_max, warm);
+  return solve_quantile(
+      [&lt_many](double t) { return cdf_density_from_laplace(lt_many, t); },
+      p, mean_hint, t_max, warm);
 }
 
 }  // namespace cosm::numerics

@@ -38,6 +38,7 @@
 // Laplace(–Stieltjes) transform with `s` in reciprocal units (1/s).
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <functional>
@@ -134,9 +135,9 @@ CdfPoint cdf_from_laplace_checked(const BatchLaplaceFn& lt_many, double t,
 
 // Multi-point CDF evaluation: one value per entry of `ts` (entries <= 0
 // yield 0).  Materializes the contours of ALL t-points and issues a
-// single lt_many call over the concatenation, so SLA sweeps and Brent
-// ladders amortize transform setup (tape dispatch, virtual-call batching)
-// across points.  Element i is bit-identical to
+// single lt_many call over the concatenation, so SLA sweeps and grid
+// materializations amortize transform setup (tape dispatch, virtual-call
+// batching) across points.  Element i is bit-identical to
 // cdf_from_laplace(lt_many, ts[i], m).
 std::vector<double> cdf_many_from_laplace(const BatchLaplaceFn& lt_many,
                                           std::span<const double> ts,
@@ -151,12 +152,30 @@ std::vector<double> cdf_many_from_laplace(const BatchLaplaceFn& lt_many,
                                           std::span<const double> ts, int m,
                                           std::span<InversionQuality> quality);
 
+// One probe of a quantile search: the CDF at t and the density at t,
+// read from ONE transform evaluation over the Euler contour (the identity
+// L[F](s) = L[f](s)/s: the same node values, reduced as values/s, give F,
+// and reduced as-is give f).  `cdf` is bit-identical to
+// cdf_from_laplace_checked at the same t; `density` is the raw Euler sum
+// (unclamped; near atoms and at the ~1e-8 error floor it can be slightly
+// negative).
+struct CdfDensityPoint {
+  CdfPoint cdf;
+  double density = 0.0;
+};
+
+// Evaluates F(t) and f(t) from one contour fill and one lt_many call.
+// Counts as ONE inversion (inversion.calls), with F's quality verdict.
+// t <= 0 returns {0, kConverged} and density 0 without evaluating.
+CdfDensityPoint cdf_density_from_laplace(const BatchLaplaceFn& lt_many,
+                                         double t, int m = 20);
+
 // Warm-start state for quantile searches over monotone sweeps (SLA
-// ladders, rate grids): carries the previous root so the next bracket
-// seeds at [prev/2, 2·prev] instead of re-growing from mean_hint.  The
-// root found is the same (the CDF is monotone, Brent converges to the
-// unique crossing within tolerance); only the bracketing work changes —
-// so warm-started sweeps agree with cold calls to the Brent tolerance,
+// ladders, rate grids): carries the previous root so the next search
+// seeds its first probe there instead of at the cold seed.  The root is
+// the same crossing (the CDF is monotone and the solver stops at the
+// same relative tolerance); only the number of probes changes — so
+// warm-started sweeps agree with cold calls to the solver tolerance,
 // not bit-exactly.  Reset (or default-construct) when the swept quantity
 // jumps.
 //
@@ -164,9 +183,8 @@ std::vector<double> cdf_many_from_laplace(const BatchLaplaceFn& lt_many,
 // sweep points belong to the same *curve family* — the same device set,
 // the same structural model.  Crossing a regime change (a failed device
 // dropping out of a what-if sweep, a degraded device set healing) can
-// leave the seed orders of magnitude off, and a stale bracket then costs
-// a long shrink/expand ladder — or, for searches without a validity
-// check, a wrong bracket.  Callers that can fingerprint their regime
+// leave the seed orders of magnitude off, and a stale seed then costs a
+// long shrink ladder.  Callers that can fingerprint their regime
 // (e.g. SystemModel::latency_quantile folds the devices' structural tape
 // fingerprints) call enter_regime() before seeding: a fingerprint change
 // resets the carried root and bumps quantile.warm_reject_regime.
@@ -181,23 +199,53 @@ struct QuantileWarmStart {
   // value).  A change of regime invalidates the carried root.
   void enter_regime(std::uint64_t regime_fp);
 
+  // True when `previous` is a usable seed: the next search starts warm.
+  bool seeded() const { return std::isfinite(previous) && previous > 0; }
+
   void reset() {
     previous = 0.0;
     regime = 0;
   }
 };
 
-// Finds the p-quantile of the same distribution by bracketing + Brent on
-// cdf_from_laplace.  Preconditions: 0 < p < 1, mean_hint > 0 (seconds;
-// seeds the bracket — use the distribution mean).  Throws
-// std::invalid_argument if the quantile cannot be bracketed below `t_max`
-// or the root search fails to converge.  When `warm` is non-null the
-// bracket seeds from warm->previous (see QuantileWarmStart) and the root
-// found is written back to it.
+// The one quantile solver: every quantile path (quantile_from_laplace,
+// TransformTape::quantile, core::SystemModel::latency_quantile) runs it.
+// Safeguarded Newton on the log-survival g(t) = ln(1 - F(t)) - ln(1 - p),
+// which is nearly linear in t for queueing tails; each probe reads F and
+// f from one `probe` call, and the step is
+//   t' = t + (ln(1 - F) - ln(1 - p)) (1 - F) / f.
+// Safeguards: the solver keeps a bracket lo < root <= hi of probed points
+// (F < p below, F >= p above).  It replaces the Newton step by a
+// bisection of the bracket whenever f <= 0, 1 - F <= 0, the step leaves
+// the bracket, or it is more than half the step before last.  While hi is
+// unknown that replacement doubles t (and Newton may not more than double
+// it); while lo is unknown it drops t a decade (and Newton may not drop
+// it further).  It stops when |step| <= 1e-9 t and returns t + step.
+//
+// Seeds: cold searches start at mean_hint · max(1, -ln(1 - p)) (the
+// quantile of an exponential with that mean, never below the mean); warm
+// searches (`warm` non-null with a positive previous root) start at
+// warm->previous.  A warm search that drops more than 12 decades below
+// its seed without finding F < p abandons the seed and restarts cold
+// (quantile.warm_fallback).  The root found is written back to `warm`.
+// Every search bumps exactly one of quantile.cold_start /
+// quantile.warm_accept; the step after each probe bumps
+// quantile.newton_steps or quantile.bisect_steps.
+// Preconditions: 0 < p < 1, mean_hint > 0 (seconds).  Throws
+// std::invalid_argument if the quantile cannot be bracketed below t_max
+// (or, cold, above 1e-14 · mean_hint), a probe returns a non-finite F, or
+// the search does not converge within 200 probes.
+using CdfDensityFn = std::function<CdfDensityPoint(double)>;
+double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
+                      double t_max = 1e9, QuantileWarmStart* warm = nullptr);
+
+// The p-quantile of the distribution whose density transform is `lt`:
+// solve_quantile over cdf_density_from_laplace probes.  Same
+// preconditions, seeds and warm-start contract as solve_quantile.
 double quantile_from_laplace(const LaplaceFn& lt, double p, double mean_hint,
                              double t_max = 1e9,
                              QuantileWarmStart* warm = nullptr);
-// Batched form: every CDF probe of the search runs through `lt_many`.
+// Batched form: every probe of the search is one lt_many call.
 double quantile_from_laplace(const BatchLaplaceFn& lt_many, double p,
                              double mean_hint, double t_max = 1e9,
                              QuantileWarmStart* warm = nullptr);

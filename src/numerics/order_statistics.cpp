@@ -51,7 +51,9 @@ struct BaseGrid {
 
 // Quantile level that sets the grid horizon.  High enough that the tail
 // atom at the horizon sits beyond every percentile the model queries
-// (p999 sweeps included), low enough that Brent converges fast.
+// (p999 sweeps included), low enough that the survival 1e-4 stays well
+// above the inversion's noise, so the Newton search converges in a few
+// probes.
 constexpr double kHorizonQuantile = 0.9999;
 
 BaseGrid materialize_base(const DistPtr& base, std::size_t points) {

@@ -1,6 +1,7 @@
-// Scalar root finding and minimization used across the model: Brent's
-// method drives quantile-from-CDF searches, the Gamma-MLE shape equation,
-// and capacity-planning "what-if" inversions.
+// Scalar root finding used by the fitting code: safeguarded Newton solves
+// the Gamma-MLE shape equation, Brent's method the Weibull one.  Quantile
+// searches have their own solver (numerics::solve_quantile in
+// lt_inversion.hpp), which reads F and f from one inversion per probe.
 #pragma once
 
 #include <functional>
@@ -27,7 +28,7 @@ RootResult newton_safeguarded(const std::function<double(double)>& f,
                               double x_tol = 1e-12, int max_iter = 100);
 
 // Expands [lo, hi] geometrically upward until f changes sign or the limit
-// is reached.  Returns true and updates hi on success.  Handy for quantile
+// is reached.  Returns true and updates hi on success.  Handy for root
 // searches where the upper bound is unknown.
 bool expand_bracket_upward(const std::function<double(double)>& f, double lo,
                            double& hi, double growth = 2.0,

@@ -615,6 +615,10 @@ std::vector<double> TransformTape::cdf_many(std::span<const double> ts,
   return cdf_many_from_laplace(batch_fn(), ts, m);
 }
 
+CdfDensityPoint TransformTape::cdf_density(double t, int m) const {
+  return cdf_density_from_laplace(batch_fn(), t, m);
+}
+
 double TransformTape::quantile(double p, double mean_hint, double t_max,
                                QuantileWarmStart* warm) const {
   return quantile_from_laplace(batch_fn(), p, mean_hint, t_max, warm);

@@ -44,8 +44,8 @@
 // Allocation.  Steady-state evaluation allocates nothing: workspaces
 // (value stack, scaled-argument batches, CSE slots) are leased from a
 // thread-local pool and sized once per tape.  Entry points that run whole
-// inversions (cdf, cdf_many, quantile) reuse the contour scratch of
-// numerics/lt_inversion.cpp the same way.
+// inversions (cdf, cdf_many, cdf_density, quantile) reuse the contour
+// scratch of numerics/lt_inversion.cpp the same way.
 //
 // Fingerprints.  fingerprint() folds the full op stream and parameter
 // values (generic leaves contribute numerics::fingerprint of the wrapped
@@ -99,12 +99,17 @@ class TransformTape {
   double cdf(double t, int m = 20) const;
 
   // CDF at many points with ONE batched evaluation over all contours —
-  // the amortized path for SLA sweeps and Brent ladders.  Element i is
-  // bit-identical to cdf(ts[i], m).
+  // the amortized path for SLA sweeps and grid materializations.  Element
+  // i is bit-identical to cdf(ts[i], m).
   std::vector<double> cdf_many(std::span<const double> ts, int m = 20) const;
 
-  // p-quantile via bracketing + Brent over batched CDF probes; `warm`
-  // carries the previous root across monotone sweeps (see
+  // CDF and density at t from ONE batched evaluation of the Euler contour
+  // (cdf_density_from_laplace); the CDF is bit-identical to cdf(t, m).
+  // This is one probe of a quantile search.
+  CdfDensityPoint cdf_density(double t, int m = 20) const;
+
+  // p-quantile via numerics::solve_quantile over cdf_density probes;
+  // `warm` carries the previous root across monotone sweeps (see
   // QuantileWarmStart in lt_inversion.hpp).
   double quantile(double p, double mean_hint, double t_max = 1e9,
                   QuantileWarmStart* warm = nullptr) const;

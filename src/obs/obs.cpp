@@ -26,6 +26,9 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "quantile.warm_accept",
     "quantile.warm_reject_regime",
     "quantile.warm_fallback",
+    "quantile.cache_hit",
+    "quantile.newton_steps",
+    "quantile.bisect_steps",
     "cache.cdf.hit",
     "cache.cdf.miss",
     "cache.backend.hit",

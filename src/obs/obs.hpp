@@ -66,11 +66,14 @@ enum class Counter : std::uint32_t {
   kInversionCalls,   // CDF inversions performed (sum of the four above)
   kInversionTerms,   // contour evaluations spent (terms per inversion)
 
-  // Quantile searches (lt_inversion::quantile_impl, SystemModel).
+  // Quantile searches (numerics::solve_quantile, SystemModel).
   kQuantileColdStart,
-  kQuantileWarmAccept,        // warm bracket seed used
+  kQuantileWarmAccept,        // warm seed used
   kQuantileWarmRejectRegime,  // seed discarded: regime fingerprint changed
-  kQuantileWarmFallback,      // seed discarded mid-search: bracket invalid
+  kQuantileWarmFallback,      // seed discarded mid-search: stale seed
+  kQuantileCacheHit,          // cold search answered from PredictionCache
+  kQuantileNewtonSteps,       // search steps taken by Newton
+  kQuantileBisectSteps,       // search steps the safeguard took instead
 
   // core::PredictionCache traffic (per lookup, at the call sites).
   kCdfCacheHit,

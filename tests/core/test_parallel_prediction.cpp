@@ -55,6 +55,7 @@ SystemParams make_cluster(double system_rate, unsigned devices) {
 }
 
 const std::vector<double> kSlas = {0.04, 0.08, 0.12, 0.2};
+const std::vector<double> kLevels = {0.5, 0.9, 0.99};
 
 TEST(ParallelPrediction, BitIdenticalAcrossThreadCountsAndCache) {
   const SystemParams params = make_cluster(140.0, 4);
@@ -77,8 +78,63 @@ TEST(ParallelPrediction, BitIdenticalAcrossThreadCountsAndCache) {
       }
       EXPECT_EQ(model.latency_quantile(0.95), reference.latency_quantile(0.95))
           << "threads=" << threads << " cache=" << with_cache;
+      // Ladders too, twice: with a cache the second pass serves its cold
+      // first element from the cached answer.
+      for (int pass = 0; pass < 2; ++pass) {
+        EXPECT_EQ(model.latency_quantiles(kLevels),
+                  reference.latency_quantiles(kLevels))
+            << "threads=" << threads << " cache=" << with_cache
+            << " pass=" << pass;
+      }
     }
   }
+}
+
+TEST(ParallelPrediction, ColdQuantileCachesTheAnswerNotTheProbes) {
+  using cosm::obs::Counter;
+  using cosm::obs::counter_value;
+  cosm::obs::set_enabled(true);
+  PredictionCache cache;
+  // 8 identical devices: one value class, so each probe is one inversion.
+  const SystemModel model(make_cluster(280.0, 8), {},
+                          PredictOptions{1, &cache});
+  const std::size_t entries = cache.cdf.stats().size;
+  cosm::obs::reset();
+  const double first = model.latency_quantile(0.95);
+  EXPECT_LE(counter_value(Counter::kInversionCalls), 5u);
+  EXPECT_EQ(cache.cdf.stats().size, entries + 1);
+  EXPECT_EQ(counter_value(Counter::kQuantileColdStart), 1u);
+  EXPECT_EQ(counter_value(Counter::kQuantileCacheHit), 0u);
+
+  // The repeat is one lookup: no inversion, the same bits.
+  cosm::obs::reset();
+  EXPECT_EQ(model.latency_quantile(0.95), first);
+  EXPECT_EQ(counter_value(Counter::kInversionCalls), 0u);
+  EXPECT_EQ(counter_value(Counter::kQuantileCacheHit), 1u);
+  EXPECT_EQ(counter_value(Counter::kQuantileColdStart), 1u);
+  EXPECT_EQ(cache.cdf.stats().size, entries + 1);
+  cosm::obs::set_enabled(false);
+}
+
+TEST(ParallelPrediction, WarmChainedLadderCachesOnlyItsColdElement) {
+  using cosm::obs::Counter;
+  using cosm::obs::counter_value;
+  cosm::obs::set_enabled(true);
+  PredictionCache cache;
+  const SystemModel model(make_cluster(280.0, 8), {},
+                          PredictOptions{1, &cache});
+  const std::size_t entries = cache.cdf.stats().size;
+  cosm::obs::reset();
+  const std::vector<double> ladder = model.latency_quantiles({0.5, 0.9, 0.99});
+  ASSERT_EQ(ladder.size(), 3u);
+  EXPECT_EQ(cache.cdf.stats().size, entries + 1);
+  EXPECT_EQ(counter_value(Counter::kQuantileColdStart), 1u);
+  EXPECT_EQ(counter_value(Counter::kQuantileWarmAccept), 2u);
+  // The cached element is the ladder's cold first one.
+  cosm::obs::reset();
+  EXPECT_EQ(model.latency_quantile(0.5), ladder[0]);
+  EXPECT_EQ(counter_value(Counter::kQuantileCacheHit), 1u);
+  cosm::obs::set_enabled(false);
 }
 
 TEST(ParallelPrediction, BatchMatchesScalarQueries) {

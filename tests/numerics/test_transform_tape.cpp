@@ -23,6 +23,7 @@
 #include "numerics/lt_inversion.hpp"
 #include "numerics/phase_type.hpp"
 #include "numerics/transform_nodes.hpp"
+#include "obs/obs.hpp"
 #include "queueing/mg1.hpp"
 #include "queueing/mg1k.hpp"
 #include "queueing/mm1k.hpp"
@@ -256,11 +257,35 @@ TEST(TransformTape, QuantileWarmStartAgreesWithCold) {
   for (const double p : {0.5, 0.9, 0.95, 0.99}) {
     const double cold = tape.quantile(p, mean);
     const double warmed = tape.quantile(p, mean, 1e9, &warm);
-    // Warm starting changes the bracket, not the root: agreement is at
-    // the Brent tolerance level (1e-10 * mean_hint), not bit-exact.
+    // Warm starting changes the seed, not the root: agreement is at the
+    // solver tolerance (1e-9 relative), not bit-exact.
     EXPECT_NEAR(warmed, cold, 1e-7 * cold);
     EXPECT_EQ(warm.previous, warmed);
   }
+}
+
+TEST(TransformTape, CdfDensityReadsBothFromOneContour) {
+  const auto service = std::make_shared<Gamma>(3.0, 900.0);
+  const queueing::MG1 mg1(150.0, service);
+  const TransformTape tape = TransformTape::compile(mg1.sojourn_time());
+  obs::reset();
+  obs::set_enabled(true);
+  // Points in the body of the sojourn (mean ~5.6 ms), where the central
+  // difference below resolves f to better than 1e-5 relative; deep in
+  // the tail its own 1/h-amplified inversion noise dominates.
+  for (const double t : {1e-3, 2e-3, 5e-3, 1e-2, 2e-2}) {
+    const std::uint64_t before =
+        obs::counter_value(obs::Counter::kInversionCalls);
+    const CdfDensityPoint point = tape.cdf_density(t);
+    EXPECT_EQ(obs::counter_value(obs::Counter::kInversionCalls), before + 1);
+    // F is the tape's CDF to the bit; f is its derivative.
+    EXPECT_EQ(point.cdf.value, tape.cdf(t)) << "t = " << t;
+    const double h = 1e-3 * t;
+    const double central = (tape.cdf(t + h) - tape.cdf(t - h)) / (2.0 * h);
+    EXPECT_NEAR(point.density, central, 1e-5 * central) << "t = " << t;
+  }
+  obs::set_enabled(false);
+  obs::reset();
 }
 
 TEST(LaplaceManyDefault, MatchesScalarLoop) {
