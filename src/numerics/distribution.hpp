@@ -16,9 +16,15 @@
 //                      distribution objects.
 //
 // All distributions describe non-negative random variables (latencies).
+//
+// Distributions are immutable: every parameter is fixed at construction
+// and no member function changes the value.  numerics::fingerprint relies
+// on it to memoize each object's value fingerprint (memo_cache.hpp).
 #pragma once
 
+#include <atomic>
 #include <complex>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -29,6 +35,15 @@ namespace cosm::numerics {
 
 class Distribution {
  public:
+  Distribution() = default;
+  // The fingerprint memo belongs to the object, not to its value: a copy
+  // starts without one, and assignment (which changes the value) drops
+  // it.  Either way the next fingerprint() recomputes from the value.
+  Distribution(const Distribution&) noexcept {}
+  Distribution& operator=(const Distribution&) noexcept {
+    fingerprint_.store(0, std::memory_order_relaxed);
+    return *this;
+  }
   virtual ~Distribution() = default;
 
   virtual std::string name() const = 0;
@@ -68,6 +83,14 @@ class Distribution {
   // Draw a variate.  Throws std::logic_error for transform-only
   // distributions (e.g. P–K waiting times), which the simulator never uses.
   virtual double sample(Rng& rng) const;
+
+ private:
+  friend std::uint64_t fingerprint(const Distribution& dist);
+  // fingerprint(*this) once computed; 0 = not yet (a fingerprint that is
+  // itself 0 is simply recomputed each time).  Relaxed is enough: the
+  // value is a pure function of the immutable parameters, so every thread
+  // that computes it stores the same bits.
+  mutable std::atomic<std::uint64_t> fingerprint_{0};
 };
 
 using DistPtr = std::shared_ptr<const Distribution>;

@@ -24,7 +24,9 @@ std::uint64_t hash_mix(std::uint64_t seed, double value) {
 }
 
 std::uint64_t fingerprint(const Distribution& dist) {
-  std::uint64_t h = 0x636f736d0000000bULL;  // arbitrary domain tag
+  std::uint64_t h = dist.fingerprint_.load(std::memory_order_relaxed);
+  if (h != 0) return h;
+  h = 0x636f736d0000000bULL;  // arbitrary domain tag
   for (const char c : dist.name()) {
     h = hash_mix(h, static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
   }
@@ -41,6 +43,7 @@ std::uint64_t fingerprint(const Distribution& dist) {
   h = hash_mix(h, p1.imag());
   h = hash_mix(h, p2.real());
   h = hash_mix(h, p2.imag());
+  dist.fingerprint_.store(h, std::memory_order_relaxed);
   return h;
 }
 

@@ -220,6 +220,14 @@ std::uint64_t hash_mix(std::uint64_t seed, double value);
 // constructed but identically parameterized distributions (e.g. the same
 // Gamma built twice) fingerprint equal — the property that lets identical
 // devices share cached work.
+//
+// Memoized per object: the first call stores the hash in the object (one
+// relaxed atomic, safe under concurrent callers) and later calls return
+// it, bit-identical to a fresh computation.  Precondition: the
+// distribution is immutable (distribution.hpp) — a value that changed
+// after the first call would keep its stale fingerprint.  A copy starts
+// without a memo and assignment drops it, so both recompute from the
+// value they now hold.
 std::uint64_t fingerprint(const Distribution& dist);
 
 }  // namespace cosm::numerics

@@ -228,4 +228,49 @@ TEST(Fingerprint, EqualForIdenticalDistributions) {
   EXPECT_EQ(fingerprint(d), fingerprint(cosm::numerics::Degenerate(0.5e-3)));
 }
 
+// fingerprint() memoizes per object; every path must return the bits a
+// fresh, never-fingerprinted object of the same value computes.
+TEST(FingerprintMemo, MemoizedValueMatchesFreshObject) {
+  using cosm::numerics::fingerprint;
+  using cosm::numerics::Gamma;
+  const Gamma a(3.0, 300.0);
+  const std::uint64_t first = fingerprint(a);
+  EXPECT_EQ(fingerprint(a), first);  // served from the memo
+  EXPECT_EQ(fingerprint(Gamma(3.0, 300.0)), first);
+
+  const Gamma copy(a);  // a copy recomputes from its value
+  EXPECT_EQ(fingerprint(copy), first);
+
+  // Copy-assignment from a differently parameterized distribution must
+  // not leave the old value's memo behind.
+  Gamma b(2.5, 312.5);
+  const std::uint64_t b_first = fingerprint(b);
+  ASSERT_NE(b_first, first);
+  b = a;
+  EXPECT_EQ(fingerprint(b), first);
+  b = Gamma(2.8, 233.33);
+  EXPECT_EQ(fingerprint(b), fingerprint(Gamma(2.8, 233.33)));
+  EXPECT_NE(fingerprint(b), first);
+  b = Gamma(2.5, 312.5);
+  EXPECT_EQ(fingerprint(b), b_first);
+}
+
+TEST(FingerprintMemo, ConcurrentFirstCallsAgree) {
+  using cosm::numerics::fingerprint;
+  const cosm::numerics::Gamma shared(2.8, 233.33);
+  const std::uint64_t expected =
+      fingerprint(cosm::numerics::Gamma(2.8, 233.33));
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 100; ++i) {
+        if (fingerprint(shared) != expected) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 }  // namespace
