@@ -2,13 +2,97 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace cosm::common {
 
+JsonValue::JsonValue(const JsonValue& other)
+    : type_(other.type_), number_(other.number_) {
+  switch (type_) {
+    case Type::kString:
+      std::construct_at(&string_, other.string_);
+      break;
+    case Type::kArray:
+      std::construct_at(&items_, other.items_);
+      break;
+    case Type::kObject:
+      std::construct_at(&members_, other.members_);
+      break;
+    default:
+      break;
+  }
+}
+
+JsonValue& JsonValue::operator=(const JsonValue& other) {
+  if (this != &other) *this = JsonValue(other);
+  return *this;
+}
+
+JsonValue& JsonValue::operator=(JsonValue&& other) noexcept {
+  if (this != &other) {
+    destroy();
+    take(other);
+  }
+  return *this;
+}
+
+void JsonValue::take(JsonValue& other) noexcept {
+  type_ = other.type_;
+  number_ = other.number_;
+  switch (type_) {
+    case Type::kString:
+      std::construct_at(&string_, std::move(other.string_));
+      break;
+    case Type::kArray:
+      std::construct_at(&items_, std::move(other.items_));
+      break;
+    case Type::kObject:
+      std::construct_at(&members_, std::move(other.members_));
+      break;
+    default:
+      break;
+  }
+}
+
+void JsonValue::destroy() noexcept {
+  switch (type_) {
+    case Type::kString:
+      std::destroy_at(&string_);
+      break;
+    case Type::kArray:
+      std::destroy_at(&items_);
+      break;
+    case Type::kObject:
+      std::destroy_at(&members_);
+      break;
+    default:
+      break;
+  }
+}
+
+void JsonValue::become(Type type) {
+  if (type_ == type) return;
+  destroy();
+  type_ = type;
+  number_ = 0.0;
+  switch (type) {
+    case Type::kString:
+      std::construct_at(&string_);
+      break;
+    case Type::kArray:
+      std::construct_at(&items_);
+      break;
+    case Type::kObject:
+      std::construct_at(&members_);
+      break;
+    default:
+      break;
+  }
+}
+
 void JsonValue::set(std::string_view key, JsonValue v) {
-  type_ = Type::kObject;
+  become(Type::kObject);
   for (auto& member : members_) {
     if (member.first == key) {
       member.second = std::move(v);
@@ -47,9 +131,20 @@ std::string JsonValue::string_or(std::string_view key, std::string fallback) con
 
 namespace {
 
+// True for the bytes dump_string must escape.
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
-  for (const char c : s) {
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const char c = *p;
+    if (!needs_escape(c)) continue;
+    out.append(run, p);  // the unescaped run before c, in one append
+    run = p + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -66,16 +161,15 @@ void dump_string(const std::string& s, std::string& out) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xF],
+                               kHex[c & 0xF]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(run, end);
   out.push_back('"');
 }
 
@@ -86,20 +180,19 @@ void dump_number(double n, std::string& out) {
     out += "null";
     return;
   }
-  if (n == static_cast<double>(static_cast<long long>(n)) && std::fabs(n) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(n));
-    out += buf;
-    return;
-  }
   char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), n);
-  if (ec == std::errc()) {
-    out.append(buf, ptr);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", n);
-    out += buf;
-  }
+  // Integral values below 1e15 print as integers.  The range test comes
+  // first: converting a double outside long long's range is undefined.
+  // Every other finite double prints as its shortest round-trip form,
+  // which fits the buffer.
+  const bool integral =
+      std::fabs(n) < 1e15 &&
+      n == static_cast<double>(static_cast<long long>(n));
+  const std::to_chars_result printed =
+      integral ? std::to_chars(buf, buf + sizeof(buf),
+                               static_cast<long long>(n))
+               : std::to_chars(buf, buf + sizeof(buf), n);
+  out.append(buf, printed.ptr);
 }
 
 }  // namespace
@@ -110,7 +203,7 @@ void JsonValue::dump_to(std::string& out) const {
       out += "null";
       break;
     case Type::kBool:
-      out += bool_ ? "true" : "false";
+      out += number_ != 0.0 ? "true" : "false";
       break;
     case Type::kNumber:
       dump_number(number_, out);
@@ -155,11 +248,13 @@ std::string JsonValue::dump() const {
   return out;
 }
 
-namespace {
-
-class Parser {
+// Recursive-descent parser over the input view.  Strings and containers
+// are parsed in place into the value that holds them (a member's key and
+// value, an array's item), so a document is built without moving values
+// up the recursion; unescaped string runs are appended in bulk.
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonParseResult run() {
     JsonParseResult result;
@@ -178,6 +273,23 @@ class Parser {
   }
 
  private:
+  using Type = JsonValue::Type;
+
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  // Bytes that can continue a number token: one that follows a complete
+  // number makes the token malformed ("01", "1.2.3", "1e5e5").
+  static bool is_number_char(char c) {
+    return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+           c == '-';
+  }
+
+  bool at_digit() const { return pos_ < text_.size() && is_digit(text_[pos_]); }
+
+  void skip_digits() {
+    while (at_digit()) ++pos_;
+  }
+
   void skip_ws() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
@@ -204,6 +316,7 @@ class Parser {
     return false;
   }
 
+  // Parses one value into `out`, which must be null.
   bool parse_value(JsonValue& out) {
     if (depth_ > kMaxDepth) {
       return fail("nesting too deep");
@@ -217,14 +330,9 @@ class Parser {
         return parse_object(out);
       case '[':
         return parse_array(out);
-      case '"': {
-        std::string s;
-        if (!parse_string(s)) {
-          return false;
-        }
-        out = JsonValue(std::move(s));
-        return true;
-      }
+      case '"':
+        out.become(Type::kString);
+        return parse_string(out.string_);
       case 't':
         if (text_.substr(pos_, 4) == "true") {
           pos_ += 4;
@@ -242,7 +350,6 @@ class Parser {
       case 'n':
         if (text_.substr(pos_, 4) == "null") {
           pos_ += 4;
-          out = JsonValue(nullptr);
           return true;
         }
         return fail("invalid literal");
@@ -254,7 +361,8 @@ class Parser {
   bool parse_object(JsonValue& out) {
     ++pos_;  // '{'
     ++depth_;
-    out = JsonValue::object();
+    out.become(Type::kObject);
+    std::vector<JsonMember>& members = out.members_;
     skip_ws();
     if (consume('}')) {
       --depth_;
@@ -262,8 +370,8 @@ class Parser {
     }
     while (true) {
       skip_ws();
-      std::string key;
-      if (!parse_string(key)) {
+      JsonMember& member = members.emplace_back();
+      if (!parse_string(member.first)) {
         return fail("expected object key");
       }
       skip_ws();
@@ -271,11 +379,18 @@ class Parser {
         return fail("expected ':' in object");
       }
       skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) {
+      if (!parse_value(member.second)) {
         return false;
       }
-      out.set(key, std::move(value));
+      // A duplicate key keeps its first position and takes the last value
+      // (the rule JsonValue::set applies).
+      for (std::size_t i = 0; i + 1 < members.size(); ++i) {
+        if (members[i].first == member.first) {
+          members[i].second = std::move(member.second);
+          members.pop_back();
+          break;
+        }
+      }
       skip_ws();
       if (consume(',')) {
         continue;
@@ -291,7 +406,8 @@ class Parser {
   bool parse_array(JsonValue& out) {
     ++pos_;  // '['
     ++depth_;
-    out = JsonValue::array();
+    out.become(Type::kArray);
+    std::vector<JsonValue>& items = out.items_;
     skip_ws();
     if (consume(']')) {
       --depth_;
@@ -299,11 +415,9 @@ class Parser {
     }
     while (true) {
       skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) {
+      if (!parse_value(items.emplace_back())) {
         return false;
       }
-      out.push_back(std::move(value));
       skip_ws();
       if (consume(',')) {
         continue;
@@ -321,102 +435,120 @@ class Parser {
       return fail("expected string");
     }
     while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
+      if (pos_ >= text_.size()) {
+        break;
+      }
+      if (text_[pos_++] == '"') {
         return true;
       }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          return fail("unterminated escape");
-        }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return fail("truncated \\u escape");
-            }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return fail("invalid \\u escape");
-              }
-            }
-            // Encode as UTF-8 (surrogate pairs not combined; each half is
-            // encoded independently which is enough for our ASCII protocol).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
+      // A backslash escape.
+      if (pos_ >= text_.size()) {
+        return fail("unterminated escape");
+      }
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+          out.push_back('"');
+          break;
+        case '\\':
+          out.push_back('\\');
+          break;
+        case '/':
+          out.push_back('/');
+          break;
+        case 'b':
+          out.push_back('\b');
+          break;
+        case 'f':
+          out.push_back('\f');
+          break;
+        case 'n':
+          out.push_back('\n');
+          break;
+        case 'r':
+          out.push_back('\r');
+          break;
+        case 't':
+          out.push_back('\t');
+          break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) {
+            return fail("truncated \\u escape");
           }
-          default:
-            return fail("invalid escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') {
+              code |= static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              code |= static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              code |= static_cast<unsigned>(h - 'A' + 10);
+            } else {
+              return fail("invalid \\u escape");
+            }
+          }
+          // Encode as UTF-8 (surrogate pairs not combined; each half is
+          // encoded independently which is enough for our ASCII protocol).
+          if (code < 0x80) {
+            out.push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
+          break;
         }
-      } else {
-        out.push_back(c);
+        default:
+          return fail("invalid escape");
       }
     }
     return fail("unterminated string");
   }
 
+  // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   bool parse_number(JsonValue& out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
+    consume('-');
+    if (!at_digit()) {
+      return fail(pos_ == start && !is_number_char(text_[pos_])
+                      ? "expected value"
+                      : "invalid number");
+    }
+    if (text_[pos_] == '0') {
       ++pos_;
+    } else {
+      skip_digits();
     }
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        ++pos_;
-      } else {
-        break;
-      }
+    if (consume('.')) {
+      if (!at_digit()) return fail("invalid number");
+      skip_digits();
     }
-    if (pos_ == start) {
-      return fail("expected value");
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      if (!at_digit()) return fail("invalid number");
+      skip_digits();
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    if (pos_ < text_.size() && is_number_char(text_[pos_])) {
+      return fail("invalid number");
+    }
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double value = 0.0;
+    const std::from_chars_result parsed = std::from_chars(first, last, value);
+    if (parsed.ec == std::errc::result_out_of_range) {
+      // Beyond double range: strtod's ±inf / ±0, as for any other reader.
+      value = std::strtod(std::string(first, last).c_str(), nullptr);
+    } else if (parsed.ec != std::errc() || parsed.ptr != last) {
       return fail("invalid number");
     }
     out = JsonValue(value);
@@ -431,8 +563,8 @@ class Parser {
   std::string error_;
 };
 
-}  // namespace
-
-JsonParseResult json_parse(std::string_view text) { return Parser(text).run(); }
+JsonParseResult json_parse(std::string_view text) {
+  return JsonParser(text).run();
+}
 
 }  // namespace cosm::common
