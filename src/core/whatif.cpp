@@ -98,6 +98,9 @@ double max_admission_rate(const ClusterFactory& factory,
   lo = probe;
   while (hi - lo > tolerance) {
     const double mid = 0.5 * (lo + hi);
+    // A tolerance below the rates' spacing would never be met: stop once
+    // lo and hi are adjacent doubles.
+    if (mid <= lo || mid >= hi) break;
     (ok(mid) ? lo : hi) = mid;
   }
   return lo;

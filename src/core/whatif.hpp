@@ -68,7 +68,9 @@ std::optional<unsigned> min_devices_for(const ClusterFactory& factory,
 
 // Overload control: largest admitted rate in (0, rate_limit] meeting the
 // target with `device_count` devices, found by bisection to `tolerance`
-// (requests/s).  Returns 0 when even vanishing load misses the target.
+// (requests/s), or until the bracket is two adjacent doubles when
+// `tolerance` is finer than their spacing.  Returns 0 when even vanishing
+// load misses the target.
 // Preconditions: factory non-null, rate_limit > 0, tolerance > 0.
 double max_admission_rate(const ClusterFactory& factory,
                           unsigned device_count, const SlaTarget& target,

@@ -88,6 +88,17 @@ TEST(MaxAdmissionRate, BracketsTheComplianceBoundary) {
   EXPECT_FALSE(meets_target(kFactory(threshold + 1.0, 4), target));
 }
 
+TEST(MaxAdmissionRate, StopsAtAdjacentDoublesBelowTheirSpacing) {
+  // A tolerance finer than the spacing of doubles near the answer used
+  // to bisect forever; the search now ends on two adjacent doubles.
+  const SlaTarget target{.sla = 0.05, .percentile = 0.9};
+  const double coarse = max_admission_rate(kFactory, 4, target, 500.0, 0.25);
+  const double fine = max_admission_rate(kFactory, 4, target, 500.0, 1e-300);
+  EXPECT_NEAR(fine, coarse, 0.25);
+  EXPECT_TRUE(meets_target(kFactory(fine, 4), target));
+  EXPECT_FALSE(meets_target(kFactory(std::nextafter(fine, 1e9), 4), target));
+}
+
 TEST(MaxAdmissionRate, ReturnsLimitWhenAlwaysCompliant) {
   const SlaTarget lax{.sla = 5.0, .percentile = 0.5};
   EXPECT_EQ(max_admission_rate(kFactory, 8, lax, 100.0), 100.0);
