@@ -176,7 +176,7 @@ struct ModelOptions {
 //    keyed by (response-tape fingerprint, SLA bits); the tape fingerprint
 //    covers the device, frontend, and option state that shapes the
 //    response (see numerics::TransformTape::fingerprint).  The same map
-//    holds the final bound of each cold SystemModel::latency_quantile
+//    holds the final bound of each SystemModel::latency_quantile
 //    search, keyed by core::quantile_cache_key (every device's
 //    fingerprint and rate, plus p); the search's probes are not cached.
 // Keys are 64-bit value fingerprints (numerics::hash_mix /

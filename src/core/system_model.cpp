@@ -329,21 +329,6 @@ double SystemModel::predict_sla_percentile_device(std::size_t device,
   return device_cdf(devices_[device], sla);
 }
 
-std::uint64_t SystemModel::regime_fingerprint() const {
-  // Shape-only identity of the device set: device count plus each tape's
-  // structure fingerprint (opcodes, not rates).  Rate sweeps keep this
-  // constant; a device failing out, healing back, or gaining a slowdown
-  // wrapper changes it — exactly the "curve family" boundary where a
-  // carried warm-start root stops being a trustworthy seed.
-  std::uint64_t h =
-      hash_mix(0x636f736d00000002ULL,
-               static_cast<std::uint64_t>(devices_.size()));
-  for (const auto& device : devices_) {
-    h = hash_mix(h, device.response_tape().structure_fingerprint());
-  }
-  return h | 1;  // never 0, which QuantileWarmStart reads as "untracked"
-}
-
 numerics::CdfDensityPoint SystemModel::cdf_density(double t) const {
   obs::Span span("core.predict_sla");
   const std::size_t distinct = distinct_.size();
@@ -364,41 +349,32 @@ numerics::CdfDensityPoint SystemModel::cdf_density(double t) const {
   return {{cdf / total_rate_, quality}, density / total_rate_};
 }
 
-double SystemModel::latency_quantile(
-    double percentile, numerics::QuantileWarmStart* warm) const {
+double SystemModel::latency_quantile(double percentile) const {
   COSM_REQUIRE(percentile > 0 && percentile < 1,
                "percentile must be in (0, 1)");
   obs::Span span("core.latency_quantile");
-  if (warm != nullptr) warm->enter_regime(regime_fingerprint());
-  // Only a cold search is a function of the key alone; a warm one
-  // depends on its seed, so it bypasses the answer cache entirely.
-  PredictionCache* const cache =
-      warm != nullptr && warm->seeded() ? nullptr : predict_.cache;
+  PredictionCache* const cache = predict_.cache;
   std::uint64_t key = 0;
   if (cache != nullptr) {
     key = quantile_cache_key(devices_, percentile);
     if (auto cached = cache->cdf.lookup(key)) {
       obs::add(obs::Counter::kQuantileColdStart);
       obs::add(obs::Counter::kQuantileCacheHit);
-      if (warm != nullptr) warm->previous = *cached;
       return *cached;
     }
   }
   const double bound = numerics::solve_quantile(
       [this](double t) { return cdf_density(t); }, percentile,
-      mean_response_latency(), 1e9, warm);
+      mean_response_latency());
   if (cache != nullptr) cache->cdf.insert(key, bound);
   return bound;
 }
 
 std::vector<double> SystemModel::latency_quantiles(
     const std::vector<double>& percentiles) const {
-  numerics::QuantileWarmStart warm;
   std::vector<double> out;
   out.reserve(percentiles.size());
-  for (const double p : percentiles) {
-    out.push_back(latency_quantile(p, &warm));
-  }
+  for (const double p : percentiles) out.push_back(latency_quantile(p));
   return out;
 }
 

@@ -144,29 +144,16 @@ class SystemModel {
   // tolerance) seeded from mean_response_latency(); each probe evaluates
   // (F, f) once per distinct device and reduces them rate-weighted in
   // device order, so its F equals predict_sla_percentile.  Probes never
-  // touch PredictionCache::cdf.  A cold search (no usable warm seed)
-  // reads and writes its final answer there under quantile_cache_key; a
-  // warm one neither reads nor writes it.  When `warm` is non-null the
-  // search seeds from the previous root and the new root is written back
-  // (see numerics::QuantileWarmStart) — intended for monotone sweeps;
-  // warm results agree with cold calls to the solver tolerance, not
-  // bit-exactly.
-  double latency_quantile(double percentile,
-                          numerics::QuantileWarmStart* warm = nullptr) const;
-  // Quantile ladder: one bound per entry, the first searched cold and
-  // each later one warm-seeded from its predecessor (sort ascending for
-  // the best amortization).  Equivalent to per-element latency_quantile
-  // within the solver tolerance.
+  // touch PredictionCache::cdf; with a cache attached, every call reads
+  // and writes its final answer there under quantile_cache_key (the root
+  // is a function of that key alone).
+  double latency_quantile(double percentile) const;
+  // Quantile ladder: element i is latency_quantile(percentiles[i]), bit
+  // for bit, served from and written to the same cache entries.
   std::vector<double> latency_quantiles(
       const std::vector<double>& percentiles) const;
   // Rate-weighted mean response latency in seconds (for what-if analyses).
   double mean_response_latency() const;
-  // Shape-only identity of the device set (count + per-device structural
-  // tape fingerprints; rates excluded).  latency_quantile feeds this to
-  // QuantileWarmStart::enter_regime so a carried root survives rate
-  // sweeps but is discarded across structural changes (failed device,
-  // healed device, slowdown wrapper).  Never returns 0.
-  std::uint64_t regime_fingerprint() const;
 
  private:
   double device_cdf(const DeviceModel& model, double sla) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "common/require.hpp"
@@ -119,38 +118,6 @@ std::vector<std::optional<unsigned>> elastic_schedule(
                                   max_devices, options, inner);
   });
   return schedule;
-}
-
-std::vector<double> latency_quantile_trend(const ClusterFactory& factory,
-                                           const std::vector<double>& period_rates,
-                                           double percentile,
-                                           unsigned device_count,
-                                           ModelOptions options,
-                                           const PredictOptions& predict) {
-  COSM_REQUIRE(factory != nullptr, "cluster factory required");
-  COSM_REQUIRE(percentile > 0 && percentile < 1,
-               "percentile must be in (0, 1)");
-  COSM_REQUIRE(device_count >= 1, "need at least one device");
-  obs::Span span("whatif.trend");
-  const PredictOptions inner = inner_options(predict);
-  numerics::QuantileWarmStart warm;
-  std::vector<double> bounds;
-  bounds.reserve(period_rates.size());
-  for (const double rate : period_rates) {
-    try {
-      const SystemModel model(factory(rate, device_count), options, inner);
-      bounds.push_back(model.latency_quantile(percentile, &warm));
-    } catch (const OverloadError&) {
-      bounds.push_back(std::numeric_limits<double>::quiet_NaN());
-      // An overloaded period has no finite quantile — and the root
-      // carried from the last healthy period was measured right at the
-      // saturation wall, the worst possible seed for whatever rate the
-      // trend recovers to.  Restart cold after the gap (stale-seed
-      // fix; tests/core/test_warm_start_regime.cpp covers the recovery).
-      warm.reset();
-    }
-  }
-  return bounds;
 }
 
 void DegradedScenario::validate(std::size_t device_count) const {

@@ -88,22 +88,6 @@ std::vector<std::optional<unsigned>> elastic_schedule(
     const SlaTarget& target, unsigned max_devices,
     ModelOptions options = {}, const PredictOptions& predict = {});
 
-// Latency-quantile trend: the `percentile` latency bound (seconds) for
-// each period of a workload curve with a fixed device count — "how does
-// our p99 move over the day".  Periods run SERIALLY on purpose: each
-// quantile search seeds from the previous period's root
-// (numerics::QuantileWarmStart), which on the typical smooth daily curve
-// starts the Newton search next to the answer.  Entries are NaN where the
-// configuration is overloaded.  Results agree with an independent
-// per-period SystemModel::latency_quantile call to the solver tolerance
-// (warm starting changes the seed, not the root).
-// Preconditions: factory non-null, percentile in (0, 1),
-// device_count >= 1.
-std::vector<double> latency_quantile_trend(
-    const ClusterFactory& factory, const std::vector<double>& period_rates,
-    double percentile, unsigned device_count, ModelOptions options = {},
-    const PredictOptions& predict = {});
-
 // Bottleneck identification: per-device share of SLA misses,
 // share_j = r_j (1 - F_j(sla)) / sum_k r_k (1 - F_k(sla)), descending by
 // contribution.  Pairs of (device index, contribution in [0, 1]).

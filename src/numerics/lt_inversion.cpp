@@ -324,17 +324,6 @@ InversionQuality classify_cdf_value(double raw) {
   return InversionQuality::kClamped;
 }
 
-void QuantileWarmStart::enter_regime(std::uint64_t regime_fp) {
-  if (regime == regime_fp) return;
-  if (regime != 0 && previous > 0) {
-    // A carried root from a different curve family is worse than no seed:
-    // discard it loudly (the counter) instead of reusing it silently.
-    obs::add(obs::Counter::kQuantileWarmRejectRegime);
-  }
-  previous = 0.0;
-  regime = regime_fp;
-}
-
 CdfPoint cdf_from_laplace_checked(const LaplaceFn& lt, double t, int m) {
   if (t <= 0.0) return CdfPoint{0.0, InversionQuality::kConverged};
   check_euler_args(t, m);
@@ -446,19 +435,15 @@ std::vector<double> cdf_many_from_laplace(
 }
 
 double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
-                      double t_max, QuantileWarmStart* warm) {
+                      double t_max) {
   COSM_REQUIRE(p > 0 && p < 1, "quantile level must be in (0, 1)");
   COSM_REQUIRE(mean_hint > 0, "mean hint must be positive");
   constexpr double kTolerance = 1e-9;  // relative to t
   constexpr int kMaxProbes = 200;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const double cold_seed = mean_hint * std::max(1.0, -std::log1p(-p));
   const double log_target = std::log1p(-p);  // ln(1 - p)
-  bool use_warm = warm != nullptr && warm->seeded();
-  obs::add(use_warm ? obs::Counter::kQuantileWarmAccept
-                    : obs::Counter::kQuantileColdStart);
-  const double seed = use_warm ? warm->previous : cold_seed;
-  double t = seed;
+  obs::add(obs::Counter::kQuantileColdStart);
+  double t = mean_hint * std::max(1.0, -std::log1p(-p));
   // Probed bracket: F(lo) < p <= F(hi); 0 / +inf while a side is unknown.
   double lo = 0.0;
   double hi = kInf;
@@ -490,23 +475,10 @@ double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
     }
     COSM_REQUIRE(hi < kInf || next <= t_max,
                  "quantile could not be bracketed below t_max");
-    if (lo == 0.0 && use_warm && next < 1e-12 * seed) {
-      // More than 12 decades below the seed and still above the root: the
-      // seed is stale beyond repair (a regime change the caller did not
-      // fingerprint).  Restart cold rather than keep shrinking.
-      obs::add(obs::Counter::kQuantileWarmFallback);
-      use_warm = false;
-      t = cold_seed;
-      hi = last_step = step_before_last = kInf;
-      continue;
-    }
     COSM_REQUIRE(lo > 0.0 || next >= 1e-14 * mean_hint,
                  "quantile could not be bracketed above zero");
     const double step = next - t;
-    if (std::abs(step) <= kTolerance * t) {
-      if (warm != nullptr) warm->previous = next;
-      return next;
-    }
+    if (std::abs(step) <= kTolerance * t) return next;
     step_before_last = last_step;
     last_step = std::abs(step);
     t = next;
@@ -514,22 +486,21 @@ double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
 }
 
 double quantile_from_laplace(const LaplaceFn& lt, double p, double mean_hint,
-                             double t_max, QuantileWarmStart* warm) {
+                             double t_max) {
   // The scalar callback evaluated node by node: per-node arithmetic is the
   // scalar cdf_from_laplace's.
   const BatchLaplaceFn lt_many = [&lt](std::span<const std::complex<double>> s,
                                        std::span<std::complex<double>> out) {
     for (std::size_t k = 0; k < s.size(); ++k) out[k] = lt(s[k]);
   };
-  return quantile_from_laplace(lt_many, p, mean_hint, t_max, warm);
+  return quantile_from_laplace(lt_many, p, mean_hint, t_max);
 }
 
 double quantile_from_laplace(const BatchLaplaceFn& lt_many, double p,
-                             double mean_hint, double t_max,
-                             QuantileWarmStart* warm) {
+                             double mean_hint, double t_max) {
   return solve_quantile(
       [&lt_many](double t) { return cdf_density_from_laplace(lt_many, t); },
-      p, mean_hint, t_max, warm);
+      p, mean_hint, t_max);
 }
 
 }  // namespace cosm::numerics

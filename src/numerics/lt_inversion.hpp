@@ -38,7 +38,6 @@
 // Laplace(–Stieltjes) transform with `s` in reciprocal units (1/s).
 #pragma once
 
-#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <functional>
@@ -170,44 +169,6 @@ struct CdfDensityPoint {
 CdfDensityPoint cdf_density_from_laplace(const BatchLaplaceFn& lt_many,
                                          double t, int m = 20);
 
-// Warm-start state for quantile searches over monotone sweeps (SLA
-// ladders, rate grids): carries the previous root so the next search
-// seeds its first probe there instead of at the cold seed.  The root is
-// the same crossing (the CDF is monotone and the solver stops at the
-// same relative tolerance); only the number of probes changes — so
-// warm-started sweeps agree with cold calls to the solver tolerance,
-// not bit-exactly.  Reset (or default-construct) when the swept quantity
-// jumps.
-//
-// Regime guard: a carried root is only a good seed while consecutive
-// sweep points belong to the same *curve family* — the same device set,
-// the same structural model.  Crossing a regime change (a failed device
-// dropping out of a what-if sweep, a degraded device set healing) can
-// leave the seed orders of magnitude off, and a stale seed then costs a
-// long shrink ladder.  Callers that can fingerprint their regime
-// (e.g. SystemModel::latency_quantile folds the devices' structural tape
-// fingerprints) call enter_regime() before seeding: a fingerprint change
-// resets the carried root and bumps quantile.warm_reject_regime.
-struct QuantileWarmStart {
-  // Previous solution in seconds; <= 0 (or non-finite) means cold start.
-  double previous = 0.0;
-  // Curve-family fingerprint of the sweep the carried root belongs to;
-  // 0 = not tracked (enter_regime never called).
-  std::uint64_t regime = 0;
-
-  // Declares that the next search belongs to `regime_fp` (any non-zero
-  // value).  A change of regime invalidates the carried root.
-  void enter_regime(std::uint64_t regime_fp);
-
-  // True when `previous` is a usable seed: the next search starts warm.
-  bool seeded() const { return std::isfinite(previous) && previous > 0; }
-
-  void reset() {
-    previous = 0.0;
-    regime = 0;
-  }
-};
-
 // The one quantile solver: every quantile path (quantile_from_laplace,
 // TransformTape::quantile, core::SystemModel::latency_quantile) runs it.
 // Safeguarded Newton on the log-survival g(t) = ln(1 - F(t)) - ln(1 - p),
@@ -222,33 +183,27 @@ struct QuantileWarmStart {
 // it); while lo is unknown it drops t a decade (and Newton may not drop
 // it further).  It stops when |step| <= 1e-9 t and returns t + step.
 //
-// Seeds: cold searches start at mean_hint · max(1, -ln(1 - p)) (the
-// quantile of an exponential with that mean, never below the mean); warm
-// searches (`warm` non-null with a positive previous root) start at
-// warm->previous.  A warm search that drops more than 12 decades below
-// its seed without finding F < p abandons the seed and restarts cold
-// (quantile.warm_fallback).  The root found is written back to `warm`.
-// Every search bumps exactly one of quantile.cold_start /
-// quantile.warm_accept; the step after each probe bumps
-// quantile.newton_steps or quantile.bisect_steps.
+// Seed: every search starts at mean_hint · max(1, -ln(1 - p)) (the
+// quantile of an exponential with that mean, never below the mean), so
+// the root is a function of (probe, p, mean_hint) alone and callers may
+// cache it.  Every search bumps quantile.cold_start; the step after each
+// probe bumps quantile.newton_steps or quantile.bisect_steps.
 // Preconditions: 0 < p < 1, mean_hint > 0 (seconds).  Throws
 // std::invalid_argument if the quantile cannot be bracketed below t_max
-// (or, cold, above 1e-14 · mean_hint), a probe returns a non-finite F, or
-// the search does not converge within 200 probes.
+// or above 1e-14 · mean_hint, a probe returns a non-finite F, or the
+// search does not converge within 200 probes.
 using CdfDensityFn = std::function<CdfDensityPoint(double)>;
 double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
-                      double t_max = 1e9, QuantileWarmStart* warm = nullptr);
+                      double t_max = 1e9);
 
 // The p-quantile of the distribution whose density transform is `lt`:
 // solve_quantile over cdf_density_from_laplace probes.  Same
-// preconditions, seeds and warm-start contract as solve_quantile.
+// preconditions and seed as solve_quantile.
 double quantile_from_laplace(const LaplaceFn& lt, double p, double mean_hint,
-                             double t_max = 1e9,
-                             QuantileWarmStart* warm = nullptr);
+                             double t_max = 1e9);
 // Batched form: every probe of the search is one lt_many call.
 double quantile_from_laplace(const BatchLaplaceFn& lt_many, double p,
-                             double mean_hint, double t_max = 1e9,
-                             QuantileWarmStart* warm = nullptr);
+                             double mean_hint, double t_max = 1e9);
 
 // ------------------- contour plumbing (shared internals) ------------------
 //

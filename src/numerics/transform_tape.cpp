@@ -169,7 +169,7 @@ class TapeCompiler {
       // F_(k:n) grid at construction, so the op is a leaf: [dt, F...] in
       // params, grid size in `a`.  MIN-OF-K and KTH-OF-N share an
       // evaluator; the distinct opcodes keep min-of-n and k-of-n tapes
-      // structurally distinct for regime fingerprints.
+      // structurally distinct in fingerprint().
       std::vector<double> params;
       params.reserve(1 + os->grid().size());
       params.push_back(os->grid_dt());
@@ -259,10 +259,6 @@ class TapeCompiler {
     }
     if (extra != 0) fp = hash_mix(fp, extra);
     tape_.fingerprint_ = fp;
-    // Shape-only hash: opcode + a, never params or leaf values.
-    tape_.structure_fingerprint_ = hash_mix(
-        tape_.structure_fingerprint_,
-        (static_cast<std::uint64_t>(code) << 32) | a);
     pending_param_count_ = 0;
   }
 
@@ -619,9 +615,9 @@ CdfDensityPoint TransformTape::cdf_density(double t, int m) const {
   return cdf_density_from_laplace(batch_fn(), t, m);
 }
 
-double TransformTape::quantile(double p, double mean_hint, double t_max,
-                               QuantileWarmStart* warm) const {
-  return quantile_from_laplace(batch_fn(), p, mean_hint, t_max, warm);
+double TransformTape::quantile(double p, double mean_hint,
+                               double t_max) const {
+  return quantile_from_laplace(batch_fn(), p, mean_hint, t_max);
 }
 
 }  // namespace cosm::numerics

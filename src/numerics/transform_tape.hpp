@@ -108,23 +108,11 @@ class TransformTape {
   // This is one probe of a quantile search.
   CdfDensityPoint cdf_density(double t, int m = 20) const;
 
-  // p-quantile via numerics::solve_quantile over cdf_density probes;
-  // `warm` carries the previous root across monotone sweeps (see
-  // QuantileWarmStart in lt_inversion.hpp).
-  double quantile(double p, double mean_hint, double t_max = 1e9,
-                  QuantileWarmStart* warm = nullptr) const;
+  // p-quantile via numerics::solve_quantile over cdf_density probes.
+  double quantile(double p, double mean_hint, double t_max = 1e9) const;
 
   // Structural 64-bit identity of the compiled program (see header doc).
   std::uint64_t fingerprint() const { return fingerprint_; }
-
-  // Shape-only identity: folds the op stream (opcodes and their `a`
-  // fields — child counts, slot ids, leaf indices) but NO parameter
-  // values.  Two tapes compiled from trees of the same shape hash equal
-  // here even when rates/means differ; a device dropping out, healing,
-  // or gaining a Scaled wrapper changes the op stream and therefore this
-  // hash.  This is the "curve family" key QuantileWarmStart::enter_regime
-  // wants: rate sweeps stay warm, regime changes reset.
-  std::uint64_t structure_fingerprint() const { return structure_fingerprint_; }
 
   // Introspection for tests, benches, and cache diagnostics.
   std::size_t op_count() const { return ops_.size(); }
@@ -175,7 +163,6 @@ class TransformTape {
   std::size_t value_depth_ = 0;  // max value-stack height over the program
   std::size_t arg_depth_ = 0;    // max *scaled* argument batches live
   std::uint64_t fingerprint_ = 0;
-  std::uint64_t structure_fingerprint_ = 0;
 };
 
 }  // namespace cosm::numerics

@@ -23,9 +23,6 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "inversion.calls",
     "inversion.terms",
     "quantile.cold_start",
-    "quantile.warm_accept",
-    "quantile.warm_reject_regime",
-    "quantile.warm_fallback",
     "quantile.cache_hit",
     "quantile.newton_steps",
     "quantile.bisect_steps",

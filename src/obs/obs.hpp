@@ -8,7 +8,7 @@
 // the substrate for that attribution:
 //
 //  * Counter — a fixed registry of typed counters (cache hits, inversion
-//    quality verdicts, warm-start accepts/rejects, retry attempts, pool
+//    quality verdicts, quantile searches, retry attempts, pool
 //    queue depth, ...).  Each is a relaxed atomic; add() is safe from any
 //    thread and never blocks.
 //  * Span — RAII scoped timing over the monotonic clock.  Completed spans
@@ -32,7 +32,7 @@
 // harnesses and examples).
 //
 // Instrumentation never changes results: counters and spans observe;
-// the clamp/quality/warm-start *decisions* they report are made by the
+// the clamp/quality/cache *decisions* they report are made by the
 // instrumented code itself and are identical whether or not anyone is
 // watching.
 //
@@ -67,13 +67,10 @@ enum class Counter : std::uint32_t {
   kInversionTerms,   // contour evaluations spent (terms per inversion)
 
   // Quantile searches (numerics::solve_quantile, SystemModel).
-  kQuantileColdStart,
-  kQuantileWarmAccept,        // warm seed used
-  kQuantileWarmRejectRegime,  // seed discarded: regime fingerprint changed
-  kQuantileWarmFallback,      // seed discarded mid-search: stale seed
-  kQuantileCacheHit,          // cold search answered from PredictionCache
-  kQuantileNewtonSteps,       // search steps taken by Newton
-  kQuantileBisectSteps,       // search steps the safeguard took instead
+  kQuantileColdStart,    // quantile requests, searched or cached
+  kQuantileCacheHit,     // requests answered from PredictionCache
+  kQuantileNewtonSteps,  // search steps taken by Newton
+  kQuantileBisectSteps,  // search steps the safeguard took instead
 
   // core::PredictionCache traffic (per lookup, at the call sites).
   kCdfCacheHit,

@@ -51,20 +51,6 @@ ObjectCatalog::ObjectCatalog(const CatalogConfig& config)
   mean_size_ = total / static_cast<double>(sizes_.size());
 }
 
-ObjectCatalog::ObjectCatalog(std::vector<std::uint64_t> sizes,
-                             const std::vector<double>& popularity_weights)
-    : sizes_(std::move(sizes)), popularity_(popularity_weights) {
-  COSM_REQUIRE(!sizes_.empty(), "catalog needs at least one object");
-  COSM_REQUIRE(sizes_.size() == popularity_weights.size(),
-               "sizes and popularity weights must align");
-  double total = 0.0;
-  for (const auto size : sizes_) {
-    COSM_REQUIRE(size > 0, "object sizes must be positive");
-    total += static_cast<double>(size);
-  }
-  mean_size_ = total / static_cast<double>(sizes_.size());
-}
-
 std::uint64_t ObjectCatalog::size_of(ObjectId id) const {
   COSM_REQUIRE(id < sizes_.size(), "object id out of range");
   return sizes_[id];

@@ -38,13 +38,6 @@ class ObjectCatalog {
  public:
   explicit ObjectCatalog(const CatalogConfig& config);
 
-  // Empirical catalog: explicit per-object sizes (bytes) and popularity
-  // weights (any non-negative values; normalized internally).  This is
-  // how a *real* trace feeds the simulator — see
-  // workload::catalog_from_trace in trace_stats.hpp.
-  ObjectCatalog(std::vector<std::uint64_t> sizes,
-                const std::vector<double>& popularity_weights);
-
   std::uint64_t object_count() const { return sizes_.size(); }
   std::uint64_t size_of(ObjectId id) const;
 

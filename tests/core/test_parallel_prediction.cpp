@@ -78,8 +78,8 @@ TEST(ParallelPrediction, BitIdenticalAcrossThreadCountsAndCache) {
       }
       EXPECT_EQ(model.latency_quantile(0.95), reference.latency_quantile(0.95))
           << "threads=" << threads << " cache=" << with_cache;
-      // Ladders too, twice: with a cache the second pass serves its cold
-      // first element from the cached answer.
+      // Ladders too, twice: with a cache the second pass serves every
+      // element from the cached answers.
       for (int pass = 0; pass < 2; ++pass) {
         EXPECT_EQ(model.latency_quantiles(kLevels),
                   reference.latency_quantiles(kLevels))
@@ -116,25 +116,35 @@ TEST(ParallelPrediction, ColdQuantileCachesTheAnswerNotTheProbes) {
   cosm::obs::set_enabled(false);
 }
 
-TEST(ParallelPrediction, WarmChainedLadderCachesOnlyItsColdElement) {
+TEST(ParallelPrediction, LadderElementsAreCachedSingleQueries) {
   using cosm::obs::Counter;
   using cosm::obs::counter_value;
+  const std::vector<double> levels = {0.5, 0.9, 0.99};
   cosm::obs::set_enabled(true);
   PredictionCache cache;
   const SystemModel model(make_cluster(280.0, 8), {},
                           PredictOptions{1, &cache});
   const std::size_t entries = cache.cdf.stats().size;
   cosm::obs::reset();
-  const std::vector<double> ladder = model.latency_quantiles({0.5, 0.9, 0.99});
-  ASSERT_EQ(ladder.size(), 3u);
-  EXPECT_EQ(cache.cdf.stats().size, entries + 1);
-  EXPECT_EQ(counter_value(Counter::kQuantileColdStart), 1u);
-  EXPECT_EQ(counter_value(Counter::kQuantileWarmAccept), 2u);
-  // The cached element is the ladder's cold first one.
+  const std::vector<double> ladder = model.latency_quantiles(levels);
+  ASSERT_EQ(ladder.size(), levels.size());
+  EXPECT_EQ(cache.cdf.stats().size, entries + 3);
+  EXPECT_EQ(counter_value(Counter::kQuantileColdStart), 3u);
+  EXPECT_EQ(counter_value(Counter::kQuantileCacheHit), 0u);
+
+  // The repeat is three lookups: no inversion, the same bits.
   cosm::obs::reset();
-  EXPECT_EQ(model.latency_quantile(0.5), ladder[0]);
-  EXPECT_EQ(counter_value(Counter::kQuantileCacheHit), 1u);
+  EXPECT_EQ(model.latency_quantiles(levels), ladder);
+  EXPECT_EQ(counter_value(Counter::kInversionCalls), 0u);
+  EXPECT_EQ(counter_value(Counter::kQuantileCacheHit), 3u);
   cosm::obs::set_enabled(false);
+
+  // Each element is the answer a single uncached query gives.
+  const SystemModel uncached(make_cluster(280.0, 8));
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    EXPECT_EQ(ladder[i], uncached.latency_quantile(levels[i]))
+        << "p = " << levels[i];
+  }
 }
 
 TEST(ParallelPrediction, BatchMatchesScalarQueries) {

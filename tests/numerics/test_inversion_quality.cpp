@@ -162,52 +162,5 @@ TEST(InversionQualityCounters, EveryInversionBumpsExactlyOneVerdict) {
   EXPECT_EQ(obs::counter_value(obs::Counter::kInversionTerms), 82u);
 }
 
-TEST(WarmStartRegime, FingerprintChangeDiscardsCarriedRoot) {
-  ObsGuard guard;
-  QuantileWarmStart warm;
-  warm.previous = 0.05;
-  warm.enter_regime(111);  // first tracked regime: keeps nothing to reject
-  EXPECT_EQ(warm.previous, 0.0);  // untracked -> tracked resets silently
-  EXPECT_EQ(obs::counter_value(obs::Counter::kQuantileWarmRejectRegime), 0u);
-
-  warm.previous = 0.07;
-  warm.enter_regime(111);  // same regime: seed survives
-  EXPECT_EQ(warm.previous, 0.07);
-
-  warm.enter_regime(222);  // regime change: seed discarded, loudly
-  EXPECT_EQ(warm.previous, 0.0);
-  EXPECT_EQ(warm.regime, 222u);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kQuantileWarmRejectRegime), 1u);
-}
-
-TEST(WarmStartRegime, PoisonedSeedFallsBackToColdBracket) {
-  ObsGuard guard;
-  const Gamma gamma(3.0, 300.0);
-  const LaplaceFn lt = [&](std::complex<double> s) {
-    return gamma.laplace(s);
-  };
-  const double mean = gamma.mean();
-  const double cold = quantile_from_laplace(lt, 0.95, mean);
-
-  // A moderately stale seed (a few decades off) is absorbed by the warm
-  // shrink ladder without abandoning the seed.
-  QuantileWarmStart stale;
-  stale.previous = 1e4 * cold;
-  const double from_stale = quantile_from_laplace(lt, 0.95, mean, 1e9,
-                                                  &stale);
-  EXPECT_NEAR(from_stale, cold, 1e-6 * cold);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kQuantileWarmFallback), 0u);
-
-  // A seed 15 orders of magnitude above the root exhausts the bounded
-  // ladder (12 decades): the search must restart cold instead of handing
-  // Brent an invalid bracket — and say so through the counter.
-  QuantileWarmStart poisoned;
-  poisoned.previous = 1e15 * cold;
-  const double recovered = quantile_from_laplace(lt, 0.95, mean, 1e9,
-                                                 &poisoned);
-  EXPECT_NEAR(recovered, cold, 1e-6 * cold);
-  EXPECT_GE(obs::counter_value(obs::Counter::kQuantileWarmFallback), 1u);
-}
-
 }  // namespace
 }  // namespace cosm::numerics

@@ -163,7 +163,7 @@ TEST(TransformTape, TieredServiceBitIdentical) {
 
 TEST(TransformTape, TieredServiceFingerprintDistinctFromMixture) {
   // A tiered tree must not collide with the equivalent two-component
-  // Mixture: regime fingerprints key the prediction cache by structure.
+  // Mixture: tape fingerprints key the prediction cache.
   const auto ssd = std::make_shared<Gamma>(4.0, 4000.0);
   const auto disk = std::make_shared<Gamma>(2.1, 55.0);
   const auto tiered =
@@ -244,23 +244,6 @@ TEST(TransformTape, CdfManyMatchesPerPointBitwise) {
   ASSERT_EQ(batch.size(), ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
     EXPECT_EQ(batch[i], tape.cdf(ts[i])) << "t = " << ts[i];
-  }
-}
-
-TEST(TransformTape, QuantileWarmStartAgreesWithCold) {
-  const auto service = std::make_shared<Gamma>(3.0, 900.0);
-  const queueing::MG1 mg1(150.0, service);
-  const DistPtr sojourn = mg1.sojourn_time();
-  const TransformTape tape = TransformTape::compile(sojourn);
-  const double mean = sojourn->mean();
-  QuantileWarmStart warm;
-  for (const double p : {0.5, 0.9, 0.95, 0.99}) {
-    const double cold = tape.quantile(p, mean);
-    const double warmed = tape.quantile(p, mean, 1e9, &warm);
-    // Warm starting changes the seed, not the root: agreement is at the
-    // solver tolerance (1e-9 relative), not bit-exact.
-    EXPECT_NEAR(warmed, cold, 1e-7 * cold);
-    EXPECT_EQ(warm.previous, warmed);
   }
 }
 

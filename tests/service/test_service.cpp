@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -80,6 +81,39 @@ TEST(WhatIfService, QuantileInvertsSla) {
   const JsonValue back = parse_response(service.handle_line(
       R"({"op":"sla","cluster":"a","sla":)" + std::to_string(t95) + "}"));
   EXPECT_NEAR(back.number_or("percentile", -1.0), 0.95, 5e-3);
+}
+
+TEST(WhatIfService, QuantileLadderElementsMatchSingleQueriesByteForByte) {
+  // Separate services, so neither side is served from the other's cache.
+  WhatIfService ladder_service;
+  ladder_service.handle_line(kRegisterA);
+  const std::string ladder = ladder_service.handle_line(
+      R"({"op":"quantile","cluster":"a","ps":[0.5,0.9,0.99]})");
+  const std::size_t open = ladder.find('[');
+  const std::size_t close = ladder.find(']', open);
+  ASSERT_NE(close, std::string::npos) << ladder;
+  std::vector<std::string> elements;
+  for (std::size_t begin = open + 1; begin <= close;) {
+    const std::size_t end = std::min(ladder.find(',', begin), close);
+    elements.push_back(ladder.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  const std::vector<std::string> ps = {"0.5", "0.9", "0.99"};
+  ASSERT_EQ(elements.size(), ps.size()) << ladder;
+
+  WhatIfService single_service;
+  single_service.handle_line(kRegisterA);
+  const std::string key = R"("latency":)";
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const std::string single = single_service.handle_line(
+        R"({"op":"quantile","cluster":"a","p":)" + ps[i] + "}");
+    const std::size_t at = single.find(key);
+    ASSERT_NE(at, std::string::npos) << single;
+    const std::size_t begin = at + key.size();
+    EXPECT_EQ(single.substr(begin, single.find('}', begin) - begin),
+              elements[i])
+        << "p " << ps[i];
+  }
 }
 
 TEST(WhatIfService, DevicesAndCapacityPlanning) {
