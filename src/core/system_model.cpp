@@ -253,17 +253,18 @@ SystemModel::SystemModel(SystemParams params, ModelOptions options,
 }
 
 double SystemModel::device_cdf(const DeviceModel& model, double sla) const {
-  // The tape CDF is bit-identical to response_time()->cdf(sla) (the
-  // scalar tree walk) — the tape's hard contract — so cache hits, cold
+  // The tape CDF is bit-identical to inverting the scalar tree walk at
+  // the same order — the tape's hard contract — so cache hits, cold
   // evaluations, and every thread count return the same doubles.
-  if (predict_.cache == nullptr) return model.response_tape().cdf(sla);
+  const numerics::TransformTape& tape = model.response_tape();
+  if (predict_.cache == nullptr) return tape.cdf(sla, kModelEulerOrder);
   const std::uint64_t key = cdf_cache_key(model.fingerprint(), sla);
   if (auto cached = predict_.cache->cdf.lookup(key)) {
     obs::add(obs::Counter::kCdfCacheHit);
     return *cached;
   }
   obs::add(obs::Counter::kCdfCacheMiss);
-  const double value = model.response_tape().cdf(sla);
+  const double value = tape.cdf(sla, kModelEulerOrder);
   predict_.cache->cdf.insert(key, value);
   return value;
 }
@@ -299,7 +300,8 @@ std::vector<double> SystemModel::predict_sla_percentiles(
     // bit-identical to the per-cell path below.
     parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
       const std::vector<double> device_cdfs =
-          devices_[distinct_[u]].response_tape().cdf_many(slas);
+          devices_[distinct_[u]].response_tape().cdf_many(slas,
+                                                        kModelEulerOrder);
       std::copy(device_cdfs.begin(), device_cdfs.end(),
                 cdfs.begin() + static_cast<std::ptrdiff_t>(u * n_slas));
     });
@@ -334,7 +336,8 @@ numerics::CdfDensityPoint SystemModel::cdf_density(double t) const {
   const std::size_t distinct = distinct_.size();
   std::vector<numerics::CdfDensityPoint> points(distinct);
   parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
-    points[u] = devices_[distinct_[u]].response_tape().cdf_density(t);
+    points[u] =
+        devices_[distinct_[u]].response_tape().cdf_density(t, kModelEulerOrder);
   });
   // Same weights and order as predict_sla_percentile, so F is its value.
   double cdf = 0.0;

@@ -58,6 +58,16 @@ std::uint64_t device_model_key(const FrontendParams& frontend,
                                const DeviceParams& params,
                                const ModelOptions& options);
 
+// The Euler order of every model CDF (device_cdf, the SLA sweeps, the
+// quantile probes): the smallest M whose F stays within
+// numerics::kCdfErrorBudget of the M = 20 inversion over the model's
+// envelope — the service cluster family, its MG1K/MM1K 4-process, noWTA
+// and tiered variants, 5-55 req/s per device, SLAs of 20-500 ms.
+// tests/core/test_model_euler_order.cpp pins both halves.  The library
+// default (M = 20) stays: the budget holds for these transforms, not for
+// arbitrary ones.
+inline constexpr int kModelEulerOrder = 11;
+
 // Key under which PredictionCache::cdf stores one device's CDF value at
 // one SLA point: (response-tape fingerprint, SLA bits).  device_cdf
 // derives its keys through this function, so external invalidation can
@@ -126,7 +136,8 @@ class SystemModel {
   const FrontendModel& frontend() const { return frontend_; }
   const std::vector<DeviceModel>& devices() const { return devices_; }
 
-  // P[response latency <= sla] over the whole system (Eq. 3).
+  // P[response latency <= sla] over the whole system (Eq. 3), each
+  // device's CDF an Euler inversion at kModelEulerOrder.
   // Precondition: sla > 0 (seconds).
   double predict_sla_percentile(double sla) const;
   // Batch form: one value per entry of `slas`, fanning the (device × SLA
@@ -140,13 +151,15 @@ class SystemModel {
                                        double sla) const;
   // Inverse: latency bound (seconds) such that `percentile` of requests
   // meet it.  Precondition: percentile in (0, 1).  Runs
-  // numerics::solve_quantile (safeguarded Newton, 1e-9 relative
-  // tolerance) seeded from mean_response_latency(); each probe evaluates
-  // (F, f) once per distinct device and reduces them rate-weighted in
-  // device order, so its F equals predict_sla_percentile.  Probes never
-  // touch PredictionCache::cdf; with a cache attached, every call reads
-  // and writes its final answer there under quantile_cache_key (the root
-  // is a function of that key alone).
+  // numerics::solve_quantile (safeguarded Newton, stopping once the
+  // step is within numerics::kCdfErrorBudget / f) seeded from
+  // mean_response_latency(); each probe evaluates (F, f) at
+  // kModelEulerOrder once per distinct device and reduces them
+  // rate-weighted in device order, so its F equals
+  // predict_sla_percentile.  Probes never touch PredictionCache::cdf;
+  // with a cache attached, every call reads and writes its final answer
+  // there under quantile_cache_key (the root is a function of that key
+  // alone).
   double latency_quantile(double percentile) const;
   // Quantile ladder: element i is latency_quantile(percentiles[i]), bit
   // for bit, served from and written to the same cache entries.

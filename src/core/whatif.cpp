@@ -391,10 +391,9 @@ std::vector<std::pair<std::size_t, double>> sla_miss_contributions(
   std::vector<std::pair<std::size_t, double>> contributions;
   double total = 0.0;
   for (std::size_t d = 0; d < model.devices().size(); ++d) {
-    const auto& device = model.devices()[d];
     const double missed =
-        device.arrival_rate() *
-        (1.0 - device.response_tape().cdf(sla));
+        model.devices()[d].arrival_rate() *
+        (1.0 - model.predict_sla_percentile_device(d, sla));
     contributions.emplace_back(d, missed);
     total += missed;
   }

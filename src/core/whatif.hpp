@@ -90,7 +90,9 @@ std::vector<std::optional<unsigned>> elastic_schedule(
 
 // Bottleneck identification: per-device share of SLA misses,
 // share_j = r_j (1 - F_j(sla)) / sum_k r_k (1 - F_k(sla)), descending by
-// contribution.  Pairs of (device index, contribution in [0, 1]).
+// contribution, with F_j = model.predict_sla_percentile_device(j, sla) —
+// the value (and cache entry) of the predictions the shares explain.
+// Pairs of (device index, contribution in [0, 1]).
 // Precondition: sla > 0 (seconds).
 std::vector<std::pair<std::size_t, double>> sla_miss_contributions(
     const SystemModel& model, double sla);

@@ -117,16 +117,7 @@ Gamma Gamma::from_mean_shape(double mean, double shape) {
 std::string Gamma::name() const { return "gamma"; }
 
 std::complex<double> Gamma::laplace(std::complex<double> s) const {
-  // (l / (l + s))^k = exp(-k log(1 + s/l)) via the principal branch;
-  // l + s never touches the negative real axis on the Euler contour
-  // (Re s > 0).  For |s/l| below double precision the direct pow loses
-  // every significant digit once k is large, so switch to the log1p
-  // series log(1+z) ~ z - z^2/2 there.
-  const std::complex<double> z = s / rate_;
-  if (std::abs(z) < 1e-6) {
-    return std::exp(-shape_ * (z - 0.5 * z * z));
-  }
-  return std::pow(rate_ / (rate_ + s), shape_);
+  return gamma_laplace(shape_, rate_, s);
 }
 
 double Gamma::cdf(double t) const {

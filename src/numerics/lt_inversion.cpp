@@ -438,7 +438,7 @@ double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
                       double t_max) {
   COSM_REQUIRE(p > 0 && p < 1, "quantile level must be in (0, 1)");
   COSM_REQUIRE(mean_hint > 0, "mean hint must be positive");
-  constexpr double kTolerance = 1e-9;  // relative to t
+  constexpr double kTolerance = 1e-9;  // relative to t; floor of the stop
   constexpr int kMaxProbes = 200;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double log_target = std::log1p(-p);  // ln(1 - p)
@@ -478,7 +478,14 @@ double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
     COSM_REQUIRE(lo > 0.0 || next >= 1e-14 * mean_hint,
                  "quantile could not be bracketed above zero");
     const double step = next - t;
-    if (std::abs(step) <= kTolerance * t) return next;
+    // A Newton step no longer than budget / f comes from a probe whose F
+    // is already within the CDF error budget of p: more probes would chase
+    // inversion noise.  A bisection step says nothing about F at its end,
+    // so it stops only on the relative floor.
+    const double tolerance =
+        newton ? std::max(kTolerance * t, kCdfErrorBudget / at.density)
+               : kTolerance * t;
+    if (std::abs(step) <= tolerance) return next;
     step_before_last = last_step;
     last_step = std::abs(step);
     t = next;

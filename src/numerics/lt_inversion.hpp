@@ -54,6 +54,12 @@ using RealLaplaceFn = std::function<double(double)>;
 using BatchLaplaceFn = std::function<void(
     std::span<const std::complex<double>>, std::span<std::complex<double>>)>;
 
+// The one error budget of a model CDF: absolute, on F.  The model's own
+// error against the simulator is at the percent level, so F needs no
+// more than this; it sets the Euler order the model inverts at
+// (core::kModelEulerOrder) and solve_quantile's stop.
+inline constexpr double kCdfErrorBudget = 1e-7;
+
 // Inverts L[f] at t with the Euler algorithm using 2M+1 terms.
 // Preconditions: t > 0 (seconds), 2 <= m <= 30 — M around 20 is the sweet
 // spot in double precision (the binomial weights grow like 10^{M/3};
@@ -181,7 +187,11 @@ CdfDensityPoint cdf_density_from_laplace(const BatchLaplaceFn& lt_many,
 // the bracket, or it is more than half the step before last.  While hi is
 // unknown that replacement doubles t (and Newton may not more than double
 // it); while lo is unknown it drops t a decade (and Newton may not drop
-// it further).  It stops when |step| <= 1e-9 t and returns t + step.
+// it further).  It stops and returns t + step when a Newton step has
+// |step| <= max(1e-9 t, kCdfErrorBudget / f), f > 0 the probe's density
+// (the probe's F is then within the CDF error budget of p, which places
+// the root no closer than budget / f), or when a bisection step has
+// |step| <= 1e-9 t.
 //
 // Seed: every search starts at mean_hint · max(1, -ln(1 - p)) (the
 // quantile of an exponential with that mean, never below the mean), so

@@ -17,7 +17,7 @@ Erlang::Erlang(unsigned stages, double rate) : stages_(stages), rate_(rate) {
 std::string Erlang::name() const { return "erlang"; }
 
 std::complex<double> Erlang::laplace(std::complex<double> s) const {
-  return std::pow(rate_ / (rate_ + s), static_cast<double>(stages_));
+  return gamma_laplace(static_cast<double>(stages_), rate_, s);
 }
 
 double Erlang::mean() const { return stages_ / rate_; }

@@ -141,9 +141,9 @@ class TapeCompiler {
     } else if (const auto* un = dynamic_cast<const Uniform*>(d)) {
       push_op(OpCode::kLeafUniform, 0, push_params({un->lo(), un->hi()}));
     } else if (const auto* er = dynamic_cast<const Erlang*>(d)) {
-      // Erlang::laplace raises to static_cast<double>(stages_); storing
-      // the exponent as a double keeps the same pow(complex, double)
-      // instantiation.
+      // Erlang::laplace is gamma_laplace with the stage count as the
+      // shape; the op keeps its own code so the fingerprint tells the
+      // two leaves apart.
       push_op(OpCode::kLeafErlang, 0,
               push_params({static_cast<double>(er->stages()), er->rate()}));
     } else if (const auto* he = dynamic_cast<const HyperExponential*>(d)) {
@@ -377,17 +377,13 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         ++top;
         break;
       }
-      case OpCode::kLeafGamma: {
+      case OpCode::kLeafGamma:
+      case OpCode::kLeafErlang: {  // params [shape or stages, rate]
         std::complex<double>* dst = values + top * batch;
         const double shape = p[0];
         const double rate = p[1];
         for (std::size_t i = 0; i < batch; ++i) {
-          const std::complex<double> z = sv[i] / rate;
-          if (std::abs(z) < 1e-6) {
-            dst[i] = std::exp(-shape * (z - 0.5 * z * z));
-          } else {
-            dst[i] = std::pow(rate / (rate + sv[i]), shape);
-          }
+          dst[i] = gamma_laplace(shape, rate, sv[i]);
         }
         ++top;
         break;
@@ -405,16 +401,6 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
             dst[i] = (std::exp(-sc * lo) - std::exp(-sc * hi)) /
                      (sc * (hi - lo));
           }
-        }
-        ++top;
-        break;
-      }
-      case OpCode::kLeafErlang: {
-        std::complex<double>* dst = values + top * batch;
-        const double stages = p[0];
-        const double rate = p[1];
-        for (std::size_t i = 0; i < batch; ++i) {
-          dst[i] = std::pow(rate / (rate + sv[i]), stages);
         }
         ++top;
         break;

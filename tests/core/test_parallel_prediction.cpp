@@ -303,8 +303,9 @@ TEST(ParallelPrediction, MixedClusterMatchesPerDeviceWeightedSum) {
         double weighted = 0.0;
         double total = 0.0;
         for (const auto& device : model.devices()) {
-          weighted +=
-              device.arrival_rate() * device.response_tape().cdf(kSlas[s]);
+          weighted += device.arrival_rate() *
+                      device.response_tape().cdf(
+                          kSlas[s], cosm::core::kModelEulerOrder);
           total += device.arrival_rate();
         }
         EXPECT_EQ(got[s], weighted / total)

@@ -69,7 +69,8 @@ TEST(TapeIntegration, PredictionMatchesManualTapeWeightedSum) {
   double weighted = 0.0;
   double total = 0.0;
   for (const auto& device : model.devices()) {
-    weighted += device.arrival_rate() * device.response_tape().cdf(sla);
+    weighted += device.arrival_rate() *
+                device.response_tape().cdf(sla, kModelEulerOrder);
     total += device.arrival_rate();
   }
   EXPECT_EQ(model.predict_sla_percentile(sla), weighted / total);

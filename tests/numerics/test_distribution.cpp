@@ -9,11 +9,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "numerics/lt_inversion.hpp"
+#include "numerics/phase_type.hpp"
 #include "numerics/special.hpp"
 
 namespace cosm::numerics {
@@ -157,6 +160,70 @@ TEST(Gamma, LaplaceClosedForm) {
   const Gamma g(2.0, 3.0);
   // (3 / (3 + s))^2 at s = 1 -> (3/4)^2.
   EXPECT_NEAR(g.laplace({1.0, 0.0}).real(), 0.5625, 1e-12);
+}
+
+// The transform as Gamma::laplace computed it before gamma_laplace: a
+// complex pow, with a series for |s/l| < 1e-6 where pow loses digits.
+std::complex<double> pow_gamma_laplace(double shape, double rate,
+                                       std::complex<double> s) {
+  const std::complex<double> z = s / rate;
+  if (std::abs(z) < 1e-6) return std::exp(-shape * (z - 0.5 * z * z));
+  return std::pow(rate / (rate + s), shape);
+}
+
+// exp(-k log(1 + s/l)) in long double: the reference both kernels are
+// measured against.
+std::complex<long double> exact_gamma_laplace(double shape, double rate,
+                                              std::complex<double> s) {
+  const std::complex<long double> z(
+      static_cast<long double>(s.real()) / rate,
+      static_cast<long double>(s.imag()) / rate);
+  return std::exp(-static_cast<long double>(shape) * std::log(1.0L + z));
+}
+
+TEST(Gamma, LaplaceKernelMatchesPowOracle) {
+  // Euler (M = 20) and Talbot (32 nodes) contours for t in [1e-4, 10] s,
+  // plus points with |s/l| below the old series switch.
+  std::vector<std::complex<double>> nodes;
+  for (const double t : {1e-4, 1e-3, 0.02, 0.1, 0.5, 2.0, 10.0}) {
+    std::vector<std::complex<double>> euler(
+        static_cast<std::size_t>(euler_terms(20)));
+    euler_fill_nodes(t, 20, euler);
+    std::vector<std::complex<double>> talbot(
+        static_cast<std::size_t>(talbot_terms(32)));
+    talbot_fill_nodes(t, 32, talbot);
+    nodes.insert(nodes.end(), euler.begin(), euler.end());
+    nodes.insert(nodes.end(), talbot.begin(), talbot.end());
+  }
+  for (const double rate : {1.0, 233.33, 1e4}) {
+    std::vector<std::complex<double>> points = nodes;
+    points.insert(points.end(), {{rate * 1e-7, 0.0},
+                                 {rate * 5e-7, rate * 5e-7},
+                                 {rate * 1e-12, -rate * 3e-9}});
+    for (const double shape : {0.3, 1.0, 2.8, 40.0}) {
+      const Gamma gamma(shape, rate);
+      for (const std::complex<double> s : points) {
+        // Rounding s/l perturbs the exponent k log(1 + s/l) by ~eps times
+        // its size, and exp turns that into a relative error of the
+        // value: neither kernel can beat eps * max(1, |k log(1 + s/l)|).
+        const double scale =
+            std::max(1.0, std::abs(shape * std::log(1.0 + s / rate)));
+        const std::complex<double> got = gamma.laplace(s);
+        const std::complex<double> oracle = pow_gamma_laplace(shape, rate, s);
+        EXPECT_LE(std::abs(got - oracle), 1e-14 * scale * std::abs(oracle))
+            << "shape " << shape << " rate " << rate << " s " << s;
+        const std::complex<long double> exact =
+            exact_gamma_laplace(shape, rate, s);
+        EXPECT_LE(std::abs(std::complex<long double>(got) - exact),
+                  1e-15L * scale * std::abs(exact))
+            << "shape " << shape << " rate " << rate << " s " << s;
+        if (shape == std::floor(shape)) {
+          EXPECT_EQ(Erlang(static_cast<unsigned>(shape), rate).laplace(s),
+                    got);
+        }
+      }
+    }
+  }
 }
 
 TEST(Exponential, MemorylessCdf) {
