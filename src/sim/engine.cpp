@@ -1,14 +1,12 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-
 #include "obs/obs.hpp"
 
 namespace cosm::sim {
 
 void Engine::reserve(std::size_t events) {
-  // The arena is a deque (stable addresses) and grows chunk-wise on its
-  // own; the contiguous structures are worth pre-sizing.
+  // The arena is fixed slabs (stable addresses) and grows a slab at a
+  // time on its own; the contiguous structures are worth pre-sizing.
   heap_.reserve(events);
   free_slots_.reserve(events);
 }
@@ -28,16 +26,27 @@ void Engine::sift_up(std::size_t index, Node node) {
 
 void Engine::sift_down(std::size_t index, Node node) {
   const std::size_t size = heap_.size();
+  const Node* heap = heap_.data();
   for (;;) {
     const std::size_t first_child = index * kArity + 1;
     if (first_child >= size) break;
-    const std::size_t last_child = std::min(first_child + kArity, size);
     std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
+    if (first_child + kArity <= size) {
+      // A full family: a two-level tournament of three comparisons, each
+      // a select the compiler can turn into a conditional move — the
+      // winner of a random-looking comparison is not worth predicting.
+      const Node* family = heap + first_child;
+      const std::size_t left = earlier(family[1], family[0]) ? 1 : 0;
+      const std::size_t right = earlier(family[3], family[2]) ? 3 : 2;
+      best = first_child +
+             (earlier(family[right], family[left]) ? right : left);
+    } else {
+      for (std::size_t c = first_child + 1; c < size; ++c) {
+        if (earlier(heap[c], heap[best])) best = c;
+      }
     }
-    if (!earlier(heap_[best], node)) break;
-    heap_[index] = heap_[best];
+    if (!earlier(heap[best], node)) break;
+    heap_[index] = heap[best];
     index = best;
   }
   heap_[index] = node;

@@ -26,7 +26,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -251,10 +250,10 @@ class Engine {
   }
 
   // Invokes the callback in place — arena slots have stable addresses (the
-  // arena is a deque), so the running callback's captures cannot move even
-  // if it schedules and the arena grows.  The slot is recycled only after
-  // the call returns, so reentrant scheduling can never hand it out again
-  // mid-invoke.
+  // arena is fixed slabs), so the running callback's captures cannot move
+  // even if it schedules and the arena grows.  The slot is recycled only
+  // after the call returns, so reentrant scheduling can never hand it out
+  // again mid-invoke.
   void invoke_slot(std::uint32_t slot) {
     ++processed_;
     EventCallback& fn = slot_ref(slot);

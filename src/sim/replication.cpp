@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <mutex>
 #include <thread>
 
 #include "common/require.hpp"
@@ -40,7 +41,9 @@ ReplicationResult run_replication(const ReplicationPlan& plan,
 
   workload::CatalogConfig cat_config = plan.catalog;
   cat_config.seed = seed + 1;
-  const workload::ObjectCatalog catalog(cat_config);
+  const workload::ObjectCatalog catalog(
+      cat_config, detail::shared_popularity(cat_config.object_count,
+                                            cat_config.zipf_skew));
 
   workload::PlacementConfig placement_config = plan.placement;
   placement_config.seed = seed + 2;
@@ -64,6 +67,19 @@ ReplicationResult run_replication(const ReplicationPlan& plan,
       std::chrono::duration<double, std::milli>(loop_stop - loop_start)
           .count(),
       plan.streaming, seed);
+}
+
+std::shared_ptr<const cosm::ZipfSampler> detail::shared_popularity(
+    std::uint64_t object_count, double zipf_skew) {
+  static std::mutex mutex;
+  static std::shared_ptr<const cosm::ZipfSampler> table;  // guarded by mutex
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (table == nullptr || table->size() != object_count ||
+      table->skew() != zipf_skew) {
+    table.reset();
+    table = std::make_shared<const cosm::ZipfSampler>(object_count, zipf_skew);
+  }
+  return table;
 }
 
 ReplicationResult detail::summarize_replication(const SimMetrics& metrics,

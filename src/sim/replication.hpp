@@ -15,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/config.hpp"
 #include "sim/metrics.hpp"
 #include "stats/summary.hpp"
@@ -117,6 +119,13 @@ ReplicationResult summarize_replication(const SimMetrics& metrics,
                                         std::uint64_t events,
                                         double wall_ms, bool streaming,
                                         std::uint64_t seed);
+
+// The catalog's Zipf popularity table depends only on (object_count,
+// zipf_skew), never on the seed, so replications share it through this
+// memo.  It keeps the most recent key only: a new key releases the old
+// table before building its own.  Thread-safe.
+std::shared_ptr<const cosm::ZipfSampler> shared_popularity(
+    std::uint64_t object_count, double zipf_skew);
 }  // namespace detail
 
 // Fans the plan's replications out over up to `num_threads` threads

@@ -383,7 +383,9 @@ ReplicationResult run_sharded_replication(const ReplicationPlan& plan,
 
   workload::CatalogConfig cat_config = plan.catalog;
   cat_config.seed = seed + 1;  // one global catalog, same lane as unsharded
-  const workload::ObjectCatalog catalog(cat_config);
+  const workload::ObjectCatalog catalog(
+      cat_config, detail::shared_popularity(cat_config.object_count,
+                                            cat_config.zipf_skew));
   run.catalog = &catalog;
 
   run.shards.resize(shards);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/require.hpp"
 
@@ -15,23 +16,20 @@ numerics::DistPtr default_size_distribution(double mean_bytes,
   return std::make_shared<numerics::Lognormal>(mu, sigma_log);
 }
 
-namespace {
-
-std::vector<double> zipf_weights(std::uint64_t n, double skew) {
-  COSM_REQUIRE(n > 0, "catalog needs at least one object");
-  COSM_REQUIRE(skew >= 0, "zipf skew must be non-negative");
-  std::vector<double> weights(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), skew);
-  }
-  return weights;
-}
-
-}  // namespace
-
 ObjectCatalog::ObjectCatalog(const CatalogConfig& config)
-    : popularity_(zipf_weights(config.object_count, config.zipf_skew)) {
+    : ObjectCatalog(config, std::make_shared<const cosm::ZipfSampler>(
+                                config.object_count, config.zipf_skew)) {}
+
+ObjectCatalog::ObjectCatalog(
+    const CatalogConfig& config,
+    std::shared_ptr<const cosm::ZipfSampler> popularity)
+    : popularity_(std::move(popularity)) {
   COSM_REQUIRE(config.object_count > 0, "catalog needs at least one object");
+  COSM_REQUIRE(popularity_ != nullptr &&
+                   popularity_->size() == config.object_count &&
+                   popularity_->skew() == config.zipf_skew,
+               "popularity table does not match the catalog's object count "
+               "and zipf skew");
   COSM_REQUIRE(config.size_distribution != nullptr,
                "catalog needs a size distribution");
   COSM_REQUIRE(config.min_object_bytes > 0 &&
@@ -39,16 +37,12 @@ ObjectCatalog::ObjectCatalog(const CatalogConfig& config)
                "invalid object size bounds");
   cosm::Rng rng(config.seed);
   sizes_.resize(config.object_count);
-  double total = 0.0;
   for (auto& size : sizes_) {
     const double drawn = config.size_distribution->sample(rng);
-    const auto clamped = std::clamp(
+    size = std::clamp(
         static_cast<std::uint64_t>(std::llround(std::max(drawn, 1.0))),
         config.min_object_bytes, config.max_object_bytes);
-    size = clamped;
-    total += static_cast<double>(clamped);
   }
-  mean_size_ = total / static_cast<double>(sizes_.size());
 }
 
 std::uint64_t ObjectCatalog::size_of(ObjectId id) const {
@@ -57,23 +51,11 @@ std::uint64_t ObjectCatalog::size_of(ObjectId id) const {
 }
 
 ObjectId ObjectCatalog::sample_object(cosm::Rng& rng) const {
-  return popularity_.sample(rng);
+  return popularity_->sample(rng);
 }
 
 double ObjectCatalog::popularity(ObjectId id) const {
-  return popularity_.probability(id);
-}
-
-double ObjectCatalog::expected_chunks_per_request(
-    std::uint64_t chunk_bytes) const {
-  COSM_REQUIRE(chunk_bytes > 0, "chunk size must be positive");
-  double expectation = 0.0;
-  for (ObjectId id = 0; id < sizes_.size(); ++id) {
-    const double chunks = std::ceil(static_cast<double>(sizes_[id]) /
-                                    static_cast<double>(chunk_bytes));
-    expectation += popularity_.probability(id) * chunks;
-  }
-  return expectation;
+  return popularity_->probability(id);
 }
 
 }  // namespace cosm::workload

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -36,7 +37,13 @@ numerics::DistPtr default_size_distribution(double mean_bytes = 32.0 * 1024,
 
 class ObjectCatalog {
  public:
+  // Builds a private popularity table for (object_count, zipf_skew).
   explicit ObjectCatalog(const CatalogConfig& config);
+  // Shares an existing popularity table, which depends only on
+  // (object_count, zipf_skew) and never on the seed; only the sizes are
+  // drawn here.  The table's size and skew must match the config's.
+  ObjectCatalog(const CatalogConfig& config,
+                std::shared_ptr<const cosm::ZipfSampler> popularity);
 
   std::uint64_t object_count() const { return sizes_.size(); }
   std::uint64_t size_of(ObjectId id) const;
@@ -45,17 +52,9 @@ class ObjectCatalog {
   ObjectId sample_object(cosm::Rng& rng) const;
   double popularity(ObjectId id) const;
 
-  double mean_object_size() const { return mean_size_; }
-
-  // Expected number of data chunks per request given a chunk size, i.e.
-  // the popularity-weighted E[ceil(size / chunk)] — this is what turns the
-  // request arrival rate r into the data-read rate r_data of the model.
-  double expected_chunks_per_request(std::uint64_t chunk_bytes) const;
-
  private:
   std::vector<std::uint64_t> sizes_;
-  cosm::WeightedSampler popularity_;
-  double mean_size_;
+  std::shared_ptr<const cosm::ZipfSampler> popularity_;
 };
 
 }  // namespace cosm::workload

@@ -110,8 +110,6 @@ TEST(EngineEdge, ClockCorrectAfterPartialDrain) {
 // Randomized cross-check of the d-ary heap + FIFO against a reference
 // (time, seq) priority queue.
 TEST(EngineEdge, PopOrderMatchesReferenceTotalOrder) {
-  Engine engine;
-  cosm::Rng rng(123);
   struct Ref {
     double time;
     std::uint64_t seq;
@@ -120,21 +118,71 @@ TEST(EngineEdge, PopOrderMatchesReferenceTotalOrder) {
       return seq > o.seq;
     }
   };
-  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> reference;
-  std::vector<std::uint64_t> popped;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 2000; ++i) {
-    // Coarse grid so timestamp collisions are common.
-    const double time = static_cast<double>(rng.uniform_index(50));
-    reference.push(Ref{time, seq});
-    engine.schedule_at(time, [&popped, id = seq] { popped.push_back(id); });
-    ++seq;
+  using Reference =
+      std::priority_queue<Ref, std::vector<Ref>, std::greater<>>;
+  cosm::Rng rng(123);
+  {
+    Engine engine;
+    Reference reference;
+    std::vector<std::uint64_t> popped;
+    std::uint64_t seq = 0;
+    for (int i = 0; i < 2000; ++i) {
+      // Coarse grid so timestamp collisions are common.
+      const double time = static_cast<double>(rng.uniform_index(50));
+      reference.push(Ref{time, seq});
+      engine.schedule_at(time, [&popped, id = seq] { popped.push_back(id); });
+      ++seq;
+    }
+    engine.run_all();
+    ASSERT_EQ(popped.size(), 2000u);
+    for (std::uint64_t id : popped) {
+      EXPECT_EQ(id, reference.top().seq);
+      reference.pop();
+    }
   }
-  engine.run_all();
-  ASSERT_EQ(popped.size(), 2000u);
-  for (std::uint64_t id : popped) {
-    EXPECT_EQ(id, reference.top().seq);
-    reference.pop();
+
+  // Reentrant phase: every callback checks its place against the oracle,
+  // then schedules 0-3 follow-ups at coarse-grid future times.  The
+  // calendar grows and drains through every size, so pops (sift_down over
+  // full and partial last families) run at every heap size mod 4,
+  // interleaved with the follow-ups' sift_up.
+  struct Reentrant {
+    Engine engine;
+    cosm::Rng rng{456};
+    Reference reference;
+    std::uint64_t seq = 0;
+    int budget = 20000;
+    std::uint64_t runs = 0;
+    std::uint64_t out_of_order = 0;
+    std::uint64_t pending_mod4[4] = {0, 0, 0, 0};
+
+    void schedule(double time) {
+      reference.push(Ref{time, seq});
+      engine.schedule_at(time, [this, id = seq] { run(id); });
+      ++seq;
+    }
+    void run(std::uint64_t id) {
+      ++runs;
+      ++pending_mod4[engine.events_pending() % 4];
+      if (reference.empty() || reference.top().seq != id) ++out_of_order;
+      if (!reference.empty()) reference.pop();
+      const auto follow_ups = budget > 0 ? rng.uniform_index(4) : 0;
+      for (std::uint64_t k = 0; k < follow_ups; ++k, --budget) {
+        schedule(engine.now() + 1.0 +
+                 static_cast<double>(rng.uniform_index(8)));
+      }
+    }
+  };
+  auto reentrant = std::make_unique<Reentrant>();
+  for (int i = 0; i < 200; ++i) {
+    reentrant->schedule(1.0 + static_cast<double>(rng.uniform_index(50)));
+  }
+  reentrant->engine.run_all();
+  EXPECT_EQ(reentrant->out_of_order, 0u);
+  EXPECT_EQ(reentrant->runs, reentrant->seq);
+  EXPECT_TRUE(reentrant->reference.empty());
+  for (const std::uint64_t count : reentrant->pending_mod4) {
+    EXPECT_GT(count, 100u);
   }
 }
 

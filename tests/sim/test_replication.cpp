@@ -122,4 +122,49 @@ TEST(Replication, StreamingAndSampledAgreeOnCounters) {
   EXPECT_EQ(sampled.moments.mean(), streaming.moments.mean());
 }
 
+// A plan with the popularity key (object_count, zipf_skew) and shard
+// count given; everything else is small_plan's.
+ReplicationPlan keyed_plan(std::uint64_t object_count, double zipf_skew,
+                           std::uint32_t shards) {
+  ReplicationPlan plan = small_plan(/*streaming=*/false);
+  plan.seeds = {42};
+  plan.catalog.object_count = object_count;
+  plan.catalog.zipf_skew = zipf_skew;
+  plan.cluster.device_count = 4;
+  plan.cluster.frontend_processes = 2;
+  plan.cluster.shards = shards;
+  plan.placement.device_count = 4;
+  return plan;
+}
+
+// The popularity memo keeps one key at a time; plans with other keys in
+// between (a different size, then only a different skew) must leave plan
+// B's result untouched.
+TEST(Replication, PopularityMemoFollowsPlanKey) {
+  for (const std::uint32_t shards : {1u, 2u}) {
+    const ReplicationPlan b = keyed_plan(3000, 1.1, shards);
+    const auto first = run_replication(b, 42);
+    const auto other_size = run_replication(keyed_plan(2000, 0.9, shards), 42);
+    const auto other_skew = run_replication(keyed_plan(3000, 0.9, shards), 42);
+    const auto again = run_replication(b, 42);
+    EXPECT_EQ(again.fingerprint, first.fingerprint) << shards << " shards";
+    EXPECT_EQ(again.latencies, first.latencies) << shards << " shards";
+    EXPECT_NE(other_size.fingerprint, first.fingerprint);
+    EXPECT_NE(other_skew.fingerprint, first.fingerprint);
+  }
+}
+
+TEST(Replication, PopularityMemoHoldsOneTable) {
+  using cosm::sim::detail::shared_popularity;
+  const auto table = shared_popularity(3000, 1.1);
+  EXPECT_EQ(table->size(), 3000u);
+  EXPECT_EQ(table->skew(), 1.1);
+  EXPECT_EQ(shared_popularity(3000, 1.1), table);  // a hit shares it
+  EXPECT_EQ(table.use_count(), 2);                 // this test + the memo
+  const auto other = shared_popularity(3000, 0.9);
+  EXPECT_NE(other, table);
+  EXPECT_EQ(table.use_count(), 1);  // a new key released the old table
+  EXPECT_EQ(other.use_count(), 2);
+}
+
 }  // namespace

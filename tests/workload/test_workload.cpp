@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "workload/catalog.hpp"
 #include "workload/placement.hpp"
@@ -25,8 +27,13 @@ TEST(ObjectCatalog, MeanSizeNearConfiguredMean) {
   CatalogConfig config = small_catalog_config();
   config.object_count = 50000;
   const ObjectCatalog catalog(config);
+  double total = 0.0;
+  for (ObjectId id = 0; id < catalog.object_count(); ++id) {
+    total += static_cast<double>(catalog.size_of(id));
+  }
   // Lognormal mean 32KB; the max-size clamp trims the far tail slightly.
-  EXPECT_NEAR(catalog.mean_object_size(), 32.0 * 1024, 4000.0);
+  EXPECT_NEAR(total / static_cast<double>(catalog.object_count()),
+              32.0 * 1024, 4000.0);
 }
 
 TEST(ObjectCatalog, SizesAreStableAndBounded) {
@@ -56,20 +63,43 @@ TEST(ObjectCatalog, PopularObjectsDominateSamples) {
   EXPECT_GT(static_cast<double>(top_decile) / kN, 0.5);
 }
 
-TEST(ObjectCatalog, ExpectedChunksMatchesDirectComputation) {
-  const ObjectCatalog catalog(small_catalog_config());
-  const std::uint64_t chunk = 65536;
-  double direct = 0.0;
-  for (ObjectId id = 0; id < catalog.object_count(); ++id) {
-    direct += catalog.popularity(id) *
-              std::ceil(static_cast<double>(catalog.size_of(id)) /
-                        static_cast<double>(chunk));
+TEST(ObjectCatalog, SharedPopularityTableMatchesPrivateOne) {
+  const CatalogConfig config = small_catalog_config();
+  const ObjectCatalog fresh(config);
+  const ObjectCatalog shared(
+      config, std::make_shared<const cosm::ZipfSampler>(config.object_count,
+                                                        config.zipf_skew));
+  // Both follow the Zipf law bit for bit: weight 1 / (rank + 1)^skew,
+  // normalized by the in-order sum.
+  std::vector<double> weights(config.object_count);
+  double norm = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), config.zipf_skew);
+    norm += weights[i];
   }
-  EXPECT_NEAR(catalog.expected_chunks_per_request(chunk), direct, 1e-12);
-  // Chunks per request are at least 1 and grow as chunks shrink.
-  EXPECT_GE(catalog.expected_chunks_per_request(chunk), 1.0);
-  EXPECT_GT(catalog.expected_chunks_per_request(4096),
-            catalog.expected_chunks_per_request(chunk));
+  ASSERT_EQ(shared.object_count(), fresh.object_count());
+  for (ObjectId id = 0; id < fresh.object_count(); ++id) {
+    EXPECT_EQ(shared.size_of(id), fresh.size_of(id));
+    EXPECT_EQ(fresh.popularity(id), weights[id] / norm);
+    EXPECT_EQ(shared.popularity(id), fresh.popularity(id));
+  }
+  cosm::Rng a(7);
+  cosm::Rng b(7);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(shared.sample_object(a), fresh.sample_object(b)) << "draw " << i;
+  }
+}
+
+TEST(ObjectCatalog, RejectsMismatchedPopularityTable) {
+  const CatalogConfig config = small_catalog_config();
+  EXPECT_THROW(ObjectCatalog(config, std::make_shared<const cosm::ZipfSampler>(
+                                         config.object_count + 1,
+                                         config.zipf_skew)),
+               std::invalid_argument);
+  EXPECT_THROW(ObjectCatalog(config, std::make_shared<const cosm::ZipfSampler>(
+                                         config.object_count, 1.1)),
+               std::invalid_argument);
+  EXPECT_THROW(ObjectCatalog(config, nullptr), std::invalid_argument);
 }
 
 TEST(Placement, ReplicasAreDistinctDevices) {
