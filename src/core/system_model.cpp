@@ -382,9 +382,15 @@ std::vector<double> SystemModel::latency_quantiles(
 }
 
 double SystemModel::mean_response_latency() const {
+  // One tree walk per distinct device; the reduction runs in device
+  // order, so the sum is the one a walk per device would give.
+  std::vector<double> means(distinct_.size());
+  for (std::size_t u = 0; u < distinct_.size(); ++u) {
+    means[u] = devices_[distinct_[u]].response_time()->mean();
+  }
   double weighted = 0.0;
-  for (const auto& device : devices_) {
-    weighted += device.arrival_rate() * device.response_time()->mean();
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    weighted += devices_[i].arrival_rate() * means[slot_[i]];
   }
   return weighted / total_rate_;
 }

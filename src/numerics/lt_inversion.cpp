@@ -17,34 +17,42 @@ namespace cosm::numerics {
 
 namespace {
 
-// Node-weight memoization: the Euler xi and Gaver–Stehfest V_k weights
-// depend only on the term count, yet every inversion used to recompute
-// them (~2M lgamma/exp calls per CDF query — a measurable slice of the
-// ~3 µs budget when the transform itself is a shallow tree).  Percentile
-// sweeps hammer one or two term counts, so a tiny keyed table suffices.
-// std::map references are stable under insertion, so the returned
-// reference stays valid while other threads populate other keys.
-const std::vector<double>& euler_xi(int m) {
-  static std::mutex mutex;
-  static std::map<int, std::vector<double>> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto [it, inserted] = cache.try_emplace(m);
-  if (inserted) {
-    std::vector<double>& xi = it->second;
-    xi.assign(static_cast<std::size_t>(2 * m + 1), 0.0);
-    xi[0] = 0.5;
-    for (int k = 1; k <= m; ++k) xi[static_cast<std::size_t>(k)] = 1.0;
-    xi[static_cast<std::size_t>(2 * m)] = std::pow(2.0, -m);
-    for (int k = 1; k < m; ++k) {
-      // xi_{2M-k} = xi_{2M-k+1} + 2^{-M} C(M, k), built up iteratively.
-      double binom = std::exp(std::lgamma(m + 1.0) - std::lgamma(k + 1.0) -
-                              std::lgamma(m - k + 1.0));
-      xi[static_cast<std::size_t>(2 * m - k)] =
-          xi[static_cast<std::size_t>(2 * m - k + 1)] +
-          std::pow(2.0, -m) * binom;
-    }
+// Node weights: the Euler xi and Gaver–Stehfest V_k weights depend only
+// on the term count, yet every inversion used to recompute them (~2M
+// lgamma/exp calls per CDF query — a measurable slice of the ~3 µs budget
+// when the transform itself is a shallow tree).  The Euler weights cover
+// the whole stable range M in [2, 30] (check_euler_args) and are built
+// once, at first use, into a table read without a lock; Stehfest counts
+// are unbounded, so those sit in a tiny keyed table.
+std::vector<double> build_euler_xi(int m) {
+  std::vector<double> xi(static_cast<std::size_t>(2 * m + 1), 0.0);
+  xi[0] = 0.5;
+  for (int k = 1; k <= m; ++k) xi[static_cast<std::size_t>(k)] = 1.0;
+  xi[static_cast<std::size_t>(2 * m)] = std::pow(2.0, -m);
+  for (int k = 1; k < m; ++k) {
+    // xi_{2M-k} = xi_{2M-k+1} + 2^{-M} C(M, k), built up iteratively.
+    double binom = std::exp(std::lgamma(m + 1.0) - std::lgamma(k + 1.0) -
+                            std::lgamma(m - k + 1.0));
+    xi[static_cast<std::size_t>(2 * m - k)] =
+        xi[static_cast<std::size_t>(2 * m - k + 1)] +
+        std::pow(2.0, -m) * binom;
   }
-  return it->second;
+  return xi;
+}
+
+constexpr int kEulerMinM = 2;
+constexpr int kEulerMaxM = 30;
+
+// Precondition: m in [kEulerMinM, kEulerMaxM] (check_euler_args).
+const std::vector<double>& euler_xi(int m) {
+  static const std::vector<std::vector<double>> table = [] {
+    std::vector<std::vector<double>> rows;
+    for (int order = kEulerMinM; order <= kEulerMaxM; ++order) {
+      rows.push_back(build_euler_xi(order));
+    }
+    return rows;
+  }();
+  return table[static_cast<std::size_t>(m - kEulerMinM)];
 }
 
 // Stehfest weights V_1..V_n for even n (index 0 unused).
@@ -114,7 +122,8 @@ class ScratchLease {
 
 void check_euler_args(double t, int m) {
   COSM_REQUIRE(t > 0, "euler inversion requires t > 0");
-  COSM_REQUIRE(m >= 2 && m <= 30, "euler M out of the stable range [2, 30]");
+  COSM_REQUIRE(m >= kEulerMinM && m <= kEulerMaxM,
+               "euler M out of the stable range [2, 30]");
 }
 
 void check_talbot_args(double t, int m) {

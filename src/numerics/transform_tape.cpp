@@ -1,10 +1,12 @@
 #include "numerics/transform_tape.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
-#include <map>
+#include <initializer_list>
 #include <memory>
+#include <type_traits>
+#include <typeinfo>
 #include <utility>
 
 #include "common/require.hpp"
@@ -52,6 +54,17 @@ class WorkspaceLease {
   std::unique_ptr<TapeWorkspace> ws_;
 };
 
+// The small-|s| guards' predicate std::abs(s) * scale < bound, for
+// scale >= 0.  hypot(re, im) >= max(|re|, |im|) and rounding is monotone,
+// so a component at or over the bound already decides it; the hypot runs
+// only when both components are under.  Scale 1 is exact, so the guards
+// written std::abs(s) < bound use it too.
+inline bool modulus_below(std::complex<double> s, double scale,
+                          double bound) {
+  return std::abs(s.real()) * scale < bound &&
+         std::abs(s.imag()) * scale < bound && std::abs(s) * scale < bound;
+}
+
 }  // namespace
 
 // ------------------------------- compiler --------------------------------
@@ -63,203 +76,364 @@ class TapeCompiler {
 
   TransformTape run(const DistPtr& root) {
     COSM_REQUIRE(root != nullptr, "cannot compile a null distribution");
+    records_.reserve(kTypicalNodes);
+    visits_.reserve(2 * kTypicalNodes);
     count_node(root.get(), kRootCtx);
-    emit_node(root, kRootCtx);
+    // Every visit emits one op (the node's own, or a LOAD); a Scaled
+    // node's first visit adds its POP-ARG and a shared node's a STORE.
+    std::size_t op_count = visits_.size();
+    for (const Record& record : records_) {
+      op_count += (record.kind == Kind::kScaled) + (record.count > 1);
+    }
+    tape_.ops_.reserve(op_count);
+    tape_.params_.reserve(2 * records_.size());
+    emit_node(root);
+    COSM_REQUIRE(next_visit_ == visits_.size(),
+                 "tape compiler passes made different visits");
     compute_depths();
     return std::move(tape_);
   }
 
  private:
   static constexpr int kRootCtx = 0;
-  // Occurrence keys pair the node pointer with an argument-context id so
-  // CSE never conflates X evaluated at s with X evaluated at c·s (the
-  // same subtree under different Scaled wrappers).
-  using Key = std::pair<const Distribution*, int>;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  // Initial record capacity: a device model has at most a few dozen
+  // distinct (node, context) keys; the tables grow past it if they must.
+  static constexpr std::size_t kTypicalNodes = 32;
 
-  // Context ids are allocated on first sight in the counting pass and
-  // looked up (never created) in the emit pass, so both passes see the
-  // same ids for the same (parent context, scale factor) chains.
-  int child_ctx(int parent, double factor, bool create) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(factor));
-    std::memcpy(&bits, &factor, sizeof(bits));
-    const auto key = std::make_pair(parent, bits);
-    auto it = ctx_ids_.find(key);
-    if (it == ctx_ids_.end()) {
-      COSM_REQUIRE(create, "tape compiler context id missing in emit pass");
-      it = ctx_ids_.emplace(key, next_ctx_++).first;
-    }
-    return it->second;
+  // The node types the compiler flattens; anything else is a generic
+  // leaf.  resolve() tests them in this order, the common ones in device
+  // models first.
+  enum class Kind : std::uint8_t {
+    kDegenerate,
+    kGamma,
+    kMixture,
+    kConvolution,
+    kCPoisson,
+    kPKWait,
+    kMM1K,
+    kMG1K,
+    kTiered,
+    kScaled,
+    kShifted,
+    kExponential,
+    kUniform,
+    kErlang,
+    kHyperExp,
+    kOrderStatistic,
+    kGeneric,
+  };
+
+  // Exact-type test.  Every class tested is final, so it is the same
+  // test as a dynamic_cast to T, without the hierarchy walk.
+  template <class T>
+  static bool is(const std::type_info& type) {
+    static_assert(std::is_final_v<T>,
+                  "an exact-type test stands in for dynamic_cast only "
+                  "on a final class");
+    return type == typeid(T);
   }
 
-  // Pass 1: count how often each (node, context) occurs.  Children are
-  // only visited on the first occurrence, mirroring the emit pass where
-  // repeats become LOAD ops with no children of their own.
-  void count_node(const Distribution* d, int ctx) {
-    if (++counts_[Key(d, ctx)] > 1) return;
-    if (const auto* mix = dynamic_cast<const Mixture*>(d)) {
-      for (const auto& c : mix->components()) count_node(c.dist.get(), ctx);
-    } else if (const auto* conv = dynamic_cast<const Convolution*>(d)) {
-      for (const auto& p : conv->parts()) count_node(p.get(), ctx);
-    } else if (const auto* cp =
-                   dynamic_cast<const CompoundPoissonConvolution*>(d)) {
-      count_node(cp->base().get(), ctx);
-      count_node(cp->extra().get(), ctx);
-    } else if (const auto* ts = dynamic_cast<const TieredService*>(d)) {
-      count_node(ts->hit().get(), ctx);
-      count_node(ts->miss().get(), ctx);
-    } else if (const auto* sc = dynamic_cast<const Scaled*>(d)) {
-      count_node(sc->inner().get(),
-                 child_ctx(ctx, sc->factor(), /*create=*/true));
-    } else if (const auto* sh = dynamic_cast<const Shifted*>(d)) {
-      count_node(sh->inner().get(), ctx);
-    } else if (const auto* pk = dynamic_cast<const PKWaitingTime*>(d)) {
-      count_node(pk->service().get(), ctx);
-    } else if (const auto* gk = dynamic_cast<const MG1KSojourn*>(d)) {
-      count_node(gk->service().get(), ctx);
+  static Kind resolve(const Distribution& d) {
+    const std::type_info& type = typeid(d);
+    if (is<Degenerate>(type)) return Kind::kDegenerate;
+    if (is<Gamma>(type)) return Kind::kGamma;
+    if (is<Mixture>(type)) return Kind::kMixture;
+    if (is<Convolution>(type)) return Kind::kConvolution;
+    if (is<CompoundPoissonConvolution>(type)) return Kind::kCPoisson;
+    if (is<PKWaitingTime>(type)) return Kind::kPKWait;
+    if (is<MM1KSojourn>(type)) return Kind::kMM1K;
+    if (is<MG1KSojourn>(type)) return Kind::kMG1K;
+    if (is<TieredService>(type)) return Kind::kTiered;
+    if (is<Scaled>(type)) return Kind::kScaled;
+    if (is<Shifted>(type)) return Kind::kShifted;
+    if (is<Exponential>(type)) return Kind::kExponential;
+    if (is<Uniform>(type)) return Kind::kUniform;
+    if (is<Erlang>(type)) return Kind::kErlang;
+    if (is<HyperExponential>(type)) return Kind::kHyperExp;
+    if (is<OrderStatistic>(type)) return Kind::kOrderStatistic;
+    return Kind::kGeneric;
+  }
+
+  template <class T>
+  static const T& as(const Distribution* d) {
+    return static_cast<const T&>(*d);
+  }
+
+  // One record per (node, context) occurrence key, in first-visit order.
+  // The key pairs the node pointer with an argument-context id so CSE
+  // never conflates X evaluated at s with X evaluated at c·s (the same
+  // subtree under different Scaled wrappers).  Model trees have tens of
+  // nodes, so the tables are flat vectors searched linearly.
+  struct Record {
+    const Distribution* dist;
+    int ctx;
+    Kind kind;
+    std::uint32_t count = 0;
+    std::uint32_t slot = kNoSlot;  // CSE slot, once stored
+  };
+  struct Context {
+    int parent;
+    std::uint64_t factor_bits;
+  };
+
+  std::uint32_t record_of(const Distribution* d, int ctx) {
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+      if (records_[i].dist == d && records_[i].ctx == ctx) {
+        return static_cast<std::uint32_t>(i);
+      }
     }
-    // Every other type is a leaf (closed-form or generic): no children.
+    records_.push_back(Record{d, ctx, resolve(*d)});
+    return static_cast<std::uint32_t>(records_.size() - 1);
+  }
+
+  // Context ids: 0 is the root; a (parent context, scale factor) chain
+  // gets id index + 1 on first sight.
+  int child_ctx(int parent, double factor) {
+    const auto bits = std::bit_cast<std::uint64_t>(factor);
+    for (std::size_t i = 0; i < contexts_.size(); ++i) {
+      if (contexts_[i].parent == parent && contexts_[i].factor_bits == bits) {
+        return static_cast<int>(i + 1);
+      }
+    }
+    contexts_.push_back(Context{parent, bits});
+    return static_cast<int>(contexts_.size());
+  }
+
+  // Pass 1: count how often each (node, context) occurs and resolve its
+  // type, once.  Children are only visited on the first occurrence,
+  // mirroring the emit pass where repeats become LOAD ops with no
+  // children of their own, so both passes make the same visits in the
+  // same order and the emit pass replays visits_ instead of looking keys
+  // up again.
+  void count_node(const Distribution* d, int ctx) {
+    const std::uint32_t index = record_of(d, ctx);
+    visits_.push_back(index);
+    if (++records_[index].count > 1) return;
+    switch (records_[index].kind) {
+      case Kind::kMixture:
+        for (const auto& c : as<Mixture>(d).components()) {
+          count_node(c.dist.get(), ctx);
+        }
+        break;
+      case Kind::kConvolution:
+        for (const auto& p : as<Convolution>(d).parts()) {
+          count_node(p.get(), ctx);
+        }
+        break;
+      case Kind::kCPoisson: {
+        const auto& cp = as<CompoundPoissonConvolution>(d);
+        count_node(cp.base().get(), ctx);
+        count_node(cp.extra().get(), ctx);
+        break;
+      }
+      case Kind::kTiered: {
+        const auto& ts = as<TieredService>(d);
+        count_node(ts.hit().get(), ctx);
+        count_node(ts.miss().get(), ctx);
+        break;
+      }
+      case Kind::kScaled: {
+        const auto& sc = as<Scaled>(d);
+        count_node(sc.inner().get(), child_ctx(ctx, sc.factor()));
+        break;
+      }
+      case Kind::kShifted:
+        count_node(as<Shifted>(d).inner().get(), ctx);
+        break;
+      case Kind::kPKWait:
+        count_node(as<PKWaitingTime>(d).service().get(), ctx);
+        break;
+      case Kind::kMG1K:
+        count_node(as<MG1KSojourn>(d).service().get(), ctx);
+        break;
+      default:
+        break;  // a leaf (closed-form or generic): no children
+    }
   }
 
   // Pass 2: emit postfix ops; subtrees occurring more than once get a
   // STORE at their first emission and LOADs afterwards.
-  void emit_node(const DistPtr& sp, int ctx) {
-    const Distribution* d = sp.get();
-    const Key key(d, ctx);
-    if (const auto slot_it = cse_slots_.find(key);
-        slot_it != cse_slots_.end()) {
-      push_op(OpCode::kLoad, slot_it->second, 0);
+  void emit_node(const DistPtr& sp) {
+    Record& record = records_[visits_[next_visit_++]];
+    if (record.slot != kNoSlot) {
+      push_op(OpCode::kLoad, record.slot, 0);
       return;
     }
 
-    if (const auto* deg = dynamic_cast<const Degenerate*>(d)) {
-      push_op(OpCode::kLeafDegenerate, 0, push_params({deg->value()}));
-    } else if (const auto* ex = dynamic_cast<const Exponential*>(d)) {
-      push_op(OpCode::kLeafExponential, 0, push_params({ex->rate()}));
-    } else if (const auto* ga = dynamic_cast<const Gamma*>(d)) {
-      push_op(OpCode::kLeafGamma, 0, push_params({ga->shape(), ga->rate()}));
-    } else if (const auto* un = dynamic_cast<const Uniform*>(d)) {
-      push_op(OpCode::kLeafUniform, 0, push_params({un->lo(), un->hi()}));
-    } else if (const auto* er = dynamic_cast<const Erlang*>(d)) {
-      // Erlang::laplace is gamma_laplace with the stage count as the
-      // shape; the op keeps its own code so the fingerprint tells the
-      // two leaves apart.
-      push_op(OpCode::kLeafErlang, 0,
-              push_params({static_cast<double>(er->stages()), er->rate()}));
-    } else if (const auto* he = dynamic_cast<const HyperExponential*>(d)) {
-      std::vector<double> params;
-      params.reserve(2 * he->branches().size());
-      for (const auto& branch : he->branches()) {
-        params.push_back(branch.probability);
-        params.push_back(branch.rate);
+    const Distribution* d = sp.get();
+    switch (record.kind) {
+      case Kind::kDegenerate:
+        push_op(OpCode::kLeafDegenerate, 0,
+                push_params({as<Degenerate>(d).value()}));
+        break;
+      case Kind::kExponential:
+        push_op(OpCode::kLeafExponential, 0,
+                push_params({as<Exponential>(d).rate()}));
+        break;
+      case Kind::kGamma: {
+        const auto& ga = as<Gamma>(d);
+        push_op(OpCode::kLeafGamma, 0, push_params({ga.shape(), ga.rate()}));
+        break;
       }
-      push_op(OpCode::kLeafHyperExp,
-              static_cast<std::uint32_t>(he->branches().size()),
-              push_params(params));
-    } else if (const auto* mk = dynamic_cast<const MM1KSojourn*>(d)) {
-      // capacity rides in the params array as a double and is cast back
-      // to int at evaluation so the tape calls the exact
-      // pow(complex, int) overload MM1KSojourn::laplace calls.
-      push_op(OpCode::kLeafMM1K, 0,
-              push_params({mk->arrival_rate(), mk->service_rate(),
-                           static_cast<double>(mk->capacity()), mk->p0(),
-                           mk->blocking()}));
-    } else if (const auto* os = dynamic_cast<const OrderStatistic*>(d)) {
-      // The base distribution is already folded into the combined
-      // F_(k:n) grid at construction, so the op is a leaf: [dt, F...] in
-      // params, grid size in `a`.  MIN-OF-K and KTH-OF-N share an
-      // evaluator; the distinct opcodes keep min-of-n and k-of-n tapes
-      // structurally distinct in fingerprint().
-      std::vector<double> params;
-      params.reserve(1 + os->grid().size());
-      params.push_back(os->grid_dt());
-      for (const double f : os->grid()) params.push_back(f);
-      push_op(os->k() == 1 ? OpCode::kMinOfK : OpCode::kKthOfN,
-              static_cast<std::uint32_t>(os->grid().size()),
-              push_params(params));
-    } else if (const auto* mix = dynamic_cast<const Mixture*>(d)) {
-      std::vector<double> weights;
-      weights.reserve(mix->components().size());
-      for (const auto& c : mix->components()) {
-        emit_node(c.dist, ctx);
-        weights.push_back(c.weight);
+      case Kind::kUniform: {
+        const auto& un = as<Uniform>(d);
+        push_op(OpCode::kLeafUniform, 0, push_params({un.lo(), un.hi()}));
+        break;
       }
-      push_op(OpCode::kMix, static_cast<std::uint32_t>(weights.size()),
-              push_params(weights));
-    } else if (const auto* conv = dynamic_cast<const Convolution*>(d)) {
-      for (const auto& p : conv->parts()) emit_node(p, ctx);
-      push_op(OpCode::kMul, static_cast<std::uint32_t>(conv->parts().size()),
-              0);
-    } else if (const auto* cp =
-                   dynamic_cast<const CompoundPoissonConvolution*>(d)) {
-      emit_node(cp->base(), ctx);
-      emit_node(cp->extra(), ctx);
-      push_op(OpCode::kCPoisson, 0, push_params({cp->rate()}));
-    } else if (const auto* ts = dynamic_cast<const TieredService*>(d)) {
-      // The miss weight is the node's stored 1 − h, not recomputed here,
-      // so the tape's fused multiply-add chain matches the tree walk's
-      // exactly (bit-identity contract).
-      emit_node(ts->hit(), ctx);
-      emit_node(ts->miss(), ctx);
-      push_op(OpCode::kTierMix, 0,
-              push_params({ts->hit_ratio(), ts->miss_ratio()}));
-    } else if (const auto* sc = dynamic_cast<const Scaled*>(d)) {
-      push_op(OpCode::kScaleArg, 0, push_params({sc->factor()}));
-      emit_node(sc->inner(), child_ctx(ctx, sc->factor(), /*create=*/false));
-      push_op(OpCode::kPopArg, 0, 0);
-    } else if (const auto* sh = dynamic_cast<const Shifted*>(d)) {
-      emit_node(sh->inner(), ctx);
-      push_op(OpCode::kShift, 0, push_params({sh->offset()}));
-    } else if (const auto* pk = dynamic_cast<const PKWaitingTime*>(d)) {
-      emit_node(pk->service(), ctx);
-      push_op(OpCode::kPKWait, 0,
-              push_params({pk->arrival_rate(), pk->utilization()}));
-    } else if (const auto* gk = dynamic_cast<const MG1KSojourn*>(d)) {
-      emit_node(gk->service(), ctx);
-      std::vector<double> params;
-      params.reserve(1 + gk->weights().size());
-      params.push_back(gk->mean_service());
-      for (double w : gk->weights()) params.push_back(w);
-      push_op(OpCode::kMG1KSojourn,
-              static_cast<std::uint32_t>(gk->weights().size()),
-              push_params(params));
-    } else {
-      // Quadrature leaves, opaque LaplaceDistribution callables, unknown
-      // subclasses: batched compatibility path via laplace_many.  Fold
-      // the *value-based* distribution fingerprint so identically
-      // parameterized generic leaves hash equal.
-      const auto index = static_cast<std::uint32_t>(tape_.leaves_.size());
-      tape_.leaves_.push_back(sp);
-      push_op(OpCode::kLeafGeneric, index, 0, numerics::fingerprint(*d));
+      case Kind::kErlang: {
+        // Erlang::laplace is gamma_laplace with the stage count as the
+        // shape; the op keeps its own code so the fingerprint tells the
+        // two leaves apart.
+        const auto& er = as<Erlang>(d);
+        push_op(OpCode::kLeafErlang, 0,
+                push_params({static_cast<double>(er.stages()), er.rate()}));
+        break;
+      }
+      case Kind::kHyperExp: {
+        const auto& he = as<HyperExponential>(d);
+        const std::uint32_t offset = param_offset();
+        for (const auto& branch : he.branches()) {
+          tape_.params_.push_back(branch.probability);
+          tape_.params_.push_back(branch.rate);
+        }
+        push_op(OpCode::kLeafHyperExp,
+                static_cast<std::uint32_t>(he.branches().size()), offset);
+        break;
+      }
+      case Kind::kMM1K: {
+        // capacity rides in the params array as a double and is cast back
+        // to int at evaluation so the tape calls the exact
+        // pow(complex, int) overload MM1KSojourn::laplace calls.
+        const auto& mk = as<MM1KSojourn>(d);
+        push_op(OpCode::kLeafMM1K, 0,
+                push_params({mk.arrival_rate(), mk.service_rate(),
+                             static_cast<double>(mk.capacity()), mk.p0(),
+                             mk.blocking()}));
+        break;
+      }
+      case Kind::kOrderStatistic: {
+        // The base distribution is already folded into the combined
+        // F_(k:n) grid at construction, so the op is a leaf: [dt, F...] in
+        // params, grid size in `a`.  MIN-OF-K and KTH-OF-N share an
+        // evaluator; the distinct opcodes keep min-of-n and k-of-n tapes
+        // structurally distinct in fingerprint().
+        const auto& os = as<OrderStatistic>(d);
+        const std::uint32_t offset = param_offset();
+        tape_.params_.push_back(os.grid_dt());
+        tape_.params_.insert(tape_.params_.end(), os.grid().begin(),
+                             os.grid().end());
+        push_op(os.k() == 1 ? OpCode::kMinOfK : OpCode::kKthOfN,
+                static_cast<std::uint32_t>(os.grid().size()), offset);
+        break;
+      }
+      case Kind::kMixture: {
+        const auto& components = as<Mixture>(d).components();
+        for (const auto& c : components) emit_node(c.dist);
+        const std::uint32_t offset = param_offset();
+        for (const auto& c : components) tape_.params_.push_back(c.weight);
+        push_op(OpCode::kMix, static_cast<std::uint32_t>(components.size()),
+                offset);
+        break;
+      }
+      case Kind::kConvolution: {
+        const auto& parts = as<Convolution>(d).parts();
+        for (const auto& p : parts) emit_node(p);
+        push_op(OpCode::kMul, static_cast<std::uint32_t>(parts.size()), 0);
+        break;
+      }
+      case Kind::kCPoisson: {
+        const auto& cp = as<CompoundPoissonConvolution>(d);
+        emit_node(cp.base());
+        emit_node(cp.extra());
+        push_op(OpCode::kCPoisson, 0, push_params({cp.rate()}));
+        break;
+      }
+      case Kind::kTiered: {
+        // The miss weight is the node's stored 1 − h, not recomputed here,
+        // so the tape's fused multiply-add chain matches the tree walk's
+        // exactly (bit-identity contract).
+        const auto& ts = as<TieredService>(d);
+        emit_node(ts.hit());
+        emit_node(ts.miss());
+        push_op(OpCode::kTierMix, 0,
+                push_params({ts.hit_ratio(), ts.miss_ratio()}));
+        break;
+      }
+      case Kind::kScaled: {
+        const auto& sc = as<Scaled>(d);
+        push_op(OpCode::kScaleArg, 0, push_params({sc.factor()}));
+        emit_node(sc.inner());
+        push_op(OpCode::kPopArg, 0, 0);
+        break;
+      }
+      case Kind::kShifted: {
+        const auto& sh = as<Shifted>(d);
+        emit_node(sh.inner());
+        push_op(OpCode::kShift, 0, push_params({sh.offset()}));
+        break;
+      }
+      case Kind::kPKWait: {
+        const auto& pk = as<PKWaitingTime>(d);
+        emit_node(pk.service());
+        push_op(OpCode::kPKWait, 0,
+                push_params({pk.arrival_rate(), pk.utilization()}));
+        break;
+      }
+      case Kind::kMG1K: {
+        const auto& gk = as<MG1KSojourn>(d);
+        emit_node(gk.service());
+        const std::uint32_t offset = param_offset();
+        tape_.params_.push_back(gk.mean_service());
+        tape_.params_.insert(tape_.params_.end(), gk.weights().begin(),
+                             gk.weights().end());
+        push_op(OpCode::kMG1KSojourn,
+                static_cast<std::uint32_t>(gk.weights().size()), offset);
+        break;
+      }
+      case Kind::kGeneric: {
+        // Quadrature leaves, opaque LaplaceDistribution callables, unknown
+        // subclasses: batched compatibility path via laplace_many.  Fold
+        // the *value-based* distribution fingerprint so identically
+        // parameterized generic leaves hash equal.
+        const auto index = static_cast<std::uint32_t>(tape_.leaves_.size());
+        tape_.leaves_.push_back(sp);
+        push_op(OpCode::kLeafGeneric, index, 0, numerics::fingerprint(*d));
+        break;
+      }
     }
 
-    if (counts_.at(key) > 1) {
-      const auto slot = static_cast<std::uint32_t>(tape_.slot_count_++);
-      push_op(OpCode::kStore, slot, 0);
-      cse_slots_.emplace(key, slot);
+    if (record.count > 1) {
+      record.slot = static_cast<std::uint32_t>(tape_.slot_count_++);
+      push_op(OpCode::kStore, record.slot, 0);
     }
   }
 
-  // Appends params and returns their offset; folds them into the
-  // fingerprint alongside the owning op in push_op.
-  std::uint32_t push_params(const std::vector<double>& values) {
-    const auto offset = static_cast<std::uint32_t>(tape_.params_.size());
-    tape_.params_.insert(tape_.params_.end(), values.begin(), values.end());
-    pending_param_count_ = values.size();
+  // Offset of the next params an op appends in place.
+  std::uint32_t param_offset() const {
+    return static_cast<std::uint32_t>(tape_.params_.size());
+  }
+
+  // Appends params and returns their offset.
+  std::uint32_t push_params(std::initializer_list<double> values) {
+    const std::uint32_t offset = param_offset();
+    tape_.params_.insert(tape_.params_.end(), values);
     return offset;
   }
 
+  // Appends an op and folds it, with the params appended since the
+  // previous op (its own), into the fingerprint.
   void push_op(OpCode code, std::uint32_t a, std::uint32_t b,
                std::uint64_t extra = 0) {
     tape_.ops_.push_back(Op{code, a, b});
     std::uint64_t fp = tape_.fingerprint_;
     fp = hash_mix(fp, (static_cast<std::uint64_t>(code) << 32) | a);
-    for (std::size_t i = 0; i < pending_param_count_; ++i) {
-      fp = hash_mix(fp, tape_.params_[b + i]);
+    for (std::size_t i = folded_params_; i < tape_.params_.size(); ++i) {
+      fp = hash_mix(fp, tape_.params_[i]);
     }
     if (extra != 0) fp = hash_mix(fp, extra);
     tape_.fingerprint_ = fp;
-    pending_param_count_ = 0;
+    folded_params_ = tape_.params_.size();
   }
 
   // Replays the op stream's stack effects to size the workspaces.
@@ -309,11 +483,11 @@ class TapeCompiler {
   }
 
   TransformTape tape_;
-  std::map<Key, int> counts_;
-  std::map<Key, std::uint32_t> cse_slots_;
-  std::map<std::pair<int, std::uint64_t>, int> ctx_ids_;
-  int next_ctx_ = 1;
-  std::size_t pending_param_count_ = 0;
+  std::vector<Record> records_;
+  std::vector<Context> contexts_;
+  std::vector<std::uint32_t> visits_;  // record index of each visit
+  std::size_t next_visit_ = 0;
+  std::size_t folded_params_ = 0;
 };
 
 TransformTape TransformTape::compile(const DistPtr& root) {
@@ -363,7 +537,12 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         std::complex<double>* dst = values + top * batch;
         const double value = p[0];
         for (std::size_t i = 0; i < batch; ++i) {
-          dst[i] = std::exp(-sv[i] * value);
+          // C Annex G fixes cexp(±0 ± i0) = 1 ± i0: the atom of every
+          // cache hit/miss mixture (value 0) needs no exp call.
+          const std::complex<double> z = -sv[i] * value;
+          dst[i] = z.real() == 0.0 && z.imag() == 0.0
+                       ? std::complex<double>(1.0, z.imag())
+                       : std::exp(z);
         }
         ++top;
         break;
@@ -394,7 +573,7 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         const double hi = p[1];
         for (std::size_t i = 0; i < batch; ++i) {
           const std::complex<double> sc = sv[i];
-          if (std::abs(sc) < 1e-8) {
+          if (modulus_below(sc, 1.0, 1e-8)) {
             dst[i] = 1.0 - sc * (0.5 * (lo + hi)) +
                      sc * sc * ((lo * lo + lo * hi + hi * hi) / 6.0);
           } else {
@@ -427,7 +606,7 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         const double blocking = p[4];
         for (std::size_t i = 0; i < batch; ++i) {
           const std::complex<double> sc = sv[i];
-          if (std::abs(sc) < 1e-14) {
+          if (modulus_below(sc, 1.0, 1e-14)) {
             dst[i] = std::complex<double>(1.0, 0.0);
             continue;
           }
@@ -529,7 +708,7 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         const double rho = p[1];
         for (std::size_t i = 0; i < batch; ++i) {
           const std::complex<double> sc = sv[i];
-          if (std::abs(sc) < 1e-14) {
+          if (modulus_below(sc, 1.0, 1e-14)) {
             lb[i] = std::complex<double>(1.0, 0.0);
             continue;
           }
@@ -544,7 +723,7 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         const std::size_t n = op.a;
         for (std::size_t i = 0; i < batch; ++i) {
           const std::complex<double> sc = sv[i];
-          if (std::abs(sc) * mean_service < 1e-8) {
+          if (modulus_below(sc, mean_service, 1e-8)) {
             lbv[i] = std::complex<double>(1.0, 0.0);
             continue;
           }

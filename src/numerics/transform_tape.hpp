@@ -31,6 +31,19 @@
 // fused into the cdf entry points after evaluation rather than stored on
 // the tape, so one compiled tape serves both density and CDF queries.
 //
+// Compile.  compile() runs two passes over the tree.  The first visits
+// each (node, argument context) key once per occurrence, counts the
+// occurrences and resolves the node's concrete type once per key, by an
+// exact typeid test (every Distribution subclass is final, so that is a
+// dynamic_cast without the hierarchy walk).  The second replays the same
+// visits in the same order and emits the ops, a STORE after a shared
+// key's first emission and a LOAD for each later occurrence.  The keys,
+// their counts and CSE slots live in flat vectors searched linearly (a
+// device model has tens of nodes); ops and params are appended in place
+// into storage reserved up front, so a compile makes a handful of
+// allocations whatever the tree.  The op stream, params, slots and
+// fingerprint are a function of the tree alone.
+//
 // Batching contract.  evaluate(s, out) fills out[i] = L(s[i]) for every i
 // with values BIT-IDENTICAL to the scalar Distribution::laplace walk:
 // every op replicates its node's arithmetic expression in the node's

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/system_model.hpp"
+#include "core/whatif.hpp"
 #include "numerics/lt_inversion.hpp"
 
 namespace cosm::core {
@@ -47,6 +49,63 @@ SystemParams tape_system(double total_rate, unsigned devices) {
     params.devices.push_back(tape_device(total_rate / devices));
   }
   return params;
+}
+
+// The compiled response tapes of the service family (four devices at 30
+// req/s each) and its variants, pinned: fingerprint() keys every
+// PredictionCache entry, so a compiler change that moves any of these
+// moves cache keys.
+TEST(TapeIntegration, CompiledResponseTapesArePinned) {
+  using Queue = ModelOptions::DiskQueue;
+  using Mode = RedundancyOptions::Mode;
+  struct Pin {
+    const char* name;
+    SystemParams params;
+    ModelOptions options;
+    std::uint64_t fingerprint;
+    std::size_t ops;
+    std::size_t slots;
+    std::size_t generic_leaves;
+  };
+  const SystemParams family = tape_system(120.0, 4);
+  SystemParams four_process = family;
+  for (DeviceParams& device : four_process.devices) device.processes = 4;
+  SystemParams tiered = family;
+  for (DeviceParams& device : tiered.devices) {
+    device.tier.enabled = true;
+    device.tier.hit_ratio = 0.5;
+    device.tier.read_service = std::make_shared<Degenerate>(0.4e-3);
+    device.tier.write_service = std::make_shared<Degenerate>(0.6e-3);
+  }
+  DegradedScenario slow_disk;
+  slow_disk.slow_device = 0;
+  slow_disk.service_inflation = 1.5;
+  const std::vector<Pin> pins = {
+      {"default", family, {}, 0xf3d1113b99c988edULL, 31, 6, 0},
+      {"mm1k_4_processes", four_process, {.disk_queue = Queue::kMM1K},
+       0xfc41dfc494d77d00ULL, 32, 7, 0},
+      {"mg1k_4_processes", four_process, {.disk_queue = Queue::kMG1K},
+       0x8194d237321fc946ULL, 36, 7, 0},
+      {"no_wta", family, {.include_wta = false}, 0x3506b2073bcf7a09ULL, 29,
+       5, 0},
+      {"tier_50pct", tiered, {}, 0x624ff5cf60f1742cULL, 33, 6, 0},
+      {"hedge_40ms", family,
+       {.redundancy = {.mode = Mode::kHedge, .hedge_delay = 0.04}},
+       0x0ea03e636d439b68ULL, 1, 0, 1},
+      {"min_of_2", family, {.redundancy = {.mode = Mode::kMinOfN, .n = 2}},
+       0xee0d3647925f47b3ULL, 1, 0, 0},
+      // Device 0's disks are Scaled: the tape scales its argument.
+      {"scaled_slow_disk", degrade(family, slow_disk), {},
+       0x05a44be26321e235ULL, 37, 6, 0},
+  };
+  for (const Pin& pin : pins) {
+    const SystemModel model(pin.params, pin.options);
+    const numerics::TransformTape& tape = model.devices()[0].response_tape();
+    EXPECT_EQ(tape.fingerprint(), pin.fingerprint) << pin.name;
+    EXPECT_EQ(tape.op_count(), pin.ops) << pin.name;
+    EXPECT_EQ(tape.slot_count(), pin.slots) << pin.name;
+    EXPECT_EQ(tape.generic_leaf_count(), pin.generic_leaves) << pin.name;
+  }
 }
 
 TEST(TapeIntegration, DeviceTapeCdfBitIdenticalToScalarTreeWalk) {

@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <barrier>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <span>
 #include <thread>
@@ -126,6 +128,96 @@ TEST(TransformTape, QueueingNodesBitIdentical) {
 
   const queueing::MG1K mg1k(300.0, service, 4);
   expect_tape_bit_identical(mg1k.sojourn_time());
+}
+
+// Bitwise equality: tells -0.0 from +0.0, which EXPECT_EQ on doubles
+// does not.
+void expect_same_bits(Complex expected, Complex actual, Complex s) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.real()),
+            std::bit_cast<std::uint64_t>(actual.real()))
+      << expected << " vs " << actual << " at s = " << s;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.imag()),
+            std::bit_cast<std::uint64_t>(actual.imag()))
+      << expected << " vs " << actual << " at s = " << s;
+}
+
+// Tape values at `s`, checked bit for bit against the tree walk.
+std::vector<Complex> tape_matches_tree_bitwise(const DistPtr& dist,
+                                               const std::vector<Complex>& s) {
+  const TransformTape tape = TransformTape::compile(dist);
+  std::vector<Complex> batched(s.size());
+  tape.evaluate(s, batched);
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    expect_same_bits(dist->laplace(s[i]), batched[i], s[i]);
+  }
+  return batched;
+}
+
+TEST(TransformTape, ZeroAtomLeafMatchesExpBitwise) {
+  // The Degenerate leaf writes exp(-s·v) at an exactly zero argument
+  // without calling exp; every signed zero, negative real parts and huge
+  // or infinite magnitudes must still give std::exp's bits.
+  constexpr double kHuge = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Complex> s = {
+      {0.0, 0.0},     {-0.0, 0.0},     {0.0, -0.0},     {-0.0, -0.0},
+      {-3.5, 0.0},    {-3.5, -2.0},    {-1e-300, -0.0}, {1e300, -1e300},
+      {kHuge, kHuge}, {-kHuge, 7.0},   {kInf, 0.0},     {0.0, -kInf},
+      {15.35, 30.47}, {-0.0, 1e-320},
+  };
+  for (const double factor : {1.0, 3.0, 1e-300}) {
+    const DistPtr atom = std::make_shared<Degenerate>(0.0);
+    const DistPtr leaf =
+        factor == 1.0 ? atom : std::make_shared<Scaled>(atom, factor);
+    const std::vector<Complex> values = tape_matches_tree_bitwise(leaf, s);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const Complex arg = factor == 1.0 ? s[i] : factor * s[i];
+      expect_same_bits(std::exp(-arg * 0.0), values[i], s[i]);
+    }
+  }
+  // A non-zero atom only meets a zero argument at s = ±0.
+  tape_matches_tree_bitwise(std::make_shared<Degenerate>(2.5e-3), s);
+  tape_matches_tree_bitwise(
+      std::make_shared<Scaled>(std::make_shared<Degenerate>(1e-3), 0.5), s);
+  // The atom inside a hit/miss mixture, as the device models use it.
+  tape_matches_tree_bitwise(
+      atom_at_zero_mixture(0.3, std::make_shared<Gamma>(2.8, 233.33)), s);
+}
+
+TEST(TransformTape, SmallModulusGuardsMatchTreeWalkAtTheBound) {
+  // The |s| guards test the components before the hypot.  Probes sit on
+  // either side of each bound: one component under it, both under it
+  // with the modulus under it, and both under it with the modulus over
+  // it (8e-15·sqrt(2) > 1e-14).
+  const std::vector<Complex> below = {
+      {1e-15, 0.0}, {0.0, 1e-15}, {7e-15, 7e-15}, {-7e-15, -7e-15}};
+  const std::vector<Complex> around = {
+      {1e-15, 0.0},   {0.0, 1e-15},   {7e-15, 7e-15}, {8e-15, 8e-15},
+      {1e-14, 0.0},   {0.0, -1e-14},  {2e-14, 1e-16}, {-8e-15, 8e-15},
+      {1e-15, 1e-13}, {15.35, 30.47}};
+  const auto service = std::make_shared<Gamma>(3.0, 900.0);
+  const queueing::MG1 mg1(120.0, service);
+  const queueing::MM1K mm1k(300.0, 400.0, 4);
+  for (const DistPtr& guarded : {mg1.waiting_time(), mm1k.sojourn_time()}) {
+    tape_matches_tree_bitwise(guarded, around);
+    // Under the bound the guard's exact unit value is taken.
+    for (const Complex value : tape_matches_tree_bitwise(guarded, below)) {
+      EXPECT_EQ(value, Complex(1.0, 0.0)) << guarded->name();
+    }
+  }
+  // M/G/1/K tests |s|·E[B] < 1e-8 and Uniform |s| < 1e-8: the same
+  // probes scaled to their bounds.
+  const queueing::MG1K mg1k(300.0, service, 4);
+  const double mean_service = service->mean();
+  std::vector<Complex> mg1k_around;
+  std::vector<Complex> uniform_around;
+  for (const Complex z : around) {
+    mg1k_around.push_back(z * (1e6 / mean_service));
+    uniform_around.push_back(z * 1e6);
+  }
+  tape_matches_tree_bitwise(mg1k.sojourn_time(), mg1k_around);
+  tape_matches_tree_bitwise(std::make_shared<Uniform>(1e-3, 7e-3),
+                            uniform_around);
 }
 
 TEST(TransformTape, CombinatorsBitIdentical) {
