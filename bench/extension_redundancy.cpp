@@ -22,8 +22,14 @@
 //    redundant simulation within the paper's Table I error band;
 //  * determinism — a repeated same-seed hedged run is bit-identical.
 //
+// It also records model_cost_us per policy: the median wall time of one
+// model build plus one SLA query on the 30 req/s observed parameters.
+// That figure has no gate here (wall-clock gates belong in CI bench jobs,
+// not in tests).
+//
 // Emits BENCH_redundancy.json and exits non-zero on any gate failure.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -173,6 +179,24 @@ RunResult run(double rate, const PolicyConfig& policy,
   }
   result.params.frontend.arrival_rate = total_rate;
   return result;
+}
+
+// Median wall time, in microseconds, of building the model of `params`
+// under `options` and answering one SLA query.
+double model_cost_us(const cosm::core::SystemParams& params,
+                     const cosm::core::ModelOptions& options) {
+  constexpr int kRepeats = 31;
+  std::vector<double> costs;
+  for (int r = 0; r < kRepeats; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    const cosm::core::SystemModel model(params, options);
+    model.predict_sla_percentile(kSlas[1]);
+    const auto stop = std::chrono::steady_clock::now();
+    costs.push_back(
+        std::chrono::duration<double, std::micro>(stop - start).count());
+  }
+  std::nth_element(costs.begin(), costs.begin() + kRepeats / 2, costs.end());
+  return costs[kRepeats / 2];
 }
 
 double parse_scale(int argc, char** argv) {
@@ -364,7 +388,20 @@ int main(int argc, char** argv) {
               << reference.latency_sum << " s)\n";
   }
 
-  json << "\n  ],\n  \"crossover\": {\"help_load_rps\": " << kLoads[0]
+  // Model cost per policy on the lowest load's observed parameters.
+  json << "\n  ],\n  \"model_cost_us\": {";
+  std::cout << "model build + one SLA at " << kLoads[0] << " req/s:";
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    cosm::core::ModelOptions options;
+    options.redundancy = configs[c].model;
+    const double cost = model_cost_us(cell[0][0].params, options);
+    json << (c == 0 ? "" : ", ") << "\"" << configs[c].name
+         << "\": " << cost;
+    std::cout << " " << configs[c].name << " "
+              << cosm::Table::num(cost, 1) << " us";
+  }
+  std::cout << "\n";
+  json << "},\n  \"crossover\": {\"help_load_rps\": " << kLoads[0]
        << ", \"help_policy\": \"" << best_low << "\", \"hurt_load_rps\": "
        << kLoads[2] << ", \"hurt_policy\": \"" << worst_high
        << "\"},\n  \"healthy_band\": " << healthy_band

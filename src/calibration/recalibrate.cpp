@@ -74,8 +74,6 @@ CalibrationLoop::WindowResult CalibrationLoop::offer(
                                                 : DriftVerdict::kWarmup;
     return result;
   }
-  last_observation_ = window;
-
   DriftSignals signals;
   signals.arrival_rate = window->observation.request_rate;
   signals.data_read_rate = window->observation.data_read_rate;

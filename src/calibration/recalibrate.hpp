@@ -123,10 +123,6 @@ class CalibrationLoop {
   const std::vector<RefitEvent>& refits() const { return refits_; }
   std::uint64_t windows_offered() const { return windows_; }
   std::uint64_t insufficient_windows() const { return insufficient_; }
-  // Most recent sufficient observation (diagnostics; nullopt until one).
-  const std::optional<WindowObservation>& last_observation() const {
-    return last_observation_;
-  }
 
  private:
   // Fits + publishes from `window`; returns false when the regime cannot
@@ -144,7 +140,6 @@ class CalibrationLoop {
   double skew_carry_ = 0.0;
   std::uint64_t windows_ = 0;
   std::uint64_t insufficient_ = 0;
-  std::optional<WindowObservation> last_observation_;
 
   std::optional<core::DeviceParams> params_;
   std::vector<double> predictions_;

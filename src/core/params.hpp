@@ -111,10 +111,11 @@ struct SystemParams {
 
 // Redundancy-aware response shaping (tail-tolerance extension): the
 // model-side mirror of the simulator's hedged GETs and (n,k) fan-out
-// reads.  The device response S_fe is wrapped in the matching
-// order-statistic distribution (numerics::OrderStatistic /
-// numerics::HedgedResponse) under the independent-replica approximation;
-// see docs/MODEL.md for the math and its limits.
+// reads.  Each device's single-attempt response S_fe keeps its own
+// transform tape; the matching order statistic is applied on top, in the
+// time domain, as a pointwise map of the tape's (F, f)
+// (numerics::RedundancyWrap) under the independent-replica
+// approximation; see docs/MODEL.md §10 for the math and its limits.
 struct RedundancyOptions {
   enum class Mode {
     kNone,    // single attempt (the paper's model, the default)

@@ -7,7 +7,6 @@
 
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
-#include "numerics/order_statistics.hpp"
 #include "obs/obs.hpp"
 
 namespace cosm::core {
@@ -170,42 +169,76 @@ DeviceModel::DeviceModel(const FrontendModel& frontend, DeviceParams params,
   }
   components.push_back(backend_->response_time());  // S_be
   response_ = std::make_shared<Convolution>(std::move(components));
-  const RedundancyOptions& red = options.redundancy;
-  if (red.mode != RedundancyOptions::Mode::kNone) {
-    // Redundant reads complete from several concurrent attempts; wrap the
-    // single-attempt response in the matching order statistic (see
-    // numerics/order_statistics.hpp).  The fork-join correction feeds the
-    // backend utilization in as the attempt correlation.
-    const double corr =
-        red.fork_join_correction
-            ? std::clamp(backend_->utilization(), 0.0, 1.0)
-            : 0.0;
-    switch (red.mode) {
-      case RedundancyOptions::Mode::kHedge:
-        response_ = std::make_shared<numerics::HedgedResponse>(
-            response_, red.hedge_delay, corr);
-        break;
-      case RedundancyOptions::Mode::kMinOfN:
-        response_ = std::make_shared<numerics::OrderStatistic>(
-            response_, red.n, 1, corr);
-        break;
-      case RedundancyOptions::Mode::kKthOfN:
-        response_ = std::make_shared<numerics::OrderStatistic>(
-            response_, red.n, red.k, corr);
-        break;
-      case RedundancyOptions::Mode::kNone:
-        break;
-    }
-  }
-  // The tape fingerprint doubles as the CDF cache key: everything that
-  // shapes the response — device parameters, the frontend's S_q, WTA
-  // inclusion, the disk-queue variant, the redundancy wrap (its combined
-  // grid lands in the op params; the hedged wrap in the generic-leaf
-  // fingerprint) — lands in the compiled op/param stream, and identically
-  // constructed devices compile identical tapes.
   tape_ = std::make_shared<const numerics::TransformTape>(
       numerics::TransformTape::compile(response_));
-  fingerprint_ = tape_->fingerprint();
+  const RedundancyOptions& red = options.redundancy;
+  // Redundant reads complete from several concurrent attempts: the wrap
+  // maps one attempt's (F, f) to the matching order statistic's.  The
+  // fork-join correction feeds the backend utilization in as the attempt
+  // correlation.
+  const double corr = red.fork_join_correction
+                          ? std::clamp(backend_->utilization(), 0.0, 1.0)
+                          : 0.0;
+  switch (red.mode) {
+    case RedundancyOptions::Mode::kNone:
+      break;
+    case RedundancyOptions::Mode::kHedge:
+      wrap_ = numerics::RedundancyWrap::hedge(red.hedge_delay, corr);
+      break;
+    case RedundancyOptions::Mode::kMinOfN:
+      wrap_ = numerics::RedundancyWrap::kth_of_n(red.n, 1, corr);
+      break;
+    case RedundancyOptions::Mode::kKthOfN:
+      wrap_ = numerics::RedundancyWrap::kth_of_n(red.n, red.k, corr);
+      break;
+  }
+  // The tape fingerprint doubles as the CDF cache key: everything that
+  // shapes one attempt — device parameters, the frontend's S_q, WTA
+  // inclusion, the disk-queue variant — lands in the compiled op/param
+  // stream, and identically constructed devices compile identical tapes.
+  // The wrap folds its own fields on top (and leaves it as is when it is
+  // the identity).
+  fingerprint_ = wrap_.fingerprint(tape_->fingerprint());
+}
+
+double DeviceModel::cdf(double t) const {
+  const double base = tape_->cdf(t, kModelEulerOrder);
+  if (wrap_.mode() != numerics::RedundancyWrap::Mode::kHedge) {
+    return wrap_.cdf(base, 0.0);
+  }
+  return wrap_.cdf(base, tape_->cdf(t - wrap_.delay(), kModelEulerOrder));
+}
+
+std::vector<double> DeviceModel::cdf_many(std::span<const double> ts) const {
+  if (wrap_.mode() != numerics::RedundancyWrap::Mode::kHedge) {
+    std::vector<double> out = tape_->cdf_many(ts, kModelEulerOrder);
+    for (double& f : out) f = wrap_.cdf(f, 0.0);
+    return out;
+  }
+  // Hedging reads t - delay as well, in the same batched call.
+  const std::size_t count = ts.size();
+  std::vector<double> points(ts.begin(), ts.end());
+  for (const double t : ts) points.push_back(t - wrap_.delay());
+  std::vector<double> out = tape_->cdf_many(points, kModelEulerOrder);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = wrap_.cdf(out[i], out[count + i]);
+  }
+  out.resize(count);
+  return out;
+}
+
+numerics::CdfDensityPoint DeviceModel::cdf_density(double t) const {
+  const numerics::CdfDensityPoint base =
+      tape_->cdf_density(t, kModelEulerOrder);
+  if (wrap_.mode() != numerics::RedundancyWrap::Mode::kHedge) {
+    return wrap_.cdf_density(base, {});
+  }
+  return wrap_.cdf_density(
+      base, tape_->cdf_density(t - wrap_.delay(), kModelEulerOrder));
+}
+
+double DeviceModel::mean_latency() const {
+  return wrap_.mean(*tape_, response_->mean(), kModelEulerOrder);
 }
 
 SystemModel::SystemModel(SystemParams params, ModelOptions options,
@@ -254,17 +287,17 @@ SystemModel::SystemModel(SystemParams params, ModelOptions options,
 
 double SystemModel::device_cdf(const DeviceModel& model, double sla) const {
   // The tape CDF is bit-identical to inverting the scalar tree walk at
-  // the same order — the tape's hard contract — so cache hits, cold
-  // evaluations, and every thread count return the same doubles.
-  const numerics::TransformTape& tape = model.response_tape();
-  if (predict_.cache == nullptr) return tape.cdf(sla, kModelEulerOrder);
+  // the same order — the tape's hard contract — and the wrap is a pure
+  // function of it, so cache hits, cold evaluations, and every thread
+  // count return the same doubles.
+  if (predict_.cache == nullptr) return model.cdf(sla);
   const std::uint64_t key = cdf_cache_key(model.fingerprint(), sla);
   if (auto cached = predict_.cache->cdf.lookup(key)) {
     obs::add(obs::Counter::kCdfCacheHit);
     return *cached;
   }
   obs::add(obs::Counter::kCdfCacheMiss);
-  const double value = tape.cdf(sla, kModelEulerOrder);
+  const double value = model.cdf(sla);
   predict_.cache->cdf.insert(key, value);
   return value;
 }
@@ -300,8 +333,7 @@ std::vector<double> SystemModel::predict_sla_percentiles(
     // bit-identical to the per-cell path below.
     parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
       const std::vector<double> device_cdfs =
-          devices_[distinct_[u]].response_tape().cdf_many(slas,
-                                                        kModelEulerOrder);
+          devices_[distinct_[u]].cdf_many(slas);
       std::copy(device_cdfs.begin(), device_cdfs.end(),
                 cdfs.begin() + static_cast<std::ptrdiff_t>(u * n_slas));
     });
@@ -336,8 +368,7 @@ numerics::CdfDensityPoint SystemModel::cdf_density(double t) const {
   const std::size_t distinct = distinct_.size();
   std::vector<numerics::CdfDensityPoint> points(distinct);
   parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
-    points[u] =
-        devices_[distinct_[u]].response_tape().cdf_density(t, kModelEulerOrder);
+    points[u] = devices_[distinct_[u]].cdf_density(t);
   });
   // Same weights and order as predict_sla_percentile, so F is its value.
   double cdf = 0.0;
@@ -382,11 +413,11 @@ std::vector<double> SystemModel::latency_quantiles(
 }
 
 double SystemModel::mean_response_latency() const {
-  // One tree walk per distinct device; the reduction runs in device
-  // order, so the sum is the one a walk per device would give.
+  // One mean per distinct device; the reduction runs in device order,
+  // so the sum is the one a mean per device would give.
   std::vector<double> means(distinct_.size());
   for (std::size_t u = 0; u < distinct_.size(); ++u) {
-    means[u] = devices_[distinct_[u]].response_time()->mean();
+    means[u] = devices_[distinct_[u]].mean_latency();
   }
   double weighted = 0.0;
   for (std::size_t i = 0; i < devices_.size(); ++i) {

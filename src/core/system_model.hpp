@@ -27,11 +27,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/backend_model.hpp"
 #include "core/frontend_model.hpp"
 #include "core/params.hpp"
+#include "numerics/redundancy_wrap.hpp"
 #include "numerics/transform_tape.hpp"
 
 namespace cosm::core {
@@ -69,13 +71,15 @@ std::uint64_t device_model_key(const FrontendParams& frontend,
 inline constexpr int kModelEulerOrder = 11;
 
 // Key under which PredictionCache::cdf stores one device's CDF value at
-// one SLA point: (response-tape fingerprint, SLA bits).  device_cdf
+// one SLA point: (DeviceModel::fingerprint(), SLA bits).  device_cdf
 // derives its keys through this function, so external invalidation can
 // never drift from the lookup path.
 std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla);
 
-// One device's model: backend, response tree S_fe and its compiled tape.
-// Immutable once built and cheap to copy (every member is shared), so
+// One device's model: backend, the single-attempt response tree S_fe, its
+// compiled tape, and the redundancy wrap (numerics/redundancy_wrap.hpp)
+// that maps the tape's (F, f) to the completed request's.  Immutable once
+// built and cheap to copy (every member is shared or a small value), so
 // one build — held in PredictionCache::devices or shared by the identical
 // devices of a SystemModel — backs every copy.
 class DeviceModel {
@@ -91,25 +95,44 @@ class DeviceModel {
               ModelOptions options, const PredictOptions& predict = {});
 
   const BackendModel& backend() const { return *backend_; }
-  // S_fe: the device's response-latency distribution at the frontend.
+  // S_fe: the latency distribution of ONE attempt at the frontend (the
+  // redundancy wrap, if any, is not part of it).
   numerics::DistPtr response_time() const { return response_; }
-  // S_fe compiled to a flat transform tape — what every CDF/quantile
-  // query evaluates; bit-identical to response_time()->laplace (see
-  // numerics/transform_tape.hpp).
+  // S_fe compiled to a flat transform tape; bit-identical to
+  // response_time()->laplace (see numerics/transform_tape.hpp).
   const numerics::TransformTape& response_tape() const { return *tape_; }
+  // The map from one attempt's (F, f) to the completed request's, built
+  // from ModelOptions::redundancy (the identity when its mode is kNone).
+  const numerics::RedundancyWrap& wrap() const { return wrap_; }
   // r_j, requests/s.
   double arrival_rate() const { return backend_->params().arrival_rate; }
-  // Cache key identity of this device's response distribution: the
-  // response tape's fingerprint.  It covers device parameters, frontend
-  // parameters, and every ModelOptions field that shapes the response —
-  // all of them shape the compiled op/param stream — so identically
-  // configured devices key the same PredictionCache entries.
+  // Cache key identity of this device's response distribution:
+  // wrap().fingerprint(response_tape().fingerprint()) — the tape's own
+  // fingerprint when there is no wrap.  The tape covers device
+  // parameters, frontend parameters, and every ModelOptions field that
+  // shapes one attempt; the wrap adds its mode, n, k, delay and
+  // correlation.  Identically configured devices key the same
+  // PredictionCache entries.
   std::uint64_t fingerprint() const { return fingerprint_; }
+
+  // The device's (wrapped) response CDF at t, each base read an Euler
+  // inversion of the tape at kModelEulerOrder (two for hedging, at t and
+  // t - delay); t in seconds, 0 for t <= 0.
+  double cdf(double t) const;
+  // Element i is bit-identical to cdf(ts[i]); ONE batched tape call.
+  std::vector<double> cdf_many(std::span<const double> ts) const;
+  // (F, f) at t: one quantile-search probe.  F is bit-identical to cdf(t).
+  numerics::CdfDensityPoint cdf_density(double t) const;
+  // Mean response latency in seconds: the tree's mean for one attempt,
+  // the wrap's integral of 1 - F over one batched base inversion
+  // otherwise (computed on each call, never at build).
+  double mean_latency() const;
 
  private:
   std::shared_ptr<const BackendModel> backend_;
   numerics::DistPtr response_;
   std::shared_ptr<const numerics::TransformTape> tape_;
+  numerics::RedundancyWrap wrap_;
   std::uint64_t fingerprint_ = 0;
 };
 
@@ -137,7 +160,7 @@ class SystemModel {
   const std::vector<DeviceModel>& devices() const { return devices_; }
 
   // P[response latency <= sla] over the whole system (Eq. 3), each
-  // device's CDF an Euler inversion at kModelEulerOrder.
+  // device's CDF its DeviceModel::cdf (inversions at kModelEulerOrder).
   // Precondition: sla > 0 (seconds).
   double predict_sla_percentile(double sla) const;
   // Batch form: one value per entry of `slas`, fanning the (device × SLA
@@ -165,7 +188,9 @@ class SystemModel {
   // for bit, served from and written to the same cache entries.
   std::vector<double> latency_quantiles(
       const std::vector<double>& percentiles) const;
-  // Rate-weighted mean response latency in seconds (for what-if analyses).
+  // Rate-weighted mean response latency in seconds (for what-if analyses):
+  // each distinct device's DeviceModel::mean_latency(), reduced in device
+  // order.
   double mean_response_latency() const;
 
  private:

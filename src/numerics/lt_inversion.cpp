@@ -501,22 +501,4 @@ double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
   }
 }
 
-double quantile_from_laplace(const LaplaceFn& lt, double p, double mean_hint,
-                             double t_max) {
-  // The scalar callback evaluated node by node: per-node arithmetic is the
-  // scalar cdf_from_laplace's.
-  const BatchLaplaceFn lt_many = [&lt](std::span<const std::complex<double>> s,
-                                       std::span<std::complex<double>> out) {
-    for (std::size_t k = 0; k < s.size(); ++k) out[k] = lt(s[k]);
-  };
-  return quantile_from_laplace(lt_many, p, mean_hint, t_max);
-}
-
-double quantile_from_laplace(const BatchLaplaceFn& lt_many, double p,
-                             double mean_hint, double t_max) {
-  return solve_quantile(
-      [&lt_many](double t) { return cdf_density_from_laplace(lt_many, t); },
-      p, mean_hint, t_max);
-}
-
 }  // namespace cosm::numerics

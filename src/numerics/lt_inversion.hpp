@@ -140,9 +140,8 @@ CdfPoint cdf_from_laplace_checked(const BatchLaplaceFn& lt_many, double t,
 
 // Multi-point CDF evaluation: one value per entry of `ts` (entries <= 0
 // yield 0).  Materializes the contours of ALL t-points and issues a
-// single lt_many call over the concatenation, so SLA sweeps and grid
-// materializations amortize transform setup (tape dispatch, virtual-call
-// batching) across points.  Element i is bit-identical to
+// single lt_many call over the concatenation, so SLA sweeps amortize
+// transform setup (tape dispatch, virtual-call batching) across points.  Element i is bit-identical to
 // cdf_from_laplace(lt_many, ts[i], m).
 std::vector<double> cdf_many_from_laplace(const BatchLaplaceFn& lt_many,
                                           std::span<const double> ts,
@@ -175,8 +174,8 @@ struct CdfDensityPoint {
 CdfDensityPoint cdf_density_from_laplace(const BatchLaplaceFn& lt_many,
                                          double t, int m = 20);
 
-// The one quantile solver: every quantile path (quantile_from_laplace,
-// TransformTape::quantile, core::SystemModel::latency_quantile) runs it.
+// The one quantile solver: core::SystemModel::latency_quantile runs it
+// over the model's (F, f) probes.
 // Safeguarded Newton on the log-survival g(t) = ln(1 - F(t)) - ln(1 - p),
 // which is nearly linear in t for queueing tails; each probe reads F and
 // f from one `probe` call, and the step is
@@ -205,15 +204,6 @@ CdfDensityPoint cdf_density_from_laplace(const BatchLaplaceFn& lt_many,
 using CdfDensityFn = std::function<CdfDensityPoint(double)>;
 double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
                       double t_max = 1e9);
-
-// The p-quantile of the distribution whose density transform is `lt`:
-// solve_quantile over cdf_density_from_laplace probes.  Same
-// preconditions and seed as solve_quantile.
-double quantile_from_laplace(const LaplaceFn& lt, double p, double mean_hint,
-                             double t_max = 1e9);
-// Batched form: every probe of the search is one lt_many call.
-double quantile_from_laplace(const BatchLaplaceFn& lt_many, double p,
-                             double mean_hint, double t_max = 1e9);
 
 // ------------------- contour plumbing (shared internals) ------------------
 //

@@ -13,7 +13,6 @@
 #include "numerics/compose.hpp"
 #include "obs/obs.hpp"
 #include "numerics/memo_cache.hpp"
-#include "numerics/order_statistics.hpp"
 #include "numerics/phase_type.hpp"
 #include "numerics/transform_nodes.hpp"
 
@@ -120,7 +119,6 @@ class TapeCompiler {
     kUniform,
     kErlang,
     kHyperExp,
-    kOrderStatistic,
     kGeneric,
   };
 
@@ -151,7 +149,6 @@ class TapeCompiler {
     if (is<Uniform>(type)) return Kind::kUniform;
     if (is<Erlang>(type)) return Kind::kErlang;
     if (is<HyperExponential>(type)) return Kind::kHyperExp;
-    if (is<OrderStatistic>(type)) return Kind::kOrderStatistic;
     return Kind::kGeneric;
   }
 
@@ -312,21 +309,6 @@ class TapeCompiler {
                              mk.blocking()}));
         break;
       }
-      case Kind::kOrderStatistic: {
-        // The base distribution is already folded into the combined
-        // F_(k:n) grid at construction, so the op is a leaf: [dt, F...] in
-        // params, grid size in `a`.  MIN-OF-K and KTH-OF-N share an
-        // evaluator; the distinct opcodes keep min-of-n and k-of-n tapes
-        // structurally distinct in fingerprint().
-        const auto& os = as<OrderStatistic>(d);
-        const std::uint32_t offset = param_offset();
-        tape_.params_.push_back(os.grid_dt());
-        tape_.params_.insert(tape_.params_.end(), os.grid().begin(),
-                             os.grid().end());
-        push_op(os.k() == 1 ? OpCode::kMinOfK : OpCode::kKthOfN,
-                static_cast<std::uint32_t>(os.grid().size()), offset);
-        break;
-      }
       case Kind::kMixture: {
         const auto& components = as<Mixture>(d).components();
         for (const auto& c : components) emit_node(c.dist);
@@ -449,8 +431,6 @@ class TapeCompiler {
         case OpCode::kLeafErlang:
         case OpCode::kLeafHyperExp:
         case OpCode::kLeafMM1K:
-        case OpCode::kMinOfK:
-        case OpCode::kKthOfN:
         case OpCode::kLeafGeneric:
         case OpCode::kLoad:
           ++value_height;
@@ -618,18 +598,6 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         ++top;
         break;
       }
-      case OpCode::kMinOfK:
-      case OpCode::kKthOfN: {
-        std::complex<double>* dst = values + top * batch;
-        const double dt = p[0];
-        const double* const cdf = p + 1;
-        const std::size_t count = op.a;
-        for (std::size_t i = 0; i < batch; ++i) {
-          dst[i] = detail::piecewise_cdf_laplace(sv[i], dt, cdf, count);
-        }
-        ++top;
-        break;
-      }
       case OpCode::kLeafGeneric: {
         std::complex<double>* dst = values + top * batch;
         leaves_[op.a]->laplace_many(
@@ -778,11 +746,6 @@ std::vector<double> TransformTape::cdf_many(std::span<const double> ts,
 
 CdfDensityPoint TransformTape::cdf_density(double t, int m) const {
   return cdf_density_from_laplace(batch_fn(), t, m);
-}
-
-double TransformTape::quantile(double p, double mean_hint,
-                               double t_max) const {
-  return quantile_from_laplace(batch_fn(), p, mean_hint, t_max);
 }
 
 }  // namespace cosm::numerics

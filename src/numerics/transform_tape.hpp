@@ -57,7 +57,7 @@
 // Allocation.  Steady-state evaluation allocates nothing: workspaces
 // (value stack, scaled-argument batches, CSE slots) are leased from a
 // thread-local pool and sized once per tape.  Entry points that run whole
-// inversions (cdf, cdf_many, cdf_density, quantile) reuse the contour
+// inversions (cdf, cdf_many, cdf_density) reuse the contour
 // scratch of numerics/lt_inversion.cpp the same way.
 //
 // Fingerprints.  fingerprint() folds the full op stream and parameter
@@ -112,7 +112,7 @@ class TransformTape {
   double cdf(double t, int m = 20) const;
 
   // CDF at many points with ONE batched evaluation over all contours —
-  // the amortized path for SLA sweeps and grid materializations.  Element
+  // the amortized path for SLA sweeps and the wrapped mean.  Element
   // i is bit-identical to cdf(ts[i], m).
   std::vector<double> cdf_many(std::span<const double> ts, int m = 20) const;
 
@@ -120,9 +120,6 @@ class TransformTape {
   // (cdf_density_from_laplace); the CDF is bit-identical to cdf(t, m).
   // This is one probe of a quantile search.
   CdfDensityPoint cdf_density(double t, int m = 20) const;
-
-  // p-quantile via numerics::solve_quantile over cdf_density probes.
-  double quantile(double p, double mean_hint, double t_max = 1e9) const;
 
   // Structural 64-bit identity of the compiled program (see header doc).
   std::uint64_t fingerprint() const { return fingerprint_; }
@@ -133,6 +130,8 @@ class TransformTape {
   std::size_t generic_leaf_count() const { return leaves_.size(); }
 
  private:
+  // The opcode values are folded into fingerprint(), so they stay fixed:
+  // values 7 and 8 belonged to retired ops and are not reused.
   enum class OpCode : std::uint8_t {
     kLeafDegenerate,   // params [value]
     kLeafExponential,  // params [rate]
@@ -141,11 +140,7 @@ class TransformTape {
     kLeafErlang,       // params [stages (as double), rate]
     kLeafHyperExp,     // a = branches, params [p0, r0, p1, r1, ...]
     kLeafMM1K,         // params [arrival, service, capacity, p0, blocking]
-    kMinOfK,           // a = grid points, params [dt, F_0, ..., F_{a-1}]:
-                       // OrderStatistic with k == 1 (min of n), evaluated
-                       // via piecewise_cdf_laplace on the combined grid
-    kKthOfN,           // same layout, OrderStatistic with k > 1
-    kLeafGeneric,      // a = index into leaves_; calls laplace_many
+    kLeafGeneric = 9,  // a = index into leaves_; calls laplace_many
     kMul,              // a = child count (Convolution)
     kMix,              // a = child count, params [w0, ..., w_{a-1}]
     kTierMix,          // params [hit_ratio, miss_ratio]; children hit,

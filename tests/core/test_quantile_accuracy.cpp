@@ -3,7 +3,8 @@
 // bisection on predict_sla_percentile, run to 1e-12 relative.  The
 // operating points are seeded draws over the service's cluster family —
 // 1 to 12 devices at 30–45 req/s each, in two value classes so the
-// rate-weighted reduction over distinct devices is exercised.
+// rate-weighted reduction over distinct devices is exercised — plain, and
+// under a hedge-40ms and a min-of-2 redundancy wrap.
 #include <cmath>
 #include <memory>
 #include <ostream>
@@ -113,6 +114,49 @@ INSTANTIATE_TEST_SUITE_P(Levels, QuantileAccuracy,
                          [](const auto& info) {
                            return std::string(info.param.label);
                          });
+
+// A redundancy policy at one percentile level.
+struct RedundantCase {
+  const char* label;
+  RedundancyOptions redundancy;
+  double p;
+};
+
+void PrintTo(const RedundantCase& c, std::ostream* os) { *os << c.label; }
+
+class RedundantQuantileAccuracy
+    : public ::testing::TestWithParam<RedundantCase> {};
+
+TEST_P(RedundantQuantileAccuracy, AgreesWithBisectionOracle) {
+  const RedundantCase& c = GetParam();
+  const std::vector<std::vector<double>> points = operating_points(100);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SystemModel model(spec_cluster(points[i]),
+                            {.redundancy = c.redundancy});
+    const double oracle = bisection_quantile(model, c.p);
+    const double solved = model.latency_quantile(c.p);
+    EXPECT_NEAR(solved, oracle, 1e-6 * oracle)
+        << "point " << i << ": " << points[i].size() << " devices at "
+        << points[i].front() << " req/s";
+  }
+}
+
+constexpr RedundancyOptions kHedge40ms = {
+    .mode = RedundancyOptions::Mode::kHedge, .hedge_delay = 0.04};
+constexpr RedundancyOptions kMinOf2 = {
+    .mode = RedundancyOptions::Mode::kMinOfN, .n = 2};
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, RedundantQuantileAccuracy,
+    ::testing::Values(RedundantCase{"hedge_40ms_p50", kHedge40ms, 0.5},
+                      RedundantCase{"hedge_40ms_p90", kHedge40ms, 0.9},
+                      RedundantCase{"hedge_40ms_p99", kHedge40ms, 0.99},
+                      RedundantCase{"hedge_40ms_p999", kHedge40ms, 0.999},
+                      RedundantCase{"min_of_2_p50", kMinOf2, 0.5},
+                      RedundantCase{"min_of_2_p90", kMinOf2, 0.9},
+                      RedundantCase{"min_of_2_p99", kMinOf2, 0.99},
+                      RedundantCase{"min_of_2_p999", kMinOf2, 0.999}),
+    [](const auto& info) { return std::string(info.param.label); });
 
 TEST(QuantileRinging, LowPercentileIsACrossing) {
   // Lightly loaded (10 req/s per device), the response CDF has a

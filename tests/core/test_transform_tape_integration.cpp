@@ -52,9 +52,11 @@ SystemParams tape_system(double total_rate, unsigned devices) {
 }
 
 // The compiled response tapes of the service family (four devices at 30
-// req/s each) and its variants, pinned: fingerprint() keys every
-// PredictionCache entry, so a compiler change that moves any of these
-// moves cache keys.
+// req/s each) and its variants, pinned with each device's fingerprint():
+// that keys every PredictionCache entry, so a compiler change that moves
+// any of these moves cache keys.  A redundancy wrap compiles the base
+// tape (the default row's) and folds its own fields into the device
+// fingerprint only; without a wrap the two fingerprints are one.
 TEST(TapeIntegration, CompiledResponseTapesArePinned) {
   using Queue = ModelOptions::DiskQueue;
   using Mode = RedundancyOptions::Mode;
@@ -66,6 +68,7 @@ TEST(TapeIntegration, CompiledResponseTapesArePinned) {
     std::size_t ops;
     std::size_t slots;
     std::size_t generic_leaves;
+    std::uint64_t device_fingerprint;
   };
   const SystemParams family = tape_system(120.0, 4);
   SystemParams four_process = family;
@@ -81,22 +84,24 @@ TEST(TapeIntegration, CompiledResponseTapesArePinned) {
   slow_disk.slow_device = 0;
   slow_disk.service_inflation = 1.5;
   const std::vector<Pin> pins = {
-      {"default", family, {}, 0xf3d1113b99c988edULL, 31, 6, 0},
+      {"default", family, {}, 0xf3d1113b99c988edULL, 31, 6, 0,
+       0xf3d1113b99c988edULL},
       {"mm1k_4_processes", four_process, {.disk_queue = Queue::kMM1K},
-       0xfc41dfc494d77d00ULL, 32, 7, 0},
+       0xfc41dfc494d77d00ULL, 32, 7, 0, 0xfc41dfc494d77d00ULL},
       {"mg1k_4_processes", four_process, {.disk_queue = Queue::kMG1K},
-       0x8194d237321fc946ULL, 36, 7, 0},
+       0x8194d237321fc946ULL, 36, 7, 0, 0x8194d237321fc946ULL},
       {"no_wta", family, {.include_wta = false}, 0x3506b2073bcf7a09ULL, 29,
-       5, 0},
-      {"tier_50pct", tiered, {}, 0x624ff5cf60f1742cULL, 33, 6, 0},
+       5, 0, 0x3506b2073bcf7a09ULL},
+      {"tier_50pct", tiered, {}, 0x624ff5cf60f1742cULL, 33, 6, 0,
+       0x624ff5cf60f1742cULL},
       {"hedge_40ms", family,
        {.redundancy = {.mode = Mode::kHedge, .hedge_delay = 0.04}},
-       0x0ea03e636d439b68ULL, 1, 0, 1},
+       0xf3d1113b99c988edULL, 31, 6, 0, 0x1620f0af55f7b260ULL},
       {"min_of_2", family, {.redundancy = {.mode = Mode::kMinOfN, .n = 2}},
-       0xee0d3647925f47b3ULL, 1, 0, 0},
+       0xf3d1113b99c988edULL, 31, 6, 0, 0x393fa566511f9323ULL},
       // Device 0's disks are Scaled: the tape scales its argument.
       {"scaled_slow_disk", degrade(family, slow_disk), {},
-       0x05a44be26321e235ULL, 37, 6, 0},
+       0x05a44be26321e235ULL, 37, 6, 0, 0x05a44be26321e235ULL},
   };
   for (const Pin& pin : pins) {
     const SystemModel model(pin.params, pin.options);
@@ -105,6 +110,8 @@ TEST(TapeIntegration, CompiledResponseTapesArePinned) {
     EXPECT_EQ(tape.op_count(), pin.ops) << pin.name;
     EXPECT_EQ(tape.slot_count(), pin.slots) << pin.name;
     EXPECT_EQ(tape.generic_leaf_count(), pin.generic_leaves) << pin.name;
+    EXPECT_EQ(model.devices()[0].fingerprint(), pin.device_fingerprint)
+        << pin.name;
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <span>
 
 #include "numerics/distribution.hpp"
 #include "numerics/special.hpp"
@@ -132,20 +134,31 @@ TEST(CrossAlgorithm, AgreeOnMG1StyleTransform) {
   }
 }
 
+// solve_quantile over (F, f) probes read from one Euler contour of the
+// transform (cdf_density_from_laplace).
+CdfDensityFn laplace_probe(const Distribution& d) {
+  const BatchLaplaceFn lt = [&d](std::span<const std::complex<double>> s,
+                                 std::span<std::complex<double>> out) {
+    d.laplace_many(s, out);
+  };
+  return [lt](double t) { return cdf_density_from_laplace(lt, t); };
+}
+
 TEST(QuantileFromLaplace, InvertsExponentialQuantiles) {
   const Exponential e(2.0);
-  const LaplaceFn lt = [&e](std::complex<double> s) { return e.laplace(s); };
   for (double p : {0.1, 0.5, 0.9, 0.99}) {
     const double expected = -std::log(1.0 - p) / 2.0;
-    EXPECT_NEAR(quantile_from_laplace(lt, p, e.mean()), expected, 1e-6) << p;
+    EXPECT_NEAR(solve_quantile(laplace_probe(e), p, e.mean()), expected, 1e-6)
+        << p;
   }
 }
 
 TEST(QuantileFromLaplace, RejectsBadLevels) {
   const Exponential e(1.0);
-  const LaplaceFn lt = [&e](std::complex<double> s) { return e.laplace(s); };
-  EXPECT_THROW(quantile_from_laplace(lt, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(quantile_from_laplace(lt, 1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(solve_quantile(laplace_probe(e), 0.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(solve_quantile(laplace_probe(e), 1.0, 1.0),
+               std::invalid_argument);
 }
 
 TEST(Inversion, ParameterValidation) {
