@@ -20,6 +20,7 @@
 #include <memory>
 
 #include "common/table.hpp"
+#include "core/backend_model.hpp"
 #include "core/system_model.hpp"
 #include "numerics/grid.hpp"
 #include "sim/cluster.hpp"
@@ -140,7 +141,7 @@ int main() {
 
     const cosm::core::SystemModel full(params);
     const cosm::core::SystemModel no_wta(params, {.include_wta = false});
-    const auto& backend = full.devices().front().backend();
+    const cosm::core::BackendModel backend(params.devices.front());
 
     // Exact variant by grid convolution: S_q (*) Wa_exact (*) S_be.
     const GridDensity s_q = GridDensity::discretize(

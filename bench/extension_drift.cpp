@@ -41,6 +41,7 @@
 #include "calibration/disk_benchmark.hpp"
 #include "calibration/recalibrate.hpp"
 #include "common/table.hpp"
+#include "core/system_model.hpp"
 #include "obs/obs.hpp"
 #include "sim/cluster.hpp"
 #include "sim/source.hpp"

@@ -99,11 +99,11 @@ void BM_ModelBuildAndPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelBuildAndPredict);
 
-// One realistic 4-process device response (S_q * W_a * S_be with the
-// M/M/1/K disk substitution) — the distribution every percentile query
-// inverts, shared by the scalar-vs-tape pairs below.
-const cosm::core::SystemModel& tape_bench_model() {
-  static const cosm::core::SystemModel model = [] {
+// One realistic 4-process device (S_q * W_a * S_be with the M/M/1/K disk
+// substitution): the response every percentile query inverts, shared by
+// the scalar-vs-tape pairs below.
+const cosm::core::SystemParams& tape_bench_params() {
+  static const cosm::core::SystemParams params = [] {
     cosm::core::SystemParams params;
     params.frontend.arrival_rate = 30.0;
     params.frontend.processes = 3;
@@ -120,13 +120,24 @@ const cosm::core::SystemModel& tape_bench_model() {
     device.backend_parse = std::make_shared<Degenerate>(0.5e-3);
     device.processes = 4;
     params.devices.push_back(device);
-    return cosm::core::SystemModel(params);
+    return params;
   }();
+  return params;
+}
+
+// The compiled model (its device tape) and the response tree it compiles.
+const cosm::core::SystemModel& tape_bench_model() {
+  static const cosm::core::SystemModel model(tape_bench_params());
   return model;
 }
 
+DistPtr tape_bench_tree() {
+  return cosm::core::response_tree(tape_bench_model().frontend(),
+                                   tape_bench_params().devices[0], {});
+}
+
 void BM_ScalarTreeCdf(benchmark::State& state) {
-  const DistPtr response = tape_bench_model().devices()[0].response_time();
+  const DistPtr response = tape_bench_tree();
   const LaplaceFn lt = [&response](std::complex<double> s) {
     return response->laplace(s);
   };
@@ -161,7 +172,7 @@ void BM_TapeCdfMany(benchmark::State& state) {
 BENCHMARK(BM_TapeCdfMany);
 
 void BM_TapeCompile(benchmark::State& state) {
-  const DistPtr response = tape_bench_model().devices()[0].response_time();
+  const DistPtr response = tape_bench_tree();
   for (auto _ : state) {
     benchmark::DoNotOptimize(TransformTape::compile(response));
   }

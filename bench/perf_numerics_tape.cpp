@@ -182,7 +182,8 @@ struct ScenarioResult {
 ScenarioResult run_scenario(const Scenario& scenario,
                             const std::vector<double>& ts, int repeat) {
   const SystemModel model(scenario.params, scenario.options);
-  const DistPtr response = model.devices()[0].response_time();
+  const DistPtr response = cosm::core::response_tree(
+      model.frontend(), scenario.params.devices[0], scenario.options);
   const TransformTape& tape = model.devices()[0].response_tape();
 
   ScenarioResult result;

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/backend_model.hpp"
 #include "example_common.hpp"
 
 int main(int argc, char** argv) {
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
       const auto params = cosm_examples::make_cluster(target_rate, devices);
       const cosm::core::SystemModel model(params);
       const double utilization =
-          model.devices().front().backend().utilization();
+          cosm::core::BackendModel(params.devices.front()).utilization();
       const double percentile = model.predict_sla_percentile(sla);
       std::printf("%-10u %-14.1f %-22.3f %6.2f%% %s\n", devices,
                   target_rate / devices, utilization, 100.0 * percentile,

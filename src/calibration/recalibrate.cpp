@@ -146,10 +146,6 @@ bool CalibrationLoop::refit(const WindowObservation& window,
   std::size_t evictions = 0;
   if (config_.cache != nullptr && calibrated()) {
     if (config_.cache->devices.erase(published_device_key_)) ++evictions;
-    if (config_.cache->backends.erase(
-            core::backend_fingerprint(*params_, config_.options))) {
-      ++evictions;
-    }
     for (const double sla : config_.slas) {
       if (config_.cache->cdf.erase(
               core::cdf_cache_key(published_fingerprint_, sla))) {

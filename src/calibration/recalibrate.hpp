@@ -19,12 +19,10 @@
 // keeps the previous calibration — and throws only on caller misuse.
 //
 // Cache-invalidation contract (docs/CALIBRATION.md): a re-fit makes
-// exactly three kinds of PredictionCache entries stale, and the loop
+// exactly two kinds of PredictionCache entries stale, and the loop
 // erases exactly those —
 //  * the device-model entry of the PREVIOUS model,
 //    key core::device_model_key(old_frontend, old_params, options);
-//  * the backend entry of the PREVIOUS params,
-//    key core::backend_fingerprint(old_params, options);
 //  * the cdf entries of the previous model's response tape over the
 //    published SLA grid, keys core::cdf_cache_key(old_fingerprint, sla)
 //    — enumerable because the loop knows its own grid.

@@ -106,24 +106,15 @@ void ThreadPool::parallel_for_index(
   }
 }
 
-void parallel_for(std::size_t count, unsigned num_threads,
-                  const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
+std::size_t detail::resolve_threads(unsigned num_threads) {
   // Resolve "all hardware" before deciding on the fan-out: on a
   // single-core host num_threads == 0 used to reach the pool anyway and
   // pay queueing + latch overhead for zero extra parallelism (a measured
   // ~3% pipeline regression).  hardware_concurrency() is a free function,
   // so the resolution never instantiates the global pool.
-  std::size_t resolved = num_threads;
-  if (resolved == 0) {
-    resolved = std::thread::hardware_concurrency();
-    if (resolved == 0) resolved = 1;
-  }
-  if (resolved == 1 || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  ThreadPool::global().parallel_for_index(count, fn, num_threads);
+  if (num_threads != 0) return num_threads;
+  const std::size_t hardware = std::thread::hardware_concurrency();
+  return hardware == 0 ? 1 : hardware;
 }
 
 }  // namespace cosm

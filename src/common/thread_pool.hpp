@@ -90,6 +90,13 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+namespace detail {
+// The fan-out width parallel_for uses for `num_threads`: 0 resolves to
+// std::thread::hardware_concurrency() (at least 1), anything else is
+// itself.  Never instantiates the global pool.
+std::size_t resolve_threads(unsigned num_threads);
+}  // namespace detail
+
 // Convenience fan-out used by the prediction pipeline.  Runs fn(i) for
 // every i in [0, count):
 //   num_threads == 1  — plain serial loop on the calling thread (no pool
@@ -102,10 +109,19 @@ class ThreadPool {
 //                       completion-latch overhead;
 //   num_threads == k  — ThreadPool::global() capped at k concurrent
 //                       threads (including the caller).
+// `fn` is taken by reference and called in place: the inline path never
+// allocates, and the pool path hands the pool a std::ref to it.
 // Each index must write only to its own output slot; reductions belong in
 // the caller *after* the call, in index order, so that results are
 // bit-identical to the serial path regardless of thread count.
-void parallel_for(std::size_t count, unsigned num_threads,
-                  const std::function<void(std::size_t)>& fn);
+template <typename Fn>
+void parallel_for(std::size_t count, unsigned num_threads, Fn&& fn) {
+  if (count == 0) return;
+  if (count == 1 || detail::resolve_threads(num_threads) == 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  ThreadPool::global().parallel_for_index(count, std::ref(fn), num_threads);
+}
 
 }  // namespace cosm

@@ -13,12 +13,10 @@
 #include <vector>
 
 #include "numerics/distribution.hpp"
-#include "numerics/memo_cache.hpp"
 
 namespace cosm::core {
 
-class BackendModel;
-class DeviceModel;
+struct PredictionCache;  // core/system_model.hpp
 
 // Two-tier storage (tiering extension): the model-side mirror of the
 // simulator's SSD cache tier (sim::TierConfig).  A data read that missed
@@ -156,61 +154,6 @@ struct ModelOptions {
   DiskQueue disk_queue = DiskQueue::kMM1K;
   // Redundant-read response shaping (kNone reproduces the paper exactly).
   RedundancyOptions redundancy = {};
-};
-
-// Shared memoization across models (Sec. "parallel pipeline" extension):
-// what-if sweeps and percentile ladders rebuild mostly identical models,
-// and homogeneous clusters repeat the identical device N times.  Within
-// one SystemModel, devices equal by value (core::device_model_key) are
-// built and evaluated once; across models, three caches cover the three
-// expensive stages:
-//  * devices — fully built device models (backend, response tree,
-//    compiled response tape and its fingerprint), keyed by
-//    core::device_model_key: the backend key plus a value fingerprint of
-//    the frontend parameters and the options that shape the response;
-//  * backends — fully built backend models (P–K / compound-Poisson /
-//    M/G/1/K chain solves), keyed by a value fingerprint of DeviceParams
-//    plus the options that shape the build; consulted on a device-model
-//    miss, so variants that differ only above the backend (include_wta,
-//    redundancy, frontend) share one solve;
-//  * cdf — per-device SLA-percentile values (one Euler inversion each),
-//    keyed by (response-tape fingerprint, SLA bits); the tape fingerprint
-//    covers the device, frontend, and option state that shapes the
-//    response (see numerics::TransformTape::fingerprint).  The same map
-//    holds the final bound of each SystemModel::latency_quantile
-//    search, keyed by core::quantile_cache_key (every device's
-//    fingerprint and rate, plus p); the search's probes are not cached.
-// Keys are 64-bit value fingerprints (numerics::hash_mix /
-// numerics::fingerprint): bit-identical parameters hit, anything else
-// misses (up to ~2^-64 fingerprint-collision odds).  Cached values are
-// deterministic functions of their keys, so cached and uncached runs are
-// bit-identical.  Thread-safe; share one instance across threads and
-// models, and keep it alive for as long as any SystemModel holds a
-// pointer to it (PredictOptions::cache).
-struct PredictionCache {
-  // 16 lock stripes: the what-if service shares one instance across every
-  // tenant thread, and fingerprint keys stripe evenly (see the sharding
-  // note in numerics/memo_cache.hpp).
-  numerics::MemoCache<std::uint64_t, std::shared_ptr<const DeviceModel>>
-      devices{1 << 10, 16};
-  numerics::MemoCache<std::uint64_t, std::shared_ptr<const BackendModel>>
-      backends{1 << 10, 16};
-  numerics::MemoCache<std::uint64_t, double> cdf{1 << 16, 16};
-
-  // Combined counters over all three caches (for logs and
-  // BENCH_pipeline.json).
-  numerics::CacheStats combined_stats() const {
-    numerics::CacheStats total;
-    for (const numerics::CacheStats& s :
-         {devices.stats(), backends.stats(), cdf.stats()}) {
-      total.hits += s.hits;
-      total.misses += s.misses;
-      total.evictions += s.evictions;
-      total.size += s.size;
-      total.capacity += s.capacity;
-    }
-    return total;
-  }
 };
 
 // Execution knobs for building and querying models — orthogonal to

@@ -7,6 +7,7 @@
 
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
+#include "core/backend_model.hpp"
 #include "obs/obs.hpp"
 
 namespace cosm::core {
@@ -15,11 +16,13 @@ using numerics::Convolution;
 using numerics::DistPtr;
 using numerics::hash_mix;
 
-// Value fingerprint of everything that shapes a backend build.  Computed
-// only on already-validated parameters (the distribution pointers are
-// dereferenced).
+namespace {
+
+// Value fingerprint of everything that shapes a backend build: the prefix
+// of device_model_key.  Computed only on already-validated parameters
+// (the distribution pointers are dereferenced).
 std::uint64_t backend_fingerprint(const DeviceParams& params,
-                                  ModelOptions options) {
+                                  const ModelOptions& options) {
   std::uint64_t h = 0x636f736d00000001ULL;
   h = hash_mix(h, params.arrival_rate);
   h = hash_mix(h, params.data_read_rate);
@@ -44,8 +47,6 @@ std::uint64_t backend_fingerprint(const DeviceParams& params,
   }
   return h;
 }
-
-namespace {
 
 // Value fingerprint of the frontend parameters: every field FrontendModel
 // reads to build S_q.
@@ -101,23 +102,34 @@ bool same_params(const DeviceParams& a, const DeviceParams& b) {
          a.tier.promote_on_read == b.tier.promote_on_read;
 }
 
+// S_fe over an already built backend: the one place the tree is composed.
+DistPtr compose_response(const FrontendModel& frontend,
+                         const BackendModel& backend, bool include_wta) {
+  std::vector<DistPtr> components;
+  components.push_back(frontend.queueing_latency());  // S_q
+  if (include_wta) {
+    components.push_back(backend.waiting_time());  // W_a = W_be
+  }
+  components.push_back(backend.response_time());  // S_be
+  return std::make_shared<Convolution>(std::move(components));
+}
+
 // One device model, served from PredictionCache::devices when a cache is
-// attached.  Copies share the build (DeviceModel holds only shared state).
+// attached.  Copies share the build (DeviceModel holds the tape shared).
 DeviceModel build_device(const FrontendModel& frontend, DeviceParams params,
                          const ModelOptions& options,
                          const PredictOptions& predict, std::uint64_t key) {
   if (predict.cache == nullptr) {
-    return DeviceModel(frontend, std::move(params), options, predict);
+    return DeviceModel(frontend, std::move(params), options);
   }
   if (auto cached = predict.cache->devices.lookup(key)) {
     obs::add(obs::Counter::kDeviceCacheHit);
-    return **cached;
+    return std::move(*cached);
   }
   obs::add(obs::Counter::kDeviceCacheMiss);
-  auto model = std::make_shared<const DeviceModel>(frontend, std::move(params),
-                                                   options, predict);
+  DeviceModel model(frontend, std::move(params), options);
   predict.cache->devices.insert(key, model);
-  return *model;
+  return model;
 }
 
 }  // namespace
@@ -142,42 +154,32 @@ std::uint64_t quantile_cache_key(const std::vector<DeviceModel>& devices,
   return hash_mix(h, percentile);
 }
 
+DistPtr response_tree(const FrontendModel& frontend, DeviceParams params,
+                      const ModelOptions& options) {
+  const BackendModel backend(std::move(params), options);
+  return compose_response(frontend, backend, options.include_wta);
+}
+
 DeviceModel::DeviceModel(const FrontendModel& frontend, DeviceParams params,
-                         ModelOptions options, const PredictOptions& predict) {
+                         const ModelOptions& options) {
   obs::Span span("core.device_build");
-  if (predict.cache != nullptr) {
-    // Open-coded get_or_compute (lookup; on miss compute outside the
-    // lock and insert) so hits and misses land in the obs counters.
-    const std::uint64_t backend_fp = backend_fingerprint(params, options);
-    if (auto cached = predict.cache->backends.lookup(backend_fp)) {
-      obs::add(obs::Counter::kBackendCacheHit);
-      backend_ = std::move(*cached);
-    } else {
-      obs::add(obs::Counter::kBackendCacheMiss);
-      backend_ =
-          std::make_shared<const BackendModel>(std::move(params), options);
-      predict.cache->backends.insert(backend_fp, backend_);
-    }
-  } else {
-    backend_ =
-        std::make_shared<const BackendModel>(std::move(params), options);
-  }
-  std::vector<DistPtr> components;
-  components.push_back(frontend.queueing_latency());  // S_q
-  if (options.include_wta) {
-    components.push_back(backend_->waiting_time());  // W_a = W_be
-  }
-  components.push_back(backend_->response_time());  // S_be
-  response_ = std::make_shared<Convolution>(std::move(components));
+  // The backend solve and the tree are scaffolding: only the compiled
+  // tape and a few scalars outlive this constructor, so the tree is freed
+  // here while it is still hot in cache.
+  const BackendModel backend(std::move(params), options);
+  arrival_rate_ = backend.params().arrival_rate;
+  const DistPtr response =
+      compose_response(frontend, backend, options.include_wta);
+  attempt_mean_ = response->mean();
   tape_ = std::make_shared<const numerics::TransformTape>(
-      numerics::TransformTape::compile(response_));
+      numerics::TransformTape::compile(response));
   const RedundancyOptions& red = options.redundancy;
   // Redundant reads complete from several concurrent attempts: the wrap
   // maps one attempt's (F, f) to the matching order statistic's.  The
   // fork-join correction feeds the backend utilization in as the attempt
   // correlation.
   const double corr = red.fork_join_correction
-                          ? std::clamp(backend_->utilization(), 0.0, 1.0)
+                          ? std::clamp(backend.utilization(), 0.0, 1.0)
                           : 0.0;
   switch (red.mode) {
     case RedundancyOptions::Mode::kNone:
@@ -238,12 +240,15 @@ numerics::CdfDensityPoint DeviceModel::cdf_density(double t) const {
 }
 
 double DeviceModel::mean_latency() const {
-  return wrap_.mean(*tape_, response_->mean(), kModelEulerOrder);
+  return wrap_.mean(*tape_, attempt_mean_, kModelEulerOrder);
 }
 
 SystemModel::SystemModel(SystemParams params, ModelOptions options,
                          PredictOptions predict)
     : frontend_(params.frontend), predict_(predict) {
+  // Spans validation, grouping and the device builds (core.device_build,
+  // one per distinct device that misses the cache).
+  obs::Span span("core.system_model");
   params.validate();
   // Group devices by value before building: a homogeneous cluster repeats
   // one device N times, often as N separately allocated but equal

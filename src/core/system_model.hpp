@@ -7,7 +7,7 @@
 // of requests meeting SLA".  ModelOptions selects the full model or the
 // noWTA / ODOPR baselines of Sec. V-C; PredictOptions selects how the
 // work is executed — fan-out width across devices/SLA points and an
-// optional shared PredictionCache (see core/params.hpp).
+// optional shared PredictionCache (below).
 //
 // Thread-safety: a fully constructed SystemModel is immutable, so all
 // const member functions may be called concurrently.  Construction itself
@@ -30,29 +30,21 @@
 #include <span>
 #include <vector>
 
-#include "core/backend_model.hpp"
 #include "core/frontend_model.hpp"
 #include "core/params.hpp"
+#include "numerics/memo_cache.hpp"
 #include "numerics/redundancy_wrap.hpp"
 #include "numerics/transform_tape.hpp"
 
 namespace cosm::core {
 
-// Value fingerprint of everything that shapes a backend build — the key
-// under which PredictionCache::backends stores the built BackendModel.
-// Public so the online calibration loop can erase exactly the entries a
-// re-fit made stale (fingerprint-keyed invalidation) instead of clearing
-// shared caches.  Dereferences the distribution pointers: call only on
-// validated parameters.
-std::uint64_t backend_fingerprint(const DeviceParams& params,
-                                  ModelOptions options);
-
-// Key under which PredictionCache::devices stores a built DeviceModel:
-// backend_fingerprint(params, options) plus a value fingerprint of the
-// frontend parameters (rate, processes, parse distribution, groups),
-// include_wta and every RedundancyOptions field — everything that shapes
-// the device's response.  SystemModel also groups its devices by this key,
-// so devices equal by value are built and evaluated once.  Public so
+// Key under which PredictionCache::devices stores a built DeviceModel: a
+// value fingerprint of everything that shapes the backend build (device
+// parameters, odopr, disk_queue) plus one of the frontend parameters
+// (rate, processes, parse distribution, groups), include_wta and every
+// RedundancyOptions field — everything that shapes the device's
+// response.  SystemModel also groups its devices by this key, so devices
+// equal by value are built and evaluated once.  Public so
 // external invalidation (the calibration loop, the service's re-fit)
 // erases exactly the entries the lookup path would find.  Dereferences
 // the distribution pointers: call only on validated parameters.
@@ -76,36 +68,42 @@ inline constexpr int kModelEulerOrder = 11;
 // never drift from the lookup path.
 std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla);
 
-// One device's model: backend, the single-attempt response tree S_fe, its
-// compiled tape, and the redundancy wrap (numerics/redundancy_wrap.hpp)
-// that maps the tape's (F, f) to the completed request's.  Immutable once
-// built and cheap to copy (every member is shared or a small value), so
-// one build — held in PredictionCache::devices or shared by the identical
-// devices of a SystemModel — backs every copy.
+// S_fe = S_q * W_a * S_be (Eq. 2): the latency distribution of ONE attempt
+// at the frontend, as a distribution tree (the redundancy wrap is not part
+// of it; W_a is left out when options.include_wta is false).  The one
+// builder of the tree: DeviceModel compiles it and drops it, and the
+// scalar oracles of the tests and benches walk it.  Throws like
+// DeviceModel's constructor.
+numerics::DistPtr response_tree(const FrontendModel& frontend,
+                                DeviceParams params,
+                                const ModelOptions& options);
+
+// One device's model, as the prediction path reads it: the single-attempt
+// response S_fe compiled to a transform tape, the redundancy wrap
+// (numerics/redundancy_wrap.hpp) that maps the tape's (F, f) to the
+// completed request's, r_j and the one-attempt mean.  The distribution
+// tree and the backend solve it was compiled from are build-time
+// temporaries.  Immutable once built and cheap to copy (the tape is
+// shared, the rest are small values), so one build — held in
+// PredictionCache::devices or shared by the identical devices of a
+// SystemModel — backs every copy.
 class DeviceModel {
  public:
   // Builds the device model for `params` (rates in req/s, latencies in
-  // seconds).  The model keeps shared ownership of `frontend`'s S_q, not a
-  // reference to `frontend`.  When `predict.cache` is set, the backend
-  // build is served from the cache: identical device parameter sets (by
-  // value fingerprint) share one BackendModel.
-  // Throws OverloadError when the device violates the model's stability
-  // precondition, std::invalid_argument for genuinely bad parameters.
+  // seconds).  Throws OverloadError when the device violates the model's
+  // stability precondition, std::invalid_argument for genuinely bad
+  // parameters.
   DeviceModel(const FrontendModel& frontend, DeviceParams params,
-              ModelOptions options, const PredictOptions& predict = {});
+              const ModelOptions& options);
 
-  const BackendModel& backend() const { return *backend_; }
-  // S_fe: the latency distribution of ONE attempt at the frontend (the
-  // redundancy wrap, if any, is not part of it).
-  numerics::DistPtr response_time() const { return response_; }
   // S_fe compiled to a flat transform tape; bit-identical to
-  // response_time()->laplace (see numerics/transform_tape.hpp).
+  // response_tree(...)->laplace (see numerics/transform_tape.hpp).
   const numerics::TransformTape& response_tape() const { return *tape_; }
   // The map from one attempt's (F, f) to the completed request's, built
   // from ModelOptions::redundancy (the identity when its mode is kNone).
   const numerics::RedundancyWrap& wrap() const { return wrap_; }
   // r_j, requests/s.
-  double arrival_rate() const { return backend_->params().arrival_rate; }
+  double arrival_rate() const { return arrival_rate_; }
   // Cache key identity of this device's response distribution:
   // wrap().fingerprint(response_tape().fingerprint()) — the tape's own
   // fingerprint when there is no wrap.  The tape covers device
@@ -123,17 +121,61 @@ class DeviceModel {
   std::vector<double> cdf_many(std::span<const double> ts) const;
   // (F, f) at t: one quantile-search probe.  F is bit-identical to cdf(t).
   numerics::CdfDensityPoint cdf_density(double t) const;
-  // Mean response latency in seconds: the tree's mean for one attempt,
-  // the wrap's integral of 1 - F over one batched base inversion
-  // otherwise (computed on each call, never at build).
+  // Mean response latency in seconds: the tree's mean for one attempt
+  // (taken at build), the wrap's integral of 1 - F over one batched base
+  // inversion otherwise (computed on each call, never at build).
   double mean_latency() const;
 
  private:
-  std::shared_ptr<const BackendModel> backend_;
-  numerics::DistPtr response_;
   std::shared_ptr<const numerics::TransformTape> tape_;
   numerics::RedundancyWrap wrap_;
   std::uint64_t fingerprint_ = 0;
+  double arrival_rate_ = 0.0;
+  double attempt_mean_ = 0.0;  // mean of S_fe, seconds
+};
+
+// Shared memoization across models (Sec. "parallel pipeline" extension):
+// what-if sweeps and percentile ladders rebuild mostly identical models,
+// and homogeneous clusters repeat the identical device N times.  Within
+// one SystemModel, devices equal by value (device_model_key) are built
+// and evaluated once; across models, two caches cover the two expensive
+// stages:
+//  * devices — built device models (compiled response tape, wrap, rate
+//    and mean), keyed by device_model_key: the device parameters, the
+//    frontend parameters and the options that shape the response.  A
+//    miss solves the backend and compiles the tape afresh;
+//  * cdf — per-device SLA-percentile values (one Euler inversion each),
+//    keyed by cdf_cache_key (DeviceModel::fingerprint(), SLA bits).  The
+//    same map holds the final bound of each SystemModel::latency_quantile
+//    search, keyed by quantile_cache_key (every device's fingerprint and
+//    rate, plus p); the search's probes are not cached.
+// Keys are 64-bit value fingerprints (numerics::hash_mix /
+// numerics::fingerprint): bit-identical parameters hit, anything else
+// misses (up to ~2^-64 fingerprint-collision odds).  Cached values are
+// deterministic functions of their keys, so cached and uncached runs are
+// bit-identical.  Thread-safe; share one instance across threads and
+// models, and keep it alive for as long as any SystemModel holds a
+// pointer to it (PredictOptions::cache).
+struct PredictionCache {
+  // 16 lock stripes: the what-if service shares one instance across every
+  // tenant thread, and fingerprint keys stripe evenly (see the sharding
+  // note in numerics/memo_cache.hpp).
+  numerics::MemoCache<std::uint64_t, DeviceModel> devices{1 << 10, 16};
+  numerics::MemoCache<std::uint64_t, double> cdf{1 << 16, 16};
+
+  // Combined counters over both caches (for logs and
+  // BENCH_pipeline.json).
+  numerics::CacheStats combined_stats() const {
+    numerics::CacheStats total;
+    for (const numerics::CacheStats& s : {devices.stats(), cdf.stats()}) {
+      total.hits += s.hits;
+      total.misses += s.misses;
+      total.evictions += s.evictions;
+      total.size += s.size;
+      total.capacity += s.capacity;
+    }
+    return total;
+  }
 };
 
 // Key under which PredictionCache::cdf stores a system's answer to a cold

@@ -328,7 +328,7 @@ InversionQuality classify_cdf_value(double raw) {
   if (!std::isfinite(raw)) return InversionQuality::kNonFinite;
   // excess > 0 means the raw sum sits outside [0, 1] by that much.
   const double excess = std::max(0.0 - raw, raw - 1.0);
-  if (excess <= 1e-9) return InversionQuality::kConverged;
+  if (excess <= kCdfErrorBudget) return InversionQuality::kConverged;
   if (excess <= 1e-3) return InversionQuality::kTruncated;
   return InversionQuality::kClamped;
 }

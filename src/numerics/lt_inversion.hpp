@@ -86,9 +86,9 @@ double invert_gaver_stehfest(const RealLaplaceFn& lt, double t, int n = 16);
 
 // Quality verdict of one CDF inversion — how far the raw Euler sum sat
 // outside the mathematically required [0, 1] before the clamp:
-//  * kConverged  — in range up to the inversion's intrinsic accuracy
-//                  (|excess| <= 1e-9; the ~10^-8 Abate–Whitt error floor
-//                  at M=20 rounded up);
+//  * kConverged  — in range up to the model's error budget
+//                  (excess <= kCdfErrorBudget, 1e-7 on F: a raw sum
+//                  that close to [0, 1] is as good as any in-range one);
 //  * kTruncated  — visible series-truncation overshoot (excess <= 1e-3):
 //                  the result is usable but the term count is marginal
 //                  for this transform at this t;

@@ -28,8 +28,6 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "quantile.bisect_steps",
     "cache.cdf.hit",
     "cache.cdf.miss",
-    "cache.backend.hit",
-    "cache.backend.miss",
     "cache.device.hit",
     "cache.device.miss",
     "tape.compiles",

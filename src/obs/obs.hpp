@@ -75,8 +75,6 @@ enum class Counter : std::uint32_t {
   // core::PredictionCache traffic (per lookup, at the call sites).
   kCdfCacheHit,
   kCdfCacheMiss,
-  kBackendCacheHit,
-  kBackendCacheMiss,
   kDeviceCacheHit,
   kDeviceCacheMiss,
 

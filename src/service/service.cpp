@@ -184,13 +184,20 @@ core::PredictOptions WhatIfService::predict_options() const {
 }
 
 std::string WhatIfService::handle_line(std::string_view line) {
-  const common::JsonParseResult parsed = common::json_parse(line);
-  if (!parsed.ok) {
+  const common::JsonParseResult parsed = [line] {
+    obs::Span span("service.json_parse");
+    return common::json_parse(line);
+  }();
+  JsonValue response;
+  if (parsed.ok) {
+    response = handle(parsed.value);
+  } else {
     obs::add(obs::Counter::kServiceRequests);
-    return error_response(JsonValue::object(), "parse error: " + parsed.error)
-        .dump();
+    response =
+        error_response(JsonValue::object(), "parse error: " + parsed.error);
   }
-  return handle(parsed.value).dump();
+  obs::Span span("service.json_dump");
+  return response.dump();
 }
 
 JsonValue WhatIfService::handle(const JsonValue& request) {
@@ -401,20 +408,16 @@ JsonValue WhatIfService::op_calibrate(const JsonValue& request) {
       auto refitted_cluster = std::make_shared<const Cluster>(refitted);
       refitted_cluster->build(refitted.rate, refitted.devices).validate();
 
-      // Erase the stale device-model and backend entries by key (all
-      // devices of a family share one of each — they are identical by
-      // value).  The old cdf entries are keyed under the old response-tape
-      // fingerprint and can never be hit again; LRU ages them out.
+      // Erase the stale device-model entry by key (all devices of a
+      // family share one — they are identical by value).  The old cdf
+      // entries are keyed under the old response-tape fingerprint and can
+      // never be hit again; LRU ages them out.
       std::size_t evictions = 0;
       const core::SystemParams old_params =
           published->build(spec.rate, spec.devices);
-      const core::DeviceParams& old_device = old_params.devices.front();
       if (cache_.devices.erase(core::device_model_key(
-              old_params.frontend, old_device, core::ModelOptions{}))) {
-        ++evictions;
-      }
-      if (cache_.backends.erase(
-              core::backend_fingerprint(old_device, core::ModelOptions{}))) {
+              old_params.frontend, old_params.devices.front(),
+              core::ModelOptions{}))) {
         ++evictions;
       }
       obs::add(obs::Counter::kCalibRefitCacheEvictions, evictions);
@@ -678,7 +681,6 @@ JsonValue WhatIfService::op_list() const {
 
 JsonValue WhatIfService::op_stats() const {
   const numerics::CacheStats devices = cache_.devices.stats();
-  const numerics::CacheStats backends = cache_.backends.stats();
   const numerics::CacheStats cdf = cache_.cdf.stats();
   JsonValue stats = JsonValue::object();
   auto cache_object = [](const numerics::CacheStats& s,
@@ -694,8 +696,6 @@ JsonValue WhatIfService::op_stats() const {
   };
   stats.set("device_cache",
             cache_object(devices, cache_.devices.shard_count()));
-  stats.set("backend_cache",
-            cache_object(backends, cache_.backends.shard_count()));
   stats.set("cdf_cache", cache_object(cdf, cache_.cdf.shard_count()));
   {
     std::shared_lock<std::shared_mutex> lock(registry_mutex_);

@@ -43,17 +43,16 @@
 //             re-fitted (rates, miss ratios, disk service means
 //             re-split via calibration::split_disk_service with the
 //             registered shapes kept; the family's distribution
-//             objects are rebuilt from it) and the stale device-model and
-//             backend cache entries are erased by key; stale cdf
-//             entries are unreachable under the new fingerprint and age
-//             out by LRU.  Detector knobs are read at the first
+//             objects are rebuilt from it) and the stale device-model
+//             cache entry is erased by key; stale cdf entries are
+//             unreachable under the new fingerprint and age out by
+//             LRU.  Detector knobs are read at the first
 //             calibrate call per cluster.
 //   drift_status cluster — the cluster's loop state: windows offered,
 //             last verdict, alarmed signals, re-fit count, current rate.
 //   list      — registered cluster names.
 //   stats     — shared-cache counters (hits/misses/evictions/shards) of
-//             the device_cache, backend_cache and cdf_cache, and request
-//             counters.
+//             the device_cache and cdf_cache, and request counters.
 //
 // Counts.  Integer fields — devices, min, max, processes,
 // frontend_processes, objects, capacity/capacities, mem_chunks and the
@@ -77,7 +76,8 @@
 // Observability: every request bumps obs::Counter::kServiceRequests,
 // error responses bump kServiceErrors, each produced number bumps
 // kServicePredictions, and each op runs under an obs::Span named
-// "service.<op>".
+// "service.<op>"; handle_line's JSON parse and dump run under
+// "service.json_parse" and "service.json_dump".
 #pragma once
 
 #include <cstdint>
@@ -90,6 +90,7 @@
 #include "calibration/drift.hpp"
 #include "common/json.hpp"
 #include "core/params.hpp"
+#include "core/system_model.hpp"
 #include "numerics/distribution.hpp"
 
 namespace cosm::service {

@@ -447,16 +447,9 @@ TEST(DriftCalibrationLoop, ConvergesToPostStepTruthAndInvalidatesByKey) {
   EXPECT_EQ(loop.refits().front().alarm_mask, 0u);
   EXPECT_NEAR(loop.refits().front().params.arrival_rate, 20.0, 2.0);
 
-  // Fingerprint-keyed invalidation: the initial fit's backend entry was
-  // erased by the re-fit (a fresh lookup misses), while the re-fit's own
-  // entry is resident (a fresh build hits it).
-  const std::uint64_t old_key = core::backend_fingerprint(
-      loop.refits().front().params, loop.config().options);
-  const std::uint64_t new_key = core::backend_fingerprint(
-      loop.params(), loop.config().options);
-  EXPECT_FALSE(cache.backends.lookup(old_key).has_value());
-  EXPECT_TRUE(cache.backends.lookup(new_key).has_value());
-  // The same holds for the compiled device model: the loop's frontend
+  // Fingerprint-keyed invalidation: the initial fit's device-model entry
+  // was erased by the re-fit (a fresh lookup misses), while the re-fit's
+  // own entry is resident (a fresh build hits it).  The loop's frontend
   // runs at each fit's device rate.
   const auto device_key = [&](const core::DeviceParams& params) {
     core::FrontendParams frontend;
@@ -468,9 +461,9 @@ TEST(DriftCalibrationLoop, ConvergesToPostStepTruthAndInvalidatesByKey) {
   EXPECT_FALSE(cache.devices.lookup(device_key(loop.refits().front().params))
                    .has_value());
   EXPECT_TRUE(cache.devices.lookup(device_key(loop.params())).has_value());
-  // One device-model entry, one backend entry, one cdf entry per SLA.
+  // One device-model entry, one cdf entry per SLA.
   EXPECT_EQ(loop.refits().back().cache_evictions,
-            2 + loop.config().slas.size());
+            1 + loop.config().slas.size());
   EXPECT_GE(obs::counter_value(obs::Counter::kCalibRefitCacheEvictions),
             loop.refits().back().cache_evictions);
   EXPECT_EQ(obs::counter_value(obs::Counter::kCalibDriftDetected), 1u);

@@ -3,9 +3,41 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
+
+// Allocation counter: every operator new in this binary bumps it, so the
+// inline parallel_for path can be shown to allocate nothing (same pattern
+// as tests/obs/test_obs.cpp).
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// GCC pairs inlined make_shared allocations (through our operator new)
+// with these free() calls and reports a mismatch; the pairing is exactly
+// what we intend — new/new[] allocate with malloc.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cosm {
 namespace {
@@ -71,6 +103,21 @@ TEST(ThreadPool, ManyTasksCompleteBeforeDestruction) {
     for (auto& f : futures) f.get();
   }
   EXPECT_EQ(done.load(), 500);
+}
+
+TEST(ParallelFor, InlinePathAllocatesNothing) {
+  // The prediction pipeline's lambdas capture more by reference than a
+  // std::function holds inline; the 1-thread path must call them in place.
+  const std::vector<double> in = {1.0, 2.0, 3.0, 4.0, 5.0};
+  std::vector<double> out(in.size());
+  const double scale = 2.0;
+  const double shift = 0.5;
+  const std::uint64_t before = g_allocations.load();
+  parallel_for(in.size(), 1, [&](std::size_t i) {
+    out[i] = scale * in[i] + shift;
+  });
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(out, (std::vector<double>{2.5, 4.5, 6.5, 8.5, 10.5}));
 }
 
 }  // namespace

@@ -163,14 +163,11 @@ TEST(ParallelPrediction, IdenticalDevicesShareOneBackendBuild) {
   PredictionCache cache;
   const SystemModel model(make_cluster(140.0, 4), {},
                           PredictOptions{1, &cache});
-  // The 4 identical devices are one value class: one device-model build,
-  // one backend solve, and no duplicate lookups.
+  // The 4 identical devices are one value class: one device-model build
+  // (one backend solve, one tape compile), and no duplicate lookups.
   EXPECT_EQ(cache.devices.stats().misses, 1u);
   EXPECT_EQ(cache.devices.stats().hits, 0u);
-  EXPECT_EQ(cache.backends.stats().misses, 1u);
-  EXPECT_EQ(cache.backends.stats().hits, 0u);
   // The shared build really is shared, not copied.
-  EXPECT_EQ(&model.devices()[0].backend(), &model.devices()[3].backend());
   EXPECT_EQ(&model.devices()[0].response_tape(),
             &model.devices()[3].response_tape());
 
@@ -179,15 +176,40 @@ TEST(ParallelPrediction, IdenticalDevicesShareOneBackendBuild) {
   EXPECT_EQ(cache.cdf.stats().misses, kSlas.size());
   EXPECT_EQ(cache.cdf.stats().hits, 0u);
 
-  // A second identical model is one device-model hit; the backend cache
-  // is not consulted again.
+  // A second identical model is one device-model hit: no backend solve,
+  // no compile, the cached tape itself.
   const SystemModel again(make_cluster(140.0, 4), {},
                           PredictOptions{1, &cache});
   EXPECT_EQ(cache.devices.stats().misses, 1u);
   EXPECT_EQ(cache.devices.stats().hits, 1u);
-  EXPECT_EQ(cache.backends.stats().misses, 1u);
-  EXPECT_EQ(cache.backends.stats().hits, 0u);
+  EXPECT_EQ(&again.devices()[0].response_tape(),
+            &model.devices()[0].response_tape());
   EXPECT_EQ(first, again.predict_sla_percentiles(kSlas));
+}
+
+TEST(ParallelPrediction, CachedDeviceKeepsNoTreeAlive) {
+  // A cached device model is its compiled tape: the backend solve and the
+  // response tree it was compiled from are freed at build, so a resident
+  // entry pins none of the parameter distributions they were built over.
+  PredictionCache cache;
+  const SystemParams params = make_cluster(140.0, 4);
+  const DeviceParams& device = params.devices.front();
+  const auto use_counts = [&] {
+    return std::vector<long>{params.frontend.frontend_parse.use_count(),
+                             device.backend_parse.use_count(),
+                             device.index_disk.use_count(),
+                             device.meta_disk.use_count(),
+                             device.data_disk.use_count()};
+  };
+  const std::vector<long> before = use_counts();
+  {
+    const SystemModel model(params, {}, PredictOptions{1, &cache});
+  }
+  EXPECT_EQ(cache.devices.stats().size, 1u);
+  EXPECT_EQ(use_counts(), before);
+  // The entry still serves: a rebuild hits it.
+  const SystemModel again(params, {}, PredictOptions{1, &cache});
+  EXPECT_EQ(cache.devices.stats().hits, 1u);
 }
 
 TEST(ParallelPrediction, ValueEqualDevicesBuildOnce) {
@@ -204,7 +226,8 @@ TEST(ParallelPrediction, ValueEqualDevicesBuildOnce) {
       EXPECT_EQ(cosm::obs::counter_value(cosm::obs::Counter::kTapeCompiles),
                 1u)
           << "threads=" << threads;
-      EXPECT_EQ(&model.devices()[0].backend(), &model.devices()[3].backend());
+      EXPECT_EQ(&model.devices()[0].response_tape(),
+                &model.devices()[3].response_tape());
       PredictionCache cache;
       const SystemModel cached(params, {}, PredictOptions{threads, &cache});
       EXPECT_EQ(cache.devices.stats().misses, 1u) << "threads=" << threads;
@@ -295,9 +318,12 @@ TEST(ParallelPrediction, MixedClusterMatchesPerDeviceWeightedSum) {
                               PredictOptions{threads, with_cache ? &cache
                                                                  : nullptr});
       ASSERT_EQ(model.devices().size(), 5u);
-      EXPECT_EQ(&model.devices()[0].backend(), &model.devices()[4].backend());
-      EXPECT_EQ(&model.devices()[1].backend(), &model.devices()[3].backend());
-      EXPECT_NE(&model.devices()[0].backend(), &model.devices()[1].backend());
+      EXPECT_EQ(&model.devices()[0].response_tape(),
+                &model.devices()[4].response_tape());
+      EXPECT_EQ(&model.devices()[1].response_tape(),
+                &model.devices()[3].response_tape());
+      EXPECT_NE(&model.devices()[0].response_tape(),
+                &model.devices()[1].response_tape());
       const std::vector<double> got = model.predict_sla_percentiles(kSlas);
       for (std::size_t s = 0; s < kSlas.size(); ++s) {
         double weighted = 0.0;
@@ -323,10 +349,11 @@ TEST(ParallelPrediction, ModelVariantsKeyedSeparately) {
   no_wta.include_wta = false;
   const SystemModel full(params, {}, PredictOptions{1, &cache});
   const SystemModel baseline(params, no_wta, PredictOptions{1, &cache});
-  // include_wta does not change the backend build (same backend key)...
-  EXPECT_EQ(cache.backends.stats().misses, 1u);
-  // ...but it does change the response distribution, so CDF points must
-  // not be shared between the variants.
+  // include_wta changes the response distribution: two device models,
+  // and CDF points must not be shared between the variants.
+  EXPECT_EQ(cache.devices.stats().misses, 2u);
+  EXPECT_NE(full.devices()[0].fingerprint(),
+            baseline.devices()[0].fingerprint());
   const double a = full.predict_sla_percentile(0.08);
   const double b = baseline.predict_sla_percentile(0.08);
   EXPECT_NE(a, b);
@@ -346,6 +373,12 @@ TEST(ParallelPrediction, ElasticScheduleParallelMatchesSerial) {
   const auto parallel = cosm::core::elastic_schedule(
       factory, rates, target, 8, {}, PredictOptions{8, &cache});
   EXPECT_EQ(serial, parallel);
+  // Periods at distinct rates share no device model (the system rate is
+  // part of every device's key), so the shared cache serves the second
+  // schedule over the same periods.
+  const auto again = cosm::core::elastic_schedule(
+      factory, rates, target, 8, {}, PredictOptions{8, &cache});
+  EXPECT_EQ(serial, again);
   EXPECT_GT(cache.combined_stats().hits, 0u);
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/backend_model.hpp"
 #include "core/system_model.hpp"
 #include "numerics/distribution.hpp"
 #include "numerics/lt_inversion.hpp"
@@ -104,15 +105,16 @@ const std::vector<double> kSlas = {0.01, 0.02, 0.03, 0.05,
 
 TEST(RedundancyWrapOracle, CdfWithinBudgetOfTreeWalkClosedForm) {
   for (const double rate : {10.0, 30.0, 50.0}) {
-    const SystemModel model(family(rate));
-    const DeviceModel& device = model.devices()[0];
-    const numerics::TransformTape& tape = device.response_tape();
+    const SystemParams params = family(rate);
+    const SystemModel model(params);
+    const numerics::TransformTape& tape = model.devices()[0].response_tape();
+    const numerics::DistPtr base =
+        response_tree(model.frontend(), params.devices[0], {});
     for (const WrapCase& c : wrap_cases()) {
       const double d = c.wrap.delay();
       for (const double t : kSlas) {
-        const double oracle =
-            oracle_cdf(c.wrap, tree_walk_cdf(device.response_time(), t),
-                       tree_walk_cdf(device.response_time(), t - d));
+        const double oracle = oracle_cdf(c.wrap, tree_walk_cdf(base, t),
+                                         tree_walk_cdf(base, t - d));
         const double mapped = c.wrap.cdf(
             tape.cdf(t, kModelEulerOrder),
             t > d ? tape.cdf(t - d, kModelEulerOrder) : 0.0);
@@ -136,14 +138,15 @@ TEST(RedundancyWrapOracle, DeviceModelAppliesTheWrapAtBuild) {
   };
   const SystemParams params = family(30.0);
   const SystemModel plain(params);
+  const numerics::DistPtr base =
+      response_tree(plain.frontend(), params.devices[0], {});
+  const double utilization = BackendModel(params.devices[0]).utilization();
   for (const RedundancyOptions& policy : policies) {
     const SystemModel model(params, {.redundancy = policy});
     const DeviceModel& device = model.devices()[0];
     const RedundancyWrap& wrap = device.wrap();
     EXPECT_EQ(wrap.correlation(),
-              policy.fork_join_correction
-                  ? device.backend().utilization()
-                  : 0.0);
+              policy.fork_join_correction ? utilization : 0.0);
     // The base is the plain model's, tape and all.
     EXPECT_EQ(device.response_tape().fingerprint(),
               plain.devices()[0].fingerprint());
@@ -152,9 +155,8 @@ TEST(RedundancyWrapOracle, DeviceModelAppliesTheWrapAtBuild) {
     for (std::size_t i = 0; i < kSlas.size(); ++i) {
       const double t = kSlas[i];
       const double d = wrap.delay();
-      const double oracle =
-          oracle_cdf(wrap, tree_walk_cdf(device.response_time(), t),
-                     tree_walk_cdf(device.response_time(), t - d));
+      const double oracle = oracle_cdf(wrap, tree_walk_cdf(base, t),
+                                       tree_walk_cdf(base, t - d));
       EXPECT_NEAR(device.cdf(t), oracle, tolerance(wrap)) << t;
       EXPECT_EQ(swept[i], device.cdf(t)) << t;
       EXPECT_EQ(device.cdf_density(t).cdf.value, device.cdf(t)) << t;

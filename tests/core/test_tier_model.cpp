@@ -97,15 +97,15 @@ TEST(TierModel, FingerprintSeparatesTierParameters) {
   PredictionCache cache;
   const PredictOptions predict{1, &cache};
   const SystemModel a(tiered_system(0.5, 1), {}, predict);
-  EXPECT_EQ(cache.backends.stats().misses, 1u);
+  EXPECT_EQ(cache.devices.stats().misses, 1u);
   const SystemModel b(tiered_system(0.6, 1), {}, predict);
-  EXPECT_EQ(cache.backends.stats().misses, 2u);  // new tier => new build
+  EXPECT_EQ(cache.devices.stats().misses, 2u);  // new tier => new build
   SystemParams untiered = tiered_system(0.6, 1);
   untiered.devices[0].tier = TierOptions{};
   const SystemModel c(untiered, {}, predict);
-  EXPECT_EQ(cache.backends.stats().misses, 3u);  // tier off => new build
+  EXPECT_EQ(cache.devices.stats().misses, 3u);  // tier off => new build
   const SystemModel twin(tiered_system(0.6, 1), {}, predict);
-  EXPECT_EQ(cache.backends.stats().misses, 3u);  // identical tier => hit
+  EXPECT_EQ(cache.devices.stats().misses, 3u);  // identical tier => hit
   EXPECT_DOUBLE_EQ(twin.predict_sla_percentile(0.060),
                    b.predict_sla_percentile(0.060));
 }

@@ -116,9 +116,12 @@ TEST(TapeIntegration, CompiledResponseTapesArePinned) {
 }
 
 TEST(TapeIntegration, DeviceTapeCdfBitIdenticalToScalarTreeWalk) {
-  const SystemModel model(tape_system(80.0, 2));
-  for (const auto& device : model.devices()) {
-    const DistPtr response = device.response_time();
+  const SystemParams params = tape_system(80.0, 2);
+  const SystemModel model(params);
+  for (std::size_t d = 0; d < model.devices().size(); ++d) {
+    const DeviceModel& device = model.devices()[d];
+    const DistPtr response =
+        response_tree(model.frontend(), params.devices[d], {});
     const numerics::LaplaceFn lt = [&response](std::complex<double> s) {
       return response->laplace(s);
     };

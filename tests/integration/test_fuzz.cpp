@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "core/backend_model.hpp"
 #include "core/system_model.hpp"
 #include "sim/cluster.hpp"
 #include "sim/source.hpp"
@@ -155,7 +156,7 @@ TEST_P(ModelFuzz, ModelOutputsAreProperForRandomParameters) {
 
   const core::SystemModel model(params);
   // Union-operation mean matches the paper's closed form.
-  const auto& backend = model.devices().front().backend();
+  const core::BackendModel backend(device);
   if (device.processes == 1) {
     const double p = (device.data_read_rate - device.arrival_rate) /
                      device.arrival_rate;

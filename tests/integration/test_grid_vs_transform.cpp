@@ -10,6 +10,7 @@
 
 #include <memory>
 
+#include "core/backend_model.hpp"
 #include "core/system_model.hpp"
 #include "numerics/grid.hpp"
 
@@ -45,9 +46,11 @@ class GridVsTransform
 TEST_P(GridVsTransform, Eq2CdfAgreesAcrossPipelines) {
   const double rate = std::get<0>(GetParam());
   const unsigned processes = std::get<1>(GetParam());
-  const core::SystemModel model(one_device(rate, processes));
-  const auto& device = model.devices().front();
-  const auto& backend = device.backend();
+  const core::SystemParams params = one_device(rate, processes);
+  const core::SystemModel model(params);
+  const core::BackendModel backend(params.devices.front());
+  const numerics::DistPtr s_fe =
+      core::response_tree(model.frontend(), params.devices.front(), {});
 
   // Grid convolution biases mass ~half a bin early per convolution (bin
   // masses convolve by start index), so the bin width directly bounds the
@@ -65,7 +68,7 @@ TEST_P(GridVsTransform, Eq2CdfAgreesAcrossPipelines) {
       s_q.convolve_with(w_a, max_bins).convolve_with(s_be, max_bins);
 
   for (double sla : {0.010, 0.030, 0.050, 0.100, 0.200}) {
-    const double via_transform = device.response_time()->cdf(sla);
+    const double via_transform = s_fe->cdf(sla);
     const double via_grid = response.cdf(sla);
     EXPECT_NEAR(via_grid, via_transform, 1e-2)
         << "rate=" << rate << " N_be=" << processes << " sla=" << sla;

@@ -49,6 +49,10 @@ TEST(ClassifyCdfValue, Thresholds) {
   EXPECT_EQ(classify_cdf_value(1.0), InversionQuality::kConverged);
   EXPECT_EQ(classify_cdf_value(-1e-10), InversionQuality::kConverged);
   EXPECT_EQ(classify_cdf_value(1.0 + 1e-10), InversionQuality::kConverged);
+  // The converged band is the model's CDF error budget (1e-7 on F).
+  EXPECT_EQ(classify_cdf_value(1.0 + 3e-8), InversionQuality::kConverged);
+  EXPECT_EQ(classify_cdf_value(1.0 + 2e-7), InversionQuality::kTruncated);
+  EXPECT_EQ(classify_cdf_value(-2e-7), InversionQuality::kTruncated);
   EXPECT_EQ(classify_cdf_value(-1e-6), InversionQuality::kTruncated);
   EXPECT_EQ(classify_cdf_value(1.0 + 1e-4), InversionQuality::kTruncated);
   EXPECT_EQ(classify_cdf_value(-0.4), InversionQuality::kClamped);

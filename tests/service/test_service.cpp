@@ -167,15 +167,15 @@ TEST(WhatIfService, ListAndStatsReflectRegistry) {
   const JsonValue* stats = response.find("stats");
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->number_or("clusters", -1.0), 2.0);
-  const JsonValue* backend = stats->find("backend_cache");
-  ASSERT_NE(backend, nullptr);
-  EXPECT_GT(backend->number_or("shards", 0.0), 1.0);
-  // Cluster a's 8 identical devices are one device-model build.
+  // Two shared caches: compiled device models and CDF answers.
+  EXPECT_EQ(stats->find("backend_cache"), nullptr);
+  ASSERT_NE(stats->find("cdf_cache"), nullptr);
   const JsonValue* device = stats->find("device_cache");
   ASSERT_NE(device, nullptr);
+  EXPECT_GT(device->number_or("shards", 0.0), 1.0);
+  // Cluster a's 8 identical devices are one device-model build.
   EXPECT_EQ(device->number_or("misses", -1.0), 1.0);
   EXPECT_EQ(device->number_or("hits", -1.0), 0.0);
-  EXPECT_EQ(backend->number_or("misses", -1.0), 1.0);
 }
 
 TEST(WhatIfService, IdIsEchoedVerbatim) {
@@ -413,7 +413,7 @@ TEST(WhatIfServiceDrift, CalibrateRefitsSpecOnConfirmedShift) {
   EXPECT_FALSE(response.bool_or("refit", true));
 
   // Answer a what-if at the published spec, so the re-fit below has a
-  // device-model and a backend entry to evict.
+  // device-model entry to evict.
   ASSERT_TRUE(parse_response(service.handle_line(
                                  R"({"op":"sla","cluster":"a","sla":0.5})"))
                   .bool_or("ok", false));
@@ -427,7 +427,7 @@ TEST(WhatIfServiceDrift, CalibrateRefitsSpecOnConfirmedShift) {
   EXPECT_EQ(response.string_or("verdict", ""), "drift");
   EXPECT_TRUE(response.bool_or("refit", false));
   EXPECT_DOUBLE_EQ(response.number_or("rate", 0.0), 800.0);
-  EXPECT_DOUBLE_EQ(response.number_or("evictions", -1.0), 2.0);
+  EXPECT_DOUBLE_EQ(response.number_or("evictions", -1.0), 1.0);
 
   // The registered family now answers what-ifs at the drifted rate.
   const JsonValue status = parse_response(
