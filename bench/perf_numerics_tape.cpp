@@ -14,6 +14,13 @@
 //
 // verifies every mode reproduces the scalar outputs bit-for-bit (the
 // tape's hard contract), and emits machine-readable BENCH_numerics.json.
+//
+// It also records the model-build time per device (`model_build_us`): a
+// 4-device SystemModel built without a cache plus one SLA answer, timed
+// as the mean over kModelBuilds builds, best of --repeat, divided by the
+// device count.  The four devices are identical, so the model builds one
+// device model and shares it (as it does for any homogeneous cluster).
+// No gate reads this figure.
 // Exit status: 0 ok, 1 outputs not bit-identical, 2 the speedup gate
 // unmet, 3 JSON write/readback failure.
 //
@@ -224,6 +231,34 @@ ScenarioResult run_scenario(const Scenario& scenario,
   return result;
 }
 
+struct ModelBuild {
+  double us_per_device = 0.0;  // mean over kModelBuilds, best of repeat
+  double percentile = 0.0;     // the answer every build gave
+};
+
+// Model build plus one SLA answer (P[T <= 100 ms]), per device.
+ModelBuild time_model_build(int repeat) {
+  constexpr int kModelBuilds = 200;
+  // Four single-process devices at 30 req/s behind a 120 req/s frontend.
+  SystemParams params = make_device(30.0, 1, 1.0);
+  params.frontend.arrival_rate = 120.0;
+  params.devices.assign(4, params.devices.front());
+  ModelBuild result;
+  for (int rep = 0; rep < repeat; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kModelBuilds; ++i) {
+      const SystemModel model(params);
+      result.percentile = model.predict_sla_percentile(0.1);
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    const double us =
+        std::chrono::duration<double, std::micro>(stop - start).count() /
+        (kModelBuilds * static_cast<double>(params.devices.size()));
+    if (rep == 0 || us < result.us_per_device) result.us_per_device = us;
+  }
+  return result;
+}
+
 std::string fmt(double value, int precision) {
   std::ostringstream out;
   out.setf(std::ios::fixed);
@@ -243,6 +278,7 @@ int main(int argc, char** argv) {
   for (const Scenario& scenario : scenarios()) {
     results.push_back(run_scenario(scenario, ts, config.repeat));
   }
+  const ModelBuild build = time_model_build(config.repeat);
 
   bool all_identical = true;
   bool speedup_ok = true;
@@ -281,6 +317,9 @@ int main(int argc, char** argv) {
             << fmt(min_tape_speedup, 2) << "x (gate: "
             << (config.min_speedup > 0.0 ? fmt(config.min_speedup, 2) : "off")
             << ")\n";
+  std::cout << "  model build + one SLA (P[T <= 100 ms] = "
+            << fmt(build.percentile, 4) << "): " << fmt(build.us_per_device, 2)
+            << " us per device (4-device cluster)\n";
 
   std::ostringstream json;
   json << "{\n"
@@ -321,6 +360,7 @@ int main(int argc, char** argv) {
   }
   json << "  ],\n"
        << "  \"min_tape_speedup\": " << fmt(min_tape_speedup, 3) << ",\n"
+       << "  \"model_build_us\": " << fmt(build.us_per_device, 3) << ",\n"
        << "  \"checks\": {\n"
        << "    \"bit_identical\": " << (all_identical ? "true" : "false")
        << ",\n"
@@ -342,7 +382,7 @@ int main(int argc, char** argv) {
   if (!cosm_bench::verify_bench_json(
           config.out, 1,
           {"benchmark", "schema_version", "config", "scenarios",
-           "min_tape_speedup", "checks"})) {
+           "min_tape_speedup", "model_build_us", "checks"})) {
     return 3;
   }
   std::cout << "  wrote " << config.out << "\n";

@@ -14,13 +14,13 @@ double proportion_denominator(const DiskCalibration& calibration) {
          calibration.data.mean;
 }
 
-OperationFit fit_samples(std::vector<double> samples, bool extended) {
+OperationFit fit_samples(std::vector<double> samples) {
   OperationFit fit;
   fit.samples = std::move(samples);
   const numerics::SampleStats stats =
       numerics::compute_stats(fit.samples);
   fit.mean = stats.mean;
-  fit.selection = numerics::fit_best(fit.samples, extended);
+  fit.selection = numerics::fit_best(fit.samples);
   return fit;
 }
 
@@ -74,12 +74,9 @@ DiskCalibration benchmark_disk(const sim::DiskProfile& profile,
   engine.run_all();
 
   DiskCalibration calibration;
-  calibration.index =
-      fit_samples(std::move(index_samples), config.extended_candidates);
-  calibration.meta =
-      fit_samples(std::move(meta_samples), config.extended_candidates);
-  calibration.data =
-      fit_samples(std::move(data_samples), config.extended_candidates);
+  calibration.index = fit_samples(std::move(index_samples));
+  calibration.meta = fit_samples(std::move(meta_samples));
+  calibration.data = fit_samples(std::move(data_samples));
   return calibration;
 }
 

@@ -23,8 +23,6 @@ struct DiskBenchmarkConfig {
   // one data op each).
   std::uint32_t objects = 5000;
   std::uint64_t seed = 7;
-  // Also fit lognormal/weibull candidates, beyond the paper's four.
-  bool extended_candidates = false;
 };
 
 struct OperationFit {

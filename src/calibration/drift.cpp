@@ -72,7 +72,6 @@ DriftDetector::DriftDetector(DriftConfig config) : config_(config) {
 
 DriftDecision DriftDetector::offer(const DriftSignals& signals) {
   obs::add(obs::Counter::kCalibDriftWindows);
-  ++windows_;
   const std::array<double, kDriftSignalCount> values = signal_values(signals);
 
   if (warmup_remaining_ > 0) {

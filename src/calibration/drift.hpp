@@ -108,7 +108,6 @@ class DriftDetector {
   void rebaseline();
 
   const DriftConfig& config() const { return config_; }
-  std::uint64_t windows_seen() const { return windows_; }
   // Baseline currently frozen (valid once warmup completed).
   bool baseline_ready() const { return baseline_ready_; }
 
@@ -122,7 +121,6 @@ class DriftDetector {
 
   DriftConfig config_;
   std::array<SignalState, kDriftSignalCount> signals_{};
-  std::uint64_t windows_ = 0;
   int warmup_remaining_ = 0;
   int cooldown_remaining_ = 0;
   int consecutive_alarms_ = 0;

@@ -93,11 +93,6 @@ ChunkPopulation chunk_population(const workload::ObjectCatalog& catalog,
   return pop;
 }
 
-double che_characteristic_time(const ChunkPopulation& pop,
-                               std::size_t capacity_chunks) {
-  return solve_characteristic_time(pop, capacity_chunks);
-}
-
 double predict_lru_hit_ratio(const ChunkPopulation& pop,
                              std::size_t capacity_chunks) {
   const double t = solve_characteristic_time(pop, capacity_chunks);

@@ -49,11 +49,6 @@ struct ChunkPopulation {
 ChunkPopulation chunk_population(const workload::ObjectCatalog& catalog,
                                  std::uint64_t chunk_bytes);
 
-// Che's characteristic time for a cache of `capacity_chunks` fed by
-// `pop`; +infinity when the whole catalog fits.
-double che_characteristic_time(const ChunkPopulation& pop,
-                               std::size_t capacity_chunks);
-
 // Predicted steady-state hit ratio of an LRU cache of `capacity_chunks`
 // chunks fed directly by the catalog's chunk stream (the page cache's
 // data bank in CacheBankConfig::Mode::kLru).

@@ -20,13 +20,6 @@ double estimate_miss_ratio(std::span<const double> operation_latencies,
          static_cast<double>(operation_latencies.size());
 }
 
-std::optional<double> try_estimate_miss_ratio(
-    std::span<const double> operation_latencies, double threshold) {
-  COSM_REQUIRE(threshold > 0, "latency threshold must be positive");
-  if (operation_latencies.empty()) return std::nullopt;
-  return estimate_miss_ratio(operation_latencies, threshold);
-}
-
 ServiceSplit split_disk_service(double aggregate_mean_service,
                                 double index_proportion,
                                 double meta_proportion,

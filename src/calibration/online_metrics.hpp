@@ -32,13 +32,6 @@ namespace cosm::calibration {
 double estimate_miss_ratio(std::span<const double> operation_latencies,
                            double threshold = 0.015e-3);
 
-// Outcome-carrying variant for the online calibration loop: an idle
-// window legitimately produces zero samples, so emptiness reports as
-// nullopt ("insufficient samples") instead of throwing.  A non-positive
-// threshold is still caller misuse and still throws.
-std::optional<double> try_estimate_miss_ratio(
-    std::span<const double> operation_latencies, double threshold = 0.015e-3);
-
 struct ServiceSplit {
   double index_mean = 0.0;
   double meta_mean = 0.0;

@@ -119,7 +119,6 @@ class CalibrationLoop {
   const RecalibrateConfig& config() const { return config_; }
   const DriftDetector& detector() const { return detector_; }
   const std::vector<RefitEvent>& refits() const { return refits_; }
-  std::uint64_t windows_offered() const { return windows_; }
   std::uint64_t insufficient_windows() const { return insufficient_; }
 
  private:

@@ -18,7 +18,6 @@ class Table {
   void add_row(std::vector<std::string> cells);
 
   std::size_t rows() const { return rows_.size(); }
-  std::size_t columns() const { return header_.size(); }
 
   // Renders the table with aligned columns, a title line, and a rule.
   void print(std::ostream& os, const std::string& title = "") const;

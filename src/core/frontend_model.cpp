@@ -5,7 +5,6 @@
 
 #include "common/require.hpp"
 #include "core/errors.hpp"
-#include "numerics/quadrature.hpp"
 #include "queueing/mg1.hpp"
 
 namespace cosm::core {
@@ -58,23 +57,6 @@ double FrontendModel::utilization() const {
     worst = std::max(worst, group_rate * group.frontend_parse->mean());
   }
   return worst;
-}
-
-double exact_wta_cdf(const numerics::Distribution& lifetime, double t) {
-  if (t <= 0.0) return 0.0;
-  // CDF(t) = t ∫_t^∞ F_A(x)/x² dx.  Find an upper cut X where F_A ~ 1,
-  // then the remaining tail contributes exactly t/X.
-  double cut = std::max(t * 2.0, lifetime.mean() * 4.0 + t);
-  for (int i = 0; i < 60 && lifetime.cdf(cut) < 1.0 - 1e-7; ++i) {
-    cut *= 2.0;
-  }
-  // Adaptive: lifetime CDFs may have jumps (degenerate/mixture atoms) that
-  // fixed panels resolve poorly.
-  const double body = numerics::integrate_adaptive(
-      [&lifetime](double x) { return lifetime.cdf(x) / (x * x); }, t, cut,
-      1e-8, 30);
-  const double tail = 1.0 / cut;
-  return std::clamp(t * (body + tail), 0.0, 1.0);
 }
 
 }  // namespace cosm::core

@@ -7,9 +7,9 @@
 //
 // The exact accept-wait refinement the paper sketches and then
 // approximates away — a connection arriving uniformly at random during an
-// accept-operation lifetime x waits x - u, u ~ U(0, x) — is also provided
-// (exact_wta_cdf) for the ablation bench; integrating the paper's survival
-// expression by parts gives CDF_Wa(t) = t * ∫_t^∞ F_A(x) / x^2 dx.
+// accept-operation lifetime x waits x - u, u ~ U(0, x) — lives in the
+// ablation bench (bench/ablation_wta.cpp), which integrates the paper's
+// survival expression on a grid.
 #pragma once
 
 #include "core/params.hpp"
@@ -35,11 +35,5 @@ class FrontendModel {
   FrontendParams params_;
   numerics::DistPtr sojourn_;
 };
-
-// CDF at t of the *exact* accept-wait distribution given the accept
-// lifetime distribution A (= W_be by PASTA).  `lifetime_cdf` must be the
-// CDF of A.  Numerical: CDF(t) = t ∫_t^∞ F_A(x)/x² dx + 0 for t <= 0;
-// the integral's [X, ∞) tail is closed-form once F_A(x) ~ 1.
-double exact_wta_cdf(const numerics::Distribution& lifetime, double t);
 
 }  // namespace cosm::core

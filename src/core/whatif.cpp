@@ -202,26 +202,6 @@ double degraded_sla_percentile(const SystemParams& healthy,
   }
 }
 
-std::vector<double> degraded_sla_percentiles(
-    const SystemParams& healthy,
-    const std::vector<DegradedScenario>& scenarios, double sla,
-    ModelOptions options, const PredictOptions& predict) {
-  COSM_REQUIRE(sla > 0, "SLA bound must be positive");
-  // Validate every scenario up front so precondition violations surface
-  // deterministically (before any parallel work starts).
-  for (const DegradedScenario& scenario : scenarios) {
-    scenario.validate(healthy.devices.size());
-  }
-  obs::Span span("whatif.degraded_sweep");
-  const PredictOptions inner = inner_options(predict);
-  std::vector<double> percentiles(scenarios.size());
-  parallel_for(scenarios.size(), predict.num_threads, [&](std::size_t i) {
-    percentiles[i] =
-        degraded_sla_percentile(healthy, scenarios[i], sla, options, inner);
-  });
-  return percentiles;
-}
-
 namespace {
 
 void validate_redundancy(const RedundancyOptions& redundancy) {

@@ -10,12 +10,12 @@
 // situations").
 //
 // Execution: every search takes a trailing PredictOptions.  The sweeps
-// (elastic_schedule over periods, degraded_sla_percentiles over
-// scenarios) fan their independent iterations across
-// PredictOptions::num_threads; the inner model builds then run serially
-// per iteration but still share PredictOptions::cache, so repeated
-// configurations (the same candidate device count at several periods,
-// the same healthy devices across scenarios) are built once.  Sequential
+// (elastic_schedule over periods, evaluate_redundancy_policies over
+// candidates, tier_capacity_sweep over tier sizes) fan their independent
+// iterations across PredictOptions::num_threads; the inner model builds
+// then run serially per iteration but still share PredictOptions::cache,
+// so repeated configurations (the same candidate device count at several
+// periods) are built once.  Sequential
 // searches (min_devices_for, max_admission_rate) can't fan out — each
 // probe depends on the last — but benefit from the cache the same way.
 // Results are bit-identical for every num_threads and cache setting.
@@ -140,16 +140,6 @@ double degraded_sla_percentile(const SystemParams& healthy,
                                const DegradedScenario& scenario, double sla,
                                ModelOptions options = {},
                                const PredictOptions& predict = {});
-
-// Scenario sweep: one percentile per entry of `scenarios`, fanned across
-// PredictOptions::num_threads.  Bit-identical to — and the parallel
-// equivalent of — calling degraded_sla_percentile per element.  Sharing
-// a PredictionCache pays off here: scenarios touching one device leave
-// the other devices' backends (and often their CDF points) identical.
-std::vector<double> degraded_sla_percentiles(
-    const SystemParams& healthy,
-    const std::vector<DegradedScenario>& scenarios, double sla,
-    ModelOptions options = {}, const PredictOptions& predict = {});
 
 // ----- Redundancy what-if (tail-tolerance extension) -----
 //

@@ -109,11 +109,6 @@ Gamma::Gamma(double shape, double rate) : shape_(shape), rate_(rate) {
   COSM_REQUIRE(rate > 0, "gamma rate must be positive");
 }
 
-Gamma Gamma::from_mean_shape(double mean, double shape) {
-  COSM_REQUIRE(mean > 0, "gamma mean must be positive");
-  return Gamma(shape, shape / mean);
-}
-
 std::string Gamma::name() const { return "gamma"; }
 
 std::complex<double> Gamma::laplace(std::complex<double> s) const {
@@ -129,32 +124,6 @@ double Gamma::sample(Rng& rng) const { return rng.gamma(shape_, rate_); }
 double Gamma::quantile(double p) const {
   return gamma_p_inv(shape_, p) / rate_;
 }
-
-// -------------------------------- Uniform --------------------------------
-
-Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
-  COSM_REQUIRE(lo >= 0, "uniform lower bound must be non-negative");
-  COSM_REQUIRE(hi > lo, "uniform bounds must satisfy hi > lo");
-}
-
-std::string Uniform::name() const { return "uniform"; }
-
-std::complex<double> Uniform::laplace(std::complex<double> s) const {
-  if (std::abs(s) < 1e-8) {
-    // Series expansion avoids 0/0: 1 - s(a+b)/2 + s^2(a^2+ab+b^2)/6.
-    return 1.0 - s * (0.5 * (lo_ + hi_)) +
-           s * s * ((lo_ * lo_ + lo_ * hi_ + hi_ * hi_) / 6.0);
-  }
-  return (std::exp(-s * lo_) - std::exp(-s * hi_)) / (s * (hi_ - lo_));
-}
-
-double Uniform::cdf(double t) const {
-  if (t <= lo_) return 0.0;
-  if (t >= hi_) return 1.0;
-  return (t - lo_) / (hi_ - lo_);
-}
-
-double Uniform::sample(Rng& rng) const { return rng.uniform(lo_, hi_); }
 
 // ---------------------------- TruncatedNormal ----------------------------
 
@@ -259,48 +228,6 @@ double Lognormal::cdf(double t) const {
 }
 
 double Lognormal::sample(Rng& rng) const { return rng.lognormal(mu_, sigma_); }
-
-// -------------------------------- Weibull --------------------------------
-
-Weibull::Weibull(double shape, double scale) : shape_(shape), scale_(scale) {
-  COSM_REQUIRE(shape > 0 && scale > 0, "weibull parameters must be positive");
-}
-
-std::string Weibull::name() const { return "weibull"; }
-
-double Weibull::pdf(double t) const {
-  if (t <= 0) return 0.0;
-  const double u = t / scale_;
-  return shape_ / scale_ * std::pow(u, shape_ - 1.0) *
-         std::exp(-std::pow(u, shape_));
-}
-
-std::complex<double> Weibull::laplace(std::complex<double> s) const {
-  if (shape_ == 1.0) return Exponential(1.0 / scale_).laplace(s);
-  // Quantile breakpoints: q(p) = scale * (-ln(1-p))^{1/shape}.
-  std::vector<double> breaks = {0.0};
-  for (double p : {0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999, 1.0 - 1e-8,
-                   1.0 - 1e-13}) {
-    breaks.push_back(scale_ * std::pow(-std::log1p(-p), 1.0 / shape_));
-  }
-  return laplace_by_quadrature([this](double t) { return pdf(t); }, s,
-                               breaks);
-}
-
-double Weibull::mean() const {
-  return scale_ * std::exp(std::lgamma(1.0 + 1.0 / shape_));
-}
-
-double Weibull::second_moment() const {
-  return scale_ * scale_ * std::exp(std::lgamma(1.0 + 2.0 / shape_));
-}
-
-double Weibull::cdf(double t) const {
-  if (t <= 0) return 0.0;
-  return 1.0 - std::exp(-std::pow(t / scale_, shape_));
-}
-
-double Weibull::sample(Rng& rng) const { return rng.weibull(shape_, scale_); }
 
 // --------------------------------- Pareto --------------------------------
 

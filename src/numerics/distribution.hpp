@@ -160,7 +160,6 @@ inline std::complex<double> gamma_laplace(double shape, double rate,
 class Gamma final : public Distribution {
  public:
   Gamma(double shape, double rate);
-  static Gamma from_mean_shape(double mean, double shape);
   std::string name() const override;
   std::complex<double> laplace(std::complex<double> s) const override;
   double mean() const override { return shape_ / rate_; }
@@ -180,31 +179,6 @@ class Gamma final : public Distribution {
  private:
   double shape_;
   double rate_;
-};
-
-class Uniform final : public Distribution {
- public:
-  Uniform(double lo, double hi);
-  std::string name() const override;
-  std::complex<double> laplace(std::complex<double> s) const override;
-  double mean() const override { return 0.5 * (lo_ + hi_); }
-  double second_moment() const override {
-    return (lo_ * lo_ + lo_ * hi_ + hi_ * hi_) / 3.0;
-  }
-  double third_moment() const override {
-    // (hi^4 - lo^4) / (4 (hi - lo)).
-    const double hi2 = hi_ * hi_;
-    const double lo2 = lo_ * lo_;
-    return (hi2 * hi2 - lo2 * lo2) / (4.0 * (hi_ - lo_));
-  }
-  double cdf(double t) const override;
-  double sample(Rng& rng) const override;
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-
- private:
-  double lo_;
-  double hi_;
 };
 
 // Normal(mu, sigma) left-truncated at zero — the "Normal" fitting candidate
@@ -245,22 +219,6 @@ class Lognormal final : public Distribution {
   double pdf(double t) const;
   double mu_;
   double sigma_;
-};
-
-class Weibull final : public Distribution {
- public:
-  Weibull(double shape, double scale);
-  std::string name() const override;
-  std::complex<double> laplace(std::complex<double> s) const override;
-  double mean() const override;
-  double second_moment() const override;
-  double cdf(double t) const override;
-  double sample(Rng& rng) const override;
-
- private:
-  double pdf(double t) const;
-  double shape_;
-  double scale_;
 };
 
 class Pareto final : public Distribution {

@@ -108,48 +108,6 @@ TruncatedNormal fit_truncated_normal(std::span<const double> samples) {
   return TruncatedNormal(st.mean, sigma);
 }
 
-Lognormal fit_lognormal(std::span<const double> samples) {
-  const SampleStats st = compute_stats(samples);
-  COSM_REQUIRE(!std::isnan(st.mean_log),
-               "lognormal fit requires strictly positive samples");
-  const double sigma = std::sqrt(std::max(st.variance_log, 1e-24));
-  return Lognormal(st.mean_log, sigma);
-}
-
-Weibull fit_weibull(std::span<const double> samples) {
-  const SampleStats st = compute_stats(samples);
-  COSM_REQUIRE(!std::isnan(st.mean_log),
-               "weibull fit requires strictly positive samples");
-  // MLE for the shape: solve g(c) = sum x^c ln x / sum x^c - 1/c - mean(ln x).
-  const auto g = [&samples, &st](double c) {
-    double sum_pow = 0.0;
-    double sum_pow_log = 0.0;
-    for (const double x : samples) {
-      const double p = std::pow(x, c);
-      sum_pow += p;
-      sum_pow_log += p * std::log(x);
-    }
-    return sum_pow_log / sum_pow - 1.0 / c - st.mean_log;
-  };
-  double lo = 0.05;
-  double hi = 2.0;
-  if (!expand_bracket_upward(g, lo, hi, 2.0, 30)) {
-    // Could not bracket (e.g. pathological data) — moment heuristic.
-    const double cv2 = st.variance / (st.mean * st.mean);
-    const double shape = std::clamp(std::pow(cv2, -0.543), 0.1, 50.0);
-    const double scale =
-        st.mean / std::exp(std::lgamma(1.0 + 1.0 / shape));
-    return Weibull(shape, scale);
-  }
-  const RootResult root = brent(g, lo, hi, 1e-10);
-  const double shape = root.x;
-  double sum_pow = 0.0;
-  for (const double x : samples) sum_pow += std::pow(x, shape);
-  const double scale = std::pow(
-      sum_pow / static_cast<double>(samples.size()), 1.0 / shape);
-  return Weibull(shape, scale);
-}
-
 double ks_statistic(std::span<const double> sorted_samples,
                     const Distribution& dist) {
   COSM_REQUIRE(!sorted_samples.empty(), "KS requires a non-empty sample");
@@ -172,7 +130,11 @@ double ks_statistic(std::span<const double> sorted_samples,
   return std::max(worst, 0.0);
 }
 
-FitSelection fit_best(std::span<const double> samples, bool extended) {
+FitSelection fit_best(std::span<const double> samples) {
+  COSM_REQUIRE(!samples.empty(), "fit_best needs a non-empty sample");
+  COSM_REQUIRE(std::all_of(samples.begin(), samples.end(),
+                           [](double x) { return x >= 0; }),
+               "latency samples must be non-negative");
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
   FitSelection selection;
@@ -196,14 +158,6 @@ FitSelection fit_best(std::span<const double> samples, bool extended) {
   });
   try_fit("gamma",
           [&] { return std::make_shared<Gamma>(fit_gamma(samples)); });
-  if (extended) {
-    try_fit("lognormal", [&] {
-      return std::make_shared<Lognormal>(fit_lognormal(samples));
-    });
-    try_fit("weibull", [&] {
-      return std::make_shared<Weibull>(fit_weibull(samples));
-    });
-  }
   COSM_CHECK(!selection.candidates.empty(), "no fit candidate succeeded");
   std::sort(selection.candidates.begin(), selection.candidates.end(),
             [](const FitCandidate& a, const FitCandidate& b) {

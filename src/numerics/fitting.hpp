@@ -36,8 +36,6 @@ Exponential fit_exponential(std::span<const double> samples);
 // moment matching when samples are (near-)constant.
 Gamma fit_gamma(std::span<const double> samples);
 TruncatedNormal fit_truncated_normal(std::span<const double> samples);
-Lognormal fit_lognormal(std::span<const double> samples);
-Weibull fit_weibull(std::span<const double> samples);
 
 // One-sample Kolmogorov–Smirnov statistic sup_t |F_n(t) - F(t)| against an
 // arbitrary CDF.  `sorted_samples` must be ascending.
@@ -56,10 +54,10 @@ struct FitSelection {
   const FitCandidate& best() const { return candidates.front(); }
 };
 
-// Fits the paper's four candidates (plus lognormal and weibull as modern
-// extras when `extended`), ranks them by KS statistic, and returns all of
-// them, best first.  Candidates whose fitter throws (e.g. lognormal on
-// zero-containing data) are skipped.
-FitSelection fit_best(std::span<const double> samples, bool extended = false);
+// Fits the paper's four candidates, ranks them by KS statistic, and
+// returns all of them, best first.  Candidates whose fitter throws (e.g.
+// exponential on an all-zero sample) are skipped.  Requires a non-empty
+// sample of non-negative values (std::invalid_argument otherwise).
+FitSelection fit_best(std::span<const double> samples);
 
 }  // namespace cosm::numerics

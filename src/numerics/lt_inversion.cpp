@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <numbers>
 #include <utility>
 #include <vector>
@@ -17,13 +15,12 @@ namespace cosm::numerics {
 
 namespace {
 
-// Node weights: the Euler xi and Gaver–Stehfest V_k weights depend only
-// on the term count, yet every inversion used to recompute them (~2M
-// lgamma/exp calls per CDF query — a measurable slice of the ~3 µs budget
-// when the transform itself is a shallow tree).  The Euler weights cover
-// the whole stable range M in [2, 30] (check_euler_args) and are built
-// once, at first use, into a table read without a lock; Stehfest counts
-// are unbounded, so those sit in a tiny keyed table.
+// Node weights: the Euler xi weights depend only on the term count, yet
+// every inversion used to recompute them (~2M lgamma/exp calls per CDF
+// query — a measurable slice of the ~3 µs budget when the transform
+// itself is a shallow tree).  They cover the whole stable range M in
+// [2, 30] (check_euler_args) and are built once, at first use, into a
+// table read without a lock.
 std::vector<double> build_euler_xi(int m) {
   std::vector<double> xi(static_cast<std::size_t>(2 * m + 1), 0.0);
   xi[0] = 0.5;
@@ -53,36 +50,6 @@ const std::vector<double>& euler_xi(int m) {
     return rows;
   }();
   return table[static_cast<std::size_t>(m - kEulerMinM)];
-}
-
-// Stehfest weights V_1..V_n for even n (index 0 unused).
-const std::vector<double>& stehfest_weights(int n) {
-  static std::mutex mutex;
-  static std::map<int, std::vector<double>> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto [it, inserted] = cache.try_emplace(n);
-  if (inserted) {
-    const int half = n / 2;
-    std::vector<double>& weights = it->second;
-    weights.assign(static_cast<std::size_t>(n + 1), 0.0);
-    for (int k = 1; k <= n; ++k) {
-      double v = 0.0;
-      const int j_lo = (k + 1) / 2;
-      const int j_hi = std::min(k, half);
-      for (int j = j_lo; j <= j_hi; ++j) {
-        // j^{n/2} (2j)! / ((n/2 - j)! j! (j-1)! (k-j)! (2j-k)!)
-        const double log_term =
-            half * std::log(static_cast<double>(j)) +
-            std::lgamma(2.0 * j + 1.0) - std::lgamma(half - j + 1.0) -
-            std::lgamma(j + 1.0) - std::lgamma(static_cast<double>(j)) -
-            std::lgamma(k - j + 1.0) - std::lgamma(2.0 * j - k + 1.0);
-        v += std::exp(log_term);
-      }
-      if ((k + half) % 2 != 0) v = -v;
-      weights[static_cast<std::size_t>(k)] = v;
-    }
-  }
-  return it->second;
 }
 
 // Contour scratch buffers, reused across inversions so the steady state
@@ -124,11 +91,6 @@ void check_euler_args(double t, int m) {
   COSM_REQUIRE(t > 0, "euler inversion requires t > 0");
   COSM_REQUIRE(m >= kEulerMinM && m <= kEulerMaxM,
                "euler M out of the stable range [2, 30]");
-}
-
-void check_talbot_args(double t, int m) {
-  COSM_REQUIRE(t > 0, "talbot inversion requires t > 0");
-  COSM_REQUIRE(m >= 4, "talbot needs at least 4 nodes");
 }
 
 // Records the per-inversion obs accounting: one verdict counter, the
@@ -226,46 +188,6 @@ double euler_reduce(double t, int m,
   return sum / t;
 }
 
-int talbot_terms(int m) { return m; }
-
-void talbot_fill_nodes(double t, int m, std::span<std::complex<double>> out) {
-  check_talbot_args(t, m);
-  COSM_REQUIRE(out.size() == static_cast<std::size_t>(m),
-               "talbot node span has the wrong length");
-  // Fixed-Talbot (Abate & Valkó 2004): contour s(theta) = r theta (cot
-  // theta + i), r = 2m / (5t); node 0 is the real point s = r.
-  const double r = 2.0 * m / (5.0 * t);
-  out[0] = std::complex<double>(r, 0.0);
-  for (int k = 1; k < m; ++k) {
-    const double theta = k * std::numbers::pi / m;
-    const double cot = std::cos(theta) / std::sin(theta);
-    out[static_cast<std::size_t>(k)] =
-        std::complex<double>(r * theta * cot, r * theta);
-  }
-}
-
-double talbot_reduce(double t, int m,
-                     std::span<const std::complex<double>> values) {
-  check_talbot_args(t, m);
-  COSM_REQUIRE(values.size() == static_cast<std::size_t>(m),
-               "talbot value span has the wrong length");
-  const double r = 2.0 * m / (5.0 * t);
-  double sum = 0.5 * std::exp(r * t) * values[0].real();
-  for (int k = 1; k < m; ++k) {
-    // Recompute the node geometry with the exact fill expressions so the
-    // per-node arithmetic matches the historical single-loop form.
-    const double theta = k * std::numbers::pi / m;
-    const double cot = std::cos(theta) / std::sin(theta);
-    const std::complex<double> s(r * theta * cot, r * theta);
-    const double sigma = theta + (theta * cot - 1.0) * cot;
-    const std::complex<double> ds(1.0, sigma);  // (1 + i sigma)
-    const std::complex<double> term =
-        std::exp(s * t) * values[static_cast<std::size_t>(k)] * ds;
-    sum += term.real();
-  }
-  return sum * r / m;
-}
-
 // ------------------------------- inverters -------------------------------
 
 double invert_euler(const LaplaceFn& lt, double t, int m) {
@@ -285,43 +207,6 @@ double invert_euler(const BatchLaplaceFn& lt_many, double t, int m) {
   ScratchLease scratch;
   euler_evaluate(lt_many, t, m, *scratch);
   return euler_reduce(t, m, scratch->values);
-}
-
-double invert_talbot(const LaplaceFn& lt, double t, int m) {
-  check_talbot_args(t, m);
-  const std::size_t terms = static_cast<std::size_t>(talbot_terms(m));
-  ScratchLease scratch;
-  scratch->nodes.resize(terms);
-  scratch->values.resize(terms);
-  talbot_fill_nodes(t, m, scratch->nodes);
-  for (std::size_t k = 0; k < terms; ++k) {
-    scratch->values[k] = lt(scratch->nodes[k]);
-  }
-  return talbot_reduce(t, m, scratch->values);
-}
-
-double invert_talbot(const BatchLaplaceFn& lt_many, double t, int m) {
-  check_talbot_args(t, m);
-  const std::size_t terms = static_cast<std::size_t>(talbot_terms(m));
-  ScratchLease scratch;
-  scratch->nodes.resize(terms);
-  scratch->values.resize(terms);
-  talbot_fill_nodes(t, m, scratch->nodes);
-  lt_many(scratch->nodes, scratch->values);
-  return talbot_reduce(t, m, scratch->values);
-}
-
-double invert_gaver_stehfest(const RealLaplaceFn& lt, double t, int n) {
-  COSM_REQUIRE(t > 0, "gaver-stehfest inversion requires t > 0");
-  COSM_REQUIRE(n >= 2 && n % 2 == 0 && n <= 18,
-               "gaver-stehfest n must be even and in [2, 18]");
-  const double ln2_over_t = std::numbers::ln2 / t;
-  const std::vector<double>& weights = stehfest_weights(n);
-  double sum = 0.0;
-  for (int k = 1; k <= n; ++k) {
-    sum += weights[static_cast<std::size_t>(k)] * lt(k * ln2_over_t);
-  }
-  return sum * ln2_over_t;
 }
 
 InversionQuality classify_cdf_value(double raw) {

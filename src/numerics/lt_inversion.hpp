@@ -3,17 +3,12 @@
 // The model's outputs (waiting-time and response-latency distributions)
 // exist only as Laplace transforms; predicting "the percentile of requests
 // meeting a 100 ms SLA" means evaluating the CDF at the SLA, i.e. inverting
-// L[F](s) = L[f](s) / s at t = SLA.  Three classic algorithms are provided:
+// L[F](s) = L[f](s) / s at t = SLA.  The one algorithm is Euler
+// (Abate–Whitt 2006 unified framework): robust for CDFs (bounded,
+// monotone), it needs complex evaluations on a vertical contour
+// Re s = const > 0.
 //
-//  * Euler (Abate–Whitt 2006 unified framework) — the default.  Robust for
-//    CDFs (bounded, monotone), needs complex evaluations on a vertical
-//    contour Re s = const > 0.
-//  * Fixed Talbot (Abate–Valkó) — deformed contour, excellent for smooth
-//    transforms; used as a cross-check.
-//  * Gaver–Stehfest — real-axis only; useful for transforms that are only
-//    cheap to evaluate for real s, and as a third opinion in tests.
-//
-// At a jump discontinuity of F these methods converge to the midpoint; SLA
+// At a jump discontinuity of F the inversion converges to the midpoint; SLA
 // evaluation points in the experiments sit away from the model's atoms.
 //
 // Batching: every inversion materializes its whole contour up front and
@@ -26,9 +21,9 @@
 // and tests/numerics/test_transform_tape.cpp enforce.
 //
 // Thread-safety: every function here is safe to call concurrently — the
-// node weights each algorithm needs (Euler's xi, Stehfest's V_k) are
-// memoized per term count behind a mutex, contour scratch buffers are
-// thread-local, and all remaining state is call-local.  The provided `lt`
+// Euler xi weights are built once per term count into a read-only
+// table, contour scratch buffers are thread-local, and all remaining
+// state is call-local.  The provided `lt`
 // callback itself must be safe to invoke from multiple threads; every
 // Distribution in this repo qualifies (they are immutable after
 // construction).
@@ -47,7 +42,6 @@
 namespace cosm::numerics {
 
 using LaplaceFn = std::function<std::complex<double>(std::complex<double>)>;
-using RealLaplaceFn = std::function<double(double)>;
 // Batched transform evaluation: fill out[i] = L(s[i]) for every i (spans
 // have equal length).  Bind Distribution::laplace_many or
 // TransformTape::evaluate here.
@@ -70,19 +64,6 @@ double invert_euler(const LaplaceFn& lt, double t, int m = 20);
 // Batched form: one lt_many call over the whole contour; bit-identical to
 // the scalar overload.
 double invert_euler(const BatchLaplaceFn& lt_many, double t, int m = 20);
-
-// Inverts L[f] at t with the fixed-Talbot algorithm using m nodes.
-// Preconditions: t > 0 (seconds), m >= 4.  Costs m evaluations of `lt` on
-// the deformed Talbot contour.
-double invert_talbot(const LaplaceFn& lt, double t, int m = 32);
-// Batched form; bit-identical to the scalar overload.
-double invert_talbot(const BatchLaplaceFn& lt_many, double t, int m = 32);
-
-// Inverts L[f] at t with Gaver–Stehfest using n terms.
-// Preconditions: t > 0 (seconds), n even and in [2, 18] (the V_k weights
-// alternate with magnitude ~10^{n/2}; beyond 18 cancellation destroys
-// double precision).  Real-axis evaluations only.
-double invert_gaver_stehfest(const RealLaplaceFn& lt, double t, int n = 16);
 
 // Quality verdict of one CDF inversion — how far the raw Euler sum sat
 // outside the mathematically required [0, 1] before the clamp:
@@ -208,8 +189,8 @@ double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
 // ------------------- contour plumbing (shared internals) ------------------
 //
 // The scalar inverters, the batched inverters, and TransformTape's fused
-// inversion entry points all build the same contours and reduce with the
-// same weights, in the same node order.  These helpers are the single
+// inversion entry points all build the same Euler contours and reduce
+// with the same weights, in the same node order.  These helpers are the single
 // source of truth for that arithmetic; they are public so the tape unit
 // (and tests) can reuse them, but they are an implementation detail of
 // the inversion layer, not a stable API.
@@ -223,14 +204,5 @@ void euler_fill_nodes(double t, int m, std::span<std::complex<double>> out);
 // expressions and summation order as the scalar loop.
 double euler_reduce(double t, int m,
                     std::span<const std::complex<double>> values);
-
-// Number of Talbot contour nodes: m (node 0 is the real point s = r).
-int talbot_terms(int m);
-// Fills the fixed-Talbot contour s(theta_k), k in [0, m).
-void talbot_fill_nodes(double t, int m, std::span<std::complex<double>> out);
-// Talbot reduction with the same per-node geometry factors and summation
-// order as the scalar loop.
-double talbot_reduce(double t, int m,
-                     std::span<const std::complex<double>> values);
 
 }  // namespace cosm::numerics

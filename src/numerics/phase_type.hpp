@@ -1,21 +1,7 @@
-// Phase-type convenience distributions: the classic two-moment matching
-// tools of queueing practice.
-//
-//  * Erlang(k, rate)      — sum of k exponentials; CV² = 1/k < 1.
-//  * HyperExponential     — probabilistic mixture of exponentials;
-//                           CV² > 1.  two_moment() builds the standard
-//                           balanced-means H2 fit.
-//  * Shifted(d, D)        — constant offset plus a distribution; models
-//                           "fixed setup + variable work" service laws.
-//
-// All three carry exact Laplace transforms, so they slot directly into
-// the model wherever a fitted Gamma would go — useful both for
-// sensitivity studies (how much does the latency percentile care about
-// the service-law family at matched moments?) and for building M/G/1
-// test cases with known structure.
+// Erlang(k, rate): the sum of k exponentials, CV² = 1/k < 1.  It carries
+// an exact Laplace transform (the Gamma kernel at integer shape) and is
+// queueing::MM1K's sojourn-time law.
 #pragma once
-
-#include <vector>
 
 #include "numerics/distribution.hpp"
 
@@ -39,53 +25,6 @@ class Erlang final : public Distribution {
  private:
   unsigned stages_;
   double rate_;
-};
-
-class HyperExponential final : public Distribution {
- public:
-  struct Branch {
-    double probability;
-    double rate;
-  };
-  // Branch probabilities must sum to 1.
-  explicit HyperExponential(std::vector<Branch> branches);
-
-  // Balanced-means two-moment H2 fit: returns a hyperexponential with the
-  // given mean and squared coefficient of variation (cv2 > 1).
-  static HyperExponential two_moment(double mean, double cv2);
-
-  std::string name() const override;
-  std::complex<double> laplace(std::complex<double> s) const override;
-  double mean() const override;
-  double second_moment() const override;
-  double third_moment() const override;
-  double cdf(double t) const override;
-  double sample(Rng& rng) const override;
-
-  const std::vector<Branch>& branches() const { return branches_; }
-
- private:
-  std::vector<Branch> branches_;
-};
-
-// offset + inner variate.
-class Shifted final : public Distribution {
- public:
-  Shifted(double offset, DistPtr inner);
-
-  std::string name() const override;
-  std::complex<double> laplace(std::complex<double> s) const override;
-  double mean() const override;
-  double second_moment() const override;
-  double third_moment() const override;
-  double cdf(double t) const override;
-  double sample(Rng& rng) const override;
-  double offset() const { return offset_; }
-  const DistPtr& inner() const { return inner_; }
-
- private:
-  double offset_;
-  DistPtr inner_;
 };
 
 }  // namespace cosm::numerics

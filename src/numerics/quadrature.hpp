@@ -4,7 +4,7 @@
 // sanity checks in tests), and fixed-order Gauss–Legendre panels that also
 // accept complex-valued integrands — used to evaluate Laplace transforms of
 // distributions that lack a closed form (lognormal, truncated normal,
-// Weibull, Pareto) along the inversion contours.
+// Pareto) along the inversion contours.
 #pragma once
 
 #include <complex>

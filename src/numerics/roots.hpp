@@ -1,5 +1,6 @@
-// Scalar root finding used by the fitting code: safeguarded Newton solves
-// the Gamma-MLE shape equation, Brent's method the Weibull one.  Quantile
+// Scalar root finding: safeguarded Newton solves the fitting code's
+// Gamma-MLE shape equation; Brent's method and the upward bracket
+// expansion are general-purpose helpers.  Quantile
 // searches have their own solver (numerics::solve_quantile in
 // lt_inversion.hpp), which reads F and f from one inversion per probe.
 #pragma once

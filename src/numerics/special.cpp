@@ -180,13 +180,4 @@ double normal_cdf_inv(double p) {
   return x;
 }
 
-double generalized_harmonic(unsigned long long n, double s) {
-  double sum = 0.0;
-  // Sum smallest terms first to limit floating-point error.
-  for (unsigned long long i = n; i >= 1; --i) {
-    sum += 1.0 / std::pow(static_cast<double>(i), s);
-  }
-  return sum;
-}
-
 }  // namespace cosm::numerics

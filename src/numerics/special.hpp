@@ -34,7 +34,4 @@ double normal_cdf(double x);
 // with one Halley step; |error| < 1e-13.
 double normal_cdf_inv(double p);
 
-// Generalized harmonic number H_{n,s} = sum_{i=1..n} i^{-s}.
-double generalized_harmonic(unsigned long long n, double s);
-
 }  // namespace cosm::numerics

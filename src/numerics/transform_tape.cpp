@@ -114,11 +114,8 @@ class TapeCompiler {
     kMG1K,
     kTiered,
     kScaled,
-    kShifted,
     kExponential,
-    kUniform,
     kErlang,
-    kHyperExp,
     kGeneric,
   };
 
@@ -144,11 +141,8 @@ class TapeCompiler {
     if (is<MG1KSojourn>(type)) return Kind::kMG1K;
     if (is<TieredService>(type)) return Kind::kTiered;
     if (is<Scaled>(type)) return Kind::kScaled;
-    if (is<Shifted>(type)) return Kind::kShifted;
     if (is<Exponential>(type)) return Kind::kExponential;
-    if (is<Uniform>(type)) return Kind::kUniform;
     if (is<Erlang>(type)) return Kind::kErlang;
-    if (is<HyperExponential>(type)) return Kind::kHyperExp;
     return Kind::kGeneric;
   }
 
@@ -235,9 +229,6 @@ class TapeCompiler {
         count_node(sc.inner().get(), child_ctx(ctx, sc.factor()));
         break;
       }
-      case Kind::kShifted:
-        count_node(as<Shifted>(d).inner().get(), ctx);
-        break;
       case Kind::kPKWait:
         count_node(as<PKWaitingTime>(d).service().get(), ctx);
         break;
@@ -273,11 +264,6 @@ class TapeCompiler {
         push_op(OpCode::kLeafGamma, 0, push_params({ga.shape(), ga.rate()}));
         break;
       }
-      case Kind::kUniform: {
-        const auto& un = as<Uniform>(d);
-        push_op(OpCode::kLeafUniform, 0, push_params({un.lo(), un.hi()}));
-        break;
-      }
       case Kind::kErlang: {
         // Erlang::laplace is gamma_laplace with the stage count as the
         // shape; the op keeps its own code so the fingerprint tells the
@@ -285,17 +271,6 @@ class TapeCompiler {
         const auto& er = as<Erlang>(d);
         push_op(OpCode::kLeafErlang, 0,
                 push_params({static_cast<double>(er.stages()), er.rate()}));
-        break;
-      }
-      case Kind::kHyperExp: {
-        const auto& he = as<HyperExponential>(d);
-        const std::uint32_t offset = param_offset();
-        for (const auto& branch : he.branches()) {
-          tape_.params_.push_back(branch.probability);
-          tape_.params_.push_back(branch.rate);
-        }
-        push_op(OpCode::kLeafHyperExp,
-                static_cast<std::uint32_t>(he.branches().size()), offset);
         break;
       }
       case Kind::kMM1K: {
@@ -347,12 +322,6 @@ class TapeCompiler {
         push_op(OpCode::kScaleArg, 0, push_params({sc.factor()}));
         emit_node(sc.inner());
         push_op(OpCode::kPopArg, 0, 0);
-        break;
-      }
-      case Kind::kShifted: {
-        const auto& sh = as<Shifted>(d);
-        emit_node(sh.inner());
-        push_op(OpCode::kShift, 0, push_params({sh.offset()}));
         break;
       }
       case Kind::kPKWait: {
@@ -427,9 +396,7 @@ class TapeCompiler {
         case OpCode::kLeafDegenerate:
         case OpCode::kLeafExponential:
         case OpCode::kLeafGamma:
-        case OpCode::kLeafUniform:
         case OpCode::kLeafErlang:
-        case OpCode::kLeafHyperExp:
         case OpCode::kLeafMM1K:
         case OpCode::kLeafGeneric:
         case OpCode::kLoad:
@@ -443,7 +410,6 @@ class TapeCompiler {
         case OpCode::kTierMix:
           --value_height;
           break;
-        case OpCode::kShift:
         case OpCode::kPKWait:
         case OpCode::kMG1KSojourn:
         case OpCode::kStore:
@@ -547,36 +513,6 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         ++top;
         break;
       }
-      case OpCode::kLeafUniform: {
-        std::complex<double>* dst = values + top * batch;
-        const double lo = p[0];
-        const double hi = p[1];
-        for (std::size_t i = 0; i < batch; ++i) {
-          const std::complex<double> sc = sv[i];
-          if (modulus_below(sc, 1.0, 1e-8)) {
-            dst[i] = 1.0 - sc * (0.5 * (lo + hi)) +
-                     sc * sc * ((lo * lo + lo * hi + hi * hi) / 6.0);
-          } else {
-            dst[i] = (std::exp(-sc * lo) - std::exp(-sc * hi)) /
-                     (sc * (hi - lo));
-          }
-        }
-        ++top;
-        break;
-      }
-      case OpCode::kLeafHyperExp: {
-        std::complex<double>* dst = values + top * batch;
-        const std::size_t branches = op.a;
-        for (std::size_t i = 0; i < batch; ++i) {
-          std::complex<double> total = 0.0;
-          for (std::size_t k = 0; k < branches; ++k) {
-            total += p[2 * k] * p[2 * k + 1] / (p[2 * k + 1] + sv[i]);
-          }
-          dst[i] = total;
-        }
-        ++top;
-        break;
-      }
       case OpCode::kLeafMM1K: {
         std::complex<double>* dst = values + top * batch;
         const double arrival = p[0];
@@ -647,14 +583,6 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
           hit[i] = p[0] * hit[i] + p[1] * miss[i];
         }
         --top;
-        break;
-      }
-      case OpCode::kShift: {
-        std::complex<double>* inner = values + (top - 1) * batch;
-        const double offset = p[0];
-        for (std::size_t i = 0; i < batch; ++i) {
-          inner[i] = std::exp(-sv[i] * offset) * inner[i];
-        }
         break;
       }
       case OpCode::kScaleArg: {

@@ -16,11 +16,10 @@
 // The tape IR.  Ops are {opcode, a, b} triples (12 bytes); `a` is an op
 // count / slot / leaf index, `b` an offset into a flat params array of
 // doubles.  Leaf ops (LEAF-DEGENERATE, LEAF-EXPONENTIAL, LEAF-GAMMA,
-// LEAF-UNIFORM, LEAF-ERLANG, LEAF-HYPEREXP, LEAF-MM1K) evaluate closed
-// forms from params; combinator ops (MUL for Convolution, MIX for
-// Mixture, CPOISSON for the union operation's compound-Poisson
-// exponential, SHIFT, PK-WAIT and MG1K-SOJOURN for the queueing
-// formulas) fold the value stack; SCALE-ARG / POP-ARG maintain an
+// LEAF-ERLANG, LEAF-MM1K) evaluate closed forms from params; combinator
+// ops (MUL for Convolution, MIX for Mixture, CPOISSON for the union
+// operation's compound-Poisson exponential, PK-WAIT and MG1K-SOJOURN for
+// the queueing formulas) fold the value stack; SCALE-ARG / POP-ARG maintain an
 // argument stack so Scaled subtrees evaluate at c·s; STORE / LOAD give
 // common-subexpression elimination — a subtree shared k times is
 // evaluated once and copied k-1 times.  Leaves with no closed form
@@ -131,29 +130,26 @@ class TransformTape {
 
  private:
   // The opcode values are folded into fingerprint(), so they stay fixed:
-  // values 7 and 8 belonged to retired ops and are not reused.
+  // values 3, 5, 7, 8 and 14 belonged to retired ops and are not reused.
   enum class OpCode : std::uint8_t {
-    kLeafDegenerate,   // params [value]
-    kLeafExponential,  // params [rate]
-    kLeafGamma,        // params [shape, rate]
-    kLeafUniform,      // params [lo, hi]
-    kLeafErlang,       // params [stages (as double), rate]
-    kLeafHyperExp,     // a = branches, params [p0, r0, p1, r1, ...]
-    kLeafMM1K,         // params [arrival, service, capacity, p0, blocking]
-    kLeafGeneric = 9,  // a = index into leaves_; calls laplace_many
-    kMul,              // a = child count (Convolution)
-    kMix,              // a = child count, params [w0, ..., w_{a-1}]
-    kTierMix,          // params [hit_ratio, miss_ratio]; children hit,
-                       // miss (TieredService — distinct from kMix so
-                       // tiered trees stay structurally distinct)
-    kCPoisson,         // params [rate]; children base, extra
-    kShift,            // params [offset]
-    kScaleArg,         // params [factor]: push arg batch factor * current
-    kPopArg,           // pop the argument stack
-    kPKWait,           // params [arrival_rate, utilization]; child L[B]
-    kMG1KSojourn,      // a = weights, params [mean_service, w0, ...]
-    kStore,            // a = slot: copy stack top into CSE slot
-    kLoad,             // a = slot: push CSE slot
+    kLeafDegenerate = 0,   // params [value]
+    kLeafExponential = 1,  // params [rate]
+    kLeafGamma = 2,        // params [shape, rate]
+    kLeafErlang = 4,       // params [stages (as double), rate]
+    kLeafMM1K = 6,         // params [arrival, service, capacity, p0, blocking]
+    kLeafGeneric = 9,      // a = index into leaves_; calls laplace_many
+    kMul = 10,             // a = child count (Convolution)
+    kMix = 11,             // a = child count, params [w0, ..., w_{a-1}]
+    kTierMix = 12,         // params [hit_ratio, miss_ratio]; children hit,
+                           // miss (TieredService — distinct from kMix so
+                           // tiered trees stay structurally distinct)
+    kCPoisson = 13,        // params [rate]; children base, extra
+    kScaleArg = 15,        // params [factor]: push arg batch factor * current
+    kPopArg = 16,          // pop the argument stack
+    kPKWait = 17,          // params [arrival_rate, utilization]; child L[B]
+    kMG1KSojourn = 18,     // a = weights, params [mean_service, w0, ...]
+    kStore = 19,           // a = slot: copy stack top into CSE slot
+    kLoad = 20,            // a = slot: push CSE slot
   };
 
   struct Op {

@@ -277,19 +277,4 @@ void export_json(std::ostream& out) {
       << "}\n";
 }
 
-void export_csv(std::ostream& out) {
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    out << "counter," << kCounterNames[i] << ","
-        << detail::g_counters[i].load(std::memory_order_relaxed) << "\n";
-  }
-  for (const SpanRecord& span : snapshot_spans()) {
-    out << "span," << span.name << "," << span.thread << "," << span.depth
-        << ",";
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.3f,%.3f", span.start_us,
-                  span.dur_us);
-    out << buffer << "\n";
-  }
-}
-
 }  // namespace cosm::obs

@@ -15,8 +15,8 @@
 //    land in a fixed-capacity ring buffer with their thread, nesting
 //    depth, start offset, and duration; overflow overwrites the oldest
 //    records and is itself counted, never silently lost.
-//  * export_json / export_csv — the structured trace: every counter (zero
-//    or not, so the schema is stable) plus the retained span records.
+//  * export_json — the structured trace: every counter (zero or not, so
+//    the schema is stable) plus the retained span records.
 //    docs/obs_trace.schema.json pins the JSON shape; the obs-smoke CI job
 //    validates exported traces against it.
 //
@@ -235,8 +235,5 @@ void reset();
 //  "counters": [{"name", "value"}...], "spans": [{...}...],
 //  "span_total": N, "span_dropped": N}.
 void export_json(std::ostream& out);
-// CSV: one `counter,<name>,<value>` line per counter, then one
-// `span,<name>,<thread>,<depth>,<start_us>,<dur_us>` line per span.
-void export_csv(std::ostream& out);
 
 }  // namespace cosm::obs

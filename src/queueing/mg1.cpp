@@ -1,11 +1,8 @@
 #include "queueing/mg1.hpp"
 
 #include <cmath>
-#include <complex>
 #include <limits>
-#include <numbers>
 
-#include "numerics/fft.hpp"
 #include "numerics/transform_nodes.hpp"
 
 #include "common/require.hpp"
@@ -48,40 +45,6 @@ double MG1::idle_probability() const {
 }
 
 double MG1::mean_jobs() const { return arrival_rate_ * mean_sojourn_time(); }
-
-std::vector<double> MG1::queue_length_distribution(int max_n) const {
-  require_stable();
-  COSM_REQUIRE(max_n >= 0, "max_n must be non-negative");
-  const double r = arrival_rate_;
-  const double rho = utilization();
-  // Evaluate the P-K PGF on the unit circle and inverse-FFT: the n-th
-  // Fourier coefficient of Pi(e^{i theta}) is P[N = n].
-  std::size_t samples = 1;
-  while (samples < static_cast<std::size_t>(max_n + 1) * 8) samples <<= 1;
-  std::vector<std::complex<double>> values(samples);
-  for (std::size_t k = 0; k < samples; ++k) {
-    const double theta = 2.0 * std::numbers::pi *
-                         static_cast<double>(k) /
-                         static_cast<double>(samples);
-    const std::complex<double> z(std::cos(theta), std::sin(theta));
-    if (std::abs(z - 1.0) < 1e-12) {
-      values[k] = 1.0;  // Pi(1) = 1
-      continue;
-    }
-    const std::complex<double> lb = service_->laplace(r * (1.0 - z));
-    values[k] = (1.0 - rho) * (1.0 - z) * lb / (lb - z);
-  }
-  // p_n = (1/N) sum_k Pi(e^{i theta_k}) e^{-i theta_k n}: the *forward*
-  // DFT of the samples, scaled by 1/N.
-  numerics::fft(values, /*inverse=*/false);
-  std::vector<double> probabilities(max_n + 1);
-  for (int n = 0; n <= max_n; ++n) {
-    probabilities[n] =
-        std::max(0.0, values[static_cast<std::size_t>(n)].real() /
-                          static_cast<double>(samples));
-  }
-  return probabilities;
-}
 
 DistPtr MG1::waiting_time() const {
   require_stable();

@@ -9,8 +9,6 @@
 //   W̄      = r E[B^2] / (2 (1 - rho))                     (P–K mean)
 #pragma once
 
-#include <vector>
-
 #include "numerics/compose.hpp"
 #include "numerics/distribution.hpp"
 
@@ -46,12 +44,6 @@ class MG1 {
 
   // Mean number in system, L = r * sojourn mean (Little).
   double mean_jobs() const;
-
-  // P[N = n]: the number-in-system distribution from the P-K PGF
-  // Pi(z) = (1-rho)(1-z) L[B](r(1-z)) / (L[B](r(1-z)) - z), extracted by
-  // numerically differentiating along the unit circle (FFT of Pi over
-  // 2^m samples).  Returns probabilities for n = 0..max_n.
-  std::vector<double> queue_length_distribution(int max_n) const;
 
  private:
   void require_stable() const;

@@ -178,7 +178,6 @@ class BackendDevice {
   CacheBank& cache() { return cache_; }
   // The SSD cache tier; nullptr when ClusterConfig::tier is disabled.
   TierDevice* tier() { return tier_.get(); }
-  std::size_t pool_depth() const { return pool_.size(); }
   const std::vector<std::unique_ptr<BackendProcess>>& processes() const {
     return processes_;
   }

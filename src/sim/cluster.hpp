@@ -85,9 +85,6 @@ class Cluster {
 
   BackendDevice& device(std::uint32_t id);
   FrontendProcess& frontend(std::uint32_t id);
-  std::uint32_t frontend_count() const {
-    return static_cast<std::uint32_t>(frontends_.size());
-  }
 
   // Attempts currently in flight against `device` (replica-choice
   // scheduling input; also useful telemetry).

@@ -36,7 +36,6 @@ void FrontendProcess::start_next() {
   queue_.pop_front();
   const double parse = config_.frontend_parse->sample(rng_);
   engine_.schedule_after_inline(parse, [this, req = std::move(req)]() mutable {
-    ++parsed_;
     // TCP connect to the backend: one network latency to reach the pool.
     engine_.schedule_after_inline(config_.network_latency,
                                   [this, req = std::move(req)]() mutable {

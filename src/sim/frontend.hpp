@@ -31,7 +31,6 @@ class FrontendProcess {
   void accept_request(RequestPtr req);
 
   std::size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
-  std::uint64_t requests_parsed() const { return parsed_; }
 
  private:
   void start_next();
@@ -42,7 +41,6 @@ class FrontendProcess {
   cosm::Rng rng_;
   FifoRing<RequestPtr> queue_;
   bool busy_ = false;
-  std::uint64_t parsed_ = 0;
 };
 
 }  // namespace cosm::sim

@@ -88,19 +88,6 @@ double SimMetrics::latency_quantile(double p) const {
   return lo_value + (pos - static_cast<double>(lo)) * (hi_value - lo_value);
 }
 
-double SimMetrics::latency_fraction_below(double threshold) const {
-  if (latency_hist_) return latency_hist_->fraction_below(threshold);
-  std::uint64_t below = 0;
-  std::uint64_t total = 0;
-  for (const RequestSample& sample : requests_) {
-    if (sample.timed_out || sample.failed) continue;
-    ++total;
-    if (sample.response_latency <= threshold) ++below;
-  }
-  if (total == 0) return 0.0;
-  return static_cast<double>(below) / static_cast<double>(total);
-}
-
 void SimMetrics::on_attempt(std::uint32_t device, bool is_retry,
                             bool is_failover) {
   COSM_REQUIRE(device < devices_.size(), "device id out of range");

@@ -132,7 +132,6 @@ class SimMetrics {
   // outside [hist_min, hist_max]) instead of letting a fabricated
   // number pass for a measurement.
   stats::QuantileEstimate latency_quantile_checked(double p) const;
-  double latency_fraction_below(double threshold) const;
   std::uint64_t latency_count() const { return latency_count_; }
   const stats::StreamingStats& latency_moments() const {
     return latency_moments_;

@@ -56,8 +56,6 @@ class LogHistogram {
   // Fraction of recorded values <= threshold.
   double fraction_below(double threshold) const;
 
-  std::size_t bucket_count() const { return counts_.size(); }
-
  private:
   std::size_t bucket_index(double value) const;
   double bucket_lower_edge(std::size_t index) const;

@@ -57,10 +57,6 @@ double SlaCounter::fraction_met_over(std::size_t sla_index,
                     : static_cast<double>(met) / static_cast<double>(total);
 }
 
-double SlaCounter::fraction_met_total(std::size_t sla_index) const {
-  return fraction_met_over(sla_index, 0, met_.size());
-}
-
 void PredictionErrorSummary::add(double predicted, double observed) {
   COSM_REQUIRE(predicted >= -1e-9 && predicted <= 1.0 + 1e-9,
                "predicted percentile must be in [0, 1]");
@@ -88,13 +84,6 @@ double PredictionErrorSummary::worst_case() const {
   double worst = 0.0;
   for (const double e : errors_) worst = std::max(worst, std::abs(e));
   return worst;
-}
-
-double PredictionErrorSummary::mean_signed_error() const {
-  COSM_REQUIRE(!errors_.empty(), "no prediction errors recorded");
-  double sum = 0.0;
-  for (const double e : errors_) sum += e;
-  return sum / static_cast<double>(errors_.size());
 }
 
 }  // namespace cosm::stats

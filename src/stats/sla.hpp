@@ -31,8 +31,6 @@ class SlaCounter {
   // paper's 5-minute averages).
   double fraction_met_over(std::size_t sla_index, std::size_t first,
                            std::size_t last) const;
-  // Fraction over the whole run.
-  double fraction_met_total(std::size_t sla_index) const;
   std::uint64_t total_requests() const { return total_requests_; }
 
  private:
@@ -54,8 +52,6 @@ class PredictionErrorSummary {
   double mean_abs_error() const;
   double best_case() const;   // smallest |error|
   double worst_case() const;  // largest |error|
-  // Mean signed error (positive = model over-predicts the percentile).
-  double mean_signed_error() const;
 
  private:
   std::vector<double> errors_;  // signed

@@ -191,15 +191,6 @@ TEST(DriftObserveWindow, EmptyWindowIsAnOutcomeNotAThrow) {
                std::invalid_argument);  // counters ran backwards
 }
 
-TEST(DriftObserveWindow, TryEstimateMissRatioReportsInsufficiency) {
-  EXPECT_EQ(try_estimate_miss_ratio({}), std::nullopt);
-  const std::vector<double> lat = {0.0, 0.008, 0.0, 0.0};
-  EXPECT_NEAR(*try_estimate_miss_ratio(lat), 0.25, 1e-12);
-  // The throwing form keeps throwing (direct misuse).
-  EXPECT_THROW(estimate_miss_ratio({}), std::invalid_argument);
-  EXPECT_THROW(try_estimate_miss_ratio(lat, 0.0), std::invalid_argument);
-}
-
 TEST(DriftObserveWindow, BoundarySkewClampsAndCarries) {
   obs::set_enabled(true);
   obs::reset();
@@ -246,7 +237,6 @@ TEST(DriftLruBracket, ExhaustedBracketFailsLoudly) {
   pathological.weight = {1e-300};
   pathological.chunks = {10.0};
   pathological.total_chunks = 10.0;
-  EXPECT_THROW(che_characteristic_time(pathological, 5), std::logic_error);
   EXPECT_THROW(predict_lru_hit_ratio(pathological, 5), std::logic_error);
 
   // A healthy population still solves (per-chunk reference weights
@@ -255,9 +245,6 @@ TEST(DriftLruBracket, ExhaustedBracketFailsLoudly) {
   healthy.weight = {0.2, 0.025};
   healthy.chunks = {4.0, 8.0};
   healthy.total_chunks = 12.0;
-  const double t = che_characteristic_time(healthy, 6);
-  EXPECT_TRUE(std::isfinite(t));
-  EXPECT_GT(t, 0.0);
   const double hit = predict_lru_hit_ratio(healthy, 6);
   EXPECT_GT(hit, 0.0);
   EXPECT_LT(hit, 1.0);

@@ -393,16 +393,14 @@ TEST(ParallelPrediction, DegradedSweepParallelMatchesSerial) {
   scenarios[3].service_inflation = 1.5;
   scenarios[3].retry_rate_factor = 1.05;
 
-  const auto serial =
-      cosm::core::degraded_sla_percentiles(healthy, scenarios, 0.12);
+  // Each degraded model fans its device builds out across 8 threads and
+  // shares one cache with the other scenarios; every answer must match
+  // the serial, uncached one bit for bit.
   PredictionCache cache;
-  const auto parallel = cosm::core::degraded_sla_percentiles(
-      healthy, scenarios, 0.12, {}, PredictOptions{8, &cache});
-  ASSERT_EQ(serial.size(), scenarios.size());
-  EXPECT_EQ(serial, parallel);
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_EQ(serial[i],
-              cosm::core::degraded_sla_percentile(healthy, scenarios[i], 0.12));
+  for (const DegradedScenario& scenario : scenarios) {
+    EXPECT_EQ(cosm::core::degraded_sla_percentile(
+                  healthy, scenario, 0.12, {}, PredictOptions{8, &cache}),
+              cosm::core::degraded_sla_percentile(healthy, scenario, 0.12));
   }
 }
 

@@ -54,41 +54,6 @@ TEST(FrontendModel, RejectsOverload) {
   EXPECT_THROW(FrontendModel{params}, std::invalid_argument);
 }
 
-TEST(ExactWta, DegenerateLifetimeGivesUniformWait) {
-  // If every accept lifetime is exactly x0, a connection arriving at a
-  // uniformly random instant waits U(0, x0): CDF(t) = t / x0.
-  const Degenerate lifetime(0.04);
-  // The lifetime CDF has a jump at 0.04, which costs the fixed-panel
-  // quadrature some accuracy; 5e-3 is ample for the ablation's purpose.
-  for (double t : {0.005, 0.01, 0.02, 0.035}) {
-    EXPECT_NEAR(exact_wta_cdf(lifetime, t), t / 0.04, 5e-3) << t;
-  }
-  EXPECT_NEAR(exact_wta_cdf(lifetime, 0.04), 1.0, 5e-3);
-  EXPECT_EQ(exact_wta_cdf(lifetime, 0.0), 0.0);
-}
-
-TEST(ExactWta, ApproximationOverestimatesTheWait) {
-  // The paper's W_a = A approximation assumes every connection waits the
-  // full lifetime; the exact wait is stochastically smaller, so its CDF
-  // dominates pointwise.
-  const Exponential lifetime(50.0);  // mean 20 ms accept lifetimes
-  for (double t : {0.002, 0.01, 0.03, 0.08}) {
-    EXPECT_GE(exact_wta_cdf(lifetime, t), lifetime.cdf(t) - 1e-6) << t;
-  }
-}
-
-TEST(ExactWta, IsAProperCdf) {
-  const Gamma lifetime(2.0, 100.0);
-  double prev = 0.0;
-  for (double t : {0.001, 0.005, 0.02, 0.05, 0.2, 1.0}) {
-    const double c = exact_wta_cdf(lifetime, t);
-    EXPECT_GE(c, prev - 1e-9);
-    EXPECT_LE(c, 1.0);
-    prev = c;
-  }
-  EXPECT_GT(prev, 0.98);
-}
-
 TEST(FrontendModel, HeterogeneousGroupsMixByTrafficShare) {
   // Sec. III-C: heterogeneous frontends = homogeneous sets solved
   // separately.  A 2-group tier must equal the share-weighted mixture of

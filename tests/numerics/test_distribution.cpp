@@ -11,6 +11,7 @@
 #include <cmath>
 #include <complex>
 #include <memory>
+#include <numbers>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -32,22 +33,32 @@ void PrintTo(const DistPtr& d, std::ostream* os) {
       << ")";
 }
 
+// One distribution of the contract suite.  `id` is the case's fixed
+// number in its test names; like the tape's opcodes, ids of retired cases
+// are not reused, so removing a case renames no other test.
+struct ContractCase {
+  int id;
+  DistPtr dist;
+};
+
+void PrintTo(const ContractCase& c, std::ostream* os) { PrintTo(c.dist, os); }
+
 namespace {
 
 // All distributions must satisfy L(0) = 1 and L'(0) = -mean; we check the
 // derivative with a central difference on the real axis.
 class DistributionContractTest
-    : public ::testing::TestWithParam<DistPtr> {};
+    : public ::testing::TestWithParam<ContractCase> {};
 
 TEST_P(DistributionContractTest, LaplaceAtZeroIsOne) {
-  const auto& d = *GetParam();
+  const auto& d = *GetParam().dist;
   const auto l0 = d.laplace({1e-12, 0.0});
   EXPECT_NEAR(l0.real(), 1.0, 1e-6) << d.name();
   EXPECT_NEAR(l0.imag(), 0.0, 1e-6) << d.name();
 }
 
 TEST_P(DistributionContractTest, LaplaceDerivativeAtZeroIsMinusMean) {
-  const auto& d = *GetParam();
+  const auto& d = *GetParam().dist;
   const double h = 1e-6 / std::max(1.0, d.mean());
   const double lp = d.laplace({h, 0.0}).real();
   const double lm = d.laplace({-h, 0.0}).real();
@@ -57,7 +68,7 @@ TEST_P(DistributionContractTest, LaplaceDerivativeAtZeroIsMinusMean) {
 }
 
 TEST_P(DistributionContractTest, LaplaceModulusBoundedByOne) {
-  const auto& d = *GetParam();
+  const auto& d = *GetParam().dist;
   for (double im : {-40.0, -3.0, 0.5, 7.0, 90.0}) {
     const auto v = d.laplace({0.3, im});
     EXPECT_LE(std::abs(v), 1.0 + 1e-9) << d.name() << " im=" << im;
@@ -65,7 +76,7 @@ TEST_P(DistributionContractTest, LaplaceModulusBoundedByOne) {
 }
 
 TEST_P(DistributionContractTest, CdfIsMonotoneFromZeroToOne) {
-  const auto& d = *GetParam();
+  const auto& d = *GetParam().dist;
   const double scale = std::max(d.mean(), 1e-6);
   double prev = -1e-12;
   for (double frac : {0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0}) {
@@ -79,7 +90,7 @@ TEST_P(DistributionContractTest, CdfIsMonotoneFromZeroToOne) {
 }
 
 TEST_P(DistributionContractTest, SampleMomentsMatchAnalyticMoments) {
-  const auto& d = *GetParam();
+  const auto& d = *GetParam().dist;
   Rng rng(20240704);
   constexpr int kN = 200000;
   double sum = 0.0;
@@ -102,7 +113,7 @@ TEST_P(DistributionContractTest, SampleMomentsMatchAnalyticMoments) {
 }
 
 TEST_P(DistributionContractTest, SampleQuantilesMatchCdf) {
-  const auto& d = *GetParam();
+  const auto& d = *GetParam().dist;
   Rng rng(99);
   constexpr int kN = 100000;
   std::vector<double> samples(kN);
@@ -121,19 +132,17 @@ TEST_P(DistributionContractTest, SampleQuantilesMatchCdf) {
 INSTANTIATE_TEST_SUITE_P(
     AllConcrete, DistributionContractTest,
     ::testing::Values(
-        std::make_shared<Degenerate>(0.8),
-        std::make_shared<Exponential>(2.5),
-        std::make_shared<Gamma>(0.7, 3.0),
-        std::make_shared<Gamma>(4.0, 0.5),
-        std::make_shared<Gamma>(30.0, 100.0),
-        std::make_shared<Uniform>(0.2, 1.7),
-        std::make_shared<TruncatedNormal>(5.0, 1.0),
-        std::make_shared<TruncatedNormal>(1.0, 0.8),
-        std::make_shared<Lognormal>(-0.5, 0.6),
-        std::make_shared<Weibull>(1.6, 2.0),
-        std::make_shared<Pareto>(3.5, 0.4)),
-    [](const ::testing::TestParamInfo<DistPtr>& info) {
-      return info.param->name() + "_" + std::to_string(info.index);
+        ContractCase{0, std::make_shared<Degenerate>(0.8)},
+        ContractCase{1, std::make_shared<Exponential>(2.5)},
+        ContractCase{2, std::make_shared<Gamma>(0.7, 3.0)},
+        ContractCase{3, std::make_shared<Gamma>(4.0, 0.5)},
+        ContractCase{4, std::make_shared<Gamma>(30.0, 100.0)},
+        ContractCase{6, std::make_shared<TruncatedNormal>(5.0, 1.0)},
+        ContractCase{7, std::make_shared<TruncatedNormal>(1.0, 0.8)},
+        ContractCase{8, std::make_shared<Lognormal>(-0.5, 0.6)},
+        ContractCase{10, std::make_shared<Pareto>(3.5, 0.4)}),
+    [](const ::testing::TestParamInfo<ContractCase>& info) {
+      return info.param.dist->name() + "_" + std::to_string(info.param.id);
     });
 
 TEST(Gamma, CdfMatchesRegularizedIncompleteGamma) {
@@ -148,12 +157,6 @@ TEST(Gamma, QuantileInvertsCdf) {
   for (double p : {0.05, 0.5, 0.95, 0.999}) {
     EXPECT_NEAR(g.cdf(g.quantile(p)), p, 1e-9);
   }
-}
-
-TEST(Gamma, FromMeanShape) {
-  const Gamma g = Gamma::from_mean_shape(0.02, 4.0);
-  EXPECT_NEAR(g.mean(), 0.02, 1e-15);
-  EXPECT_NEAR(g.shape(), 4.0, 1e-15);
 }
 
 TEST(Gamma, LaplaceClosedForm) {
@@ -189,11 +192,17 @@ TEST(Gamma, LaplaceKernelMatchesPowOracle) {
     std::vector<std::complex<double>> euler(
         static_cast<std::size_t>(euler_terms(20)));
     euler_fill_nodes(t, 20, euler);
-    std::vector<std::complex<double>> talbot(
-        static_cast<std::size_t>(talbot_terms(32)));
-    talbot_fill_nodes(t, 32, talbot);
     nodes.insert(nodes.end(), euler.begin(), euler.end());
-    nodes.insert(nodes.end(), talbot.begin(), talbot.end());
+    // The fixed-Talbot contour (Abate & Valkó 2004), m = 32 nodes:
+    // s(theta) = r theta (cot theta + i), r = 2m / (5t), which reaches
+    // further into the left half-plane than Euler's.
+    const double r = 2.0 * 32 / (5.0 * t);
+    nodes.emplace_back(r, 0.0);
+    for (int k = 1; k < 32; ++k) {
+      const double theta = k * std::numbers::pi / 32;
+      const double cot = std::cos(theta) / std::sin(theta);
+      nodes.emplace_back(r * theta * cot, r * theta);
+    }
   }
   for (const double rate : {1.0, 233.33, 1e4}) {
     std::vector<std::complex<double>> points = nodes;
@@ -267,10 +276,7 @@ TEST(Distribution, InvalidParametersThrow) {
   EXPECT_THROW(Exponential(0.0), std::invalid_argument);
   EXPECT_THROW(Gamma(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(Gamma(1.0, -1.0), std::invalid_argument);
-  EXPECT_THROW(Uniform(1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(Uniform(-0.5, 1.0), std::invalid_argument);
   EXPECT_THROW(Lognormal(0.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(Weibull(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(Pareto(1.0, 0.0), std::invalid_argument);
 }
 

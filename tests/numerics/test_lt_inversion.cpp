@@ -1,12 +1,14 @@
-// Validation of the three Laplace-transform inversion algorithms against
-// distributions with closed-form CDFs, plus cross-algorithm agreement on a
-// transform that only exists in LT space (an M/G/1-style rational form).
+// Validation of the Euler Laplace-transform inversion against
+// distributions with closed-form CDFs, plus agreement with an independent
+// fixed-Talbot contour on a transform that only exists in LT space (an
+// M/G/1-style rational form).
 #include "numerics/lt_inversion.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <numbers>
 #include <span>
 
 #include "numerics/distribution.hpp"
@@ -26,32 +28,10 @@ TEST(EulerInversion, RecoversExponentialDensity) {
   }
 }
 
-TEST(TalbotInversion, RecoversExponentialDensity) {
-  const double rate = 3.0;
-  const LaplaceFn lt = [rate](std::complex<double> s) {
-    return rate / (rate + s);
-  };
-  for (double t : {0.05, 0.2, 0.5, 1.0, 2.0}) {
-    EXPECT_NEAR(invert_talbot(lt, t), rate * std::exp(-rate * t), 1e-8) << t;
-  }
-}
-
-TEST(GaverStehfest, RecoversExponentialDensity) {
-  const double rate = 3.0;
-  const RealLaplaceFn lt = [rate](double s) { return rate / (rate + s); };
-  for (double t : {0.05, 0.2, 0.5, 1.0, 2.0}) {
-    // Gaver–Stehfest in doubles gives ~5 digits; that is its job here.
-    EXPECT_NEAR(invert_gaver_stehfest(lt, t), rate * std::exp(-rate * t),
-                1e-4)
-        << t;
-  }
-}
-
 struct CdfCase {
   const char* label;
   DistPtr dist;
-  // Smooth transforms invert to ~1e-8; densities with jumps (uniform) hit
-  // the inherent Gibbs plateau of contour inversion near the kinks.
+  // Smooth transforms invert to ~1e-8.
   double tol;
 };
 
@@ -82,8 +62,7 @@ INSTANTIATE_TEST_SUITE_P(
         CdfCase{"exp_slow", std::make_shared<Exponential>(0.5), 2e-7},
         CdfCase{"gamma_skewed", std::make_shared<Gamma>(0.6, 50.0), 2e-7},
         CdfCase{"gamma_disklike", std::make_shared<Gamma>(2.8, 250.0), 2e-7},
-        CdfCase{"gamma_sharp", std::make_shared<Gamma>(40.0, 2000.0), 2e-7},
-        CdfCase{"uniform", std::make_shared<Uniform>(0.001, 0.009), 5e-4}),
+        CdfCase{"gamma_sharp", std::make_shared<Gamma>(40.0, 2000.0), 2e-7}),
     [](const ::testing::TestParamInfo<CdfCase>& info) {
       return info.param.label;
     });
@@ -109,10 +88,27 @@ TEST(CdfInversion, NonPositiveTimeIsZero) {
   EXPECT_EQ(cdf_from_laplace(lt, -1.0), 0.0);
 }
 
+// Fixed-Talbot inversion (Abate & Valkó 2004) with m nodes on the contour
+// s(theta) = r theta (cot theta + i), r = 2m / (5t): an inversion
+// independent of Euler's, kept here as its oracle.
+double talbot_invert(const LaplaceFn& lt, double t, int m = 32) {
+  const double r = 2.0 * m / (5.0 * t);
+  double sum = 0.5 * std::exp(r * t) * lt({r, 0.0}).real();
+  for (int k = 1; k < m; ++k) {
+    const double theta = k * std::numbers::pi / m;
+    const double cot = std::cos(theta) / std::sin(theta);
+    const std::complex<double> s(r * theta * cot, r * theta);
+    const double sigma = theta + (theta * cot - 1.0) * cot;
+    sum += (std::exp(s * t) * lt(s) * std::complex<double>(1.0, sigma))
+               .real();
+  }
+  return sum * r / m;
+}
+
 TEST(CrossAlgorithm, AgreeOnMG1StyleTransform) {
   // W(s) = (1 - rho) s / (r L_B(s) + s - r): the P–K waiting-time CDF of an
-  // M/G/1 queue with Gamma service.  No closed-form CDF exists — all three
-  // algorithms must agree with each other.
+  // M/G/1 queue with Gamma service.  No closed-form CDF exists — Euler
+  // must agree with the fixed-Talbot oracle.
   const double r = 30.0;
   const Gamma service(2.0, 100.0);  // mean 0.02, rho = 0.6
   const double rho = r * service.mean();
@@ -120,15 +116,9 @@ TEST(CrossAlgorithm, AgreeOnMG1StyleTransform) {
     return (1.0 - rho) * s / (r * service.laplace(s) + s - r);
   };
   const LaplaceFn w_cdf = [&w](std::complex<double> s) { return w(s) / s; };
-  const RealLaplaceFn w_cdf_real = [&w](double s) {
-    return w({s, 0.0}).real() / s;
-  };
   for (double t : {0.01, 0.03, 0.08, 0.2}) {
     const double euler = invert_euler(w_cdf, t);
-    const double talbot = invert_talbot(w_cdf, t);
-    const double gs = invert_gaver_stehfest(w_cdf_real, t);
-    EXPECT_NEAR(euler, talbot, 1e-7) << t;
-    EXPECT_NEAR(euler, gs, 5e-4) << t;
+    EXPECT_NEAR(euler, talbot_invert(w_cdf, t), 1e-7) << t;
     EXPECT_GE(euler, 1.0 - rho - 1e-6) << t;  // atom at zero: P[W=0] = 1-rho
     EXPECT_LE(euler, 1.0 + 1e-9) << t;
   }
@@ -165,10 +155,6 @@ TEST(Inversion, ParameterValidation) {
   const LaplaceFn lt = [](std::complex<double> s) { return 1.0 / (1.0 + s); };
   EXPECT_THROW(invert_euler(lt, 0.0), std::invalid_argument);
   EXPECT_THROW(invert_euler(lt, 1.0, 50), std::invalid_argument);
-  EXPECT_THROW(invert_talbot(lt, -1.0), std::invalid_argument);
-  const RealLaplaceFn rlt = [](double s) { return 1.0 / (1.0 + s); };
-  EXPECT_THROW(invert_gaver_stehfest(rlt, 1.0, 13), std::invalid_argument);
-  EXPECT_THROW(invert_gaver_stehfest(rlt, 1.0, 20), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Phase-type distribution tests: moment identities, transform/CDF/sampler
-// agreement, the balanced-means H2 fit, and a service-law sensitivity
-// check through the M/G/1 model.
+// Erlang distribution tests: moment identities, transform/CDF/sampler
+// agreement, and a service-law sensitivity check through the M/G/1 model.
 #include "numerics/phase_type.hpp"
 
 #include <gtest/gtest.h>
@@ -54,59 +53,12 @@ TEST(Erlang, SamplerMatchesMoments) {
   EXPECT_NEAR(sum_sq / kN, e.second_moment(), 0.03 * e.second_moment());
 }
 
-TEST(HyperExponential, TwoMomentFitHitsTargets) {
-  for (double cv2 : {1.5, 2.0, 4.0, 10.0}) {
-    const HyperExponential h2 = HyperExponential::two_moment(0.02, cv2);
-    EXPECT_NEAR(h2.mean(), 0.02, 1e-12) << cv2;
-    EXPECT_NEAR(h2.variance() / (h2.mean() * h2.mean()), cv2, 1e-9) << cv2;
-  }
-  EXPECT_THROW(HyperExponential::two_moment(0.02, 0.8),
-               std::invalid_argument);
-}
-
-TEST(HyperExponential, CdfTransformSamplerAgree) {
-  const HyperExponential h2 = HyperExponential::two_moment(0.01, 3.0);
-  // Transform derivative at 0 ~ -mean.
-  const double h = 1e-7;
-  const double derivative =
-      (h2.laplace({h, 0.0}).real() - h2.laplace({-h, 0.0}).real()) /
-      (2.0 * h);
-  EXPECT_NEAR(-derivative, h2.mean(), 1e-8);
-  // Sampler quantiles vs CDF.
-  Rng rng(9);
-  std::vector<double> samples(100000);
-  for (auto& x : samples) x = h2.sample(rng);
-  std::sort(samples.begin(), samples.end());
-  for (double p : {0.5, 0.9, 0.99}) {
-    const double q = samples[static_cast<std::size_t>(p * 99999)];
-    EXPECT_NEAR(h2.cdf(q), p, 0.01) << p;
-  }
-}
-
-TEST(HyperExponential, Validation) {
-  EXPECT_THROW(HyperExponential({}), std::invalid_argument);
-  EXPECT_THROW(HyperExponential({{0.5, 1.0}, {0.6, 2.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(HyperExponential({{1.0, 0.0}}), std::invalid_argument);
-}
-
-TEST(Shifted, MomentsAndCdf) {
-  const Shifted s(0.005, std::make_shared<Exponential>(100.0));
-  EXPECT_NEAR(s.mean(), 0.015, 1e-15);
-  // E[(d+X)^2] with d = 5 ms, X ~ Exp(100).
-  EXPECT_NEAR(s.second_moment(),
-              0.005 * 0.005 + 2 * 0.005 * 0.01 + 2.0 / 10000.0, 1e-12);
-  EXPECT_EQ(s.cdf(0.004), 0.0);
-  EXPECT_NEAR(s.cdf(0.015), 1.0 - std::exp(-1.0), 1e-12);
-  Rng rng(4);
-  for (int i = 0; i < 100; ++i) EXPECT_GE(s.sample(rng), 0.005);
-}
-
 TEST(ServiceLawSensitivity, MatchedMomentsGiveMatchedPkWait) {
-  // The P–K *mean* wait depends only on the first two moments, so Gamma,
-  // Erlang-matched and H2-matched service laws must give identical mean
-  // waits — while their waiting-time *distributions* differ.  This is
-  // the core reason the paper needs distributions, not just moments.
+  // The P–K *mean* wait depends only on the first two moments, so a Gamma
+  // and an Erlang with matched moments must give identical mean waits —
+  // while laws with a different variance give different waiting-time
+  // *distributions*.  This is the core reason the paper needs
+  // distributions, not just moments.
   const double rate = 30.0;
   const double mean = 0.02;
   const Gamma gamma(4.0, 4.0 / mean);             // cv2 = 0.25
@@ -115,14 +67,14 @@ TEST(ServiceLawSensitivity, MatchedMomentsGiveMatchedPkWait) {
   const queueing::MG1 q_erlang(rate, std::make_shared<Erlang>(erlang));
   EXPECT_NEAR(q_gamma.mean_waiting_time(), q_erlang.mean_waiting_time(),
               1e-12);
-  // Same first two moments but heavier service law => different waiting
-  // CDF in the tail for an H2 at cv2 = 4.
-  const HyperExponential h2 = HyperExponential::two_moment(mean, 4.0);
-  const queueing::MG1 q_h2(rate, std::make_shared<HyperExponential>(h2));
-  EXPECT_GT(q_h2.mean_waiting_time(), q_gamma.mean_waiting_time());
+  // Same mean but a heavier service law (a Gamma with shape < 1, cv2 = 4)
+  // => a longer mean wait and a heavier waiting-time tail.
+  const Gamma heavy(0.25, 0.25 / mean);  // cv2 = 4
+  const queueing::MG1 q_heavy(rate, std::make_shared<Gamma>(heavy));
+  EXPECT_GT(q_heavy.mean_waiting_time(), q_gamma.mean_waiting_time());
   const auto w_gamma = q_gamma.waiting_time();
-  const auto w_h2 = q_h2.waiting_time();
-  EXPECT_LT(w_h2->cdf(0.1), w_gamma->cdf(0.1) + 1e-9);
+  const auto w_heavy = q_heavy.waiting_time();
+  EXPECT_LT(w_heavy->cdf(0.1), w_gamma->cdf(0.1) + 1e-9);
 }
 
 }  // namespace

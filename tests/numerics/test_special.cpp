@@ -132,15 +132,5 @@ TEST(NormalCdfInv, RoundTrips) {
   EXPECT_THROW(normal_cdf_inv(1.0), std::invalid_argument);
 }
 
-TEST(GeneralizedHarmonic, MatchesDirectSums) {
-  EXPECT_NEAR(generalized_harmonic(1, 1.0), 1.0, 1e-15);
-  EXPECT_NEAR(generalized_harmonic(4, 1.0), 1.0 + 0.5 + 1.0 / 3.0 + 0.25,
-              1e-14);
-  EXPECT_NEAR(generalized_harmonic(10, 0.0), 10.0, 1e-13);
-  // H_{100, 2} approaches pi^2/6.
-  EXPECT_NEAR(generalized_harmonic(100000, 2.0),
-              std::numbers::pi * std::numbers::pi / 6.0, 1e-5);
-}
-
 }  // namespace
 }  // namespace cosm::numerics

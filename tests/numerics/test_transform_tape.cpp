@@ -65,14 +65,14 @@ namespace {
 using Complex = std::complex<double>;
 
 // Contour-like probe points plus the guard-branch neighborhoods (tiny
-// |s| for the P–K / M/M/1/K / Uniform / Gamma series branches).
+// |s| for the P–K / M/M/1/K / M/G/1/K / Gamma guard branches).
 std::vector<Complex> probe_points() {
   std::vector<Complex> s;
   for (int k = 0; k < 21; ++k) {
     s.emplace_back(15.35, 3.1415 * k * 9.7);  // Euler-style vertical line
   }
   s.emplace_back(1e-16, 0.0);   // below every small-|s| guard
-  s.emplace_back(1e-9, 1e-9);   // below Uniform's 1e-8 guard
+  s.emplace_back(1e-9, 1e-9);   // below the 1e-8 guards
   s.emplace_back(1e-7, 0.0);    // between guards
   s.emplace_back(0.5, -2.0);    // negative imaginary part
   s.emplace_back(250.0, 1000.0);
@@ -100,10 +100,7 @@ TEST(TransformTape, LeafDistributionsBitIdentical) {
   expect_tape_bit_identical(std::make_shared<Exponential>(123.5));
   expect_tape_bit_identical(std::make_shared<Gamma>(3.7, 412.0));
   expect_tape_bit_identical(std::make_shared<Gamma>(250.0, 1e4));
-  expect_tape_bit_identical(std::make_shared<Uniform>(1e-3, 7e-3));
   expect_tape_bit_identical(std::make_shared<Erlang>(4, 800.0));
-  expect_tape_bit_identical(std::make_shared<HyperExponential>(
-      std::vector<HyperExponential::Branch>{{0.3, 100.0}, {0.7, 900.0}}));
 }
 
 TEST(TransformTape, QuadratureLeavesUseGenericPathBitIdentical) {
@@ -112,7 +109,6 @@ TEST(TransformTape, QuadratureLeavesUseGenericPathBitIdentical) {
   const TransformTape tape = TransformTape::compile(lognormal);
   EXPECT_EQ(tape.generic_leaf_count(), 1u);
   expect_tape_bit_identical(lognormal);
-  expect_tape_bit_identical(std::make_shared<Weibull>(1.7, 2.5e-3));
   expect_tape_bit_identical(std::make_shared<TruncatedNormal>(5e-3, 2e-3));
   expect_tape_bit_identical(std::make_shared<Pareto>(2.5, 1e-3));
 }
@@ -205,19 +201,14 @@ TEST(TransformTape, SmallModulusGuardsMatchTreeWalkAtTheBound) {
       EXPECT_EQ(value, Complex(1.0, 0.0)) << guarded->name();
     }
   }
-  // M/G/1/K tests |s|·E[B] < 1e-8 and Uniform |s| < 1e-8: the same
-  // probes scaled to their bounds.
+  // M/G/1/K tests |s|·E[B] < 1e-8: the same probes scaled to its bound.
   const queueing::MG1K mg1k(300.0, service, 4);
   const double mean_service = service->mean();
   std::vector<Complex> mg1k_around;
-  std::vector<Complex> uniform_around;
   for (const Complex z : around) {
     mg1k_around.push_back(z * (1e6 / mean_service));
-    uniform_around.push_back(z * 1e6);
   }
   tape_matches_tree_bitwise(mg1k.sojourn_time(), mg1k_around);
-  tape_matches_tree_bitwise(std::make_shared<Uniform>(1e-3, 7e-3),
-                            uniform_around);
 }
 
 TEST(TransformTape, CombinatorsBitIdentical) {
@@ -229,12 +220,10 @@ TEST(TransformTape, CombinatorsBitIdentical) {
   const auto compound =
       std::make_shared<CompoundPoissonConvolution>(conv, 0.8, mix);
   const auto scaled = std::make_shared<Scaled>(compound, 1.5);
-  const auto shifted = std::make_shared<Shifted>(2e-4, scaled);
   expect_tape_bit_identical(mix);
   expect_tape_bit_identical(conv);
   expect_tape_bit_identical(compound);
   expect_tape_bit_identical(scaled);
-  expect_tape_bit_identical(shifted);
 }
 
 TEST(TransformTape, TieredServiceBitIdentical) {
@@ -408,12 +397,12 @@ std::vector<HammerScenario> build_hammer_scenarios() {
                   atom_at_zero_mixture(0.3, shared), shared}),
               1.5),
           0.8, mg1.waiting_time()),
-      // Tier mixture over hyperexponential branches.
+      // Tier mixture over a two-exponential mixture.
       std::make_shared<TieredService>(
           0.73, std::make_shared<Gamma>(4.0, 4000.0),
-          std::make_shared<HyperExponential>(
-              std::vector<HyperExponential::Branch>{{0.3, 100.0},
-                                                    {0.7, 900.0}})),
+          std::make_shared<Mixture>(std::vector<Mixture::Component>{
+              {0.3, std::make_shared<Exponential>(100.0)},
+              {0.7, std::make_shared<Exponential>(900.0)}})),
   };
   std::vector<HammerScenario> scenarios;
   const std::vector<Complex> all = probe_points();
@@ -509,7 +498,7 @@ class TreeFuzzer {
 
  private:
   DistPtr leaf() {
-    switch (pick(6)) {
+    switch (pick(4)) {
       case 0:
         return std::make_shared<Degenerate>(uniform(0.0, 2e-3));
       case 1:
@@ -517,22 +506,13 @@ class TreeFuzzer {
       case 2:
         return std::make_shared<Gamma>(uniform(0.5, 6.0),
                                        uniform(100.0, 3000.0));
-      case 3:
-        return std::make_shared<Uniform>(1e-4, uniform(2e-4, 5e-3));
-      case 4:
+      default:
         return std::make_shared<Erlang>(1 + pick(5), uniform(200.0, 2000.0));
-      default: {
-        const double p = uniform(0.05, 0.95);
-        return std::make_shared<HyperExponential>(
-            std::vector<HyperExponential::Branch>{
-                {p, uniform(100.0, 1000.0)},
-                {1.0 - p, uniform(1000.0, 5000.0)}});
-      }
     }
   }
 
   DistPtr combinator(int depth) {
-    switch (pick(7)) {
+    switch (pick(6)) {
       case 0: {
         const double w = uniform(0.05, 0.95);
         return std::make_shared<Mixture>(std::vector<Mixture::Component>{
@@ -549,10 +529,7 @@ class TreeFuzzer {
             build(depth - 1), uniform(0.0, 2.0), build(depth - 1));
       case 3:
         return std::make_shared<Scaled>(build(depth - 1), uniform(0.2, 3.0));
-      case 4:
-        return std::make_shared<Shifted>(uniform(0.0, 1e-3),
-                                         build(depth - 1));
-      case 5: {
+      case 4: {
         // M/M/1/K sojourn leaf with randomized load below saturation.
         const double v = uniform(500.0, 2000.0);
         const queueing::MM1K q(uniform(0.3, 0.9) * v, v, 2 + pick(6));

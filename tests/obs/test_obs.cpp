@@ -224,23 +224,6 @@ TEST(ObsExport, JsonCarriesSchemaCountersAndSpans) {
   }
 }
 
-TEST(ObsExport, CsvHasOneLinePerCounterAndSpan) {
-  ObsGuard guard(true);
-  { Span span("test.csv"); }
-  std::ostringstream out;
-  export_csv(out);
-  std::istringstream in(out.str());
-  std::string line;
-  std::size_t counter_lines = 0;
-  std::size_t span_lines = 0;
-  while (std::getline(in, line)) {
-    if (line.rfind("counter,", 0) == 0) ++counter_lines;
-    if (line.rfind("span,", 0) == 0) ++span_lines;
-  }
-  EXPECT_EQ(counter_lines, kCounterCount);
-  EXPECT_EQ(span_lines, 1u);
-}
-
 TEST(ObsReset, ClearsCountersAndTrace) {
   ObsGuard guard(true);
   add(Counter::kSimEvents, 5);

@@ -103,35 +103,6 @@ TEST_P(MG1UtilizationSweep, WaitingCdfIsMonotoneAndProper) {
 INSTANTIATE_TEST_SUITE_P(Load, MG1UtilizationSweep,
                          ::testing::Values(0.1, 0.3, 0.5, 0.7, 0.85, 0.95));
 
-TEST(MG1, QueueLengthDistributionMatchesMM1GeometricLaw) {
-  // M/M/1: P[N = n] = (1 - rho) rho^n.
-  const double r = 60.0;
-  const double v = 100.0;
-  const MG1 q(r, std::make_shared<Exponential>(v));
-  const auto probabilities = q.queue_length_distribution(20);
-  const double rho = r / v;
-  for (int n = 0; n <= 20; ++n) {
-    EXPECT_NEAR(probabilities[n], (1.0 - rho) * std::pow(rho, n), 1e-9)
-        << n;
-  }
-}
-
-TEST(MG1, QueueLengthDistributionIsProperAndMatchesLittle) {
-  const MG1 q(30.0, std::make_shared<Gamma>(2.5, 100.0));
-  const auto probabilities = q.queue_length_distribution(200);
-  double total = 0.0;
-  double mean = 0.0;
-  for (std::size_t n = 0; n < probabilities.size(); ++n) {
-    EXPECT_GE(probabilities[n], 0.0);
-    total += probabilities[n];
-    mean += static_cast<double>(n) * probabilities[n];
-  }
-  EXPECT_NEAR(total, 1.0, 1e-6);
-  EXPECT_NEAR(mean, q.mean_jobs(), 1e-3);
-  // P[N = 0] is the idle probability.
-  EXPECT_NEAR(probabilities[0], q.idle_probability(), 1e-9);
-}
-
 TEST(MG1, Validation) {
   EXPECT_THROW(MG1(0.0, std::make_shared<Exponential>(1.0)),
                std::invalid_argument);

@@ -151,8 +151,8 @@ def check_file(md_path, root, anchor_cache):
         if not re.fullmatch(r"[\w./+-]+", ref) or "*" in ref:
             continue
         full = os.path.join(root, ref)
-        # Extensionless references name built binaries (`bench/perf_sim`):
-        # accept them when the .cpp source exists.
+        # Extensionless references name built binaries
+        # (`bench/perf_sim_scale`): accept them when the .cpp source exists.
         if os.path.exists(full):
             continue
         if not os.path.splitext(ref)[1] and os.path.exists(full + ".cpp"):
