@@ -104,11 +104,6 @@ double Rng::gamma(double shape, double rate) {
   }
 }
 
-double Rng::weibull(double shape, double scale) {
-  COSM_REQUIRE(shape > 0 && scale > 0, "weibull parameters must be positive");
-  return scale * std::pow(-std::log(1.0 - uniform()), 1.0 / shape);
-}
-
 double Rng::pareto(double shape, double scale) {
   COSM_REQUIRE(shape > 0 && scale > 0, "pareto parameters must be positive");
   return scale / std::pow(1.0 - uniform(), 1.0 / shape);

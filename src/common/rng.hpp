@@ -59,7 +59,6 @@ class Rng {
   // Gamma(shape k, rate l) — Marsaglia–Tsang squeeze for k >= 1, boosting
   // for k < 1.  Mean is k / l.
   double gamma(double shape, double rate);
-  double weibull(double shape, double scale);
   double pareto(double shape, double scale);
   bool bernoulli(double p);
   // Poisson counting variate; uses inversion for small means and the PTRS

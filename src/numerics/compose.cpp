@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/require.hpp"
+#include "numerics/elementary.hpp"
 
 namespace cosm::numerics {
 
@@ -147,7 +148,7 @@ std::complex<double> CompoundPoissonConvolution::laplace(
     std::complex<double> s) const {
   // Sum over j of e^{-p} p^j / j! · L[extra]^j collapses to
   // exp(p (L[extra](s) - 1)).
-  return base_->laplace(s) * std::exp(rate_ * (extra_->laplace(s) - 1.0));
+  return compound_poisson(base_->laplace(s), extra_->laplace(s), rate_);
 }
 
 double CompoundPoissonConvolution::mean() const {

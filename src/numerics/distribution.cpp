@@ -79,7 +79,7 @@ Degenerate::Degenerate(double value) : value_(value) {
 std::string Degenerate::name() const { return "degenerate"; }
 
 std::complex<double> Degenerate::laplace(std::complex<double> s) const {
-  return std::exp(-s * value_);
+  return degenerate_laplace(value_, s);
 }
 
 double Degenerate::sample(Rng&) const { return value_; }

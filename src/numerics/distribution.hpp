@@ -31,6 +31,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "numerics/elementary.hpp"
 
 namespace cosm::numerics {
 
@@ -136,27 +137,12 @@ class Exponential final : public Distribution {
   double rate_;
 };
 
-// The Gamma (and Erlang) transform (l / (l + s))^k, written with
-// u + iv = s / l as
-//   exp(-k/2 log1p(2u + u^2 + v^2)) cis(-k atan2(v, 1 + u)),
-// i.e. exp(-k log(1 + s/l)) on the principal branch with the modulus and
-// argument of 1 + s/l taken directly: no complex division or clog, and
-// log1p keeps full relative accuracy as |s/l| -> 0 without a series
-// branch.  Gamma::laplace, Erlang::laplace and the transform tape's
-// Gamma/Erlang leaves all call this one function, which keeps tape and
-// tree bit-identical.
-inline std::complex<double> gamma_laplace(double shape, double rate,
-                                          std::complex<double> s) {
-  const double u = s.real() / rate;
-  const double v = s.imag() / rate;
-  const double modulus =
-      std::exp(-0.5 * shape * std::log1p(2.0 * u + u * u + v * v));
-  const double phase = -shape * std::atan2(v, 1.0 + u);
-  return {modulus * std::cos(phase), modulus * std::sin(phase)};
-}
-
 // Gamma(shape k, rate l): the distribution the paper fits to disk service
-// times (Fig. 5).  L[f](s) = l^k (s + l)^{-k}, mean k / l.
+// times (Fig. 5).  L[f](s) = l^k (s + l)^{-k}, mean k / l.  laplace() is
+// gamma_laplace (numerics/elementary.hpp): the branch-free kernels'
+// exp(-k log(1 + s/l)), with libm outside their domain.  Erlang::laplace
+// and the transform tape's Gamma/Erlang leaves call the same kernels,
+// which keeps tape and tree bit-identical.
 class Gamma final : public Distribution {
  public:
   Gamma(double shape, double rate);

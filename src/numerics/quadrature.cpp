@@ -9,27 +9,6 @@ namespace cosm::numerics {
 
 namespace {
 
-double simpson(double a, double fa, double b, double fb, double fm) {
-  return (b - a) / 6.0 * (fa + 4.0 * fm + fb);
-}
-
-double adaptive_step(const std::function<double(double)>& f, double a,
-                     double fa, double b, double fb, double m, double fm,
-                     double whole, double tol, int depth) {
-  const double lm = 0.5 * (a + m);
-  const double rm = 0.5 * (m + b);
-  const double flm = f(lm);
-  const double frm = f(rm);
-  const double left = simpson(a, fa, m, fm, flm);
-  const double right = simpson(m, fm, b, fb, frm);
-  const double delta = left + right - whole;
-  if (depth <= 0 || std::abs(delta) <= 15.0 * tol) {
-    return left + right + delta / 15.0;
-  }
-  return adaptive_step(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1) +
-         adaptive_step(f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1);
-}
-
 // 16 positive abscissae/weights of the 32-point Gauss–Legendre rule on
 // [-1, 1]; the rule is symmetric.
 constexpr std::array<double, 16> kGlNodes = {
@@ -48,18 +27,6 @@ constexpr std::array<double, 16> kGlWeights = {
     0.0070186100094700966};
 
 }  // namespace
-
-double integrate_adaptive(const std::function<double(double)>& f, double a,
-                          double b, double tol, int max_depth) {
-  COSM_REQUIRE(a <= b, "integration bounds must be ordered");
-  if (a == b) return 0.0;
-  const double fa = f(a);
-  const double fb = f(b);
-  const double m = 0.5 * (a + b);
-  const double fm = f(m);
-  const double whole = simpson(a, fa, b, fb, fm);
-  return adaptive_step(f, a, fa, b, fb, m, fm, whole, tol, max_depth);
-}
 
 double integrate_gauss(const std::function<double(double)>& f, double a,
                        double b, int panels) {

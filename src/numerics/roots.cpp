@@ -7,83 +7,6 @@
 
 namespace cosm::numerics {
 
-RootResult brent(const std::function<double(double)>& f, double lo, double hi,
-                 double x_tol, int max_iter) {
-  COSM_REQUIRE(lo <= hi, "brent bracket must be ordered");
-  double a = lo;
-  double b = hi;
-  double fa = f(a);
-  double fb = f(b);
-  RootResult result;
-  if (std::abs(fa) < 1e-300) {
-    result = {a, fa, 0, true};
-    return result;
-  }
-  if (std::abs(fb) < 1e-300) {
-    result = {b, fb, 0, true};
-    return result;
-  }
-  COSM_REQUIRE(fa * fb < 0, "brent requires a sign change over the bracket");
-  double c = a;
-  double fc = fa;
-  double d = b - a;
-  double e = d;
-  for (int iter = 1; iter <= max_iter; ++iter) {
-    if (fb * fc > 0) {
-      c = a;
-      fc = fa;
-      d = b - a;
-      e = d;
-    }
-    if (std::abs(fc) < std::abs(fb)) {
-      a = b;
-      b = c;
-      c = a;
-      fa = fb;
-      fb = fc;
-      fc = fa;
-    }
-    const double tol = 2.0 * 1e-16 * std::abs(b) + 0.5 * x_tol;
-    const double m = 0.5 * (c - b);
-    if (std::abs(m) <= tol || fb == 0.0) {
-      return {b, fb, iter, true};
-    }
-    if (std::abs(e) >= tol && std::abs(fa) > std::abs(fb)) {
-      // Attempt inverse quadratic interpolation / secant.
-      const double s = fb / fa;
-      double p;
-      double q;
-      if (a == c) {
-        p = 2.0 * m * s;
-        q = 1.0 - s;
-      } else {
-        const double qq = fa / fc;
-        const double r = fb / fc;
-        p = s * (2.0 * m * qq * (qq - r) - (b - a) * (r - 1.0));
-        q = (qq - 1.0) * (r - 1.0) * (s - 1.0);
-      }
-      if (p > 0) q = -q;
-      p = std::abs(p);
-      if (2.0 * p < std::min(3.0 * m * q - std::abs(tol * q),
-                             std::abs(e * q))) {
-        e = d;
-        d = p / q;
-      } else {
-        d = m;
-        e = m;
-      }
-    } else {
-      d = m;
-      e = m;
-    }
-    a = b;
-    fa = fb;
-    b += (std::abs(d) > tol) ? d : (m > 0 ? tol : -tol);
-    fb = f(b);
-  }
-  return {b, fb, max_iter, false};
-}
-
 RootResult newton_safeguarded(const std::function<double(double)>& f,
                               const std::function<double(double)>& dfdx,
                               double x0, double lo, double hi, double x_tol,
@@ -116,20 +39,6 @@ RootResult newton_safeguarded(const std::function<double(double)>& f,
     x = next;
   }
   return {x, f(x), max_iter, false};
-}
-
-bool expand_bracket_upward(const std::function<double(double)>& f, double lo,
-                           double& hi, double growth, int max_steps) {
-  const double f_lo = f(lo);
-  double candidate = hi;
-  for (int i = 0; i < max_steps; ++i) {
-    if (f_lo * f(candidate) <= 0) {
-      hi = candidate;
-      return true;
-    }
-    candidate *= growth;
-  }
-  return false;
 }
 
 }  // namespace cosm::numerics

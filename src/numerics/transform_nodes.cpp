@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/require.hpp"
+#include "numerics/elementary.hpp"
 
 namespace cosm::numerics {
 
@@ -93,8 +94,8 @@ std::complex<double> MG1KSojourn::laplace(std::complex<double> s) const {
   std::complex<double> total = weights_[0] * lb;
   std::complex<double> lb_power = 1.0;  // L[B]^{i-1}
   for (std::size_t i = 1; i < weights_.size(); ++i) {
-    total += weights_[i] * residual * lb_power * lb;
-    lb_power *= lb;
+    total += complex_mul(complex_mul(weights_[i] * residual, lb_power), lb);
+    lb_power = complex_mul(lb_power, lb);
   }
   return total;
 }

@@ -11,6 +11,7 @@
 
 #include "common/require.hpp"
 #include "numerics/compose.hpp"
+#include "numerics/elementary.hpp"
 #include "obs/obs.hpp"
 #include "numerics/memo_cache.hpp"
 #include "numerics/phase_type.hpp"
@@ -480,16 +481,7 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
     const double* const p = params_.data() + op.b;
     switch (op.code) {
       case OpCode::kLeafDegenerate: {
-        std::complex<double>* dst = values + top * batch;
-        const double value = p[0];
-        for (std::size_t i = 0; i < batch; ++i) {
-          // C Annex G fixes cexp(±0 ± i0) = 1 ± i0: the atom of every
-          // cache hit/miss mixture (value 0) needs no exp call.
-          const std::complex<double> z = -sv[i] * value;
-          dst[i] = z.real() == 0.0 && z.imag() == 0.0
-                       ? std::complex<double>(1.0, z.imag())
-                       : std::exp(z);
-        }
+        degenerate_laplace_many(p[0], sv, values + top * batch, batch);
         ++top;
         break;
       }
@@ -504,12 +496,7 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
       }
       case OpCode::kLeafGamma:
       case OpCode::kLeafErlang: {  // params [shape or stages, rate]
-        std::complex<double>* dst = values + top * batch;
-        const double shape = p[0];
-        const double rate = p[1];
-        for (std::size_t i = 0; i < batch; ++i) {
-          dst[i] = gamma_laplace(shape, rate, sv[i]);
-        }
+        gamma_laplace_many(p[0], p[1], sv, values + top * batch, batch);
         ++top;
         break;
       }
@@ -567,12 +554,8 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         break;
       }
       case OpCode::kCPoisson: {
-        std::complex<double>* base = values + (top - 2) * batch;
-        const std::complex<double>* extra = values + (top - 1) * batch;
-        const double rate = p[0];
-        for (std::size_t i = 0; i < batch; ++i) {
-          base[i] = base[i] * std::exp(rate * (extra[i] - 1.0));
-        }
+        compound_poisson_many(p[0], values + (top - 2) * batch,
+                              values + (top - 1) * batch, batch);
         --top;
         break;
       }
@@ -629,8 +612,9 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
           std::complex<double> total = weights[0] * lb;
           std::complex<double> lb_power = 1.0;
           for (std::size_t k = 1; k < n; ++k) {
-            total += weights[k] * residual * lb_power * lb;
-            lb_power *= lb;
+            total += complex_mul(complex_mul(weights[k] * residual, lb_power),
+                                 lb);
+            lb_power = complex_mul(lb_power, lb);
           }
           lbv[i] = total;
         }

@@ -50,8 +50,13 @@
 // tolerance — tests/numerics/test_transform_tape.cpp asserts exact double
 // equality for every Distribution subclass and for fuzzed random trees,
 // and the perf harness (bench/perf_numerics_tape) gates on it.  The
-// speedup comes only from removing dispatch, allocation, and repeated
-// shared-subtree work, never from reordering arithmetic.
+// speedup comes from removing dispatch, allocation, and repeated
+// shared-subtree work, and from running the Gamma/Erlang, Degenerate and
+// compound-Poisson ops as vectorized loops over the branch-free kernels
+// of numerics/elementary.hpp.  Those kernels are also what the tree
+// walk's Gamma::laplace, Degenerate::laplace and
+// CompoundPoissonConvolution::laplace call per point, so tape and tree
+// still run the same arithmetic per element; the tape never reorders it.
 //
 // Allocation.  Steady-state evaluation allocates nothing: workspaces
 // (value stack, scaled-argument batches, CSE slots) are leased from a

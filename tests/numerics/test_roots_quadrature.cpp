@@ -1,39 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 
 #include "numerics/quadrature.hpp"
 #include "numerics/roots.hpp"
 
 namespace cosm::numerics {
 namespace {
-
-TEST(Brent, FindsSimpleRoot) {
-  const auto f = [](double x) { return x * x - 2.0; };
-  const RootResult r = brent(f, 0.0, 2.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, std::numbers::sqrt2, 1e-10);
-}
-
-TEST(Brent, FindsTranscendentalRoot) {
-  const auto f = [](double x) { return std::cos(x) - x; };
-  const RootResult r = brent(f, 0.0, 1.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 0.7390851332151607, 1e-10);
-}
-
-TEST(Brent, AcceptsRootAtBracketEndpoint) {
-  const auto f = [](double x) { return x; };
-  const RootResult r = brent(f, 0.0, 1.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 0.0, 1e-12);
-}
-
-TEST(Brent, RejectsNonBracketingInterval) {
-  const auto f = [](double x) { return x * x + 1.0; };
-  EXPECT_THROW(brent(f, -1.0, 1.0), std::invalid_argument);
-}
 
 TEST(NewtonSafeguarded, ConvergesQuadratically) {
   const auto f = [](double x) { return x * x * x - 8.0; };
@@ -51,34 +24,6 @@ TEST(NewtonSafeguarded, SurvivesBadDerivative) {
   const RootResult r = newton_safeguarded(f, df, 0.0, -1.0, 5.0);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.x, 2.0, 1e-8);
-}
-
-TEST(ExpandBracket, FindsSignChange) {
-  const auto f = [](double x) { return x - 100.0; };
-  double hi = 1.0;
-  EXPECT_TRUE(expand_bracket_upward(f, 0.0, hi));
-  EXPECT_GE(hi, 100.0);
-}
-
-TEST(ExpandBracket, GivesUpWhenNoRoot) {
-  const auto f = [](double) { return 1.0; };
-  double hi = 1.0;
-  EXPECT_FALSE(expand_bracket_upward(f, 0.0, hi, 2.0, 10));
-}
-
-TEST(AdaptiveSimpson, IntegratesPolynomialsExactly) {
-  const auto f = [](double x) { return 3.0 * x * x; };
-  EXPECT_NEAR(integrate_adaptive(f, 0.0, 2.0), 8.0, 1e-10);
-}
-
-TEST(AdaptiveSimpson, IntegratesOscillatoryFunction) {
-  const auto f = [](double x) { return std::sin(10.0 * x); };
-  const double expected = (1.0 - std::cos(20.0)) / 10.0;
-  EXPECT_NEAR(integrate_adaptive(f, 0.0, 2.0, 1e-12), expected, 1e-9);
-}
-
-TEST(AdaptiveSimpson, EmptyIntervalIsZero) {
-  EXPECT_EQ(integrate_adaptive([](double) { return 1.0; }, 1.0, 1.0), 0.0);
 }
 
 TEST(GaussLegendre, MatchesAdaptiveOnSmoothIntegrand) {
