@@ -29,21 +29,18 @@
 // canonical "modes" array are unaffected.
 //
 // Emits machine-readable BENCH_sim.json (field glossary in
-// docs/PERFORMANCE.md).  The baseline_* constants are the pre-overhaul
-// simulator's throughput on this scenario at default flags, measured on
-// the repo's reference container; speedup_vs_baseline is only meaningful
-// on comparable hardware, so CI gates on the determinism checks, not on
-// it.  Exit status: 0 ok, 1 determinism/bit-identity violation,
-// 2 throughput regression (streaming slower than 1.5x sampled,
-// --min-speedup unmet, or the scaled 4-shard speedup gate failing where
-// enforced), 3 JSON write/readback failure.
+// docs/PERFORMANCE.md).  Absolute throughput is a property of the host,
+// so the artifact records it with the host's hardware threads and gates
+// only on ratios measured in the same run.  Exit status: 0 ok,
+// 1 determinism/bit-identity violation, 2 throughput regression
+// (streaming slower than 1.5x sampled, or the scaled 4-shard speedup gate
+// failing where enforced), 3 JSON write/readback failure.
 //
 // Flags: --rate=R      (system arrivals/s; default 150)
 //        --duration=S  (benchmark phase seconds; default 115)
 //        --reps=N      (replication count; default 4)
 //        --threads=T   (parallel replication fan-out; 0 = hardware)
 //        --repeat=K    (timing repetitions, best-of; default 3)
-//        --min-speedup=X  (gate sampled req/s vs baseline; 0 = off)
 //        --scaled-rate=R     (scaled scenario arrivals/s; default 10000)
 //        --scaled-duration=S (scaled benchmark seconds; default 3)
 //        --out=PATH    (default BENCH_sim.json)
@@ -73,14 +70,6 @@ using cosm::sim::ReplicationSet;
 using cosm::sim::run_replication;
 using cosm::sim::run_replications;
 
-// Pre-overhaul throughput of this exact scenario (same seeds, same
-// timeout, engine-loop-only timing) on the reference container,
-// measured interleaved with the overhauled build and taking the
-// baseline's best round — the denominators of the speedup fields,
-// deliberately favoring the old code.
-constexpr double kBaselineRequestsPerSec = 466811.0;
-constexpr double kBaselineEventsPerSec = 6352934.0;
-
 constexpr std::uint64_t kSeed = 20170813;  // the figure benches' seed
 
 struct Config {
@@ -89,7 +78,6 @@ struct Config {
   int reps = 4;
   unsigned threads = 0;  // 0 = all hardware threads
   int repeat = 3;
-  double min_speedup = 0.0;  // 0 = baseline gate off
   double scaled_rate = 10000.0;
   double scaled_duration = 3.0;
   std::string out = "BENCH_sim.json";
@@ -114,8 +102,6 @@ Config parse_args(int argc, char** argv) {
           static_cast<unsigned>(std::stoul(value_of("--threads=")));
     } else if (arg.rfind("--repeat=", 0) == 0) {
       config.repeat = std::stoi(value_of("--repeat="));
-    } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      config.min_speedup = std::stod(value_of("--min-speedup="));
     } else if (arg.rfind("--scaled-rate=", 0) == 0) {
       config.scaled_rate = std::stod(value_of("--scaled-rate="));
     } else if (arg.rfind("--scaled-duration=", 0) == 0) {
@@ -220,9 +206,7 @@ ModeResult run_single(const std::string& name, const ReplicationPlan& plan,
   ModeResult result;
   result.name = name;
   for (int rep = 0; rep < repeat; ++rep) {
-    // Engine-loop wall only (excludes catalog/placement construction) —
-    // the same window the pre-overhaul baseline constants were measured
-    // over, so speedup_vs_baseline compares like with like.
+    // Engine-loop wall only (excludes catalog/placement construction).
     const ReplicationResult r = run_replication(plan, kSeed);
     fold_rep(result, rep, r.engine_wall_ms, r.events, r.completed,
              r.fingerprint);
@@ -367,11 +351,6 @@ int main(int argc, char** argv) {
   // Constant-memory accounting must not cost wall time (generous band:
   // same process, same machine, so this check is portable).
   const bool streaming_ok = streaming.wall_ms <= 1.5 * sampled.wall_ms;
-  const double speedup_requests =
-      requests_per_sec(sampled) / kBaselineRequestsPerSec;
-  const double speedup_events = events_per_sec(sampled) / kBaselineEventsPerSec;
-  const bool speedup_ok =
-      config.min_speedup <= 0.0 || speedup_requests >= config.min_speedup;
 
   struct rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -400,10 +379,7 @@ int main(int argc, char** argv) {
               << "   " << fmt(requests_per_sec(mode), 0) << "   "
               << (mode.deterministic ? "yes" : "NO") << "\n";
   }
-  std::cout << "\n  sampled speedup vs pre-overhaul baseline: "
-            << fmt(speedup_requests, 2) << "x requests/s, "
-            << fmt(speedup_events, 2) << "x events/s\n"
-            << "  parallel replications bit-identical to serial: "
+  std::cout << "\n  parallel replications bit-identical to serial: "
             << (replications_identical ? "yes" : "NO") << "\n"
             << "  scaled 4-shard bit-identical to serial reference: "
             << (scaled_bit_identical ? "yes" : "NO") << "\n"
@@ -459,15 +435,6 @@ int main(int argc, char** argv) {
        << (scaled_bit_identical ? "true" : "false") << "\n"
        << "    }\n"
        << "  },\n"
-       << "  \"baseline\": {\n"
-       << "    \"requests_per_sec\": " << fmt(kBaselineRequestsPerSec, 0)
-       << ",\n"
-       << "    \"events_per_sec\": " << fmt(kBaselineEventsPerSec, 0) << "\n"
-       << "  },\n"
-       << "  \"speedup_vs_baseline\": {\n"
-       << "    \"requests_per_sec\": " << fmt(speedup_requests, 3) << ",\n"
-       << "    \"events_per_sec\": " << fmt(speedup_events, 3) << "\n"
-       << "  },\n"
        << "  \"parallel_speedup_vs_serial\": "
        << fmt(serial_set.wall_ms / parallel_set.wall_ms, 3) << ",\n"
        << "  \"peak_rss_mb\": " << fmt(peak_rss_mb, 1) << ",\n"
@@ -496,8 +463,7 @@ int main(int argc, char** argv) {
   if (!cosm_bench::verify_bench_json(
           config.out, 1,
           {"benchmark", "schema_version", "config", "modes", "scaled",
-           "baseline", "speedup_vs_baseline", "parallel_speedup_vs_serial",
-           "peak_rss_mb", "checks"})) {
+           "parallel_speedup_vs_serial", "peak_rss_mb", "checks"})) {
     return 3;
   }
   std::cout << "  wrote " << config.out << "\n";
@@ -528,11 +494,6 @@ int main(int argc, char** argv) {
   if (!streaming_ok) {
     std::cerr << "FAIL: streaming metrics cost more than 1.5x sampled wall "
                  "time\n";
-    return 2;
-  }
-  if (!speedup_ok) {
-    std::cerr << "FAIL: sampled requests/s speedup " << fmt(speedup_requests, 2)
-              << "x below required " << fmt(config.min_speedup, 2) << "x\n";
     return 2;
   }
   return 0;

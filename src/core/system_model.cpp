@@ -331,25 +331,52 @@ std::vector<double> SystemModel::predict_sla_percentiles(
   const std::size_t n_slas = slas.size();
   const std::size_t distinct = distinct_.size();
   std::vector<double> cdfs(distinct * n_slas);
-  if (predict_.cache == nullptr) {
-    // Uncached sweep: one batched tape evaluation per distinct device
-    // covers ALL SLA points at once (cdf_many concatenates the contours),
-    // amortizing tape dispatch across the sweep.  Element-for-element
-    // bit-identical to the per-cell path below.
-    parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
-      const std::vector<double> device_cdfs =
-          devices_[distinct_[u]].cdf_many(slas);
-      std::copy(device_cdfs.begin(), device_cdfs.end(),
-                cdfs.begin() + static_cast<std::ptrdiff_t>(u * n_slas));
-    });
-  } else {
-    // Cached sweep: flatten the (distinct device × SLA point) grid — each
-    // cell is one cacheable Euler inversion, the natural unit of shared
-    // work.
-    parallel_for(distinct * n_slas, predict_.num_threads, [&](std::size_t k) {
-      cdfs[k] = device_cdf(devices_[distinct_[k / n_slas]], slas[k % n_slas]);
-    });
-  }
+  PredictionCache* const cache = predict_.cache;
+  // One sweep per distinct device: with a cache attached, each cell is
+  // looked up, and the misses are evaluated together in ONE batched tape
+  // call (cdf_many concatenates their contours) and inserted.  cdf_many's
+  // element i is bit-identical to cdf(ts[i]), so every cell is the value
+  // device_cdf would give.  A bound repeated within the sweep is
+  // evaluated once and read back from the cache as device_cdf's serial
+  // order would, so the hit and miss counts are its counts too.  The
+  // miss lists allocate only when there are misses.
+  parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
+    const DeviceModel& model = devices_[distinct_[u]];
+    double* const row = cdfs.data() + u * n_slas;
+    std::vector<std::size_t> misses;   // cells evaluated below
+    std::vector<double> miss_slas;     // their bounds
+    std::vector<std::size_t> repeats;  // cells repeating a missed bound
+    for (std::size_t s = 0; s < n_slas; ++s) {
+      if (cache != nullptr) {
+        const bool repeat =
+            std::any_of(miss_slas.begin(), miss_slas.end(),
+                        [&](double t) { return same_bits(t, slas[s]); });
+        if (repeat) {
+          repeats.push_back(s);
+          continue;
+        }
+        const std::uint64_t key = cdf_cache_key(model.fingerprint(), slas[s]);
+        if (auto cached = cache->cdf.lookup(key)) {
+          obs::add(obs::Counter::kCdfCacheHit);
+          row[s] = *cached;
+          continue;
+        }
+        obs::add(obs::Counter::kCdfCacheMiss);
+      }
+      misses.push_back(s);
+      miss_slas.push_back(slas[s]);
+    }
+    if (misses.empty()) return;
+    const std::vector<double> values = model.cdf_many(miss_slas);
+    for (std::size_t k = 0; k < misses.size(); ++k) {
+      row[misses[k]] = values[k];
+      if (cache != nullptr) {
+        cache->cdf.insert(cdf_cache_key(model.fingerprint(), miss_slas[k]),
+                          values[k]);
+      }
+    }
+    for (const std::size_t s : repeats) row[s] = device_cdf(model, slas[s]);
+  });
   std::vector<double> out(n_slas, 0.0);
   for (std::size_t s = 0; s < n_slas; ++s) {
     double weighted = 0.0;

@@ -205,9 +205,10 @@ class SystemModel {
   // device's CDF its DeviceModel::cdf (inversions at kModelEulerOrder).
   // Precondition: sla > 0 (seconds).
   double predict_sla_percentile(double sla) const;
-  // Batch form: one value per entry of `slas`, fanning the (device × SLA
-  // point) grid across PredictOptions::num_threads.  Equivalent to — and
-  // bit-identical with — calling predict_sla_percentile per element.
+  // Batch form: one value per entry of `slas`, the distinct devices
+  // fanned across PredictOptions::num_threads, each evaluating the cells
+  // the cache does not hold in one batched tape call.  Equivalent to —
+  // and bit-identical with — calling predict_sla_percentile per element.
   std::vector<double> predict_sla_percentiles(
       const std::vector<double>& slas) const;
   // Same, restricted to one device.  Preconditions: device index in

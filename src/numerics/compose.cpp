@@ -90,7 +90,9 @@ std::string Convolution::name() const { return "convolution"; }
 
 std::complex<double> Convolution::laplace(std::complex<double> s) const {
   std::complex<double> product = 1.0;
-  for (const auto& p : parts_) product *= p->laplace(s);
+  for (const auto& p : parts_) {
+    product = complex_mul_std(product, p->laplace(s));
+  }
   return product;
 }
 

@@ -140,9 +140,9 @@ class Exponential final : public Distribution {
 // Gamma(shape k, rate l): the distribution the paper fits to disk service
 // times (Fig. 5).  L[f](s) = l^k (s + l)^{-k}, mean k / l.  laplace() is
 // gamma_laplace (numerics/elementary.hpp): the branch-free kernels'
-// exp(-k log(1 + s/l)), with libm outside their domain.  Erlang::laplace
-// and the transform tape's Gamma/Erlang leaves call the same kernels,
-// which keeps tape and tree bit-identical.
+// exp(-k log(1 + s/l)), with libm outside their domain.  The transform
+// tape's Gamma leaves call the same kernels, which keeps tape and tree
+// bit-identical.
 class Gamma final : public Distribution {
  public:
   Gamma(double shape, double rate);

@@ -4,6 +4,23 @@
 
 namespace cosm::numerics {
 
+// The batch kernels below are built twice, for x86-64-v3 (AVX2, four
+// lanes) and for the baseline ISA (SSE2, two), and the loader picks one
+// by the host's CPU (a GNU ifunc).  Their arithmetic is IEEE + - * /,
+// bit operations and selects, with no contraction (-ffp-contract=off), so
+// an element gets the same bits at either width; the v3 clone does not
+// use FMA.  Where ifuncs do not exist the kernels are built once, at the
+// target's ISA, and so they are under ThreadSanitizer: it instruments the
+// ifunc resolver, which the loader runs before the sanitizer's runtime
+// has set up its thread state, and the program faults at load.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
+#define COSM_BATCH_KERNEL \
+  __attribute__((target_clones("arch=x86-64-v3", "default")))
+#else
+#define COSM_BATCH_KERNEL
+#endif
+
 namespace {
 
 // Runs step(i) for i in [0, n) in chunks: step writes element i and
@@ -11,9 +28,11 @@ namespace {
 // out-of-domain element's input in place; fallback(i) then redoes those
 // elements one by one.  A step captures by value: a captured reference
 // to a double may alias the doubles it stores, which keeps the loop
-// scalar.
+// scalar.  Always inlined: an out-of-line copy would be built once, at
+// the baseline ISA, and both clones of a batch kernel would call it.
 template <class Step, class Fallback>
-void map_with_fallback(std::size_t n, Step step, Fallback fallback) {
+[[gnu::always_inline]] inline void map_with_fallback(std::size_t n, Step step,
+                                                    Fallback fallback) {
   constexpr std::size_t kChunk = 64;
   for (std::size_t begin = 0; begin < n; begin += kChunk) {
     const std::size_t len = std::min(kChunk, n - begin);
@@ -40,6 +59,7 @@ double* parts(std::complex<double>* z) {
 
 }  // namespace
 
+COSM_BATCH_KERNEL
 void gamma_laplace_many(double shape, double rate,
                         const std::complex<double>* s,
                         std::complex<double>* out, std::size_t n) {
@@ -58,6 +78,7 @@ void gamma_laplace_many(double shape, double rate,
       [&](std::size_t i) { out[i] = gamma_laplace_libm(shape, rate, out[i]); });
 }
 
+COSM_BATCH_KERNEL
 void degenerate_laplace_many(double value, const std::complex<double>* s,
                              std::complex<double>* out, std::size_t n) {
   if (value == 0.0) {
@@ -87,6 +108,7 @@ void degenerate_laplace_many(double value, const std::complex<double>* s,
       [=](std::size_t i) { out[i] = std::exp(out[i]); });
 }
 
+COSM_BATCH_KERNEL
 void compound_poisson_many(double rate, std::complex<double>* base,
                            std::complex<double>* extra, std::size_t n) {
   double* x = parts(extra);
@@ -105,9 +127,14 @@ void compound_poisson_many(double rate, std::complex<double>* base,
   for (std::size_t i = 0; i < n; ++i) {
     const std::complex<double> product =
         complex_mul({b[2 * i], b[2 * i + 1]}, {x[2 * i], x[2 * i + 1]});
-    b[2 * i] = product.real();
-    b[2 * i + 1] = product.imag();
+    b[2 * i] = elementary::canonical_nan(product.real());
+    b[2 * i + 1] = elementary::canonical_nan(product.imag());
   }
+}
+
+std::complex<double> complex_mul_libgcc(std::complex<double> x,
+                                        std::complex<double> y) {
+  return x * y;
 }
 
 }  // namespace cosm::numerics

@@ -1,16 +1,19 @@
 // Branch-free elementary kernels and the transforms built from them.
 //
 // Three kinds of node carry most of a device model's transform cost: the
-// Gamma/Erlang leaves (log1p, atan2, exp, sincos per contour node), the
+// Gamma leaves (log1p, atan2, exp, sincos per contour node), the
 // Degenerate leaves (a complex exp) and the union operation's
 // compound-Poisson node (another complex exp).  libm evaluates those one
 // element at a time.  The kernels here are straight-line code — every
-// branch is a select — so a loop over a batch of contour nodes vectorizes
-// at the baseline x86-64 ISA, and the same inline function is the scalar
-// path of Gamma::laplace, Degenerate::laplace and
-// CompoundPoissonConvolution::laplace.  The tape and the scalar tree walk
-// therefore run the same arithmetic per element, and the tape stays
-// bit-identical to the tree walk.
+// branch is a select — so a loop over a batch of contour nodes
+// vectorizes; elementary.cpp builds each batch loop for x86-64-v3 (four
+// lanes) and for the baseline ISA (two) and the loader picks one by CPU.
+// The same inline function is the scalar path of Gamma::laplace,
+// Degenerate::laplace and CompoundPoissonConvolution::laplace.  Its
+// arithmetic is IEEE + - * / and bit operations, uncontracted, so an
+// element gets the same bits at every vector width: the tape and the
+// scalar tree walk run the same arithmetic per element, and the tape
+// stays bit-identical to the tree walk whichever clone runs.
 //
 // The kernels follow fdlibm (Sun Microsystems, 1993): exp by a rational
 // remez fit on |r| <= ln2/2, log1p by the atanh series in s = f/(2+f),
@@ -32,9 +35,11 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace cosm::numerics {
 
@@ -42,6 +47,14 @@ namespace elementary {
 
 inline std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 inline double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
+
+// x, or the default quiet NaN when x is a NaN.  Where two NaNs meet in a
+// sum, the result carries one of them, and which one follows the operand
+// order the compiler picked, so a NaN result has no fixed bits unless it
+// is replaced.
+inline double canonical_nan(double x) {
+  return x != x ? std::numeric_limits<double>::quiet_NaN() : x;
+}
 
 // x + 0x1.8p52 rounds x to an integer, which sits in the low mantissa
 // bits; subtracting it again gives that integer as a double.
@@ -280,6 +293,37 @@ inline std::complex<double> complex_mul(std::complex<double> x,
           x.real() * y.imag() + x.imag() * y.real()};
 }
 
+// x * y as std::complex's operator* computes it, infinities recovered
+// as C99 Annex G asks.  GCC expands operator* inline to
+// (ac - bd, ad + bc) and calls libgcc's __muldc3 only when both parts come
+// out NaN; complex_mul gives the same parts, and an element whose parts
+// are both NaN is redone by complex_mul_libgcc, which keeps that call out
+// of line (elementary.cpp).  The tape's products and the tree walk's
+// Convolution::laplace and MM1KSojourn::laplace share these two forms.
+std::complex<double> complex_mul_libgcc(std::complex<double> x,
+                                        std::complex<double> y);
+
+inline std::complex<double> complex_mul_std(std::complex<double> x,
+                                            std::complex<double> y) {
+  const std::complex<double> product = complex_mul(x, y);
+  return std::isnan(product.real()) && std::isnan(product.imag())
+             ? complex_mul_libgcc(x, y)
+             : product;
+}
+
+// x^n for n >= 0 as std::pow(x, n) computes it: libstdc++'s
+// square-and-multiply (__complex_pow_unsigned), in its order, with
+// complex_mul_std for each product.
+inline std::complex<double> complex_pow(std::complex<double> x,
+                                        unsigned n) {
+  std::complex<double> y = n % 2 ? x : std::complex<double>(1.0);
+  while (n >>= 1) {
+    x = complex_mul_std(x, x);
+    if (n % 2) y = complex_mul_std(y, x);
+  }
+  return y;
+}
+
 // --------------------------- the transforms -------------------------------
 //
 // Each scalar function is its batch function at one element: the batch
@@ -287,7 +331,7 @@ inline std::complex<double> complex_mul(std::complex<double> x,
 // libm fallback outside the domain, so the two agree bit for bit.  Batch
 // outputs may alias their inputs element for element (out == s).
 
-// The Gamma (and Erlang) transform (l / (l + s))^k, see
+// The Gamma transform (l / (l + s))^k, see
 // elementary::gamma.  libm's log1p, atan2, exp, cos and sin of the same
 // expression outside the kernels' domain.
 inline std::complex<double> gamma_laplace_libm(double shape, double rate,
@@ -327,11 +371,16 @@ inline std::complex<double> degenerate_laplace(double value,
 void degenerate_laplace_many(double value, const std::complex<double>* s,
                              std::complex<double>* out, std::size_t n);
 
-// The union operation's compound-Poisson node: base exp(rate (extra - 1)).
+// The union operation's compound-Poisson node: base exp(rate (extra - 1)),
+// a NaN part as elementary::canonical_nan, so that a NaN base (a hostile
+// s) gives the same bits here and in the batch.
 inline std::complex<double> compound_poisson(std::complex<double> base,
                                              std::complex<double> extra,
                                              double rate) {
-  return complex_mul(base, complex_exp(rate * (extra - 1.0)));
+  const std::complex<double> product =
+      complex_mul(base, complex_exp(rate * (extra - 1.0)));
+  return {elementary::canonical_nan(product.real()),
+          elementary::canonical_nan(product.imag())};
 }
 
 // base[i] = compound_poisson(base[i], extra[i], rate).  extra is scratch:

@@ -60,7 +60,8 @@ std::complex<double> MM1KSojourn::laplace(std::complex<double> s) const {
   // paper writes in the closed form below.
   if (std::abs(s) < 1e-14) return std::complex<double>(1.0, 0.0);
   const std::complex<double> ratio_pow =
-      std::pow(arrival_rate_ / (service_rate_ + s), capacity_);
+      complex_pow(arrival_rate_ / (service_rate_ + s),
+                  static_cast<unsigned>(capacity_));
   return service_rate_ * p0_ / (1.0 - blocking_) * (1.0 - ratio_pow) /
          (service_rate_ - arrival_rate_ + s);
 }

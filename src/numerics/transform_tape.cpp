@@ -14,7 +14,6 @@
 #include "numerics/elementary.hpp"
 #include "obs/obs.hpp"
 #include "numerics/memo_cache.hpp"
-#include "numerics/phase_type.hpp"
 #include "numerics/transform_nodes.hpp"
 
 namespace cosm::numerics {
@@ -116,7 +115,6 @@ class TapeCompiler {
     kTiered,
     kScaled,
     kExponential,
-    kErlang,
     kGeneric,
   };
 
@@ -143,7 +141,6 @@ class TapeCompiler {
     if (is<TieredService>(type)) return Kind::kTiered;
     if (is<Scaled>(type)) return Kind::kScaled;
     if (is<Exponential>(type)) return Kind::kExponential;
-    if (is<Erlang>(type)) return Kind::kErlang;
     return Kind::kGeneric;
   }
 
@@ -265,19 +262,9 @@ class TapeCompiler {
         push_op(OpCode::kLeafGamma, 0, push_params({ga.shape(), ga.rate()}));
         break;
       }
-      case Kind::kErlang: {
-        // Erlang::laplace is gamma_laplace with the stage count as the
-        // shape; the op keeps its own code so the fingerprint tells the
-        // two leaves apart.
-        const auto& er = as<Erlang>(d);
-        push_op(OpCode::kLeafErlang, 0,
-                push_params({static_cast<double>(er.stages()), er.rate()}));
-        break;
-      }
       case Kind::kMM1K: {
         // capacity rides in the params array as a double and is cast back
-        // to int at evaluation so the tape calls the exact
-        // pow(complex, int) overload MM1KSojourn::laplace calls.
+        // at evaluation for the complex_pow MM1KSojourn::laplace calls.
         const auto& mk = as<MM1KSojourn>(d);
         push_op(OpCode::kLeafMM1K, 0,
                 push_params({mk.arrival_rate(), mk.service_rate(),
@@ -397,7 +384,6 @@ class TapeCompiler {
         case OpCode::kLeafDegenerate:
         case OpCode::kLeafExponential:
         case OpCode::kLeafGamma:
-        case OpCode::kLeafErlang:
         case OpCode::kLeafMM1K:
         case OpCode::kLeafGeneric:
         case OpCode::kLoad:
@@ -494,8 +480,7 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         ++top;
         break;
       }
-      case OpCode::kLeafGamma:
-      case OpCode::kLeafErlang: {  // params [shape or stages, rate]
+      case OpCode::kLeafGamma: {  // params [shape, rate]
         gamma_laplace_many(p[0], p[1], sv, values + top * batch, batch);
         ++top;
         break;
@@ -504,7 +489,7 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         std::complex<double>* dst = values + top * batch;
         const double arrival = p[0];
         const double service = p[1];
-        const int capacity = static_cast<int>(p[2]);
+        const auto capacity = static_cast<unsigned>(p[2]);
         const double p0 = p[3];
         const double blocking = p[4];
         for (std::size_t i = 0; i < batch; ++i) {
@@ -514,7 +499,7 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
             continue;
           }
           const std::complex<double> ratio_pow =
-              std::pow(arrival / (service + sc), capacity);
+              complex_pow(arrival / (service + sc), capacity);
           dst[i] = service * p0 / (1.0 - blocking) * (1.0 - ratio_pow) /
                    (service - arrival + sc);
         }
@@ -534,7 +519,9 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
         std::complex<double>* base = values + (top - n) * batch;
         for (std::size_t i = 0; i < batch; ++i) {
           std::complex<double> product = 1.0;
-          for (std::size_t c = 0; c < n; ++c) product *= base[c * batch + i];
+          for (std::size_t c = 0; c < n; ++c) {
+            product = complex_mul_std(product, base[c * batch + i]);
+          }
           base[i] = product;
         }
         top -= n - 1;

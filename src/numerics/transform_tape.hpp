@@ -16,7 +16,7 @@
 // The tape IR.  Ops are {opcode, a, b} triples (12 bytes); `a` is an op
 // count / slot / leaf index, `b` an offset into a flat params array of
 // doubles.  Leaf ops (LEAF-DEGENERATE, LEAF-EXPONENTIAL, LEAF-GAMMA,
-// LEAF-ERLANG, LEAF-MM1K) evaluate closed forms from params; combinator
+// LEAF-MM1K) evaluate closed forms from params; combinator
 // ops (MUL for Convolution, MIX for Mixture, CPOISSON for the union
 // operation's compound-Poisson exponential, PK-WAIT and MG1K-SOJOURN for
 // the queueing formulas) fold the value stack; SCALE-ARG / POP-ARG maintain an
@@ -51,12 +51,15 @@
 // equality for every Distribution subclass and for fuzzed random trees,
 // and the perf harness (bench/perf_numerics_tape) gates on it.  The
 // speedup comes from removing dispatch, allocation, and repeated
-// shared-subtree work, and from running the Gamma/Erlang, Degenerate and
+// shared-subtree work, and from running the Gamma, Degenerate and
 // compound-Poisson ops as vectorized loops over the branch-free kernels
-// of numerics/elementary.hpp.  Those kernels are also what the tree
-// walk's Gamma::laplace, Degenerate::laplace and
-// CompoundPoissonConvolution::laplace call per point, so tape and tree
-// still run the same arithmetic per element; the tape never reorders it.
+// of numerics/elementary.hpp, four lanes wide on an x86-64-v3 host and
+// two on the baseline ISA, with the same bits either way.  Those kernels
+// are also what the tree walk's Gamma::laplace, Degenerate::laplace and
+// CompoundPoissonConvolution::laplace call per point, and the tape's
+// other complex products go through the complex_mul_std / complex_pow
+// forms the tree walk uses, so tape and tree still run the same
+// arithmetic per element; the tape never reorders it.
 //
 // Allocation.  Steady-state evaluation allocates nothing: workspaces
 // (value stack, scaled-argument batches, CSE slots) are leased from a
@@ -135,12 +138,12 @@ class TransformTape {
 
  private:
   // The opcode values are folded into fingerprint(), so they stay fixed:
-  // values 3, 5, 7, 8 and 14 belonged to retired ops and are not reused.
+  // values 3, 4, 5, 7, 8 and 14 belonged to retired ops and are not
+  // reused.
   enum class OpCode : std::uint8_t {
     kLeafDegenerate = 0,   // params [value]
     kLeafExponential = 1,  // params [rate]
     kLeafGamma = 2,        // params [shape, rate]
-    kLeafErlang = 4,       // params [stages (as double), rate]
     kLeafMM1K = 6,         // params [arrival, service, capacity, p0, blocking]
     kLeafGeneric = 9,      // a = index into leaves_; calls laplace_many
     kMul = 10,             // a = child count (Convolution)

@@ -4,7 +4,11 @@
 // order, and cached values are deterministic functions of their keys.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -12,6 +16,35 @@
 #include "core/whatif.hpp"
 #include "numerics/distribution.hpp"
 #include "obs/obs.hpp"
+
+// Allocation counter: every operator new in this binary bumps it, so a
+// test can count what an SLA sweep allocates (the pattern of
+// tests/numerics/test_transform_tape.cpp).
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// GCC pairs inlined make_shared allocations (through this operator new)
+// with these free() calls and reports a mismatch; new/new[] allocate
+// with malloc, so the pairing is right.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -340,6 +373,49 @@ TEST(ParallelPrediction, MixedClusterMatchesPerDeviceWeightedSum) {
       }
     }
   }
+}
+
+TEST(ParallelPrediction, SweepEvaluatesEachDevicesMissesInOneBatch) {
+  using cosm::obs::Counter;
+  using cosm::obs::counter_value;
+  // Two value classes (A B A B A), so two tape batches per cold sweep.
+  SystemParams params = make_cluster(150.0, 5);
+  params.devices[1] = make_device(30.0, 3);
+  params.devices[3] = make_device(30.0, 3);
+  // A bound repeated, two new and two cached after the cold sweep.
+  const std::vector<double> mixed = {0.04, 0.3, 0.12, 0.3, 0.5};
+  const SystemModel uncached(params);
+  const std::vector<double> cold_expected =
+      uncached.predict_sla_percentiles(kSlas);
+  const std::vector<double> mixed_expected =
+      uncached.predict_sla_percentiles(mixed);
+  PredictionCache cache;
+  const SystemModel model(params, {}, PredictOptions{1, &cache});
+  cosm::obs::set_enabled(true);
+
+  // Cold: every cell misses, one batched evaluation per distinct device.
+  cosm::obs::reset();
+  EXPECT_EQ(model.predict_sla_percentiles(kSlas), cold_expected);
+  EXPECT_EQ(counter_value(Counter::kCdfCacheMiss), 2 * kSlas.size());
+  EXPECT_EQ(counter_value(Counter::kCdfCacheHit), 0u);
+  EXPECT_EQ(counter_value(Counter::kTapeEvalBatches), 2u);
+
+  // Half warm: the new bounds miss once each and go in one batch per
+  // device; the repeat reads the entry its first occurrence just wrote,
+  // as a per-cell lookup in order would.
+  cosm::obs::reset();
+  EXPECT_EQ(model.predict_sla_percentiles(mixed), mixed_expected);
+  EXPECT_EQ(counter_value(Counter::kCdfCacheMiss), 2 * 2u);
+  EXPECT_EQ(counter_value(Counter::kCdfCacheHit), 2 * 3u);
+  EXPECT_EQ(counter_value(Counter::kTapeEvalBatches), 2u);
+  cosm::obs::set_enabled(false);
+
+  // All hits: no tape evaluation, and nothing allocated but the sweep's
+  // grid of device values and the returned vector.
+  const std::uint64_t before = g_allocations.load();
+  const std::vector<double> warm = model.predict_sla_percentiles(mixed);
+  EXPECT_EQ(g_allocations.load() - before, 2u);
+  EXPECT_EQ(warm, mixed_expected);
 }
 
 TEST(ParallelPrediction, ModelVariantsKeyedSeparately) {

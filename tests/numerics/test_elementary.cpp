@@ -265,12 +265,48 @@ TEST(Elementary, CompoundPoissonMatchesLibmForm) {
       EXPECT_LE(std::abs(got - exact), kBound * std::abs(exact)) << extra;
     }
   }
-  // Outside the domain the factor is libm's exp.
+  // Outside the domain the factor is libm's exp, and a NaN part of the
+  // product is the default quiet NaN.
   for (const Complex extra : hostile_points()) {
     const Complex z = 3.0 * (extra - 1.0);
     if (elementary::complex_exp(z.real(), z.imag()).in_domain) continue;
-    expect_same_bits(complex_mul(base, std::exp(z)),
+    const Complex product = complex_mul(base, std::exp(z));
+    expect_same_bits({elementary::canonical_nan(product.real()),
+                      elementary::canonical_nan(product.imag())},
                      compound_poisson(base, extra, 3.0), extra);
+  }
+}
+
+// Transform values (|z| < 1, as products and powers on the tape see
+// them), contour nodes as they are, and infinities, NaNs and zeros that
+// take std::complex's product through Annex G's recovery.
+std::vector<Complex> product_operands() {
+  std::vector<Complex> zs = hostile_points();
+  zs.insert(zs.end(), {{kInf, kInf}, {kInf, kNaN}, {kNaN, -kInf},
+                       {kNaN, kNaN}, {0.0, 0.0}, {-0.0, -0.0}, {1.0, 0.0}});
+  const std::vector<Complex> nodes = contour_nodes();
+  for (std::size_t i = 0; i < nodes.size(); i += 5) {
+    zs.push_back(nodes[i]);
+    zs.push_back(nodes[i] / (1.0 + std::abs(nodes[i])));
+  }
+  return zs;
+}
+
+TEST(ComplexProducts, MatchStdComplexBitForBit) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "std::complex's operator* may be fused at this ISA, "
+                  "which is what complex_mul_std avoids";
+#endif
+  const std::vector<Complex> zs = product_operands();
+  for (const Complex x : zs) {
+    for (const Complex y : zs) {
+      expect_same_bits(x * y, complex_mul_std(x, y), y);
+    }
+    // M/M/1/K's (v / (v + s))^K for the capacities the model meets.
+    for (unsigned n = 0; n <= 40; ++n) {
+      expect_same_bits(std::pow(x, static_cast<int>(n)), complex_pow(x, n), x);
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "operand " << x;
   }
 }
 
@@ -317,27 +353,84 @@ void expect_batch_matches_scalar(Batch batch, Scalar scalar) {
   }
 }
 
+// The model's whole Euler grid, M = 11 and 20 for t from 1e-7 to 1e3
+// (eight points a decade), with every hostile point after each t's
+// contours: one batch of 6,642 elements.
+std::vector<Complex> euler_grid_with_hostile() {
+  std::vector<Complex> s;
+  for (int k = -56; k <= 24; ++k) {
+    const double t = std::pow(10.0, k / 8.0);
+    for (const int m : {11, 20}) {
+      std::vector<Complex> euler(static_cast<std::size_t>(euler_terms(m)));
+      euler_fill_nodes(t, m, euler);
+      s.insert(s.end(), euler.begin(), euler.end());
+    }
+    s.insert(s.end(), hostile_points().begin(), hostile_points().end());
+  }
+  return s;
+}
+
+// Runs batch over the whole grid, out of place and in place, and compares
+// every element with scalar(s[i]) bit for bit.
+template <class Batch, class Scalar>
+void expect_grid_matches_scalar(Batch batch, Scalar scalar) {
+  const std::vector<Complex> s = euler_grid_with_hostile();
+  std::vector<Complex> out(s.size());
+  batch(s.data(), out.data(), s.size());
+  std::vector<Complex> in_place = s;
+  batch(in_place.data(), in_place.data(), s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const Complex expected = scalar(s[i]);
+    expect_same_bits(expected, out[i], s[i]);
+    expect_same_bits(expected, in_place[i], s[i]);
+    if (::testing::Test::HasFailure()) FAIL() << "grid element " << i;
+  }
+}
+
+// The batch kernels run the loader's pick of their clones (elementary.cpp)
+// and the scalar forms the baseline build; record which clone ran.
+void record_batch_isa() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  ::testing::Test::RecordProperty(
+      "cpu_x86_64_v3", __builtin_cpu_supports("x86-64-v3") ? 1 : 0);
+  ::testing::Test::RecordProperty("cpu_avx2",
+                                  __builtin_cpu_supports("avx2") ? 1 : 0);
+  ::testing::Test::RecordProperty("cpu_fma",
+                                  __builtin_cpu_supports("fma") ? 1 : 0);
+#endif
+}
+
 TEST(ElementaryBatch, GammaBitIdenticalToScalar) {
+  record_batch_isa();
   for (const double shape : {0.3, 2.8, 40.0}) {
-    expect_batch_matches_scalar(
-        [&](const Complex* s, Complex* out, std::size_t n) {
-          gamma_laplace_many(shape, 233.33, s, out, n);
-        },
-        [&](Complex s) { return gamma_laplace(shape, 233.33, s); });
+    const auto batch = [&](const Complex* s, Complex* out, std::size_t n) {
+      gamma_laplace_many(shape, 233.33, s, out, n);
+    };
+    const auto scalar = [&](Complex s) {
+      return gamma_laplace(shape, 233.33, s);
+    };
+    expect_batch_matches_scalar(batch, scalar);
+    expect_grid_matches_scalar(batch, scalar);
   }
 }
 
 TEST(ElementaryBatch, DegenerateBitIdenticalToScalar) {
+  record_batch_isa();
   for (const double value : {0.0, 2.5e-3, 1e-3}) {
-    expect_batch_matches_scalar(
-        [&](const Complex* s, Complex* out, std::size_t n) {
-          degenerate_laplace_many(value, s, out, n);
-        },
-        [&](Complex s) { return degenerate_laplace(value, s); });
+    const auto batch = [&](const Complex* s, Complex* out, std::size_t n) {
+      degenerate_laplace_many(value, s, out, n);
+    };
+    const auto scalar = [&](Complex s) {
+      return degenerate_laplace(value, s);
+    };
+    expect_batch_matches_scalar(batch, scalar);
+    expect_grid_matches_scalar(batch, scalar);
   }
 }
 
 TEST(ElementaryBatch, CompoundPoissonBitIdenticalToScalar) {
+  record_batch_isa();
   // The batch updates base in place and overwrites extra; extra carries
   // the hostile element, and base is a second batch of in-domain values.
   const double rate = 3.0;
@@ -361,6 +454,26 @@ TEST(ElementaryBatch, CompoundPoissonBitIdenticalToScalar) {
         }
       }
     }
+  }
+  // The Euler grid: extra is the disk Gamma's transform on it (what the
+  // union operation feeds the node), then the hostile points as they are;
+  // base is a Degenerate's transform on it.
+  const std::vector<Complex> grid = euler_grid_with_hostile();
+  std::vector<Complex> extra(grid.size());
+  std::vector<Complex> base(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    extra[i] = gamma_laplace(2.8, 233.33, grid[i]);
+    base[i] = degenerate_laplace(2.5e-3, grid[i]);
+  }
+  extra.insert(extra.end(), hostile_points().begin(), hostile_points().end());
+  base.resize(extra.size(), Complex(0.5, -0.25));
+  std::vector<Complex> got = base;
+  std::vector<Complex> scratch = extra;
+  compound_poisson_many(rate, got.data(), scratch.data(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_same_bits(compound_poisson(base[i], extra[i], rate), got[i],
+                     extra[i]);
+    if (::testing::Test::HasFailure()) FAIL() << "grid element " << i;
   }
 }
 

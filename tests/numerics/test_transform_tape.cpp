@@ -23,7 +23,6 @@
 #include "numerics/compose.hpp"
 #include "numerics/distribution.hpp"
 #include "numerics/lt_inversion.hpp"
-#include "numerics/phase_type.hpp"
 #include "numerics/transform_nodes.hpp"
 #include "obs/obs.hpp"
 #include "queueing/mg1.hpp"
@@ -100,7 +99,7 @@ TEST(TransformTape, LeafDistributionsBitIdentical) {
   expect_tape_bit_identical(std::make_shared<Exponential>(123.5));
   expect_tape_bit_identical(std::make_shared<Gamma>(3.7, 412.0));
   expect_tape_bit_identical(std::make_shared<Gamma>(250.0, 1e4));
-  expect_tape_bit_identical(std::make_shared<Erlang>(4, 800.0));
+  expect_tape_bit_identical(std::make_shared<Gamma>(4.0, 800.0));
 }
 
 TEST(TransformTape, QuadratureLeavesUseGenericPathBitIdentical) {
@@ -507,7 +506,8 @@ class TreeFuzzer {
         return std::make_shared<Gamma>(uniform(0.5, 6.0),
                                        uniform(100.0, 3000.0));
       default:
-        return std::make_shared<Erlang>(1 + pick(5), uniform(200.0, 2000.0));
+        return std::make_shared<Gamma>(static_cast<double>(1 + pick(5)),
+                                       uniform(200.0, 2000.0));
     }
   }
 

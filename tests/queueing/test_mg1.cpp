@@ -8,10 +8,14 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
+
+#include "numerics/compose.hpp"
 
 namespace cosm::queueing {
 namespace {
 
+using numerics::Convolution;
 using numerics::Degenerate;
 using numerics::DistPtr;
 using numerics::Exponential;
@@ -107,6 +111,31 @@ TEST(MG1, Validation) {
   EXPECT_THROW(MG1(0.0, std::make_shared<Exponential>(1.0)),
                std::invalid_argument);
   EXPECT_THROW(MG1(1.0, nullptr), std::invalid_argument);
+}
+
+TEST(ServiceLawSensitivity, MatchedMomentsGiveMatchedPkWait) {
+  // The P–K *mean* wait depends only on the first two moments, so a Gamma
+  // and a sum of four exponentials with matched moments must give
+  // identical mean waits — while laws with a different variance give
+  // different waiting-time *distributions*.  This is the core reason the
+  // paper needs distributions, not just moments.
+  const double rate = 30.0;
+  const double mean = 0.02;
+  const auto gamma = std::make_shared<Gamma>(4.0, 4.0 / mean);  // cv2 = 0.25
+  const auto stage = std::make_shared<Exponential>(4.0 / mean);
+  const auto stages = std::make_shared<Convolution>(
+      std::vector<DistPtr>{stage, stage, stage, stage});  // same two moments
+  const MG1 q_gamma(rate, gamma);
+  const MG1 q_stages(rate, stages);
+  EXPECT_NEAR(q_gamma.mean_waiting_time(), q_stages.mean_waiting_time(),
+              1e-12);
+  // Same mean but a heavier service law (a Gamma with shape < 1, cv2 = 4)
+  // => a longer mean wait and a heavier waiting-time tail.
+  const MG1 q_heavy(rate, std::make_shared<Gamma>(0.25, 0.25 / mean));
+  EXPECT_GT(q_heavy.mean_waiting_time(), q_gamma.mean_waiting_time());
+  const auto w_gamma = q_gamma.waiting_time();
+  const auto w_heavy = q_heavy.waiting_time();
+  EXPECT_LT(w_heavy->cdf(0.1), w_gamma->cdf(0.1) + 1e-9);
 }
 
 }  // namespace
