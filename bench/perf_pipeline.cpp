@@ -1,23 +1,16 @@
-// Perf-regression harness for the parallel + memoized prediction
-// pipeline.  Times one Table-1-style sweep — rate points x model
-// variants (full / noWTA / MG1K) x SLA points over a homogeneous
-// 4-device cluster — under four execution modes:
+// Perf-regression harness for the what-if prediction pipeline.  Times
+// one Table-1-style sweep — rate points x model variants (full / noWTA /
+// MG1K) x SLA points over a heterogeneous 4-device cluster — on the
+// calling thread, best of --repeat runs, checks that every repetition
+// reproduces the first one's outputs bit for bit, and emits
+// machine-readable BENCH_pipeline.json (see docs/PERFORMANCE.md for the
+// field glossary).  Exit status: 0 ok, 1 a repetition's outputs differ,
+// 3 JSON write/readback failure.
 //
-//   serial           num_threads=1, no cache (the baseline)
-//   parallel         num_threads=T, no cache
-//   cached           num_threads=1, fresh PredictionCache
-//   parallel_cached  num_threads=T, fresh PredictionCache
-//
-// verifies every mode reproduces the serial outputs bit-for-bit, and
-// emits machine-readable BENCH_pipeline.json (see docs/PERFORMANCE.md
-// for the field glossary).  Exit status: 0 ok, 1 outputs not
-// bit-identical, 2 cached mode more than 2x slower than serial (cache
-// overhead regression), 3 JSON write/readback failure.
-//
-// Flags: --threads=T (0 = all hardware threads; default 0)
-//        --points=N  (rate points per sweep; default 6)
+// Flags: --points=N  (rate points per sweep; default 6)
 //        --repeat=R  (timing repetitions, best-of; default 3)
 //        --out=PATH  (default BENCH_pipeline.json)
+//        --trace-json=PATH  (enable observability; export the trace)
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -38,13 +31,10 @@ namespace {
 
 using cosm::core::DeviceParams;
 using cosm::core::ModelOptions;
-using cosm::core::PredictionCache;
-using cosm::core::PredictOptions;
 using cosm::core::SystemModel;
 using cosm::core::SystemParams;
 
 struct Config {
-  unsigned threads = 0;  // 0 = all hardware threads
   int rate_points = 6;
   int repeat = 3;
   std::string out = "BENCH_pipeline.json";
@@ -58,10 +48,7 @@ Config parse_args(int argc, char** argv) {
     const auto value_of = [&](const std::string& prefix) {
       return arg.substr(prefix.size());
     };
-    if (arg.rfind("--threads=", 0) == 0) {
-      config.threads =
-          static_cast<unsigned>(std::stoul(value_of("--threads=")));
-    } else if (arg.rfind("--points=", 0) == 0) {
+    if (arg.rfind("--points=", 0) == 0) {
       config.rate_points = std::stoi(value_of("--points="));
     } else if (arg.rfind("--repeat=", 0) == 0) {
       config.repeat = std::stoi(value_of("--repeat="));
@@ -82,9 +69,9 @@ Config parse_args(int argc, char** argv) {
 constexpr unsigned kDevices = 4;
 constexpr unsigned kProcesses = 4;
 
-// The homogeneous cluster shape real deployments (and the paper's
-// testbed) use — and the shape the PredictionCache exploits: identical
-// devices share one backend build and one CDF inversion per SLA point.
+// A heterogeneous cluster: the same HDD profile on every device, aged
+// to a different speed per device (disk service means scaled by 0.8,
+// 0.9, 1.0 and 1.1), so every model builds 4 distinct devices.
 SystemParams make_cluster(double system_rate) {
   using cosm::numerics::Degenerate;
   using cosm::numerics::Gamma;
@@ -99,9 +86,10 @@ SystemParams make_cluster(double system_rate) {
     device.index_miss_ratio = 0.3;
     device.meta_miss_ratio = 0.3;
     device.data_miss_ratio = 0.7;
-    device.index_disk = std::make_shared<Gamma>(3.0, 300.0);   // 10 ms
-    device.meta_disk = std::make_shared<Gamma>(2.5, 312.5);    //  8 ms
-    device.data_disk = std::make_shared<Gamma>(2.8, 233.33);   // 12 ms
+    const double slowdown = 0.8 + 0.1 * d;
+    device.index_disk = std::make_shared<Gamma>(3.0, 300.0 / slowdown);
+    device.meta_disk = std::make_shared<Gamma>(2.5, 312.5 / slowdown);
+    device.data_disk = std::make_shared<Gamma>(2.8, 233.33 / slowdown);
     device.backend_parse = std::make_shared<Degenerate>(0.5e-3);
     device.processes = kProcesses;
     params.devices.push_back(device);
@@ -121,7 +109,7 @@ const std::vector<ModelOptions>& variants() {
 
 std::vector<double> rate_grid(int points) {
   // System rates spreading per-device load from light (~25 req/s) to busy
-  // (~55 req/s), all safely inside stability for the profile above.
+  // (~55 req/s), all inside stability for the slowest device above.
   const double lo = 100.0;
   const double hi = 220.0;
   std::vector<double> rates;
@@ -140,53 +128,18 @@ const std::vector<double>& slas() {
 // One full sweep: every (rate, variant) builds a model, every model
 // answers every SLA point.  Outputs are appended in a fixed order so two
 // sweeps can be compared element-for-element.
-std::vector<double> run_sweep(const std::vector<double>& rates,
-                              const PredictOptions& predict) {
+std::vector<double> run_sweep(const std::vector<double>& rates) {
   std::vector<double> outputs;
   outputs.reserve(rates.size() * variants().size() * slas().size());
   for (const double rate : rates) {
     for (const ModelOptions& options : variants()) {
-      const SystemModel model(make_cluster(rate), options, predict);
+      const SystemModel model(make_cluster(rate), options);
       const std::vector<double> percentiles =
           model.predict_sla_percentiles(slas());
       outputs.insert(outputs.end(), percentiles.begin(), percentiles.end());
     }
   }
   return outputs;
-}
-
-struct ModeResult {
-  std::string name;
-  unsigned threads = 1;
-  bool cache_enabled = false;
-  double wall_ms = 0.0;  // best over repetitions
-  bool bit_identical = true;
-  cosm::numerics::CacheStats stats{};
-  std::vector<double> outputs;
-};
-
-ModeResult run_mode(const std::string& name, unsigned threads,
-                    bool cache_enabled, const std::vector<double>& rates,
-                    int repeat) {
-  ModeResult result;
-  result.name = name;
-  result.threads = threads;
-  result.cache_enabled = cache_enabled;
-  for (int rep = 0; rep < repeat; ++rep) {
-    // A fresh cache per repetition keeps every repetition doing identical
-    // work (best-of timing stays meaningful).
-    PredictionCache cache;
-    const PredictOptions predict{threads, cache_enabled ? &cache : nullptr};
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<double> outputs = run_sweep(rates, predict);
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (rep == 0 || ms < result.wall_ms) result.wall_ms = ms;
-    result.outputs = std::move(outputs);
-    if (cache_enabled) result.stats = cache.combined_stats();
-  }
-  return result;
 }
 
 std::string fmt(double value, int precision) {
@@ -197,81 +150,47 @@ std::string fmt(double value, int precision) {
   return out.str();
 }
 
-void append_mode_json(std::ostringstream& json, const ModeResult& mode,
-                      double serial_ms, bool last) {
-  json << "    {\n"
-       << "      \"name\": \"" << mode.name << "\",\n"
-       << "      \"threads\": " << mode.threads << ",\n"
-       << "      \"cache_enabled\": " << (mode.cache_enabled ? "true" : "false")
-       << ",\n"
-       << "      \"wall_ms\": " << fmt(mode.wall_ms, 3) << ",\n"
-       << "      \"speedup_vs_serial\": "
-       << fmt(serial_ms / mode.wall_ms, 3) << ",\n"
-       << "      \"bit_identical_to_serial\": "
-       << (mode.bit_identical ? "true" : "false") << ",\n";
-  if (mode.cache_enabled) {
-    json << "      \"cache\": {\n"
-         << "        \"hits\": " << mode.stats.hits << ",\n"
-         << "        \"misses\": " << mode.stats.misses << ",\n"
-         << "        \"evictions\": " << mode.stats.evictions << ",\n"
-         << "        \"entries\": " << mode.stats.size << ",\n"
-         << "        \"hit_rate\": " << fmt(mode.stats.hit_rate(), 4) << "\n"
-         << "      }\n";
-  } else {
-    json << "      \"cache\": null\n";
-  }
-  json << "    }" << (last ? "\n" : ",\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Config config = parse_args(argc, argv);
   if (!config.trace_json.empty()) cosm::obs::set_enabled(true);
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned fanout =
-      config.threads == 0 ? hardware : config.threads;
 
   const std::vector<double> rates = rate_grid(config.rate_points);
-  std::vector<ModeResult> modes;
-  modes.push_back(run_mode("serial", 1, false, rates, config.repeat));
-  modes.push_back(run_mode("parallel", fanout, false, rates, config.repeat));
-  modes.push_back(run_mode("cached", 1, true, rates, config.repeat));
-  modes.push_back(
-      run_mode("parallel_cached", fanout, true, rates, config.repeat));
-
-  const ModeResult& serial = modes.front();
-  bool all_identical = true;
-  double best_speedup = 1.0;
-  for (ModeResult& mode : modes) {
-    mode.bit_identical = mode.outputs == serial.outputs;  // exact doubles
-    all_identical = all_identical && mode.bit_identical;
-    if (&mode != &serial) {
-      best_speedup = std::max(best_speedup, serial.wall_ms / mode.wall_ms);
+  double wall_ms = 0.0;  // best over repetitions
+  std::vector<double> first;
+  bool identical = true;
+  for (int rep = 0; rep < config.repeat; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<double> outputs = run_sweep(rates);
+    const auto stop = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(stop - start).count();
+    if (rep == 0 || ms < wall_ms) wall_ms = ms;
+    if (rep == 0) {
+      first = std::move(outputs);
+    } else {
+      identical = identical && outputs == first;  // exact doubles
     }
   }
+  const std::size_t models = rates.size() * variants().size();
+  const double us_per_model = 1e3 * wall_ms / static_cast<double>(models);
 
   std::cout << "perf_pipeline: " << rates.size() << " rate points x "
             << variants().size() << " variants x " << slas().size()
-            << " SLA points, " << kDevices << " devices ("
+            << " SLA points, " << kDevices << " distinct devices ("
             << kProcesses << " processes each), repeat=" << config.repeat
-            << ", fanout=" << fanout << " thread(s)\n\n";
-  std::cout << "  mode              wall_ms   speedup  bit-identical  cache hit-rate\n";
-  for (const ModeResult& mode : modes) {
-    std::cout << "  " << mode.name << std::string(18 - mode.name.size(), ' ')
-              << fmt(mode.wall_ms, 2) << "   "
-              << fmt(serial.wall_ms / mode.wall_ms, 2) << "x     "
-              << (mode.bit_identical ? "yes" : "NO ") << "          "
-              << (mode.cache_enabled ? fmt(mode.stats.hit_rate(), 3) : "-")
-              << "\n";
-  }
-  std::cout << "\n  best speedup vs serial: " << fmt(best_speedup, 2)
-            << "x\n";
+            << "\n\n"
+            << "  serial  " << fmt(wall_ms, 3) << " ms per sweep, "
+            << fmt(us_per_model, 1)
+            << " us per model, repetitions bit-identical: "
+            << (identical ? "yes" : "NO") << "\n";
 
   std::ostringstream json;
   json << "{\n"
        << "  \"benchmark\": \"perf_pipeline\",\n"
-       << "  \"schema_version\": 1,\n"
+       << "  \"schema_version\": 2,\n"
        << "  \"config\": {\n"
        << "    \"rate_points\": " << rates.size() << ",\n"
        << "    \"sla_points\": " << slas().size() << ",\n"
@@ -279,23 +198,18 @@ int main(int argc, char** argv) {
        << "    \"devices_per_cluster\": " << kDevices << ",\n"
        << "    \"processes_per_device\": " << kProcesses << ",\n"
        << "    \"repeat\": " << config.repeat << ",\n"
-       << "    \"requested_threads\": " << config.threads << ",\n"
-       << "    \"resolved_threads\": " << fanout << ",\n"
        << "    \"hardware_threads\": " << hardware << "\n"
        << "  },\n"
-       << "  \"modes\": [\n";
-  for (std::size_t i = 0; i < modes.size(); ++i) {
-    append_mode_json(json, modes[i], serial.wall_ms, i + 1 == modes.size());
-  }
-  const ModeResult& cached = modes[2];
-  const bool cache_ok = cached.wall_ms <= 2.0 * serial.wall_ms;
-  json << "  ],\n"
-       << "  \"best_speedup\": " << fmt(best_speedup, 3) << ",\n"
+       << "  \"modes\": [\n"
+       << "    {\n"
+       << "      \"name\": \"serial\",\n"
+       << "      \"wall_ms\": " << fmt(wall_ms, 3) << ",\n"
+       << "      \"models\": " << models << ",\n"
+       << "      \"wall_us_per_model\": " << fmt(us_per_model, 3) << "\n"
+       << "    }\n"
+       << "  ],\n"
        << "  \"checks\": {\n"
-       << "    \"bit_identical\": " << (all_identical ? "true" : "false")
-       << ",\n"
-       << "    \"cached_within_2x_of_serial\": "
-       << (cache_ok ? "true" : "false") << "\n"
+       << "    \"bit_identical\": " << (identical ? "true" : "false") << "\n"
        << "  }\n"
        << "}\n";
 
@@ -309,9 +223,9 @@ int main(int argc, char** argv) {
   }
   // Readback gate: parse the artifact and enforce its schema contract
   // (schema_version match, no unknown top-level fields).
-  if (!cosm_bench::verify_bench_json(config.out, 1,
-                                     {"benchmark", "schema_version", "config",
-                                      "modes", "best_speedup", "checks"})) {
+  if (!cosm_bench::verify_bench_json(
+          config.out, 2,
+          {"benchmark", "schema_version", "config", "modes", "checks"})) {
     return 3;
   }
   std::cout << "  wrote " << config.out << "\n";
@@ -326,14 +240,9 @@ int main(int argc, char** argv) {
     std::cout << "  wrote " << config.trace_json << "\n";
   }
 
-  if (!all_identical) {
-    std::cerr << "FAIL: a mode's outputs differ from serial\n";
+  if (!identical) {
+    std::cerr << "FAIL: a repetition's outputs differ from the first\n";
     return 1;
-  }
-  if (!cache_ok) {
-    std::cerr << "FAIL: cached mode more than 2x slower than serial "
-              << "(cache overhead regression)\n";
-    return 2;
   }
   return 0;
 }

@@ -40,9 +40,8 @@ int main() {
     return cosm_examples::make_cluster(rate, devices);
   };
   cosm::core::PredictionCache cache;
-  const cosm::core::PredictOptions predict{/*num_threads=*/0, &cache};
   const auto schedule = cosm::core::elastic_schedule(
-      factory, hourly_rates, {kSla, kTarget}, kFleet, {}, predict);
+      factory, hourly_rates, {kSla, kTarget}, kFleet, {}, &cache);
 
   std::printf("%-6s %-12s %-16s %s\n", "hour", "req/s", "devices needed",
               "devices parked");

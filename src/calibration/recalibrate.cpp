@@ -127,10 +127,7 @@ bool CalibrationLoop::refit(const WindowObservation& window,
     sys.frontend.arrival_rate = params.arrival_rate;
     sys.devices.push_back(std::move(params));
 
-    core::PredictOptions predict;
-    predict.num_threads = config_.num_threads;
-    predict.cache = config_.cache;
-    const core::SystemModel model(sys, config_.options, predict);
+    const core::SystemModel model(sys, config_.options, config_.cache);
     predictions = model.predict_sla_percentiles(config_.slas);
     fingerprint = model.devices().front().fingerprint();
     device_key = core::device_model_key(sys.frontend, sys.devices.front(),

@@ -57,7 +57,6 @@ struct RecalibrateConfig {
   // Shared memoization to maintain (may be null: no caching, nothing to
   // invalidate).  Must outlive the loop.
   core::PredictionCache* cache = nullptr;
-  unsigned num_threads = 1;
 
   // SSD-tier re-prediction (tiering extension).  Tier hit ratios are
   // predicted, not measured (core::TierOptions); when `population` is

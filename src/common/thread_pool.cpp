@@ -106,13 +106,13 @@ void ThreadPool::parallel_for_index(
   }
 }
 
-std::size_t detail::resolve_threads(unsigned num_threads) {
+std::size_t detail::resolve_threads(unsigned threads) {
   // Resolve "all hardware" before deciding on the fan-out: on a
-  // single-core host num_threads == 0 used to reach the pool anyway and
+  // single-core host threads == 0 used to reach the pool anyway and
   // pay queueing + latch overhead for zero extra parallelism (a measured
   // ~3% pipeline regression).  hardware_concurrency() is a free function,
   // so the resolution never instantiates the global pool.
-  if (num_threads != 0) return num_threads;
+  if (threads != 0) return threads;
   const std::size_t hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : hardware;
 }

@@ -1,8 +1,8 @@
 // A small fixed-size thread pool used to parallelize embarrassingly
-// parallel work: arrival-rate sweep points in the experiment harnesses,
-// independent simulator replications in tests, and — through the
-// cosm::parallel_for helper — the prediction pipeline's per-device /
-// per-SLA-point fan-out (core::PredictOptions::num_threads).
+// parallel simulation work: arrival-rate sweep points in the experiment
+// harnesses and — through the cosm::parallel_for helper — independent
+// simulator replications (sim::run_replication).  The analytic model
+// path runs on its caller's thread and never touches the pool.
 //
 // The pool is deliberately minimal — submit() returns a std::future, and
 // parallel_for_index() blocks until every index has been processed.
@@ -43,9 +43,8 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   // The process-wide shared pool (hardware concurrency), created lazily on
-  // first use.  Prefer this over per-call pools in library code: model
-  // predictions may run thousands of parallel_for_index calls, and thread
-  // creation would dominate.
+  // first use.  Prefer this over per-call pools in library code: thread
+  // creation per call would dominate short fan-outs.
   static ThreadPool& global();
 
   template <typename F>
@@ -91,37 +90,37 @@ class ThreadPool {
 };
 
 namespace detail {
-// The fan-out width parallel_for uses for `num_threads`: 0 resolves to
+// The fan-out width parallel_for uses for `threads`: 0 resolves to
 // std::thread::hardware_concurrency() (at least 1), anything else is
 // itself.  Never instantiates the global pool.
-std::size_t resolve_threads(unsigned num_threads);
+std::size_t resolve_threads(unsigned threads);
 }  // namespace detail
 
-// Convenience fan-out used by the prediction pipeline.  Runs fn(i) for
-// every i in [0, count):
-//   num_threads == 1  — plain serial loop on the calling thread (no pool
-//                       is touched, and none is ever created);
-//   num_threads == 0  — "all hardware": resolved via
-//                       std::thread::hardware_concurrency() first; when
-//                       that resolves to 1 (single-core hosts) the loop
-//                       runs inline like num_threads == 1 — the pool
-//                       cannot add parallelism there, only queueing and
-//                       completion-latch overhead;
-//   num_threads == k  — ThreadPool::global() capped at k concurrent
-//                       threads (including the caller).
+// Convenience fan-out used by the simulator's replications.  Runs fn(i)
+// for every i in [0, count):
+//   threads == 1  — plain serial loop on the calling thread (no pool
+//                   is touched, and none is ever created);
+//   threads == 0  — "all hardware": resolved via
+//                   std::thread::hardware_concurrency() first; when
+//                   that resolves to 1 (single-core hosts) the loop
+//                   runs inline like threads == 1 — the pool
+//                   cannot add parallelism there, only queueing and
+//                   completion-latch overhead;
+//   threads == k  — ThreadPool::global() capped at k concurrent
+//                   threads (including the caller).
 // `fn` is taken by reference and called in place: the inline path never
 // allocates, and the pool path hands the pool a std::ref to it.
 // Each index must write only to its own output slot; reductions belong in
 // the caller *after* the call, in index order, so that results are
 // bit-identical to the serial path regardless of thread count.
 template <typename Fn>
-void parallel_for(std::size_t count, unsigned num_threads, Fn&& fn) {
+void parallel_for(std::size_t count, unsigned threads, Fn&& fn) {
   if (count == 0) return;
-  if (count == 1 || detail::resolve_threads(num_threads) == 1) {
+  if (count == 1 || detail::resolve_threads(threads) == 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  ThreadPool::global().parallel_for_index(count, std::ref(fn), num_threads);
+  ThreadPool::global().parallel_for_index(count, std::ref(fn), threads);
 }
 
 }  // namespace cosm

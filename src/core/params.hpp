@@ -156,19 +156,4 @@ struct ModelOptions {
   RedundancyOptions redundancy = {};
 };
 
-// Execution knobs for building and querying models — orthogonal to
-// ModelOptions (which selects *what* is computed, not *how fast*).
-struct PredictOptions {
-  // Fan-out width for independent work (per-device builds, per-SLA-point
-  // inversions, what-if scenario sweeps): 1 = serial on the calling
-  // thread (the default — no pool is created), 0 = all hardware threads,
-  // k = at most k threads including the caller.  Results are bit-identical
-  // to serial for every setting (slot-indexed outputs, fixed reduction
-  // order).
-  unsigned num_threads = 1;
-  // Optional shared memoization; nullptr disables caching.  The cache
-  // must outlive every model constructed with it.
-  PredictionCache* cache = nullptr;
-};
-
 }  // namespace cosm::core

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <utility>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "core/backend_model.hpp"
 #include "obs/obs.hpp"
 
@@ -117,18 +115,18 @@ DistPtr compose_response(const FrontendModel& frontend,
 // One device model, served from PredictionCache::devices when a cache is
 // attached.  Copies share the build (DeviceModel holds the tape shared).
 DeviceModel build_device(const FrontendModel& frontend, DeviceParams params,
-                         const ModelOptions& options,
-                         const PredictOptions& predict, std::uint64_t key) {
-  if (predict.cache == nullptr) {
+                         const ModelOptions& options, PredictionCache* cache,
+                         std::uint64_t key) {
+  if (cache == nullptr) {
     return DeviceModel(frontend, std::move(params), options);
   }
-  if (auto cached = predict.cache->devices.lookup(key)) {
+  if (auto cached = cache->devices.lookup(key)) {
     obs::add(obs::Counter::kDeviceCacheHit);
     return std::move(*cached);
   }
   obs::add(obs::Counter::kDeviceCacheMiss);
   DeviceModel model(frontend, std::move(params), options);
-  predict.cache->devices.insert(key, model);
+  cache->devices.insert(key, model);
   return model;
 }
 
@@ -244,8 +242,8 @@ double DeviceModel::mean_latency() const {
 }
 
 SystemModel::SystemModel(SystemParams params, ModelOptions options,
-                         PredictOptions predict)
-    : frontend_(params.frontend), predict_(predict) {
+                         PredictionCache* cache)
+    : frontend_(params.frontend), cache_(cache) {
   // Spans validation, grouping and the device builds (core.device_build,
   // one per distinct device that misses the cache).
   obs::Span span("core.system_model");
@@ -274,18 +272,16 @@ SystemModel::SystemModel(SystemParams params, ModelOptions options,
       distinct_.push_back(i);
     }
   }
-  // Distinct device builds are independent (the expensive part is the
-  // per-device queueing solve), so they fan out; the reduction below runs
-  // in device order, which keeps total_rate_ bit-identical to serial.
-  std::vector<std::optional<DeviceModel>> built(distinct_.size());
-  parallel_for(distinct_.size(), predict_.num_threads, [&](std::size_t u) {
-    built[u].emplace(build_device(frontend_,
-                                  std::move(params.devices[distinct_[u]]),
-                                  options, predict_, keys[u]));
-  });
+  std::vector<DeviceModel> built;
+  built.reserve(distinct_.size());
+  for (std::size_t u = 0; u < distinct_.size(); ++u) {
+    built.push_back(build_device(frontend_,
+                                 std::move(params.devices[distinct_[u]]),
+                                 options, cache_, keys[u]));
+  }
   devices_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    devices_.push_back(*built[slot_[i]]);
+    devices_.push_back(built[slot_[i]]);
     total_rate_ += devices_.back().arrival_rate();
   }
 }
@@ -293,17 +289,17 @@ SystemModel::SystemModel(SystemParams params, ModelOptions options,
 double SystemModel::device_cdf(const DeviceModel& model, double sla) const {
   // The tape CDF is bit-identical to inverting the scalar tree walk at
   // the same order — the tape's hard contract — and the wrap is a pure
-  // function of it, so cache hits, cold evaluations, and every thread
-  // count return the same doubles.
-  if (predict_.cache == nullptr) return model.cdf(sla);
+  // function of it, so cache hits and cold evaluations return the same
+  // doubles.
+  if (cache_ == nullptr) return model.cdf(sla);
   const std::uint64_t key = cdf_cache_key(model.fingerprint(), sla);
-  if (auto cached = predict_.cache->cdf.lookup(key)) {
+  if (auto cached = cache_->cdf.lookup(key)) {
     obs::add(obs::Counter::kCdfCacheHit);
     return *cached;
   }
   obs::add(obs::Counter::kCdfCacheMiss);
   const double value = model.cdf(sla);
-  predict_.cache->cdf.insert(key, value);
+  cache_->cdf.insert(key, value);
   return value;
 }
 
@@ -314,9 +310,9 @@ double SystemModel::predict_sla_percentile(double sla) const {
   // value class in device order.
   const std::size_t distinct = distinct_.size();
   std::vector<double> cdfs(distinct);
-  parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
+  for (std::size_t u = 0; u < distinct; ++u) {
     cdfs[u] = device_cdf(devices_[distinct_[u]], sla);
-  });
+  }
   double weighted = 0.0;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     weighted += devices_[i].arrival_rate() * cdfs[slot_[i]];
@@ -331,7 +327,6 @@ std::vector<double> SystemModel::predict_sla_percentiles(
   const std::size_t n_slas = slas.size();
   const std::size_t distinct = distinct_.size();
   std::vector<double> cdfs(distinct * n_slas);
-  PredictionCache* const cache = predict_.cache;
   // One sweep per distinct device: with a cache attached, each cell is
   // looked up, and the misses are evaluated together in ONE batched tape
   // call (cdf_many concatenates their contours) and inserted.  cdf_many's
@@ -340,14 +335,14 @@ std::vector<double> SystemModel::predict_sla_percentiles(
   // evaluated once and read back from the cache as device_cdf's serial
   // order would, so the hit and miss counts are its counts too.  The
   // miss lists allocate only when there are misses.
-  parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
+  for (std::size_t u = 0; u < distinct; ++u) {
     const DeviceModel& model = devices_[distinct_[u]];
     double* const row = cdfs.data() + u * n_slas;
     std::vector<std::size_t> misses;   // cells evaluated below
     std::vector<double> miss_slas;     // their bounds
     std::vector<std::size_t> repeats;  // cells repeating a missed bound
     for (std::size_t s = 0; s < n_slas; ++s) {
-      if (cache != nullptr) {
+      if (cache_ != nullptr) {
         const bool repeat =
             std::any_of(miss_slas.begin(), miss_slas.end(),
                         [&](double t) { return same_bits(t, slas[s]); });
@@ -356,7 +351,7 @@ std::vector<double> SystemModel::predict_sla_percentiles(
           continue;
         }
         const std::uint64_t key = cdf_cache_key(model.fingerprint(), slas[s]);
-        if (auto cached = cache->cdf.lookup(key)) {
+        if (auto cached = cache_->cdf.lookup(key)) {
           obs::add(obs::Counter::kCdfCacheHit);
           row[s] = *cached;
           continue;
@@ -366,17 +361,17 @@ std::vector<double> SystemModel::predict_sla_percentiles(
       misses.push_back(s);
       miss_slas.push_back(slas[s]);
     }
-    if (misses.empty()) return;
+    if (misses.empty()) continue;
     const std::vector<double> values = model.cdf_many(miss_slas);
     for (std::size_t k = 0; k < misses.size(); ++k) {
       row[misses[k]] = values[k];
-      if (cache != nullptr) {
-        cache->cdf.insert(cdf_cache_key(model.fingerprint(), miss_slas[k]),
-                          values[k]);
+      if (cache_ != nullptr) {
+        cache_->cdf.insert(cdf_cache_key(model.fingerprint(), miss_slas[k]),
+                           values[k]);
       }
     }
     for (const std::size_t s : repeats) row[s] = device_cdf(model, slas[s]);
-  });
+  }
   std::vector<double> out(n_slas, 0.0);
   for (std::size_t s = 0; s < n_slas; ++s) {
     double weighted = 0.0;
@@ -399,9 +394,9 @@ numerics::CdfDensityPoint SystemModel::cdf_density(double t) const {
   obs::Span span("core.predict_sla");
   const std::size_t distinct = distinct_.size();
   std::vector<numerics::CdfDensityPoint> points(distinct);
-  parallel_for(distinct, predict_.num_threads, [&](std::size_t u) {
+  for (std::size_t u = 0; u < distinct; ++u) {
     points[u] = devices_[distinct_[u]].cdf_density(t);
-  });
+  }
   // Same weights and order as predict_sla_percentile, so F is its value.
   double cdf = 0.0;
   double density = 0.0;
@@ -419,11 +414,10 @@ double SystemModel::latency_quantile(double percentile) const {
   COSM_REQUIRE(percentile > 0 && percentile < 1,
                "percentile must be in (0, 1)");
   obs::Span span("core.latency_quantile");
-  PredictionCache* const cache = predict_.cache;
   std::uint64_t key = 0;
-  if (cache != nullptr) {
+  if (cache_ != nullptr) {
     key = quantile_cache_key(devices_, percentile);
-    if (auto cached = cache->cdf.lookup(key)) {
+    if (auto cached = cache_->cdf.lookup(key)) {
       obs::add(obs::Counter::kQuantileColdStart);
       obs::add(obs::Counter::kQuantileCacheHit);
       return *cached;
@@ -432,7 +426,7 @@ double SystemModel::latency_quantile(double percentile) const {
   const double bound = numerics::solve_quantile(
       [this](double t) { return cdf_density(t); }, percentile,
       mean_response_latency());
-  if (cache != nullptr) cache->cdf.insert(key, bound);
+  if (cache_ != nullptr) cache_->cdf.insert(key, bound);
   return bound;
 }
 

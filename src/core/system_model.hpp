@@ -5,24 +5,21 @@
 //
 // predict_sla_percentile(sla) returns P[latency <= sla]: "the percentile
 // of requests meeting SLA".  ModelOptions selects the full model or the
-// noWTA / ODOPR baselines of Sec. V-C; PredictOptions selects how the
-// work is executed — fan-out width across devices/SLA points and an
-// optional shared PredictionCache (below).
+// noWTA / ODOPR baselines of Sec. V-C; an optional shared PredictionCache
+// (below) memoizes device builds and CDF values across models.
 //
-// Thread-safety: a fully constructed SystemModel is immutable, so all
-// const member functions may be called concurrently.  Construction itself
-// may fan out across ThreadPool::global() when
-// PredictOptions::num_threads != 1.
+// Execution: a model builds and answers on the calling thread.  A fully
+// constructed SystemModel is immutable, so all const member functions
+// may be called concurrently.
 //
 // Dedup: devices equal by value (device_model_key) are built once and
 // every CDF query evaluates once per distinct device; the rate-weighted
 // reduction still runs over every device in device order.
 //
 // Determinism: for fixed parameters, every query returns bit-identical
-// results regardless of num_threads and of whether a cache is attached —
-// parallel workers write disjoint slots that are reduced in device order,
-// and cached values are deterministic functions of their keys.  This is
-// enforced by tests/core/test_parallel_prediction.cpp.
+// results whether or not a cache is attached — cached values are
+// deterministic functions of their keys.  This is enforced by
+// tests/core/test_parallel_prediction.cpp.
 #pragma once
 
 #include <cstdint>
@@ -155,7 +152,7 @@ class DeviceModel {
 // deterministic functions of their keys, so cached and uncached runs are
 // bit-identical.  Thread-safe; share one instance across threads and
 // models, and keep it alive for as long as any SystemModel holds a
-// pointer to it (PredictOptions::cache).
+// pointer to it.
 struct PredictionCache {
   // 16 lock stripes: the what-if service shares one instance across every
   // tenant thread, and fingerprint keys stripe evenly (see the sharding
@@ -189,14 +186,14 @@ std::uint64_t quantile_cache_key(const std::vector<DeviceModel>& devices,
 
 class SystemModel {
  public:
-  // Validates and assembles the whole-system model.  `predict` controls
-  // execution only (see PredictOptions): results are identical for every
-  // setting.  If `predict.cache` is non-null it must outlive this model.
-  // Throws OverloadError when any device or frontend group is saturated,
+  // Validates and assembles the whole-system model.  A non-null `cache`
+  // is read and filled by the build and every query (results are
+  // identical without it), and must outlive this model.  Throws
+  // OverloadError when any device or frontend group is saturated,
   // std::invalid_argument for invalid parameters (negative rates, rate
   // mismatches, missing distributions).
   explicit SystemModel(SystemParams params, ModelOptions options = {},
-                       PredictOptions predict = {});
+                       PredictionCache* cache = nullptr);
 
   const FrontendModel& frontend() const { return frontend_; }
   const std::vector<DeviceModel>& devices() const { return devices_; }
@@ -205,9 +202,9 @@ class SystemModel {
   // device's CDF its DeviceModel::cdf (inversions at kModelEulerOrder).
   // Precondition: sla > 0 (seconds).
   double predict_sla_percentile(double sla) const;
-  // Batch form: one value per entry of `slas`, the distinct devices
-  // fanned across PredictOptions::num_threads, each evaluating the cells
-  // the cache does not hold in one batched tape call.  Equivalent to —
+  // Batch form: one value per entry of `slas`, each distinct device
+  // evaluating the cells the cache does not hold in one batched tape
+  // call.  Equivalent to —
   // and bit-identical with — calling predict_sla_percentile per element.
   std::vector<double> predict_sla_percentiles(
       const std::vector<double>& slas) const;
@@ -249,7 +246,7 @@ class SystemModel {
   std::vector<std::size_t> slot_;
   std::vector<std::size_t> distinct_;
   double total_rate_ = 0.0;
-  PredictOptions predict_;
+  PredictionCache* cache_ = nullptr;
 };
 
 }  // namespace cosm::core

@@ -5,23 +5,10 @@
 #include <stdexcept>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "numerics/compose.hpp"
 #include "obs/obs.hpp"
 
 namespace cosm::core {
-
-namespace {
-
-// Sweeps fan out at the iteration level, so the model build inside each
-// iteration runs serially — fanning twice would just oversubscribe the
-// pool.  The cache still flows through: that is where the sharing between
-// iterations happens.
-PredictOptions inner_options(const PredictOptions& predict) {
-  return PredictOptions{1, predict.cache};
-}
-
-}  // namespace
 
 void SlaTarget::validate() const {
   COSM_REQUIRE(sla > 0, "SLA bound must be positive");
@@ -30,10 +17,10 @@ void SlaTarget::validate() const {
 }
 
 bool meets_target(const SystemParams& params, const SlaTarget& target,
-                  ModelOptions options, const PredictOptions& predict) {
+                  ModelOptions options, PredictionCache* cache) {
   target.validate();
   try {
-    const SystemModel model(params, options, predict);
+    const SystemModel model(params, options, cache);
     return model.predict_sla_percentile(target.sla) >= target.percentile;
   } catch (const OverloadError&) {
     // Saturation is a *result* here, not a caller bug: an overloaded
@@ -49,24 +36,24 @@ std::optional<unsigned> min_devices_for(const ClusterFactory& factory,
                                         unsigned min_devices,
                                         unsigned max_devices,
                                         ModelOptions options,
-                                        const PredictOptions& predict) {
+                                        PredictionCache* cache) {
   COSM_REQUIRE(factory != nullptr, "cluster factory required");
   COSM_REQUIRE(min_devices >= 1 && min_devices <= max_devices,
                "device range must be non-empty");
   // Compliance is monotone in the device count (less load per device), so
   // binary search applies; guard with the endpoints first.
   if (!meets_target(factory(total_rate, max_devices), target, options,
-                    predict)) {
+                    cache)) {
     return std::nullopt;
   }
   unsigned lo = min_devices;  // possibly non-compliant
   unsigned hi = max_devices;  // compliant
-  if (meets_target(factory(total_rate, lo), target, options, predict)) {
+  if (meets_target(factory(total_rate, lo), target, options, cache)) {
     return lo;
   }
   while (hi - lo > 1) {
     const unsigned mid = lo + (hi - lo) / 2;
-    if (meets_target(factory(total_rate, mid), target, options, predict)) {
+    if (meets_target(factory(total_rate, mid), target, options, cache)) {
       hi = mid;
     } else {
       lo = mid;
@@ -79,13 +66,13 @@ double max_admission_rate(const ClusterFactory& factory,
                           unsigned device_count, const SlaTarget& target,
                           double rate_limit, double tolerance,
                           ModelOptions options,
-                          const PredictOptions& predict) {
+                          PredictionCache* cache) {
   COSM_REQUIRE(factory != nullptr, "cluster factory required");
   COSM_REQUIRE(rate_limit > 0, "rate limit must be positive");
   COSM_REQUIRE(tolerance > 0, "tolerance must be positive");
   const auto ok = [&](double rate) {
     return meets_target(factory(rate, device_count), target, options,
-                        predict);
+                        cache);
   };
   if (ok(rate_limit)) return rate_limit;
   double lo = 0.0;
@@ -108,15 +95,15 @@ double max_admission_rate(const ClusterFactory& factory,
 std::vector<std::optional<unsigned>> elastic_schedule(
     const ClusterFactory& factory, const std::vector<double>& period_rates,
     const SlaTarget& target, unsigned max_devices, ModelOptions options,
-    const PredictOptions& predict) {
+    PredictionCache* cache) {
   COSM_REQUIRE(factory != nullptr, "cluster factory required");
   obs::Span span("whatif.elastic");
-  const PredictOptions inner = inner_options(predict);
-  std::vector<std::optional<unsigned>> schedule(period_rates.size());
-  parallel_for(period_rates.size(), predict.num_threads, [&](std::size_t p) {
-    schedule[p] = min_devices_for(factory, period_rates[p], target, 1,
-                                  max_devices, options, inner);
-  });
+  std::vector<std::optional<unsigned>> schedule;
+  schedule.reserve(period_rates.size());
+  for (const double rate : period_rates) {
+    schedule.push_back(min_devices_for(factory, rate, target, 1, max_devices,
+                                       options, cache));
+  }
   return schedule;
 }
 
@@ -192,10 +179,10 @@ SystemParams degrade(const SystemParams& healthy,
 double degraded_sla_percentile(const SystemParams& healthy,
                                const DegradedScenario& scenario, double sla,
                                ModelOptions options,
-                               const PredictOptions& predict) {
+                               PredictionCache* cache) {
   COSM_REQUIRE(sla > 0, "SLA bound must be positive");
   try {
-    const SystemModel model(degrade(healthy, scenario), options, predict);
+    const SystemModel model(degrade(healthy, scenario), options, cache);
     return model.predict_sla_percentile(sla);
   } catch (const OverloadError&) {
     return 0.0;  // the degraded system misses any SLA
@@ -276,7 +263,7 @@ SystemParams apply_redundancy_load(const SystemParams& healthy,
 
 double redundant_sla_percentile(const SystemParams& healthy, double sla,
                                 ModelOptions options,
-                                const PredictOptions& predict) {
+                                PredictionCache* cache) {
   COSM_REQUIRE(sla > 0, "SLA bound must be positive");
   const RedundancyOptions& red = options.redundancy;
   validate_redundancy(red);
@@ -284,7 +271,7 @@ double redundant_sla_percentile(const SystemParams& healthy, double sla,
   try {
     if (red.mode != RedundancyOptions::Mode::kHedge) {
       const SystemModel model(apply_redundancy_load(healthy, red), options,
-                              predict);
+                              cache);
       return model.predict_sla_percentile(sla);
     }
     // Hedging: the inflation factor 2 - F(d) needs F(d) of the hedged
@@ -296,7 +283,7 @@ double redundant_sla_percentile(const SystemParams& healthy, double sla,
     // a few rounds settle it far below the model's own accuracy; bail
     // out early once the factor moves < 1e-4.  Overload at any round
     // means the true hedged load has no stable fixed point: return 0.
-    const SystemModel seed_model(healthy, options, predict);
+    const SystemModel seed_model(healthy, options, cache);
     double cdf_at_delay =
         seed_model.predict_sla_percentile(red.hedge_delay);
     double percentile = seed_model.predict_sla_percentile(sla);
@@ -308,7 +295,7 @@ double redundant_sla_percentile(const SystemParams& healthy, double sla,
       last_factor = factor;
       const SystemModel model(
           apply_redundancy_load(healthy, red, cdf_at_delay), options,
-          predict);
+          cache);
       cdf_at_delay = model.predict_sla_percentile(red.hedge_delay);
       percentile = model.predict_sla_percentile(sla);
     }
@@ -321,7 +308,7 @@ double redundant_sla_percentile(const SystemParams& healthy, double sla,
 std::vector<RedundancyChoice> evaluate_redundancy_policies(
     const SystemParams& healthy,
     const std::vector<RedundancyOptions>& candidates, double sla,
-    ModelOptions options, const PredictOptions& predict) {
+    ModelOptions options, PredictionCache* cache) {
   COSM_REQUIRE(sla > 0, "SLA bound must be positive");
   for (const RedundancyOptions& candidate : candidates) {
     validate_redundancy(candidate);
@@ -329,34 +316,32 @@ std::vector<RedundancyChoice> evaluate_redundancy_policies(
   obs::Span span("whatif.redundancy_search");
   ModelOptions baseline_options = options;
   baseline_options.redundancy = RedundancyOptions{};
-  const PredictOptions inner = inner_options(predict);
-  // Baseline first (serial) so every worker compares against one number.
   double baseline = 0.0;
   try {
-    const SystemModel model(healthy, baseline_options, inner);
+    const SystemModel model(healthy, baseline_options, cache);
     baseline = model.predict_sla_percentile(sla);
   } catch (const OverloadError&) {
     baseline = 0.0;
   }
-  std::vector<RedundancyChoice> choices(candidates.size());
-  parallel_for(candidates.size(), predict.num_threads, [&](std::size_t i) {
+  std::vector<RedundancyChoice> choices;
+  choices.reserve(candidates.size());
+  for (const RedundancyOptions& candidate : candidates) {
     ModelOptions candidate_options = options;
-    candidate_options.redundancy = candidates[i];
-    choices[i].options = candidates[i];
-    choices[i].percentile =
-        redundant_sla_percentile(healthy, sla, candidate_options, inner);
-    choices[i].beats_baseline = choices[i].percentile > baseline;
-  });
+    candidate_options.redundancy = candidate;
+    const double percentile =
+        redundant_sla_percentile(healthy, sla, candidate_options, cache);
+    choices.push_back({candidate, percentile, percentile > baseline});
+  }
   return choices;
 }
 
 std::optional<RedundancyChoice> best_redundancy_policy(
     const SystemParams& healthy,
     const std::vector<RedundancyOptions>& candidates, double sla,
-    ModelOptions options, const PredictOptions& predict) {
+    ModelOptions options, PredictionCache* cache) {
   const std::vector<RedundancyChoice> choices =
       evaluate_redundancy_policies(healthy, candidates, sla, options,
-                                   predict);
+                                   cache);
   std::optional<RedundancyChoice> best;
   for (const RedundancyChoice& choice : choices) {
     if (!choice.beats_baseline) continue;
@@ -388,7 +373,7 @@ std::vector<std::pair<std::size_t, double>> sla_miss_contributions(
 std::vector<TierPlanPoint> tier_capacity_sweep(
     const TierFactory& factory, const std::vector<TierCandidate>& candidates,
     const SlaTarget& target, ModelOptions options,
-    const PredictOptions& predict) {
+    PredictionCache* cache) {
   COSM_REQUIRE(factory != nullptr, "tier factory required");
   target.validate();
   for (const TierCandidate& candidate : candidates) {
@@ -396,27 +381,27 @@ std::vector<TierPlanPoint> tier_capacity_sweep(
                  "tier candidate hit ratio must be in [0, 1]");
   }
   obs::Span span("whatif.tier_sweep");
-  const PredictOptions inner = inner_options(predict);
-  std::vector<TierPlanPoint> points(candidates.size());
-  parallel_for(candidates.size(), predict.num_threads, [&](std::size_t i) {
-    points[i].candidate = candidates[i];
+  std::vector<TierPlanPoint> points;
+  points.reserve(candidates.size());
+  for (const TierCandidate& candidate : candidates) {
+    double percentile = 0.0;
     try {
-      const SystemModel model(factory(candidates[i]), options, inner);
-      points[i].percentile = model.predict_sla_percentile(target.sla);
+      const SystemModel model(factory(candidate), options, cache);
+      percentile = model.predict_sla_percentile(target.sla);
     } catch (const OverloadError&) {
-      points[i].percentile = 0.0;  // this tier size leaves the disk saturated
+      percentile = 0.0;  // this tier size leaves the disk saturated
     }
-    points[i].meets_target = points[i].percentile >= target.percentile;
-  });
+    points.push_back({candidate, percentile, percentile >= target.percentile});
+  }
   return points;
 }
 
 std::optional<TierPlanPoint> min_tier_capacity_for(
     const TierFactory& factory, const std::vector<TierCandidate>& candidates,
     const SlaTarget& target, ModelOptions options,
-    const PredictOptions& predict) {
+    PredictionCache* cache) {
   const std::vector<TierPlanPoint> points =
-      tier_capacity_sweep(factory, candidates, target, options, predict);
+      tier_capacity_sweep(factory, candidates, target, options, cache);
   std::optional<TierPlanPoint> best;
   for (const TierPlanPoint& point : points) {
     if (!point.meets_target) continue;

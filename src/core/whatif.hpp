@@ -9,21 +9,11 @@
 // enough to know that the system does not perform well in such
 // situations").
 //
-// Execution: every search takes a trailing PredictOptions.  The sweeps
-// (elastic_schedule over periods, evaluate_redundancy_policies over
-// candidates, tier_capacity_sweep over tier sizes) fan their independent
-// iterations across PredictOptions::num_threads; the inner model builds
-// then run serially per iteration but still share PredictOptions::cache,
-// so repeated configurations (the same candidate device count at several
-// periods) are built once.  Sequential
-// searches (min_devices_for, max_admission_rate) can't fan out — each
-// probe depends on the last — but benefit from the cache the same way.
-// Results are bit-identical for every num_threads and cache setting.
-//
-// Thread-safety: when num_threads != 1 the ClusterFactory is invoked
-// concurrently from pool threads and MUST be thread-safe (a factory that
-// only reads captured parameters and allocates qualifies; one mutating
-// shared state does not).
+// Execution: every search runs on the calling thread and takes a
+// trailing PredictionCache* (nullptr: no caching).  Every model a search
+// builds shares it, so repeated configurations (the same candidate device
+// count at several periods, a bisection probe revisited) are built once.
+// Results are bit-identical with and without a cache.
 #pragma once
 
 #include <cstddef>
@@ -46,14 +36,13 @@ struct SlaTarget {
 // Builds SystemParams for a candidate configuration: given a total
 // arrival rate (req/s) and a device count, returns the parameter set to
 // evaluate.  Callers encode their hardware assumptions (disk profiles,
-// miss ratios, process counts) inside the factory.  Must be thread-safe
-// when used with PredictOptions::num_threads != 1 (see file comment).
+// miss ratios, process counts) inside the factory.
 using ClusterFactory =
     std::function<SystemParams(double total_rate, unsigned device_count)>;
 
 // Whether `params` meets the target; false when overloaded.
 bool meets_target(const SystemParams& params, const SlaTarget& target,
-                  ModelOptions options = {}, const PredictOptions& predict = {});
+                  ModelOptions options = {}, PredictionCache* cache = nullptr);
 
 // Capacity planning: smallest device count in [min_devices, max_devices]
 // meeting the target at `total_rate`; nullopt if none does.
@@ -64,7 +53,7 @@ std::optional<unsigned> min_devices_for(const ClusterFactory& factory,
                                         unsigned min_devices,
                                         unsigned max_devices,
                                         ModelOptions options = {},
-                                        const PredictOptions& predict = {});
+                                        PredictionCache* cache = nullptr);
 
 // Overload control: largest admitted rate in (0, rate_limit] meeting the
 // target with `device_count` devices, found by bisection to `tolerance`
@@ -76,17 +65,15 @@ double max_admission_rate(const ClusterFactory& factory,
                           unsigned device_count, const SlaTarget& target,
                           double rate_limit, double tolerance = 0.5,
                           ModelOptions options = {},
-                          const PredictOptions& predict = {});
+                          PredictionCache* cache = nullptr);
 
 // Elastic storage: per-period minimum active device counts for a workload
 // curve (e.g. hourly rates); entries are nullopt where even max_devices
-// misses the target.  Periods are independent and fan out across
-// PredictOptions::num_threads (the per-period binary search stays
-// serial).
+// misses the target.  One min_devices_for binary search per period.
 std::vector<std::optional<unsigned>> elastic_schedule(
     const ClusterFactory& factory, const std::vector<double>& period_rates,
     const SlaTarget& target, unsigned max_devices,
-    ModelOptions options = {}, const PredictOptions& predict = {});
+    ModelOptions options = {}, PredictionCache* cache = nullptr);
 
 // Bottleneck identification: per-device share of SLA misses,
 // share_j = r_j (1 - F_j(sla)) / sum_k r_k (1 - F_k(sla)), descending by
@@ -139,7 +126,7 @@ SystemParams degrade(const SystemParams& healthy,
 double degraded_sla_percentile(const SystemParams& healthy,
                                const DegradedScenario& scenario, double sla,
                                ModelOptions options = {},
-                               const PredictOptions& predict = {});
+                               PredictionCache* cache = nullptr);
 
 // ----- Redundancy what-if (tail-tolerance extension) -----
 //
@@ -185,7 +172,7 @@ SystemParams apply_redundancy_load(const SystemParams& healthy,
 // side of the crossover.  Precondition: sla > 0.
 double redundant_sla_percentile(const SystemParams& healthy, double sla,
                                 ModelOptions options = {},
-                                const PredictOptions& predict = {});
+                                PredictionCache* cache = nullptr);
 
 // One evaluated redundancy policy: the options, the achieved percentile
 // at the target SLA (0 when overloaded), and whether it beats the
@@ -196,8 +183,8 @@ struct RedundancyChoice {
   bool beats_baseline = false;
 };
 
-// Policy search: evaluates every candidate (fanning across
-// PredictOptions::num_threads) plus the single-attempt baseline, and
+// Policy search: evaluates every candidate plus the single-attempt
+// baseline, and
 // returns the candidates in input order with `beats_baseline` filled.
 // The best policy is the max-percentile entry; ties resolve to the
 // earliest candidate.  Use candidates spanning hedge deadlines and
@@ -205,14 +192,14 @@ struct RedundancyChoice {
 std::vector<RedundancyChoice> evaluate_redundancy_policies(
     const SystemParams& healthy,
     const std::vector<RedundancyOptions>& candidates, double sla,
-    ModelOptions options = {}, const PredictOptions& predict = {});
+    ModelOptions options = {}, PredictionCache* cache = nullptr);
 
 // The argmax over evaluate_redundancy_policies — nullopt when no
 // candidate beats the single-attempt baseline at the target.
 std::optional<RedundancyChoice> best_redundancy_policy(
     const SystemParams& healthy,
     const std::vector<RedundancyOptions>& candidates, double sla,
-    ModelOptions options = {}, const PredictOptions& predict = {});
+    ModelOptions options = {}, PredictionCache* cache = nullptr);
 
 // ----- Tiering what-if (two-tier storage extension) -----
 //
@@ -237,12 +224,11 @@ struct TierPlanPoint {
   bool meets_target = false;
 };
 
-// Evaluates every candidate (fanned across PredictOptions::num_threads),
-// returned in input order.  Must be thread-safe factory, as elsewhere.
+// Evaluates every candidate, returned in input order.
 std::vector<TierPlanPoint> tier_capacity_sweep(
     const TierFactory& factory, const std::vector<TierCandidate>& candidates,
     const SlaTarget& target, ModelOptions options = {},
-    const PredictOptions& predict = {});
+    PredictionCache* cache = nullptr);
 
 // "How much SSD buys p99 <= d?": the smallest-capacity candidate meeting
 // the target, or nullopt when none does.  Ties on capacity resolve to
@@ -250,6 +236,6 @@ std::vector<TierPlanPoint> tier_capacity_sweep(
 std::optional<TierPlanPoint> min_tier_capacity_for(
     const TierFactory& factory, const std::vector<TierCandidate>& candidates,
     const SlaTarget& target, ModelOptions options = {},
-    const PredictOptions& predict = {});
+    PredictionCache* cache = nullptr);
 
 }  // namespace cosm::core

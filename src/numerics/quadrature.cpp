@@ -28,25 +28,6 @@ constexpr std::array<double, 16> kGlWeights = {
 
 }  // namespace
 
-double integrate_gauss(const std::function<double(double)>& f, double a,
-                       double b, int panels) {
-  COSM_REQUIRE(a <= b, "integration bounds must be ordered");
-  COSM_REQUIRE(panels > 0, "need at least one panel");
-  const double h = (b - a) / panels;
-  double total = 0.0;
-  for (int p = 0; p < panels; ++p) {
-    const double mid = a + (p + 0.5) * h;
-    const double half = 0.5 * h;
-    double panel_sum = 0.0;
-    for (std::size_t i = 0; i < kGlNodes.size(); ++i) {
-      const double dx = half * kGlNodes[i];
-      panel_sum += kGlWeights[i] * (f(mid - dx) + f(mid + dx));
-    }
-    total += panel_sum * half;
-  }
-  return total;
-}
-
 std::complex<double> integrate_gauss_complex(
     const std::function<std::complex<double>(double)>& f, double a, double b,
     int panels) {

@@ -38,7 +38,7 @@
 //
 // Thread-safety: all functions are safe to call concurrently.  Span
 // nesting depth is tracked per thread (thread_local), so spans opened on
-// pool workers inside cosm::parallel_for nest correctly within whatever
+// pool workers (simulator replications) nest correctly within whatever
 // that worker was running.  Span names must be string literals (or
 // otherwise outlive the process) — the ring stores the pointer.
 #pragma once

@@ -1,13 +1,24 @@
 #include "queueing/mg1k.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
+#include <complex>
+#include <numbers>
 
 #include "common/require.hpp"
-#include "numerics/quadrature.hpp"
+#include "numerics/fft.hpp"
 #include "numerics/transform_nodes.hpp"
 
 namespace cosm::queueing {
+
+namespace {
+
+// The absolute accuracy of the FFT-recovered a_j (a few ulp of |A| <= 1,
+// times the radius^{-j} rescaling).  An a_0 below it is indistinguishable
+// from 0.
+constexpr double kArrivalResolution = 1e-14;
+
+}  // namespace
 
 MG1K::MG1K(double arrival_rate, numerics::DistPtr service, int capacity)
     : arrival_rate_(arrival_rate),
@@ -23,34 +34,28 @@ MG1K::MG1K(double arrival_rate, numerics::DistPtr service, int capacity)
 }
 
 std::vector<double> MG1K::arrivals_per_service() const {
-  // a_j = ∫ e^{-rt}(rt)^j/j! dB(t).  The service CDF B is all we have, so
-  // integrate by parts: for j >= 1 the boundary terms vanish and
-  //   a_j = ∫ e^{-rt} r [ (rt)^j/j! - (rt)^{j-1}/(j-1)! ] B(t) dt,
-  // and a_0 = r ∫ e^{-rt} B(t) dt.
-  const double r = arrival_rate_;
-  // Upper cut: beyond it either e^{-rt} or 1 - B(t) is negligible.
-  const double horizon = std::max(40.0 / r, 64.0 * service_->mean());
-  const int panels = 256;
-  std::vector<double> a(capacity_, 0.0);
+  // A(z) = L[B](r - rz) sampled at z_k = radius * e^{2 pi i k / N}: its
+  // forward DFT is N * radius^j * (a_j + sum_{m >= 1} a_{j+mN} radius^{mN}),
+  // and radius^N = e^{-36} makes the aliases negligible.  N >= 8K keeps
+  // the rescaling radius^{-j} below e^{4.5} for every j < K, so the FFT's
+  // rounding stays near 1e-14 absolute.
+  const std::size_t n =
+      numerics::next_pow2(8 * static_cast<std::size_t>(capacity_));
+  const double radius = std::exp(-36.0 / static_cast<double>(n));
+  std::vector<std::complex<double>> s(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double angle =
+        2.0 * std::numbers::pi * static_cast<double>(k) / static_cast<double>(n);
+    s[k] = {arrival_rate_ * (1.0 - radius * std::cos(angle)),
+            -arrival_rate_ * radius * std::sin(angle)};
+  }
+  std::vector<std::complex<double>> values(n);
+  service_->laplace_many(s, values);
+  numerics::fft(values, false);
+  std::vector<double> a(capacity_);
   for (int j = 0; j < capacity_; ++j) {
-    const auto integrand = [&, j](double t) {
-      const double b = service_->cdf(t);
-      const double x = r * t;
-      double weight;
-      if (j == 0) {
-        weight = 1.0;
-      } else {
-        // (rt)^{j-1}/(j-1)! - (rt)^j/j!, computed in log space to survive
-        // large j * log(rt) magnitudes.
-        const double log_pow_jm1 =
-            (j - 1) * std::log(std::max(x, 1e-300)) - std::lgamma(j);
-        const double log_pow_j =
-            j * std::log(std::max(x, 1e-300)) - std::lgamma(j + 1.0);
-        weight = std::exp(log_pow_j) - std::exp(log_pow_jm1);
-      }
-      return std::exp(-x) * r * weight * b;
-    };
-    a[j] = numerics::integrate_gauss(integrand, 0.0, horizon, panels);
+    a[j] = std::max(0.0, values[j].real() / static_cast<double>(n) *
+                             std::pow(radius, -static_cast<double>(j)));
   }
   return a;
 }
@@ -107,28 +112,35 @@ void MG1K::solve() {
   // Embedded chain at departure epochs over states {0, ..., K-1} (jobs
   // left behind).  From state i >= 1 the next departure leaves
   // min(i - 1 + J, K - 1); state 0 behaves like state 1 after the next
-  // arrival.  Stationary distribution by power iteration (K is small).
-  std::vector<double> pi(k, 1.0 / k);
-  std::vector<double> next(k, 0.0);
-  for (int iter = 0; iter < 20000; ++iter) {
-    std::fill(next.begin(), next.end(), 0.0);
-    for (int i = 0; i < k; ++i) {
-      const int base = (i == 0) ? 0 : i - 1;  // jobs present after departure
-      double tail = 1.0;
-      for (int j = 0; base + j < k - 1 && j < k; ++j) {
-        next[base + j] += pi[i] * a[j];
-        tail -= a[j];
-      }
-      next[k - 1] += pi[i] * std::max(tail, 0.0);
-    }
-    double delta = 0.0;
-    for (int i = 0; i < k; ++i) {
-      delta += std::abs(next[i] - pi[i]);
-      pi[i] = next[i];
-    }
-    if (delta < 1e-14) break;
+  // arrival.  Across the cut between j and j + 1 the only downward move
+  // is j + 1 -> j (no arrival, probability a_0), and state i jumps over
+  // it when at least j - i + 2 arrive (j + 1 from state 0), so
+  //   pi_{j+1} a_0 = pi_0 tail_j + sum_{i=1..j} pi_i tail_{j-i+1},
+  // tail_m = P(J > m).  Every term is non-negative.
+  std::vector<double> tail(k);
+  double remaining = 1.0;
+  for (int m = 0; m < k; ++m) {
+    remaining = std::max(0.0, remaining - a[m]);
+    tail[m] = remaining;
   }
-  // Normalize defensively (quadrature noise in a_j).
+  std::vector<double> pi(k, 0.0);
+  if (a[0] <= kArrivalResolution) {
+    // No departure ever finds the queue without an arrival behind it:
+    // the chain is absorbed in K - 1.
+    pi[k - 1] = 1.0;
+  } else {
+    pi[0] = 1.0;
+    for (int j = 0; j + 1 < k; ++j) {
+      double flow = pi[0] * tail[j];
+      for (int i = 1; i <= j; ++i) flow += pi[i] * tail[j - i + 1];
+      pi[j + 1] = flow / a[0];
+      // A nearly saturated queue grows pi by up to 1 / a_0 per state:
+      // rescale before it overflows (the ratios are all that matter).
+      if (pi[j + 1] > 1e200) {
+        for (int i = 0; i <= j + 1; ++i) pi[i] *= 1e-200;
+      }
+    }
+  }
   double total = 0.0;
   for (const double v : pi) total += v;
   for (double& v : pi) v /= total;

@@ -4,10 +4,15 @@
 // K = N_be) with an M/M/1/K because the latter has a closed-form sojourn
 // transform.  To quantify that approximation error (the paper's stated
 // source of systematic error in scenario S16), this module solves the
-// M/G/1/K embedded Markov chain at departure epochs *exactly* (up to
-// numerical quadrature of the arrivals-per-service kernel):
+// M/G/1/K embedded Markov chain at departure epochs exactly.  Its kernel,
 //
-//   a_j = P(j Poisson arrivals during one service) = ∫ e^{-rt}(rt)^j/j! dB(t)
+//   a_j = P(j Poisson arrivals during one service) = ∫ e^{-rt}(rt)^j/j! dB(t),
+//
+// has the probability generating function A(z) = sum_j a_j z^j =
+// L[B](r - rz), so the a_j are read off the service law's own transform
+// by one FFT on a circle of radius rho < 1 (aliasing error of order
+// rho^N); the chain is then solved by its cut equations, a recursion of
+// positive terms only.
 //
 // From the departure-epoch distribution pi we recover the time-average
 // queue-length distribution p_i and blocking probability P_K via the
@@ -56,8 +61,7 @@ class MG1K {
   numerics::DistPtr sojourn_time() const;
 
  private:
-  // P(j arrivals during one service), j = 0..capacity_ (last entry pools
-  // ">= capacity").
+  // P(j arrivals during one service), j = 0..capacity_ - 1.
   std::vector<double> arrivals_per_service() const;
   void solve();
 

@@ -9,7 +9,6 @@
 //   {"op":"sla","cluster":"a","sla":0.1}' | ./cosm_service
 //
 // Flags:
-//   --threads=N        per-request model-build fan-out (default 1)
 //   --trace-json=FILE  enable observability; export the obs trace
 //                      (counters incl. service.requests, spans) at EOF
 #include <fstream>
@@ -20,17 +19,13 @@
 #include "service/service.hpp"
 
 int main(int argc, char** argv) {
-  cosm::service::ServiceConfig config;
   std::string trace_json;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value_of = [&](const char* prefix) {
       return arg.substr(std::string(prefix).size());
     };
-    if (arg.rfind("--threads=", 0) == 0) {
-      config.num_threads =
-          static_cast<unsigned>(std::stoul(value_of("--threads=")));
-    } else if (arg.rfind("--trace-json=", 0) == 0) {
+    if (arg.rfind("--trace-json=", 0) == 0) {
       trace_json = value_of("--trace-json=");
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
@@ -39,7 +34,7 @@ int main(int argc, char** argv) {
   }
   if (!trace_json.empty()) cosm::obs::set_enabled(true);
 
-  cosm::service::WhatIfService service(config);
+  cosm::service::WhatIfService service;
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;

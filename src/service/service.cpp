@@ -89,13 +89,6 @@ JsonValue make_response(const JsonValue& request, bool ok) {
   return response;
 }
 
-JsonValue error_response(const JsonValue& request, const std::string& what) {
-  obs::add(obs::Counter::kServiceErrors);
-  JsonValue response = make_response(request, false);
-  response.set("error", what);
-  return response;
-}
-
 // Span names must be string literals (the obs ring stores the pointer).
 const char* span_name(std::string_view op) {
   if (op == "register") return "service.register";
@@ -174,13 +167,18 @@ core::SystemParams Cluster::build(double total_rate, unsigned device_count,
   return params;
 }
 
-WhatIfService::WhatIfService(ServiceConfig config) : config_(config) {}
+JsonValue WhatIfService::error_response(const JsonValue& request,
+                                        const std::string& what) {
+  errors_.fetch_add(1, std::memory_order_relaxed);
+  obs::add(obs::Counter::kServiceErrors);
+  JsonValue response = make_response(request, false);
+  response.set("error", what);
+  return response;
+}
 
-core::PredictOptions WhatIfService::predict_options() const {
-  core::PredictOptions predict;
-  predict.num_threads = config_.num_threads;
-  predict.cache = &cache_;
-  return predict;
+void WhatIfService::count_predictions(std::size_t n) const {
+  predictions_.fetch_add(n, std::memory_order_relaxed);
+  obs::add(obs::Counter::kServicePredictions, n);
 }
 
 std::string WhatIfService::handle_line(std::string_view line) {
@@ -192,6 +190,7 @@ std::string WhatIfService::handle_line(std::string_view line) {
   if (parsed.ok) {
     response = handle(parsed.value);
   } else {
+    requests_.fetch_add(1, std::memory_order_relaxed);
     obs::add(obs::Counter::kServiceRequests);
     response =
         error_response(JsonValue::object(), "parse error: " + parsed.error);
@@ -201,6 +200,7 @@ std::string WhatIfService::handle_line(std::string_view line) {
 }
 
 JsonValue WhatIfService::handle(const JsonValue& request) {
+  requests_.fetch_add(1, std::memory_order_relaxed);
   obs::add(obs::Counter::kServiceRequests);
   if (!request.is_object()) {
     return error_response(JsonValue::object(),
@@ -485,21 +485,18 @@ JsonValue WhatIfService::op_sla(const JsonValue& request) const {
   JsonValue percentiles = JsonValue::array();
   try {
     const core::SystemModel model(cluster->build(point.rate, point.devices),
-                                  {}, predict_options());
+                                  {}, &cache_);
     for (const double p : model.predict_sla_percentiles(slas)) {
       percentiles.push_back(p);
-      obs::add(obs::Counter::kServicePredictions);
     }
     response.set("overloaded", false);
   } catch (const core::OverloadError&) {
     // Saturation is a result, not an error: the system certainly misses
     // every SLA (the whatif convention, core/whatif.hpp).
-    for (std::size_t i = 0; i < slas.size(); ++i) {
-      percentiles.push_back(0.0);
-      obs::add(obs::Counter::kServicePredictions);
-    }
+    for (std::size_t i = 0; i < slas.size(); ++i) percentiles.push_back(0.0);
     response.set("overloaded", true);
   }
+  count_predictions(slas.size());
   if (request.find("slas") != nullptr) {
     response.set("percentiles", std::move(percentiles));
   } else {
@@ -521,19 +518,18 @@ JsonValue WhatIfService::op_quantile(const JsonValue& request) const {
   JsonValue latencies = JsonValue::array();
   try {
     const core::SystemModel model(cluster->build(point.rate, point.devices),
-                                  {}, predict_options());
+                                  {}, &cache_);
     for (const double latency : model.latency_quantiles(ps)) {
       latencies.push_back(latency);
-      obs::add(obs::Counter::kServicePredictions);
     }
     response.set("overloaded", false);
   } catch (const core::OverloadError&) {
     for (std::size_t i = 0; i < ps.size(); ++i) {
       latencies.push_back(JsonValue());  // no finite bound exists
-      obs::add(obs::Counter::kServicePredictions);
     }
     response.set("overloaded", true);
   }
+  count_predictions(ps.size());
   if (request.find("ps") != nullptr) {
     response.set("latencies", std::move(latencies));
   } else {
@@ -562,8 +558,8 @@ JsonValue WhatIfService::op_devices(const JsonValue& request) const {
       };
   const auto devices =
       core::min_devices_for(factory, point.rate, target, min_devices,
-                            max_devices, {}, predict_options());
-  obs::add(obs::Counter::kServicePredictions);
+                            max_devices, {}, &cache_);
+  count_predictions(1);
   JsonValue response = make_response(request, true);
   response.set("found", devices.has_value());
   if (devices.has_value()) {
@@ -591,8 +587,8 @@ JsonValue WhatIfService::op_capacity(const JsonValue& request) const {
       };
   const double admitted =
       core::max_admission_rate(factory, point.devices, target, rate_limit,
-                               tolerance, {}, predict_options());
-  obs::add(obs::Counter::kServicePredictions);
+                               tolerance, {}, &cache_);
+  count_predictions(1);
   JsonValue response = make_response(request, true);
   response.set("max_rate", admitted);
   return response;
@@ -653,8 +649,8 @@ JsonValue WhatIfService::op_tier_size(const JsonValue& request) const {
                               ssd_read_ms, ssd_write_ms);
       };
   const auto chosen = core::min_tier_capacity_for(factory, candidates, target,
-                                                  {}, predict_options());
-  obs::add(obs::Counter::kServicePredictions);
+                                                  {}, &cache_);
+  count_predictions(1);
   JsonValue response = make_response(request, true);
   response.set("found", chosen.has_value());
   if (chosen.has_value()) {
@@ -702,14 +698,11 @@ JsonValue WhatIfService::op_stats() const {
     stats.set("clusters", static_cast<double>(clusters_.size()));
   }
   stats.set("requests",
-            static_cast<double>(
-                obs::counter_value(obs::Counter::kServiceRequests)));
+            static_cast<double>(requests_.load(std::memory_order_relaxed)));
   stats.set("errors",
-            static_cast<double>(
-                obs::counter_value(obs::Counter::kServiceErrors)));
+            static_cast<double>(errors_.load(std::memory_order_relaxed)));
   stats.set("predictions",
-            static_cast<double>(
-                obs::counter_value(obs::Counter::kServicePredictions)));
+            static_cast<double>(predictions_.load(std::memory_order_relaxed)));
   return stats;
 }
 

@@ -52,7 +52,8 @@
 //             last verdict, alarmed signals, re-fit count, current rate.
 //   list      — registered cluster names.
 //   stats     — shared-cache counters (hits/misses/evictions/shards) of
-//             the device_cache and cdf_cache, and request counters.
+//             the device_cache and cdf_cache, and this service's request,
+//             error and prediction counts (the stats request included).
 //
 // Counts.  Integer fields — devices, min, max, processes,
 // frontend_processes, objects, capacity/capacities, mem_chunks and the
@@ -61,25 +62,26 @@
 // line naming the field.  The bounds cap what one request may ask the
 // service to allocate and solve; they are not limits of the model.
 //
-// Execution.  Requests are handled on the caller's thread; the service
-// object is safe to drive from many threads at once (the registry is
-// guarded by a shared_mutex, requests share the registered Cluster, which
-// is immutable, and the PredictionCache is internally lock-striped).
-// ServiceConfig picks the fan-out width each request's model building
-// may use.
+// Execution.  Each request is handled entirely on the caller's thread;
+// the service object is safe to drive from many threads at once (the
+// registry is guarded by a shared_mutex, requests share the registered
+// Cluster, which is immutable, and the PredictionCache is internally
+// lock-striped).
 //
 // Determinism: identical requests against identical registry state
-// produce byte-identical response lines, cached or not, whatever the
-// thread count — the property tests/service/test_service.cpp and the
-// repository benchmark's service_hit workload check.
+// produce byte-identical response lines, cached or not — the property
+// tests/service/test_service.cpp and the repository benchmark's
+// service_hit workload check.
 //
-// Observability: every request bumps obs::Counter::kServiceRequests,
-// error responses bump kServiceErrors, each produced number bumps
-// kServicePredictions, and each op runs under an obs::Span named
+// Observability: the service counts its requests, error responses and
+// produced numbers itself (the stats op), and mirrors each count into
+// obs::Counter::kServiceRequests, kServiceErrors and kServicePredictions
+// for trace export.  Each op runs under an obs::Span named
 // "service.<op>"; handle_line's JSON parse and dump run under
 // "service.json_parse" and "service.json_dump".
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
@@ -102,12 +104,6 @@ namespace cosm::service {
 inline constexpr std::uint64_t kMaxUnitCount = 65536;
 inline constexpr std::uint64_t kMaxChunkCount = std::uint64_t{1} << 24;
 inline constexpr double kMaxChunkKb = 1024.0 * 1024.0;
-
-struct ServiceConfig {
-  // PredictOptions::num_threads for each request's model building /
-  // sweeps (1 = serial; results are identical for every setting).
-  unsigned num_threads = 1;
-};
 
 // A registered cluster family: everything needed to build SystemParams
 // for any (total rate, device count) the what-if ops probe.  Defaults
@@ -162,7 +158,7 @@ class Cluster {
 
 class WhatIfService {
  public:
-  explicit WhatIfService(ServiceConfig config = {});
+  WhatIfService() = default;
 
   // One protocol round: parses `line`, dispatches, serializes.  Never
   // throws — every failure becomes an {"ok": false, "error": ...} line.
@@ -173,13 +169,16 @@ class WhatIfService {
 
   // The shared cross-tenant cache (exposed for stats and benches).
   core::PredictionCache& cache() { return cache_; }
-  const ServiceConfig& config() const { return config_; }
 
  private:
   common::JsonValue dispatch(const common::JsonValue& request);
   std::shared_ptr<const Cluster> cluster_for(
       const common::JsonValue& request) const;
-  core::PredictOptions predict_options() const;
+  // An {"ok": false} response, counted as an error.
+  common::JsonValue error_response(const common::JsonValue& request,
+                                   const std::string& what);
+  // Counts `n` produced numbers.
+  void count_predictions(std::size_t n) const;
 
   // Per-cluster online calibration state (the service-facing face of the
   // loop in calibration/recalibrate.hpp — signals arrive over the wire
@@ -206,7 +205,11 @@ class WhatIfService {
   common::JsonValue op_list() const;
   common::JsonValue op_stats() const;
 
-  ServiceConfig config_;
+  // The stats op's counts, always kept (obs counters count only while
+  // tracing is on).
+  std::atomic<std::uint64_t> requests_{0};
+  std::atomic<std::uint64_t> errors_{0};
+  mutable std::atomic<std::uint64_t> predictions_{0};
   // Shared across every tenant and every calling thread; lock-striped
   // internally (core/params.hpp), so concurrent requests contend only on
   // individual stripes, not one global mutex.  `mutable` because caching

@@ -135,22 +135,22 @@ ReplicationResult detail::summarize_replication(const SimMetrics& metrics,
 }
 
 ReplicationSet run_replications(const ReplicationPlan& plan,
-                                unsigned num_threads) {
+                                unsigned threads) {
   COSM_REQUIRE(!plan.seeds.empty(), "replication plan needs >= 1 seed");
   ReplicationSet set;
   set.replications.resize(plan.seeds.size());
 
   // Sharded replications spawn their own per-shard worker threads, so the
   // replication fan-out is narrowed to keep shards × replications near the
-  // requested thread budget (num_threads == 0 means "the hardware").
-  unsigned fanout = num_threads;
+  // requested thread budget (threads == 0 means "the hardware").
+  unsigned fanout = threads;
   const unsigned per_replication =
       plan.cluster.shards > 1 && plan.shard_threads != 1
           ? plan.cluster.shards
           : 1;
   if (per_replication > 1) {
     const unsigned budget =
-        num_threads != 0 ? num_threads
+        threads != 0 ? threads
                          : std::max(1u, std::thread::hardware_concurrency());
     fanout = std::max(1u, budget / per_replication);
   }

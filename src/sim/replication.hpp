@@ -5,7 +5,7 @@
 // shared), writes into its own pre-allocated result slot, and the
 // reduction happens on the calling thread in seed order AFTER the fan-out
 // returns.  Consequently the merged result is bit-identical for any
-// thread count, including the pool-free serial path (num_threads == 1) —
+// thread count, including the pool-free serial path (threads == 1) —
 // the property tests/sim/test_replication.cpp pins and the perf harness
 // gates on.
 //
@@ -128,10 +128,10 @@ std::shared_ptr<const cosm::ZipfSampler> shared_popularity(
     std::uint64_t object_count, double zipf_skew);
 }  // namespace detail
 
-// Fans the plan's replications out over up to `num_threads` threads
+// Fans the plan's replications out over up to `threads` threads
 // (1 = serial on the calling thread, 0 = uncapped global pool) and merges
-// in plan order.  Bit-identical for every `num_threads` value.
+// in plan order.  Bit-identical for every `threads` value.
 ReplicationSet run_replications(const ReplicationPlan& plan,
-                                unsigned num_threads);
+                                unsigned threads);
 
 }  // namespace cosm::sim

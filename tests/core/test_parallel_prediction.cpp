@@ -1,7 +1,7 @@
 // The pipeline's determinism contract: predictions are bit-identical
-// across thread counts {1, 2, 4, 8} and with/without a PredictionCache
-// attached — parallel workers fill disjoint slots reduced in fixed
-// order, and cached values are deterministic functions of their keys.
+// with and without a PredictionCache attached — cached values are
+// deterministic functions of their keys — and a model builds and
+// evaluates each distinct device once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,7 +52,6 @@ using cosm::core::DegradedScenario;
 using cosm::core::DeviceParams;
 using cosm::core::ModelOptions;
 using cosm::core::PredictionCache;
-using cosm::core::PredictOptions;
 using cosm::core::SlaTarget;
 using cosm::core::SystemModel;
 using cosm::core::SystemParams;
@@ -92,33 +91,28 @@ const std::vector<double> kLevels = {0.5, 0.9, 0.99};
 
 TEST(ParallelPrediction, BitIdenticalAcrossThreadCountsAndCache) {
   const SystemParams params = make_cluster(140.0, 4);
-  const SystemModel reference(params, {}, PredictOptions{1, nullptr});
+  const SystemModel reference(params);
   const std::vector<double> expected =
       reference.predict_sla_percentiles(kSlas);
 
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    for (const bool with_cache : {false, true}) {
-      PredictionCache cache;
-      const PredictOptions predict{threads, with_cache ? &cache : nullptr};
-      const SystemModel model(params, {}, predict);
-      const std::vector<double> got = model.predict_sla_percentiles(kSlas);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        // Exact doubles: determinism means bit-identical, not "close".
-        EXPECT_EQ(got[i], expected[i])
-            << "threads=" << threads << " cache=" << with_cache
-            << " sla=" << kSlas[i];
-      }
-      EXPECT_EQ(model.latency_quantile(0.95), reference.latency_quantile(0.95))
-          << "threads=" << threads << " cache=" << with_cache;
-      // Ladders too, twice: with a cache the second pass serves every
-      // element from the cached answers.
-      for (int pass = 0; pass < 2; ++pass) {
-        EXPECT_EQ(model.latency_quantiles(kLevels),
-                  reference.latency_quantiles(kLevels))
-            << "threads=" << threads << " cache=" << with_cache
-            << " pass=" << pass;
-      }
+  for (const bool with_cache : {false, true}) {
+    PredictionCache cache;
+    const SystemModel model(params, {}, with_cache ? &cache : nullptr);
+    const std::vector<double> got = model.predict_sla_percentiles(kSlas);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      // Exact doubles: determinism means bit-identical, not "close".
+      EXPECT_EQ(got[i], expected[i])
+          << "cache=" << with_cache << " sla=" << kSlas[i];
+    }
+    EXPECT_EQ(model.latency_quantile(0.95), reference.latency_quantile(0.95))
+        << "cache=" << with_cache;
+    // Ladders too, twice: with a cache the second pass serves every
+    // element from the cached answers.
+    for (int pass = 0; pass < 2; ++pass) {
+      EXPECT_EQ(model.latency_quantiles(kLevels),
+                reference.latency_quantiles(kLevels))
+          << "cache=" << with_cache << " pass=" << pass;
     }
   }
 }
@@ -130,7 +124,7 @@ TEST(ParallelPrediction, ColdQuantileCachesTheAnswerNotTheProbes) {
   PredictionCache cache;
   // 8 identical devices: one value class, so each probe is one inversion.
   const SystemModel model(make_cluster(280.0, 8), {},
-                          PredictOptions{1, &cache});
+                          &cache);
   const std::size_t entries = cache.cdf.stats().size;
   cosm::obs::reset();
   const double first = model.latency_quantile(0.95);
@@ -156,7 +150,7 @@ TEST(ParallelPrediction, LadderElementsAreCachedSingleQueries) {
   cosm::obs::set_enabled(true);
   PredictionCache cache;
   const SystemModel model(make_cluster(280.0, 8), {},
-                          PredictOptions{1, &cache});
+                          &cache);
   const std::size_t entries = cache.cdf.stats().size;
   cosm::obs::reset();
   const std::vector<double> ladder = model.latency_quantiles(levels);
@@ -183,7 +177,7 @@ TEST(ParallelPrediction, LadderElementsAreCachedSingleQueries) {
 TEST(ParallelPrediction, BatchMatchesScalarQueries) {
   PredictionCache cache;
   const SystemModel model(make_cluster(120.0, 3), {},
-                          PredictOptions{8, &cache});
+                          &cache);
   const std::vector<double> batch = model.predict_sla_percentiles(kSlas);
   ASSERT_EQ(batch.size(), kSlas.size());
   for (std::size_t i = 0; i < kSlas.size(); ++i) {
@@ -195,7 +189,7 @@ TEST(ParallelPrediction, BatchMatchesScalarQueries) {
 TEST(ParallelPrediction, IdenticalDevicesShareOneBackendBuild) {
   PredictionCache cache;
   const SystemModel model(make_cluster(140.0, 4), {},
-                          PredictOptions{1, &cache});
+                          &cache);
   // The 4 identical devices are one value class: one device-model build
   // (one backend solve, one tape compile), and no duplicate lookups.
   EXPECT_EQ(cache.devices.stats().misses, 1u);
@@ -212,7 +206,7 @@ TEST(ParallelPrediction, IdenticalDevicesShareOneBackendBuild) {
   // A second identical model is one device-model hit: no backend solve,
   // no compile, the cached tape itself.
   const SystemModel again(make_cluster(140.0, 4), {},
-                          PredictOptions{1, &cache});
+                          &cache);
   EXPECT_EQ(cache.devices.stats().misses, 1u);
   EXPECT_EQ(cache.devices.stats().hits, 1u);
   EXPECT_EQ(&again.devices()[0].response_tape(),
@@ -236,12 +230,12 @@ TEST(ParallelPrediction, CachedDeviceKeepsNoTreeAlive) {
   };
   const std::vector<long> before = use_counts();
   {
-    const SystemModel model(params, {}, PredictOptions{1, &cache});
+    const SystemModel model(params, {}, &cache);
   }
   EXPECT_EQ(cache.devices.stats().size, 1u);
   EXPECT_EQ(use_counts(), before);
   // The entry still serves: a rebuild hits it.
-  const SystemModel again(params, {}, PredictOptions{1, &cache});
+  const SystemModel again(params, {}, &cache);
   EXPECT_EQ(cache.devices.stats().hits, 1u);
 }
 
@@ -253,19 +247,16 @@ TEST(ParallelPrediction, ValueEqualDevicesBuildOnce) {
   SystemParams copies = make_cluster(140.0, 4);
   copies.devices.assign(4, copies.devices.front());
   for (const SystemParams& params : {make_cluster(140.0, 4), copies}) {
-    for (const unsigned threads : {1u, 4u}) {
-      cosm::obs::reset();
-      const SystemModel model(params, {}, PredictOptions{threads, nullptr});
-      EXPECT_EQ(cosm::obs::counter_value(cosm::obs::Counter::kTapeCompiles),
-                1u)
-          << "threads=" << threads;
-      EXPECT_EQ(&model.devices()[0].response_tape(),
-                &model.devices()[3].response_tape());
-      PredictionCache cache;
-      const SystemModel cached(params, {}, PredictOptions{threads, &cache});
-      EXPECT_EQ(cache.devices.stats().misses, 1u) << "threads=" << threads;
-      EXPECT_EQ(cache.devices.stats().hits, 0u) << "threads=" << threads;
-    }
+    cosm::obs::reset();
+    const SystemModel model(params);
+    EXPECT_EQ(cosm::obs::counter_value(cosm::obs::Counter::kTapeCompiles),
+              1u);
+    EXPECT_EQ(&model.devices()[0].response_tape(),
+              &model.devices()[3].response_tape());
+    PredictionCache cache;
+    const SystemModel cached(params, {}, &cache);
+    EXPECT_EQ(cache.devices.stats().misses, 1u);
+    EXPECT_EQ(cache.devices.stats().hits, 0u);
   }
   cosm::obs::set_enabled(false);
 }
@@ -312,11 +303,11 @@ TEST(ParallelPrediction, EveryResponseFieldMissesTheDeviceCache) {
   });
 
   PredictionCache cache;
-  const SystemModel first(base, base_options, PredictOptions{1, &cache});
+  const SystemModel first(base, base_options, &cache);
   EXPECT_EQ(cache.devices.stats().misses, 1u);
   for (const Variant& v : variants) {
     const std::uint64_t misses = cache.devices.stats().misses;
-    const SystemModel model(v.params, v.options, PredictOptions{1, &cache});
+    const SystemModel model(v.params, v.options, &cache);
     EXPECT_EQ(cache.devices.stats().misses, misses + 1) << v.field;
     EXPECT_EQ(cache.devices.stats().hits, 0u) << v.field;
     // Whatever the cache holds, the answer is the uncached model's.
@@ -334,7 +325,7 @@ TEST(ParallelPrediction, EveryResponseFieldMissesTheDeviceCache) {
             cosm::core::device_model_key(base.frontend, base.devices[0],
                                          base_options));
   // The unchanged configuration still hits.
-  const SystemModel twin(base, base_options, PredictOptions{1, &cache});
+  const SystemModel twin(base, base_options, &cache);
   EXPECT_EQ(cache.devices.stats().hits, 1u);
 }
 
@@ -344,33 +335,28 @@ TEST(ParallelPrediction, MixedClusterMatchesPerDeviceWeightedSum) {
   SystemParams params = make_cluster(150.0, 5);
   params.devices[1] = make_device(30.0, 3);
   params.devices[3] = make_device(30.0, 3);
-  for (const unsigned threads : {1u, 4u}) {
-    for (const bool with_cache : {false, true}) {
-      PredictionCache cache;
-      const SystemModel model(params, {},
-                              PredictOptions{threads, with_cache ? &cache
-                                                                 : nullptr});
-      ASSERT_EQ(model.devices().size(), 5u);
-      EXPECT_EQ(&model.devices()[0].response_tape(),
-                &model.devices()[4].response_tape());
-      EXPECT_EQ(&model.devices()[1].response_tape(),
-                &model.devices()[3].response_tape());
-      EXPECT_NE(&model.devices()[0].response_tape(),
-                &model.devices()[1].response_tape());
-      const std::vector<double> got = model.predict_sla_percentiles(kSlas);
-      for (std::size_t s = 0; s < kSlas.size(); ++s) {
-        double weighted = 0.0;
-        double total = 0.0;
-        for (const auto& device : model.devices()) {
-          weighted += device.arrival_rate() *
-                      device.response_tape().cdf(
-                          kSlas[s], cosm::core::kModelEulerOrder);
-          total += device.arrival_rate();
-        }
-        EXPECT_EQ(got[s], weighted / total)
-            << "threads=" << threads << " cache=" << with_cache;
-        EXPECT_EQ(model.predict_sla_percentile(kSlas[s]), got[s]);
+  for (const bool with_cache : {false, true}) {
+    PredictionCache cache;
+    const SystemModel model(params, {}, with_cache ? &cache : nullptr);
+    ASSERT_EQ(model.devices().size(), 5u);
+    EXPECT_EQ(&model.devices()[0].response_tape(),
+              &model.devices()[4].response_tape());
+    EXPECT_EQ(&model.devices()[1].response_tape(),
+              &model.devices()[3].response_tape());
+    EXPECT_NE(&model.devices()[0].response_tape(),
+              &model.devices()[1].response_tape());
+    const std::vector<double> got = model.predict_sla_percentiles(kSlas);
+    for (std::size_t s = 0; s < kSlas.size(); ++s) {
+      double weighted = 0.0;
+      double total = 0.0;
+      for (const auto& device : model.devices()) {
+        weighted += device.arrival_rate() *
+                    device.response_tape().cdf(kSlas[s],
+                                               cosm::core::kModelEulerOrder);
+        total += device.arrival_rate();
       }
+      EXPECT_EQ(got[s], weighted / total) << "cache=" << with_cache;
+      EXPECT_EQ(model.predict_sla_percentile(kSlas[s]), got[s]);
     }
   }
 }
@@ -390,7 +376,7 @@ TEST(ParallelPrediction, SweepEvaluatesEachDevicesMissesInOneBatch) {
   const std::vector<double> mixed_expected =
       uncached.predict_sla_percentiles(mixed);
   PredictionCache cache;
-  const SystemModel model(params, {}, PredictOptions{1, &cache});
+  const SystemModel model(params, {}, &cache);
   cosm::obs::set_enabled(true);
 
   // Cold: every cell misses, one batched evaluation per distinct device.
@@ -423,8 +409,8 @@ TEST(ParallelPrediction, ModelVariantsKeyedSeparately) {
   const SystemParams params = make_cluster(140.0, 2);
   ModelOptions no_wta;
   no_wta.include_wta = false;
-  const SystemModel full(params, {}, PredictOptions{1, &cache});
-  const SystemModel baseline(params, no_wta, PredictOptions{1, &cache});
+  const SystemModel full(params, {}, &cache);
+  const SystemModel baseline(params, no_wta, &cache);
   // include_wta changes the response distribution: two device models,
   // and CDF points must not be shared between the variants.
   EXPECT_EQ(cache.devices.stats().misses, 2u);
@@ -437,24 +423,26 @@ TEST(ParallelPrediction, ModelVariantsKeyedSeparately) {
   EXPECT_EQ(b, uncached_baseline.predict_sla_percentile(0.08));
 }
 
+// The what-if sweeps below share one cache across their models; each
+// must return the uncached answer bit for bit.
 TEST(ParallelPrediction, ElasticScheduleParallelMatchesSerial) {
   const auto factory = [](double rate, unsigned devices) {
     return make_cluster(rate, devices);
   };
   const std::vector<double> rates = {60.0, 120.0, 180.0, 240.0, 90.0};
   const SlaTarget target{0.12, 0.9};
-  const auto serial =
+  const auto uncached =
       cosm::core::elastic_schedule(factory, rates, target, 8);
   PredictionCache cache;
-  const auto parallel = cosm::core::elastic_schedule(
-      factory, rates, target, 8, {}, PredictOptions{8, &cache});
-  EXPECT_EQ(serial, parallel);
+  const auto cached =
+      cosm::core::elastic_schedule(factory, rates, target, 8, {}, &cache);
+  EXPECT_EQ(uncached, cached);
   // Periods at distinct rates share no device model (the system rate is
   // part of every device's key), so the shared cache serves the second
   // schedule over the same periods.
-  const auto again = cosm::core::elastic_schedule(
-      factory, rates, target, 8, {}, PredictOptions{8, &cache});
-  EXPECT_EQ(serial, again);
+  const auto again =
+      cosm::core::elastic_schedule(factory, rates, target, 8, {}, &cache);
+  EXPECT_EQ(uncached, again);
   EXPECT_GT(cache.combined_stats().hits, 0u);
 }
 
@@ -469,13 +457,12 @@ TEST(ParallelPrediction, DegradedSweepParallelMatchesSerial) {
   scenarios[3].service_inflation = 1.5;
   scenarios[3].retry_rate_factor = 1.05;
 
-  // Each degraded model fans its device builds out across 8 threads and
-  // shares one cache with the other scenarios; every answer must match
-  // the serial, uncached one bit for bit.
+  // Each degraded model shares one cache with the other scenarios;
+  // every answer must match the uncached one bit for bit.
   PredictionCache cache;
   for (const DegradedScenario& scenario : scenarios) {
-    EXPECT_EQ(cosm::core::degraded_sla_percentile(
-                  healthy, scenario, 0.12, {}, PredictOptions{8, &cache}),
+    EXPECT_EQ(cosm::core::degraded_sla_percentile(healthy, scenario, 0.12, {},
+                                                  &cache),
               cosm::core::degraded_sla_percentile(healthy, scenario, 0.12));
   }
 }
@@ -484,10 +471,10 @@ TEST(ParallelPrediction, OverloadBehaviorUnchangedUnderParallel) {
   // Way past saturation for this device profile.
   const SystemParams overloaded = make_cluster(4000.0, 4);
   PredictionCache cache;
-  EXPECT_THROW(SystemModel(overloaded, {}, PredictOptions{8, &cache}),
+  EXPECT_THROW(SystemModel(overloaded, {}, &cache),
                cosm::core::OverloadError);
   EXPECT_FALSE(cosm::core::meets_target(overloaded, SlaTarget{0.12, 0.9}, {},
-                                        PredictOptions{8, &cache}));
+                                        &cache));
 }
 
 }  // namespace

@@ -95,16 +95,15 @@ TEST(TierModel, FingerprintSeparatesTierParameters) {
   // The prediction cache must not serve a tiered build for an untiered
   // request (or for a different hit ratio).
   PredictionCache cache;
-  const PredictOptions predict{1, &cache};
-  const SystemModel a(tiered_system(0.5, 1), {}, predict);
+  const SystemModel a(tiered_system(0.5, 1), {}, &cache);
   EXPECT_EQ(cache.devices.stats().misses, 1u);
-  const SystemModel b(tiered_system(0.6, 1), {}, predict);
+  const SystemModel b(tiered_system(0.6, 1), {}, &cache);
   EXPECT_EQ(cache.devices.stats().misses, 2u);  // new tier => new build
   SystemParams untiered = tiered_system(0.6, 1);
   untiered.devices[0].tier = TierOptions{};
-  const SystemModel c(untiered, {}, predict);
+  const SystemModel c(untiered, {}, &cache);
   EXPECT_EQ(cache.devices.stats().misses, 3u);  // tier off => new build
-  const SystemModel twin(tiered_system(0.6, 1), {}, predict);
+  const SystemModel twin(tiered_system(0.6, 1), {}, &cache);
   EXPECT_EQ(cache.devices.stats().misses, 3u);  // identical tier => hit
   EXPECT_DOUBLE_EQ(twin.predict_sla_percentile(0.060),
                    b.predict_sla_percentile(0.060));

@@ -89,7 +89,7 @@ TEST(TapeIntegration, CompiledResponseTapesArePinned) {
       {"mm1k_4_processes", four_process, {.disk_queue = Queue::kMM1K},
        0xfc41dfc494d77d00ULL, 32, 7, 0, 0xfc41dfc494d77d00ULL},
       {"mg1k_4_processes", four_process, {.disk_queue = Queue::kMG1K},
-       0x8194d237321fc946ULL, 36, 7, 0, 0x8194d237321fc946ULL},
+       0x9d11f8e39c63ed44ULL, 36, 7, 0, 0x9d11f8e39c63ed44ULL},
       {"no_wta", family, {.include_wta = false}, 0x3506b2073bcf7a09ULL, 29,
        5, 0, 0x3506b2073bcf7a09ULL},
       {"tier_50pct", tiered, {}, 0x624ff5cf60f1742cULL, 33, 6, 0,
@@ -164,7 +164,7 @@ TEST(TapeIntegration, CachedAndUncachedPredictionsBitIdentical) {
   PredictionCache cache;
   const SystemParams params = tape_system(84.0, 2);
   const SystemModel uncached(params);
-  const SystemModel cached(params, {}, PredictOptions{1, &cache});
+  const SystemModel cached(params, {}, &cache);
   const std::vector<double> slas = {0.004, 0.01, 0.03, 0.08, 0.2};
   EXPECT_EQ(uncached.predict_sla_percentiles(slas),
             cached.predict_sla_percentiles(slas));

@@ -26,13 +26,6 @@ TEST(NewtonSafeguarded, SurvivesBadDerivative) {
   EXPECT_NEAR(r.x, 2.0, 1e-8);
 }
 
-TEST(GaussLegendre, MatchesAdaptiveOnSmoothIntegrand) {
-  const auto f = [](double x) { return std::exp(-x) * std::cos(x); };
-  const double expected = 0.5 * (1.0 + std::exp(-5.0) *
-                                           (std::sin(5.0) - std::cos(5.0)));
-  EXPECT_NEAR(integrate_gauss(f, 0.0, 5.0, 4), expected, 1e-12);
-}
-
 TEST(GaussLegendreComplex, IntegratesComplexExponential) {
   // Integral of e^{-(1+2i)t} over [0, 10] = (1 - e^{-(1+2i)10})/(1+2i).
   const std::complex<double> s(1.0, 2.0);
@@ -44,9 +37,10 @@ TEST(GaussLegendreComplex, IntegratesComplexExponential) {
 }
 
 TEST(GaussLegendre, RejectsBadArguments) {
-  EXPECT_THROW(integrate_gauss([](double) { return 0.0; }, 1.0, 0.0),
+  const auto zero = [](double) { return std::complex<double>(0.0, 0.0); };
+  EXPECT_THROW(integrate_gauss_complex(zero, 1.0, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(integrate_gauss([](double) { return 0.0; }, 0.0, 1.0, 0),
+  EXPECT_THROW(integrate_gauss_complex(zero, 0.0, 1.0, 0),
                std::invalid_argument);
 }
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <vector>
 
+#include "numerics/compose.hpp"
 #include "queueing/mm1k.hpp"
 
 namespace cosm::queueing {
@@ -16,6 +20,7 @@ namespace {
 using numerics::Degenerate;
 using numerics::Exponential;
 using numerics::Gamma;
+using numerics::Mixture;
 
 TEST(MG1K, StateProbabilitiesSumToOne) {
   const MG1K q(50.0, std::make_shared<Gamma>(2.0, 200.0), 6);
@@ -35,19 +40,136 @@ TEST_P(MG1KvsMM1K, ExponentialServiceCollapsesToMM1K) {
   const MM1K markov(u * v, v, k);
   for (int i = 0; i <= k; ++i) {
     EXPECT_NEAR(general.state_probability(i), markov.state_probability(i),
-                2e-4)
+                1e-10)
         << "u=" << u << " K=" << k << " i=" << i;
   }
   EXPECT_NEAR(general.blocking_probability(), markov.blocking_probability(),
-              2e-4);
+              1e-10);
   EXPECT_NEAR(general.mean_sojourn_time(), markov.mean_sojourn_time(),
-              2e-3 * markov.mean_sojourn_time() + 1e-6);
+              1e-10 * markov.mean_sojourn_time());
 }
 
 INSTANTIATE_TEST_SUITE_P(LoadAndCapacity, MG1KvsMM1K,
                          ::testing::Combine(::testing::Values(0.3, 0.7, 1.0,
                                                               1.8),
                                             ::testing::Values(1, 4, 16)));
+
+// Closed-form oracle.  With Gamma(shape alpha, rate beta) service the
+// arrivals during one service are negative binomial,
+//   a_j = Gamma(alpha + j) / (Gamma(alpha) j!) q^alpha (1 - q)^j,
+//   q = beta / (beta + r),
+// and a Gamma mixture's a_j is the same mixture of these.  The chain is
+// then solved by GTH state reduction (Grassmann, Taksar and Heyman),
+// which is subtraction-free, over the explicit transition matrix.
+struct GammaComponent {
+  double weight;
+  double shape;
+  double rate;
+};
+
+double negative_binomial_pmf(const GammaComponent& c, double r, int j) {
+  const double q = c.rate / (c.rate + r);
+  return std::exp(std::lgamma(c.shape + j) - std::lgamma(c.shape) -
+                  std::lgamma(j + 1.0) + c.shape * std::log(q) +
+                  j * std::log1p(-q));
+}
+
+std::vector<double> oracle_state_probabilities(
+    const std::vector<GammaComponent>& law, double r, int k) {
+  // a_j for j < K, and P(J >= m) for m <= K summed from the far tail
+  // down so small tails keep their digits.
+  const int far = k + 4000;
+  std::vector<double> pmf(far, 0.0);
+  for (const GammaComponent& c : law) {
+    for (int j = 0; j < far; ++j) {
+      pmf[j] += c.weight * negative_binomial_pmf(c, r, j);
+    }
+  }
+  std::vector<double> at_least(far + 1, 0.0);
+  for (int j = far - 1; j >= 0; --j) at_least[j] = at_least[j + 1] + pmf[j];
+  // p[i][t]: from i >= 1 the next departure leaves min(i - 1 + J, K - 1);
+  // from 0 it leaves min(J, K - 1).
+  std::vector<std::vector<double>> p(k, std::vector<double>(k, 0.0));
+  for (int i = 0; i < k; ++i) {
+    const int base = i == 0 ? 0 : i - 1;
+    for (int t = base; t < k - 1; ++t) p[i][t] = pmf[t - base];
+    p[i][k - 1] = at_least[k - 1 - base];
+  }
+  // GTH: censor states K-1, ..., 1 in turn, then back-substitute.
+  std::vector<double> out(k, 0.0);  // censored rate out of n, downward
+  for (int n = k - 1; n >= 1; --n) {
+    for (int t = 0; t < n; ++t) out[n] += p[n][t];
+    for (int t = 0; t < n; ++t) {
+      if (p[n][t] == 0.0) continue;  // rows stay sparse below the diagonal
+      const double share = p[n][t] / out[n];
+      for (int i = 0; i < n; ++i) p[i][t] += p[i][n] * share;
+    }
+  }
+  std::vector<double> pi(k, 0.0);
+  pi[0] = 1.0;
+  double total = 1.0;
+  for (int n = 1; n < k; ++n) {
+    for (int i = 0; i < n; ++i) pi[n] += pi[i] * p[i][n];
+    pi[n] /= out[n];
+    total += pi[n];
+  }
+  for (double& v : pi) v /= total;
+  double mean_service = 0.0;
+  for (const GammaComponent& c : law) mean_service += c.weight * c.shape / c.rate;
+  const double denom = pi[0] + r * mean_service;
+  std::vector<double> state(k + 1, 0.0);
+  double acc = 0.0;
+  for (int i = 0; i < k; ++i) {
+    state[i] = pi[i] / denom;
+    acc += state[i];
+  }
+  state[k] = 1.0 - acc;
+  return state;
+}
+
+numerics::DistPtr make_law(const std::vector<GammaComponent>& law) {
+  std::vector<Mixture::Component> components;
+  for (const GammaComponent& c : law) {
+    components.push_back({c.weight, std::make_shared<Gamma>(c.shape, c.rate)});
+  }
+  return std::make_shared<Mixture>(std::move(components));
+}
+
+// (K, CV^2 of each Gamma, offered utilization): the ablation_mg1k grid
+// plus K = 512, the capacity limit.
+class MG1KNegativeBinomialOracle
+    : public ::testing::TestWithParam<std::tuple<int, double, double>> {};
+
+TEST_P(MG1KNegativeBinomialOracle, StateProbabilitiesMatchClosedForm) {
+  const int k = std::get<0>(GetParam());
+  const double cv2 = std::get<1>(GetParam());
+  const double util = std::get<2>(GetParam());
+  const double shape = 1.0 / cv2;
+  const double mean_service = 0.011;  // ablation_mg1k's pooled disk mean
+  // The ablation's single Gamma law, and a three-component mixture with
+  // the same overall mean (perf_pipeline's index/meta/data weights).
+  const std::vector<std::vector<GammaComponent>> laws = {
+      {{1.0, shape, shape / mean_service}},
+      {{0.2, shape, shape / (0.8 * mean_service)},
+       {0.2, shape, shape / (0.6 * mean_service)},
+       {0.6, shape, shape / (1.2 * mean_service)}},
+  };
+  for (const std::vector<GammaComponent>& law : laws) {
+    const double r = util / mean_service;
+    const std::vector<double> expected = oracle_state_probabilities(law, r, k);
+    const MG1K q(r, make_law(law), k);
+    for (int i = 0; i <= k; ++i) {
+      ASSERT_NEAR(q.state_probability(i), expected[i], 1e-12)
+          << "components=" << law.size() << " i=" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AblationGrid, MG1KNegativeBinomialOracle,
+    ::testing::Combine(::testing::Values(2, 4, 8, 16, 512),
+                       ::testing::Values(0.35, 1.0, 2.5),
+                       ::testing::Values(0.8, 1.1)));
 
 TEST(MG1K, K1BlockingIsInsensitiveToServiceShape) {
   // M/G/1/1 blocking depends only on rho (Erlang loss insensitivity).
@@ -61,6 +183,25 @@ TEST(MG1K, K1BlockingIsInsensitiveToServiceShape) {
     const MG1K q(r, service, 1);
     EXPECT_NEAR(q.blocking_probability(), rho / (1.0 + rho), 1e-4)
         << service->name();
+  }
+}
+
+TEST(MG1K, SaturatedQueueStaysFinite) {
+  // Deterministic service at offered load rho: a_0 = e^{-rho}.  At
+  // rho = 20 the unnormalized chain grows by ~1 / a_0 per state (the
+  // recursion must rescale); at rho = 50, a_0 lies below the FFT's
+  // resolution and the chain is absorbed in K - 1.  Either way the
+  // server never idles, so P_K = 1 - 1 / rho.
+  for (const double rho : {20.0, 50.0}) {
+    const int k = 64;
+    const MG1K q(rho * 100.0, std::make_shared<Degenerate>(0.01), k);
+    double total = 0.0;
+    for (int i = 0; i <= k; ++i) {
+      ASSERT_TRUE(std::isfinite(q.state_probability(i))) << rho << " " << i;
+      total += q.state_probability(i);
+    }
+    EXPECT_NEAR(total, 1.0, 1e-12) << rho;
+    EXPECT_NEAR(q.blocking_probability(), 1.0 - 1.0 / rho, 1e-9) << rho;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "calibration/online_metrics.hpp"
 #include "common/json.hpp"
 #include "core/params.hpp"
+#include "obs/obs.hpp"
 
 namespace cosm::service {
 namespace {
@@ -176,6 +177,33 @@ TEST(WhatIfService, ListAndStatsReflectRegistry) {
   // Cluster a's 8 identical devices are one device-model build.
   EXPECT_EQ(device->number_or("misses", -1.0), 1.0);
   EXPECT_EQ(device->number_or("hits", -1.0), 0.0);
+}
+
+TEST(WhatIfService, StatsCountsRequestsErrorsAndPredictionsWithoutTracing) {
+  obs::set_enabled(false);
+  // Eight requests, the stats request included; two of them fail.
+  WhatIfService service;
+  service.handle_line(kRegisterA);
+  service.handle_line(R"({"op":"sla","cluster":"a","slas":[0.05,0.1,0.2]})");
+  service.handle_line(R"({"op":"quantile","cluster":"a","p":0.95})");
+  service.handle_line(R"({"op":"sla","cluster":"a","sla":0.1,"rate":20000})");
+  service.handle_line(R"({"op":"sla","cluster":"ghost","sla":0.1})");
+  service.handle_line("not json");
+  service.handle_line(R"({"op":"list"})");
+  const JsonValue response =
+      parse_response(service.handle_line(R"({"op":"stats"})"));
+  const JsonValue* stats = response.find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->number_or("requests", -1.0), 8.0);
+  EXPECT_EQ(stats->number_or("errors", -1.0), 2.0);
+  // Three SLA bounds, one quantile, and the overloaded SLA's answer.
+  EXPECT_EQ(stats->number_or("predictions", -1.0), 5.0);
+  // The counts belong to the service, not to the process.
+  WhatIfService fresh;
+  const JsonValue first =
+      parse_response(fresh.handle_line(R"({"op":"stats"})"));
+  EXPECT_EQ(first.find("stats")->number_or("requests", -1.0), 1.0);
+  EXPECT_EQ(first.find("stats")->number_or("predictions", -1.0), 0.0);
 }
 
 TEST(WhatIfService, IdIsEchoedVerbatim) {
