@@ -3,12 +3,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <mutex>
 
 #include "calibration/online_metrics.hpp"
+#include "common/parallel_for.hpp"
 #include "common/require.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "core/system_model.hpp"
 #include "sim/cluster.hpp"
 #include "sim/source.hpp"
@@ -161,8 +160,7 @@ SweepResult run_sweep(const ScenarioConfig& config) {
     rates.push_back(rate);
   }
   result.points.resize(rates.size());
-  ThreadPool pool;
-  pool.parallel_for_index(rates.size(), [&](std::size_t i) {
+  cosm::parallel_for(rates.size(), 0, [&](std::size_t i) {
     result.points[i] = run_point(config, result, rates[i],
                                  config.seed + 1000 * (i + 1));
   });

@@ -19,7 +19,7 @@
 // Determinism: for fixed parameters, every query returns bit-identical
 // results whether or not a cache is attached — cached values are
 // deterministic functions of their keys.  This is enforced by
-// tests/core/test_parallel_prediction.cpp.
+// tests/core/test_prediction_cache.cpp.
 #pragma once
 
 #include <cstdint>
@@ -154,11 +154,8 @@ class DeviceModel {
 // models, and keep it alive for as long as any SystemModel holds a
 // pointer to it.
 struct PredictionCache {
-  // 16 lock stripes: the what-if service shares one instance across every
-  // tenant thread, and fingerprint keys stripe evenly (see the sharding
-  // note in numerics/memo_cache.hpp).
-  numerics::MemoCache<std::uint64_t, DeviceModel> devices{1 << 10, 16};
-  numerics::MemoCache<std::uint64_t, double> cdf{1 << 16, 16};
+  numerics::MemoCache<std::uint64_t, DeviceModel> devices{1 << 10};
+  numerics::MemoCache<std::uint64_t, double> cdf{1 << 16};
 
   // Combined counters over both caches (for logs and
   // BENCH_pipeline.json).

@@ -10,25 +10,16 @@
 // counters exposed for observability (bench/perf_pipeline reports them in
 // BENCH_pipeline.json).
 //
-// MemoCache<Key, Value> is a lock-striped LRU map:
-//  * lookup/insert/get_or_compute are safe to call concurrently;
-//  * get_or_compute runs the compute callback *outside* the lock, so a
-//    slow kernel never serializes other threads (two threads missing on
-//    the same key may both compute — last insert wins, which is harmless
-//    exactly when cached values are deterministic functions of their key,
-//    the contract every caller here satisfies);
+// MemoCache<Key, Value> is one mutex over one exact LRU map:
+//  * lookup/insert/erase/stats/clear are safe to call concurrently (the
+//    what-if service shares one PredictionCache across request threads);
 //  * capacity is a hard bound on resident entries; inserting past it
 //    evicts the least-recently-used entry.
-//
-// Sharding.  The single constructor mutex was the bottleneck when many
-// threads share one PredictionCache (the what-if service hits it from
-// every tenant): `shards` > 1 splits the table into independently locked
-// stripes selected by key hash.  Each stripe is an exact LRU over its own
-// keys with its own slice of the capacity, so eviction is per-stripe
-// (approximate global LRU) while hit/miss/eviction counters stay exact —
-// they are summed over stripes under their locks.  The default of one
-// shard preserves strict global LRU order; callers that need scalability
-// over strict recency (PredictionCache) opt into more.
+// Callers compute a missing value outside the cache (lookup, compute,
+// insert): two threads missing on the same key may both compute, and the
+// last insert wins, which is harmless exactly when cached values are
+// deterministic functions of their key — the contract every caller here
+// satisfies.
 //
 // Keys are compared with operator== (hash collisions inside the table are
 // therefore handled exactly, not probabilistically).  Callers that fold a
@@ -40,13 +31,11 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace cosm::numerics {
 
@@ -71,66 +60,43 @@ template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class MemoCache {
  public:
   // Capacity must be >= 1 (a zero-capacity cache would turn every insert
-  // into an immediate eviction; reject it loudly instead).  `shards` is
-  // clamped to [1, capacity] so every stripe owns at least one entry.
-  explicit MemoCache(std::size_t capacity, std::size_t shards = 1) {
+  // into an immediate eviction; reject it loudly instead).
+  explicit MemoCache(std::size_t capacity) : capacity_(capacity) {
     if (capacity == 0) {
       throw std::invalid_argument("MemoCache capacity must be >= 1");
-    }
-    if (shards == 0) shards = 1;
-    if (shards > capacity) shards = capacity;
-    shards_.reserve(shards);
-    // Distribute capacity exactly: the first (capacity % shards) stripes
-    // take one extra entry, so stripe capacities sum to `capacity`.
-    const std::size_t base = capacity / shards;
-    const std::size_t extra = capacity % shards;
-    for (std::size_t i = 0; i < shards; ++i) {
-      shards_.push_back(std::make_unique<Shard>(base + (i < extra ? 1 : 0)));
     }
   }
 
   // Returns the cached value and refreshes its recency, or nullopt.
   std::optional<Value> lookup(const Key& key) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      ++shard.misses;
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++misses_;
       return std::nullopt;
     }
-    ++shard.hits;
-    shard.entries.splice(shard.entries.begin(), shard.entries, it->second);
+    ++hits_;
+    entries_.splice(entries_.begin(), entries_, it->second);
     return it->second->second;
   }
 
-  // Inserts (or overwrites) key -> value, evicting the stripe's least
-  // recently used entry when the stripe is full.
+  // Inserts (or overwrites) key -> value, evicting the least recently
+  // used entry when the cache is full.
   void insert(const Key& key, Value value) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
       it->second->second = std::move(value);
-      shard.entries.splice(shard.entries.begin(), shard.entries, it->second);
+      entries_.splice(entries_.begin(), entries_, it->second);
       return;
     }
-    if (shard.entries.size() >= shard.capacity) {
-      shard.index.erase(shard.entries.back().first);
-      shard.entries.pop_back();
-      ++shard.evictions;
+    if (entries_.size() >= capacity_) {
+      index_.erase(entries_.back().first);
+      entries_.pop_back();
+      ++evictions_;
     }
-    shard.entries.emplace_front(key, std::move(value));
-    shard.index[key] = shard.entries.begin();
-  }
-
-  // lookup(); on miss, runs compute() outside the lock and inserts the
-  // result.  `compute` must be a deterministic function of `key`.
-  template <typename F>
-  Value get_or_compute(const Key& key, F&& compute) {
-    if (auto cached = lookup(key)) return std::move(*cached);
-    Value value = std::forward<F>(compute)();
-    insert(key, value);
-    return value;
+    entries_.emplace_front(key, std::move(value));
+    index_[key] = entries_.begin();
   }
 
   // Removes `key` if resident; returns whether an entry was dropped.  The
@@ -140,69 +106,43 @@ class MemoCache {
   // still hitting.  Not counted as an eviction (evictions measure capacity
   // pressure; erasure is a correctness action).
   bool erase(const Key& key) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) return false;
-    shard.entries.erase(it->second);
-    shard.index.erase(it);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    entries_.erase(it->second);
+    index_.erase(it);
     return true;
   }
 
   CacheStats stats() const {
-    CacheStats total;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      total.hits += shard->hits;
-      total.misses += shard->misses;
-      total.evictions += shard->evictions;
-      total.size += shard->entries.size();
-      total.capacity += shard->capacity;
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mutex_);
+    CacheStats stats;
+    stats.hits = hits_;
+    stats.misses = misses_;
+    stats.evictions = evictions_;
+    stats.size = entries_.size();
+    stats.capacity = capacity_;
+    return stats;
   }
 
   void clear() {
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      shard->entries.clear();
-      shard->index.clear();
-      shard->hits = shard->misses = shard->evictions = 0;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    entries_.clear();
+    index_.clear();
+    hits_ = misses_ = evictions_ = 0;
   }
-
-  std::size_t shard_count() const { return shards_.size(); }
 
  private:
   // front = most recently used.
   using EntryList = std::list<std::pair<Key, Value>>;
 
-  struct Shard {
-    explicit Shard(std::size_t cap) : capacity(cap) {}
-    mutable std::mutex mutex;
-    EntryList entries;
-    std::unordered_map<Key, typename EntryList::iterator, Hash> index;
-    std::size_t capacity;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-
-  Shard& shard_for(const Key& key) {
-    if (shards_.size() == 1) return *shards_.front();
-    // Spread the raw hash before reducing: std::hash<uint64_t> is the
-    // identity on libstdc++, and MemoCache keys are often fingerprints
-    // whose low bits alone would stripe unevenly.
-    std::uint64_t h = static_cast<std::uint64_t>(Hash{}(key));
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return *shards_[h % shards_.size()];
-  }
-
-  // unique_ptr keeps Shard (with its mutex) immovable while the vector
-  // itself stays constructible; the shard set is fixed after construction.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  EntryList entries_;
+  std::unordered_map<Key, typename EntryList::iterator, Hash> index_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 // ------------------------- key fingerprinting ----------------------------

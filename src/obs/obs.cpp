@@ -59,8 +59,6 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "sim.shard.empty_windows",
     "sim.shard.cross_messages",
     "sim.shard.barrier_nanos",
-    "pool.submits",
-    "pool.max_queue_depth",
     "service.requests",
     "service.errors",
     "service.predictions",
@@ -90,7 +88,7 @@ struct Ring {
 
 // Allocated on first enable (keeping the disabled footprint at two cache
 // lines of atomics), then intentionally leaked: spans may still be
-// closing on pool threads at process exit, after static destructors.
+// closing at process exit, after static destructors.
 std::atomic<Ring*> g_ring{nullptr};
 std::mutex g_init_mutex;
 
@@ -148,16 +146,6 @@ void set_enabled(bool on) {
     }
   }
   detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-void record_max(Counter counter, std::uint64_t value) {
-  if (!enabled()) return;
-  auto& slot = detail::g_counters[static_cast<std::size_t>(counter)];
-  std::uint64_t current = slot.load(std::memory_order_relaxed);
-  while (current < value &&
-         !slot.compare_exchange_weak(current, value,
-                                     std::memory_order_relaxed)) {
-  }
 }
 
 std::uint64_t counter_value(Counter counter) {

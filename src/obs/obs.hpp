@@ -8,8 +8,8 @@
 // the substrate for that attribution:
 //
 //  * Counter — a fixed registry of typed counters (cache hits, inversion
-//    quality verdicts, quantile searches, retry attempts, pool
-//    queue depth, ...).  Each is a relaxed atomic; add() is safe from any
+//    quality verdicts, quantile searches, retry attempts, shard barrier
+//    wait, ...).  Each is a relaxed atomic; add() is safe from any
 //    thread and never blocks.
 //  * Span — RAII scoped timing over the monotonic clock.  Completed spans
 //    land in a fixed-capacity ring buffer with their thread, nesting
@@ -22,10 +22,10 @@
 //
 // Zero cost when disabled — the contract the perf gates rely on:
 // observability is OFF by default, and every instrumentation point (add,
-// Span, record_max) first performs one relaxed atomic load of the enable
-// flag.  When disabled nothing else happens: no clock reads, no
-// allocation, no stores — so instrumented code paths produce bit-identical
-// outputs and benchmark times within noise of uninstrumented builds
+// Span) first performs one relaxed atomic load of the enable flag.  When
+// disabled nothing else happens: no clock reads, no allocation, no
+// stores — so instrumented code paths produce bit-identical outputs and
+// benchmark times within noise of uninstrumented builds
 // (tests/obs/test_obs.cpp pins allocation-freeness and bit-identity;
 // BENCH_pipeline.json / BENCH_sim.json pin the timings).  Enabling is
 // explicit (set_enabled(true), or the --trace-json flag of the perf
@@ -38,9 +38,9 @@
 //
 // Thread-safety: all functions are safe to call concurrently.  Span
 // nesting depth is tracked per thread (thread_local), so spans opened on
-// pool workers (simulator replications) nest correctly within whatever
-// that worker was running.  Span names must be string literals (or
-// otherwise outlive the process) — the ring stores the pointer.
+// parallel_for workers (simulator replications) nest correctly within
+// whatever that worker was running.  Span names must be string literals
+// (or otherwise outlive the process) — the ring stores the pointer.
 #pragma once
 
 #include <array>
@@ -124,10 +124,6 @@ enum class Counter : std::uint32_t {
   kSimShardCrossMessages,  // cross-shard arrivals delivered via mailboxes
   kSimShardBarrierNanos,   // wall ns spent blocked at window barriers
 
-  // ThreadPool.
-  kPoolSubmits,
-  kPoolMaxQueueDepth,  // gauge: high-water mark, via record_max
-
   // service::WhatIfService (the long-lived what-if prediction service).
   kServiceRequests,     // requests parsed off the wire
   kServiceErrors,       // requests answered with an error object
@@ -173,10 +169,6 @@ inline void add(Counter counter, std::uint64_t delta = 1) {
   detail::g_counters[static_cast<std::size_t>(counter)].fetch_add(
       delta, std::memory_order_relaxed);
 }
-
-// Raises `counter` to at least `value` (gauge high-water mark, e.g. pool
-// queue depth).  No-op when disabled.
-void record_max(Counter counter, std::uint64_t value);
 
 std::uint64_t counter_value(Counter counter);
 std::string_view counter_name(Counter counter);

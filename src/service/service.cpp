@@ -679,20 +679,17 @@ JsonValue WhatIfService::op_stats() const {
   const numerics::CacheStats devices = cache_.devices.stats();
   const numerics::CacheStats cdf = cache_.cdf.stats();
   JsonValue stats = JsonValue::object();
-  auto cache_object = [](const numerics::CacheStats& s,
-                         std::size_t shards) {
+  auto cache_object = [](const numerics::CacheStats& s) {
     JsonValue obj = JsonValue::object();
     obj.set("hits", static_cast<double>(s.hits));
     obj.set("misses", static_cast<double>(s.misses));
     obj.set("evictions", static_cast<double>(s.evictions));
     obj.set("size", static_cast<double>(s.size));
     obj.set("capacity", static_cast<double>(s.capacity));
-    obj.set("shards", static_cast<double>(shards));
     return obj;
   };
-  stats.set("device_cache",
-            cache_object(devices, cache_.devices.shard_count()));
-  stats.set("cdf_cache", cache_object(cdf, cache_.cdf.shard_count()));
+  stats.set("device_cache", cache_object(devices));
+  stats.set("cdf_cache", cache_object(cdf));
   {
     std::shared_lock<std::shared_mutex> lock(registry_mutex_);
     stats.set("clusters", static_cast<double>(clusters_.size()));

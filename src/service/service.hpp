@@ -5,9 +5,8 @@
 // 1.3x load?", "how many devices does cluster B need tonight?", "how much
 // SSD buys cluster C p99 <= 50 ms?" — asked against many named clusters
 // at once.  WhatIfService keeps the models' expensive state (one shared
-// core::PredictionCache, lock-striped so tenants do not serialize on its
-// mutex) resident across requests and answers each from a line-delimited
-// JSON protocol:
+// core::PredictionCache) resident across requests and answers each from a
+// line-delimited JSON protocol:
 //
 //   request:  one JSON object per line, {"op": "...", ...}
 //   response: one JSON object per line, {"ok": true/false, ...}
@@ -51,9 +50,10 @@
 //   drift_status cluster — the cluster's loop state: windows offered,
 //             last verdict, alarmed signals, re-fit count, current rate.
 //   list      — registered cluster names.
-//   stats     — shared-cache counters (hits/misses/evictions/shards) of
-//             the device_cache and cdf_cache, and this service's request,
-//             error and prediction counts (the stats request included).
+//   stats     — shared-cache counters (hits/misses/evictions/size/
+//             capacity) of the device_cache and cdf_cache, and this
+//             service's request, error and prediction counts (the stats
+//             request included).
 //
 // Counts.  Integer fields — devices, min, max, processes,
 // frontend_processes, objects, capacity/capacities, mem_chunks and the
@@ -65,8 +65,8 @@
 // Execution.  Each request is handled entirely on the caller's thread;
 // the service object is safe to drive from many threads at once (the
 // registry is guarded by a shared_mutex, requests share the registered
-// Cluster, which is immutable, and the PredictionCache is internally
-// lock-striped).
+// Cluster, which is immutable, and each PredictionCache map takes one
+// mutex per lookup or insert).
 //
 // Determinism: identical requests against identical registry state
 // produce byte-identical response lines, cached or not — the property
@@ -210,10 +210,9 @@ class WhatIfService {
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> errors_{0};
   mutable std::atomic<std::uint64_t> predictions_{0};
-  // Shared across every tenant and every calling thread; lock-striped
-  // internally (core/params.hpp), so concurrent requests contend only on
-  // individual stripes, not one global mutex.  `mutable` because caching
-  // is invisible state: const query ops still warm it.
+  // Shared across every tenant and every calling thread (each map is
+  // internally locked, numerics/memo_cache.hpp).  `mutable` because
+  // caching is invisible state: const query ops still warm it.
   mutable core::PredictionCache cache_;
   mutable std::shared_mutex registry_mutex_;
   // Requests copy a family's pointer out under a shared lock and build

@@ -6,8 +6,8 @@
 #include <mutex>
 #include <thread>
 
+#include "common/parallel_for.hpp"
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "sim/cluster.hpp"
 #include "sim/shard.hpp"

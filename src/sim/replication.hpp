@@ -5,7 +5,7 @@
 // shared), writes into its own pre-allocated result slot, and the
 // reduction happens on the calling thread in seed order AFTER the fan-out
 // returns.  Consequently the merged result is bit-identical for any
-// thread count, including the pool-free serial path (threads == 1) —
+// thread count, including the inline serial path (threads == 1) —
 // the property tests/sim/test_replication.cpp pins and the perf harness
 // gates on.
 //
@@ -46,11 +46,10 @@ struct ReplicationPlan {
   StreamingConfig streaming_config{};
 
   // Execution mode for sharded replications (cluster.shards > 1; ignored
-  // otherwise): 0 = one dedicated thread per shard (the default; shard
-  // workers block at window barriers, so they must be real threads, never
-  // pool tasks), 1 = serial round-robin on the calling thread.  Both are
-  // bit-identical — the serial path is the reference the threaded path is
-  // tested against.
+  // otherwise): 0 = one thread per shard (the default; shard workers block
+  // at window barriers, so each needs a thread of its own), 1 = serial
+  // round-robin on the calling thread.  Both are bit-identical — the
+  // serial path is the reference the threaded path is tested against.
   unsigned shard_threads = 0;
 };
 
@@ -129,7 +128,7 @@ std::shared_ptr<const cosm::ZipfSampler> shared_popularity(
 }  // namespace detail
 
 // Fans the plan's replications out over up to `threads` threads
-// (1 = serial on the calling thread, 0 = uncapped global pool) and merges
+// (1 = serial on the calling thread, 0 = hardware concurrency) and merges
 // in plan order.  Bit-identical for every `threads` value.
 ReplicationSet run_replications(const ReplicationPlan& plan,
                                 unsigned threads);

@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/parallel_for.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
@@ -338,9 +339,11 @@ void drain_inbound(ShardedRun& run, std::uint32_t owner) {
 // the barriers line up without any coordinator thread.  After the final
 // window no source can generate further cross-shard traffic — sources
 // are the only producers and their last event precedes the horizon — so
-// the post-loop drain is barrier-free.
+// the post-loop drain is barrier-free.  noexcept: a worker that threw
+// would leave the others spinning at the barrier forever, so an error
+// inside a window terminates the process instead.
 void run_shard_windows(ShardedRun& run, std::uint32_t shard,
-                       SpinBarrier& barrier) {
+                       SpinBarrier& barrier) noexcept {
   double fence = 0.0;
   while (fence < run.horizon) {
     fence = std::min(fence + run.window, run.horizon);
@@ -455,18 +458,12 @@ ReplicationResult run_sharded_replication(const ReplicationPlan& plan,
       run.shards[s].cluster->engine().run_all();
     }
   } else {
-    // Dedicated threads, one per shard: workers block at window barriers,
-    // so they must never run as pool tasks (a pool caller draining shard
-    // indices serially would deadlock at the first barrier).
+    // One thread per shard (threads == shards): workers block at window
+    // barriers, so no two shards may share a thread.
     SpinBarrier barrier(shards);
-    std::vector<std::thread> workers;
-    workers.reserve(shards - 1);
-    for (std::uint32_t s = 1; s < shards; ++s) {
-      workers.emplace_back(
-          [&run, &barrier, s] { run_shard_windows(run, s, barrier); });
-    }
-    run_shard_windows(run, 0, barrier);
-    for (std::thread& worker : workers) worker.join();
+    cosm::parallel_for(shards, shards, [&](std::size_t s) {
+      run_shard_windows(run, static_cast<std::uint32_t>(s), barrier);
+    });
   }
   const auto loop_stop = std::chrono::steady_clock::now();
 

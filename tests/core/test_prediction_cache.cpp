@@ -89,7 +89,7 @@ SystemParams make_cluster(double system_rate, unsigned devices) {
 const std::vector<double> kSlas = {0.04, 0.08, 0.12, 0.2};
 const std::vector<double> kLevels = {0.5, 0.9, 0.99};
 
-TEST(ParallelPrediction, BitIdenticalAcrossThreadCountsAndCache) {
+TEST(PredictionCache, CachedMatchesUncached) {
   const SystemParams params = make_cluster(140.0, 4);
   const SystemModel reference(params);
   const std::vector<double> expected =
@@ -117,7 +117,7 @@ TEST(ParallelPrediction, BitIdenticalAcrossThreadCountsAndCache) {
   }
 }
 
-TEST(ParallelPrediction, ColdQuantileCachesTheAnswerNotTheProbes) {
+TEST(PredictionCache, ColdQuantileCachesTheAnswerNotTheProbes) {
   using cosm::obs::Counter;
   using cosm::obs::counter_value;
   cosm::obs::set_enabled(true);
@@ -143,7 +143,7 @@ TEST(ParallelPrediction, ColdQuantileCachesTheAnswerNotTheProbes) {
   cosm::obs::set_enabled(false);
 }
 
-TEST(ParallelPrediction, LadderElementsAreCachedSingleQueries) {
+TEST(PredictionCache, LadderElementsAreCachedSingleQueries) {
   using cosm::obs::Counter;
   using cosm::obs::counter_value;
   const std::vector<double> levels = {0.5, 0.9, 0.99};
@@ -174,7 +174,7 @@ TEST(ParallelPrediction, LadderElementsAreCachedSingleQueries) {
   }
 }
 
-TEST(ParallelPrediction, BatchMatchesScalarQueries) {
+TEST(PredictionCache, BatchMatchesScalarQueries) {
   PredictionCache cache;
   const SystemModel model(make_cluster(120.0, 3), {},
                           &cache);
@@ -186,7 +186,7 @@ TEST(ParallelPrediction, BatchMatchesScalarQueries) {
   EXPECT_TRUE(model.predict_sla_percentiles({}).empty());
 }
 
-TEST(ParallelPrediction, IdenticalDevicesShareOneBackendBuild) {
+TEST(PredictionCache, IdenticalDevicesShareOneBackendBuild) {
   PredictionCache cache;
   const SystemModel model(make_cluster(140.0, 4), {},
                           &cache);
@@ -214,7 +214,7 @@ TEST(ParallelPrediction, IdenticalDevicesShareOneBackendBuild) {
   EXPECT_EQ(first, again.predict_sla_percentiles(kSlas));
 }
 
-TEST(ParallelPrediction, CachedDeviceKeepsNoTreeAlive) {
+TEST(PredictionCache, CachedDeviceKeepsNoTreeAlive) {
   // A cached device model is its compiled tape: the backend solve and the
   // response tree it was compiled from are freed at build, so a resident
   // entry pins none of the parameter distributions they were built over.
@@ -239,7 +239,7 @@ TEST(ParallelPrediction, CachedDeviceKeepsNoTreeAlive) {
   EXPECT_EQ(cache.devices.stats().hits, 1u);
 }
 
-TEST(ParallelPrediction, ValueEqualDevicesBuildOnce) {
+TEST(PredictionCache, ValueEqualDevicesBuildOnce) {
   cosm::obs::set_enabled(true);
   // make_cluster allocates fresh distributions per device: equal by
   // value, distinct by pointer.  The service's shape repeats one
@@ -261,7 +261,7 @@ TEST(ParallelPrediction, ValueEqualDevicesBuildOnce) {
   cosm::obs::set_enabled(false);
 }
 
-TEST(ParallelPrediction, EveryResponseFieldMissesTheDeviceCache) {
+TEST(PredictionCache, EveryResponseFieldMissesTheDeviceCache) {
   using cosm::core::FrontendGroup;
   using cosm::core::RedundancyOptions;
   using cosm::numerics::Degenerate;
@@ -329,7 +329,7 @@ TEST(ParallelPrediction, EveryResponseFieldMissesTheDeviceCache) {
   EXPECT_EQ(cache.devices.stats().hits, 1u);
 }
 
-TEST(ParallelPrediction, MixedClusterMatchesPerDeviceWeightedSum) {
+TEST(PredictionCache, MixedClusterMatchesPerDeviceWeightedSum) {
   // Two value classes interleaved (A B A B A): the reduction must read
   // each device's own class, in device order.
   SystemParams params = make_cluster(150.0, 5);
@@ -361,7 +361,7 @@ TEST(ParallelPrediction, MixedClusterMatchesPerDeviceWeightedSum) {
   }
 }
 
-TEST(ParallelPrediction, SweepEvaluatesEachDevicesMissesInOneBatch) {
+TEST(PredictionCache, SweepEvaluatesEachDevicesMissesInOneBatch) {
   using cosm::obs::Counter;
   using cosm::obs::counter_value;
   // Two value classes (A B A B A), so two tape batches per cold sweep.
@@ -404,7 +404,7 @@ TEST(ParallelPrediction, SweepEvaluatesEachDevicesMissesInOneBatch) {
   EXPECT_EQ(warm, mixed_expected);
 }
 
-TEST(ParallelPrediction, ModelVariantsKeyedSeparately) {
+TEST(PredictionCache, ModelVariantsKeyedSeparately) {
   PredictionCache cache;
   const SystemParams params = make_cluster(140.0, 2);
   ModelOptions no_wta;
@@ -425,7 +425,7 @@ TEST(ParallelPrediction, ModelVariantsKeyedSeparately) {
 
 // The what-if sweeps below share one cache across their models; each
 // must return the uncached answer bit for bit.
-TEST(ParallelPrediction, ElasticScheduleParallelMatchesSerial) {
+TEST(PredictionCache, ElasticScheduleCachedMatchesUncached) {
   const auto factory = [](double rate, unsigned devices) {
     return make_cluster(rate, devices);
   };
@@ -446,7 +446,7 @@ TEST(ParallelPrediction, ElasticScheduleParallelMatchesSerial) {
   EXPECT_GT(cache.combined_stats().hits, 0u);
 }
 
-TEST(ParallelPrediction, DegradedSweepParallelMatchesSerial) {
+TEST(PredictionCache, DegradedSweepCachedMatchesUncached) {
   const SystemParams healthy = make_cluster(140.0, 4);
   std::vector<DegradedScenario> scenarios(4);
   scenarios[0].slow_device = 0;
@@ -467,7 +467,7 @@ TEST(ParallelPrediction, DegradedSweepParallelMatchesSerial) {
   }
 }
 
-TEST(ParallelPrediction, OverloadBehaviorUnchangedUnderParallel) {
+TEST(PredictionCache, OverloadBehaviorCachedMatchesUncached) {
   // Way past saturation for this device profile.
   const SystemParams overloaded = make_cluster(4000.0, 4);
   PredictionCache cache;

@@ -1,5 +1,5 @@
 // Observability subsystem tests: counter atomicity, span nesting across
-// pool threads, zero-cost-when-disabled (no allocations, no result
+// worker threads, zero-cost-when-disabled (no allocations, no result
 // drift), and the trace export shape.
 #include "obs/obs.hpp"
 
@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "numerics/distribution.hpp"
 #include "numerics/lt_inversion.hpp"
 
@@ -77,9 +77,9 @@ struct ObsGuard {
 TEST(ObsCounters, DisabledAddsAreDropped) {
   ObsGuard guard(false);
   add(Counter::kSimEvents, 123);
-  record_max(Counter::kPoolMaxQueueDepth, 99);
+  add(Counter::kSimShardBarrierNanos, 99);
   EXPECT_EQ(counter_value(Counter::kSimEvents), 0u);
-  EXPECT_EQ(counter_value(Counter::kPoolMaxQueueDepth), 0u);
+  EXPECT_EQ(counter_value(Counter::kSimShardBarrierNanos), 0u);
 }
 
 TEST(ObsCounters, ConcurrentAddsAreExact) {
@@ -99,14 +99,6 @@ TEST(ObsCounters, ConcurrentAddsAreExact) {
   EXPECT_EQ(counter_value(Counter::kInversionCalls), kThreads * kPerThread);
 }
 
-TEST(ObsCounters, RecordMaxKeepsHighWaterMark) {
-  ObsGuard guard(true);
-  record_max(Counter::kPoolMaxQueueDepth, 5);
-  record_max(Counter::kPoolMaxQueueDepth, 17);
-  record_max(Counter::kPoolMaxQueueDepth, 3);
-  EXPECT_EQ(counter_value(Counter::kPoolMaxQueueDepth), 17u);
-}
-
 TEST(ObsCounters, NamesCoverTheRegistry) {
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     const std::string_view name = counter_name(static_cast<Counter>(i));
@@ -122,8 +114,8 @@ TEST(ObsSpans, NestingDepthIsPerThread) {
   ObsGuard guard(true);
   {
     Span outer("test.outer");
-    // Pool workers start at depth 0 even while the main thread is inside
-    // `outer`; the main thread's own lambda runs nested at depth 1.
+    // parallel_for workers start at depth 0 even while the main thread is
+    // inside `outer`; the main thread's own lambda runs nested at depth 1.
     cosm::parallel_for(16, 4, [&](std::size_t) {
       Span inner("test.inner");
     });
@@ -145,7 +137,7 @@ TEST(ObsSpans, NestingDepthIsPerThread) {
       if (span.thread == main_thread) {
         EXPECT_EQ(span.depth, 1u);  // nested inside test.outer
       } else {
-        EXPECT_EQ(span.depth, 0u);  // pool worker, nothing enclosing
+        EXPECT_EQ(span.depth, 0u);  // worker thread, nothing enclosing
       }
       EXPECT_GE(span.dur_us, 0.0);
     }
@@ -171,7 +163,7 @@ TEST(ObsDisabled, InstrumentationPointsAllocateNothing) {
   for (int i = 0; i < 1000; ++i) {
     Span span("test.disabled");
     add(Counter::kSimEvents);
-    record_max(Counter::kPoolMaxQueueDepth, 7);
+    add(Counter::kSimShardBarrierNanos, 7);
   }
   EXPECT_EQ(g_allocations.load(), before)
       << "disabled instrumentation must not touch the heap";
