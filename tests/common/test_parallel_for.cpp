@@ -69,6 +69,14 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnceOnWorkerIModK) {
   }
 }
 
+TEST(ParallelFor, SingleThreadStillCompletesWork) {
+  std::atomic<int> sum{0};
+  parallel_for(100, 1, [&](std::size_t i) {
+    sum.fetch_add(static_cast<int>(i));
+  });
+  EXPECT_EQ(sum.load(), 4950);
+}
+
 TEST(ParallelFor, ZeroThreadsMeansHardwareConcurrency) {
   constexpr std::size_t kN = 257;
   std::vector<std::atomic<int>> touched(kN);

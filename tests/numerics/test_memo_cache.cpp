@@ -94,8 +94,46 @@ TEST(MemoCache, ClearResetsEntriesAndCounters) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.size, 0u);
-  EXPECT_EQ(stats.capacity, 2u);
   EXPECT_FALSE(cache.lookup(1).has_value());
+}
+
+TEST(MemoCache, ClearAfterFillingKeepsCapacity) {
+  MemoCache<int, int> cache(32);
+  for (int k = 0; k < 20; ++k) cache.insert(k, k);
+  (void)cache.lookup(0);
+  cache.clear();
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.size, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.capacity, 32u);
+}
+
+TEST(MemoCache, ConcurrentMissersOfOneKeyAgree) {
+  // Eight threads race to fill the same key. Racing missers may each
+  // compute and insert, but the value is deterministic, so every caller
+  // sees 49 and every lookup is counted exactly once.
+  MemoCache<int, int> cache(64);
+  std::atomic<int> computations{0};
+  std::vector<std::thread> threads;
+  std::vector<int> results(8, -1);
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      std::optional<int> value = cache.lookup(7);
+      if (!value) {
+        ++computations;
+        value = 49;
+        cache.insert(7, *value);
+      }
+      results[static_cast<std::size_t>(t)] = *value;
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const int r : results) EXPECT_EQ(r, 49);
+  EXPECT_GE(computations.load(), 1);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 8u);
+  EXPECT_EQ(stats.size, 1u);
 }
 
 TEST(MemoCache, ConcurrentLookupInsertIsConsistent) {
