@@ -8,9 +8,11 @@
 //
 // Each scenario times a CDF sweep over an SLA grid in three modes:
 //
-//   scalar     cdf_from_laplace on the distribution tree walk (baseline)
-//   tape       TransformTape::cdf per point (flattened kernel)
-//   tape_many  TransformTape::cdf_many, one concatenated-contour call
+//   scalar     numerics::invert_cdf per point over the distribution tree
+//              walk, one laplace() call per contour node (baseline)
+//   tape       TransformTape::invert_cdf per point (flattened kernel)
+//   tape_many  TransformTape::invert_cdf over the whole grid, one
+//              concatenated-contour call
 //
 // verifies every mode reproduces the scalar outputs bit-for-bit (the
 // tape's hard contract), and emits machine-readable BENCH_numerics.json.
@@ -36,6 +38,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -55,9 +58,9 @@ using cosm::core::DeviceParams;
 using cosm::core::ModelOptions;
 using cosm::core::SystemModel;
 using cosm::core::SystemParams;
-using cosm::numerics::cdf_from_laplace;
+using cosm::numerics::BatchLaplaceFn;
+using cosm::numerics::CdfDensityPoint;
 using cosm::numerics::DistPtr;
-using cosm::numerics::LaplaceFn;
 using cosm::numerics::TransformTape;
 
 struct Config {
@@ -199,24 +202,46 @@ ScenarioResult run_scenario(const Scenario& scenario,
   result.slot_count = tape.slot_count();
   result.generic_leaves = tape.generic_leaf_count();
 
-  const LaplaceFn scalar_lt = [&response](std::complex<double> s) {
-    return response->laplace(s);
+  const BatchLaplaceFn tree_walk =
+      [&response](std::span<const std::complex<double>> s,
+                  std::span<std::complex<double>> out) {
+        for (std::size_t i = 0; i < s.size(); ++i) {
+          out[i] = response->laplace(s[i]);
+        }
+      };
+  // F at each t, one inversion call per point.
+  const auto per_point = [&ts](const auto& invert) {
+    std::vector<double> out;
+    out.reserve(ts.size());
+    for (const double t : ts) {
+      CdfDensityPoint point;
+      invert(std::span<const double>(&t, 1),
+             std::span<CdfDensityPoint>(&point, 1));
+      out.push_back(point.cdf.value);
+    }
+    return out;
   };
 
   result.modes.push_back(run_mode("scalar", repeat, [&] {
-    std::vector<double> out;
-    out.reserve(ts.size());
-    for (const double t : ts) out.push_back(cdf_from_laplace(scalar_lt, t));
-    return out;
+    return per_point([&](std::span<const double> t,
+                         std::span<CdfDensityPoint> point) {
+      cosm::numerics::invert_cdf(tree_walk, t, 20, point);
+    });
   }));
   result.modes.push_back(run_mode("tape", repeat, [&] {
+    return per_point([&](std::span<const double> t,
+                         std::span<CdfDensityPoint> point) {
+      tape.invert_cdf(t, 20, point);
+    });
+  }));
+  result.modes.push_back(run_mode("tape_many", repeat, [&] {
+    std::vector<CdfDensityPoint> points(ts.size());
+    tape.invert_cdf(ts, 20, points);
     std::vector<double> out;
     out.reserve(ts.size());
-    for (const double t : ts) out.push_back(tape.cdf(t));
+    for (const CdfDensityPoint& point : points) out.push_back(point.cdf.value);
     return out;
   }));
-  result.modes.push_back(
-      run_mode("tape_many", repeat, [&] { return tape.cdf_many(ts); }));
 
   const ModeResult& scalar = result.modes.front();
   for (ModeResult& mode : result.modes) {

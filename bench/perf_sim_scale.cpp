@@ -40,7 +40,8 @@
 //        --duration=S  (benchmark phase seconds; default 115)
 //        --reps=N      (replication count; default 4)
 //        --threads=T   (parallel replication fan-out; 0 = hardware)
-//        --repeat=K    (timing repetitions, best-of; default 3)
+//        --repeat=K    (timing repetitions, best-of, after one discarded
+//                       warm-up run per mode; default 3)
 //        --scaled-rate=R     (scaled scenario arrivals/s; default 10000)
 //        --scaled-duration=S (scaled benchmark seconds; default 3)
 //        --out=PATH    (default BENCH_sim.json)
@@ -201,10 +202,14 @@ void fold_rep(ModeResult& result, int rep, double ms, std::uint64_t events,
   }
 }
 
+// Every mode runs once, untimed and discarded, before its timed
+// repetitions: the first run after an idle spell is the slow one on a
+// shared host, and the gates compare best-of timings across modes.
 ModeResult run_single(const std::string& name, const ReplicationPlan& plan,
                       int repeat) {
   ModeResult result;
   result.name = name;
+  run_replication(plan, kSeed);  // warm-up, discarded
   for (int rep = 0; rep < repeat; ++rep) {
     // Engine-loop wall only (excludes catalog/placement construction).
     const ReplicationResult r = run_replication(plan, kSeed);
@@ -219,6 +224,7 @@ ModeResult run_set(const std::string& name, const ReplicationPlan& plan,
   ModeResult result;
   result.name = name;
   result.threads = threads;
+  run_replications(plan, threads);  // warm-up, discarded
   for (int rep = 0; rep < repeat; ++rep) {
     const auto start = std::chrono::steady_clock::now();
     const ReplicationSet set = run_replications(plan, threads);

@@ -201,40 +201,25 @@ DeviceModel::DeviceModel(const FrontendModel& frontend, DeviceParams params,
   fingerprint_ = wrap_.fingerprint(tape_->fingerprint());
 }
 
-double DeviceModel::cdf(double t) const {
-  const double base = tape_->cdf(t, kModelEulerOrder);
+void DeviceModel::cdf_density(std::span<const double> ts,
+                              std::span<numerics::CdfDensityPoint> out) const {
   if (wrap_.mode() != numerics::RedundancyWrap::Mode::kHedge) {
-    return wrap_.cdf(base, 0.0);
-  }
-  return wrap_.cdf(base, tape_->cdf(t - wrap_.delay(), kModelEulerOrder));
-}
-
-std::vector<double> DeviceModel::cdf_many(std::span<const double> ts) const {
-  if (wrap_.mode() != numerics::RedundancyWrap::Mode::kHedge) {
-    std::vector<double> out = tape_->cdf_many(ts, kModelEulerOrder);
-    for (double& f : out) f = wrap_.cdf(f, 0.0);
-    return out;
+    tape_->invert_cdf(ts, kModelEulerOrder, out);
+    for (numerics::CdfDensityPoint& point : out) {
+      point = wrap_.cdf_density(point, {});
+    }
+    return;
   }
   // Hedging reads t - delay as well, in the same batched call.
+  COSM_REQUIRE(out.size() == ts.size(), "one output per t");
   const std::size_t count = ts.size();
   std::vector<double> points(ts.begin(), ts.end());
   for (const double t : ts) points.push_back(t - wrap_.delay());
-  std::vector<double> out = tape_->cdf_many(points, kModelEulerOrder);
+  std::vector<numerics::CdfDensityPoint> base(points.size());
+  tape_->invert_cdf(points, kModelEulerOrder, base);
   for (std::size_t i = 0; i < count; ++i) {
-    out[i] = wrap_.cdf(out[i], out[count + i]);
+    out[i] = wrap_.cdf_density(base[i], base[count + i]);
   }
-  out.resize(count);
-  return out;
-}
-
-numerics::CdfDensityPoint DeviceModel::cdf_density(double t) const {
-  const numerics::CdfDensityPoint base =
-      tape_->cdf_density(t, kModelEulerOrder);
-  if (wrap_.mode() != numerics::RedundancyWrap::Mode::kHedge) {
-    return wrap_.cdf_density(base, {});
-  }
-  return wrap_.cdf_density(
-      base, tape_->cdf_density(t - wrap_.delay(), kModelEulerOrder));
 }
 
 double DeviceModel::mean_latency() const {
@@ -286,93 +271,67 @@ SystemModel::SystemModel(SystemParams params, ModelOptions options,
   }
 }
 
-double SystemModel::device_cdf(const DeviceModel& model, double sla) const {
-  // The tape CDF is bit-identical to inverting the scalar tree walk at
-  // the same order — the tape's hard contract — and the wrap is a pure
-  // function of it, so cache hits and cold evaluations return the same
-  // doubles.
-  if (cache_ == nullptr) return model.cdf(sla);
-  const std::uint64_t key = cdf_cache_key(model.fingerprint(), sla);
-  if (auto cached = cache_->cdf.lookup(key)) {
-    obs::add(obs::Counter::kCdfCacheHit);
-    return *cached;
+void SystemModel::device_cdfs(const DeviceModel& model,
+                              std::span<const double> slas,
+                              std::span<double> row) const {
+  // With a cache attached, each cell is looked up, and the misses are
+  // evaluated together in ONE device evaluation (one batched tape call
+  // over their concatenated contours) and inserted.  The tape's values
+  // are bit-identical to inverting the scalar tree walk and the wrap is
+  // a pure function of them, so cache hits and cold evaluations return
+  // the same doubles whatever the batch.  A bound repeated within the
+  // call is evaluated once and then looked up by a one-element call, as
+  // a lookup per cell in order would, so the hit and miss counts are
+  // those of single queries.  The miss lists allocate only when there
+  // are misses.
+  std::vector<std::size_t> misses;   // cells evaluated below
+  std::vector<double> miss_slas;     // their bounds
+  std::vector<std::size_t> repeats;  // cells repeating a missed bound
+  for (std::size_t s = 0; s < slas.size(); ++s) {
+    if (cache_ != nullptr) {
+      const bool repeat =
+          std::any_of(miss_slas.begin(), miss_slas.end(),
+                      [&](double t) { return same_bits(t, slas[s]); });
+      if (repeat) {
+        repeats.push_back(s);
+        continue;
+      }
+      const std::uint64_t key = cdf_cache_key(model.fingerprint(), slas[s]);
+      if (auto cached = cache_->cdf.lookup(key)) {
+        obs::add(obs::Counter::kCdfCacheHit);
+        row[s] = *cached;
+        continue;
+      }
+      obs::add(obs::Counter::kCdfCacheMiss);
+    }
+    misses.push_back(s);
+    miss_slas.push_back(slas[s]);
   }
-  obs::add(obs::Counter::kCdfCacheMiss);
-  const double value = model.cdf(sla);
-  cache_->cdf.insert(key, value);
-  return value;
+  if (misses.empty()) return;
+  std::vector<numerics::CdfDensityPoint> points(misses.size());
+  model.cdf_density(miss_slas, points);
+  for (std::size_t k = 0; k < misses.size(); ++k) {
+    row[misses[k]] = points[k].cdf.value;
+    if (cache_ != nullptr) {
+      cache_->cdf.insert(cdf_cache_key(model.fingerprint(), miss_slas[k]),
+                         points[k].cdf.value);
+    }
+  }
+  for (const std::size_t s : repeats) {
+    device_cdfs(model, slas.subspan(s, 1), row.subspan(s, 1));
+  }
 }
 
-double SystemModel::predict_sla_percentile(double sla) const {
-  COSM_REQUIRE(sla > 0, "SLA must be positive");
-  obs::Span span("core.predict_sla");
-  // One CDF per distinct device; the weighted sum reads each device's
-  // value class in device order.
-  const std::size_t distinct = distinct_.size();
-  std::vector<double> cdfs(distinct);
-  for (std::size_t u = 0; u < distinct; ++u) {
-    cdfs[u] = device_cdf(devices_[distinct_[u]], sla);
-  }
-  double weighted = 0.0;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    weighted += devices_[i].arrival_rate() * cdfs[slot_[i]];
-  }
-  return weighted / total_rate_;
-}
-
-std::vector<double> SystemModel::predict_sla_percentiles(
-    const std::vector<double>& slas) const {
-  for (const double sla : slas) COSM_REQUIRE(sla > 0, "SLA must be positive");
-  obs::Span span("core.predict_sla_sweep");
+void SystemModel::sweep(std::span<const double> slas,
+                        std::span<double> out) const {
+  // One row of cells per distinct device; the weighted sum reads each
+  // device's value class in device order.
   const std::size_t n_slas = slas.size();
-  const std::size_t distinct = distinct_.size();
-  std::vector<double> cdfs(distinct * n_slas);
-  // One sweep per distinct device: with a cache attached, each cell is
-  // looked up, and the misses are evaluated together in ONE batched tape
-  // call (cdf_many concatenates their contours) and inserted.  cdf_many's
-  // element i is bit-identical to cdf(ts[i]), so every cell is the value
-  // device_cdf would give.  A bound repeated within the sweep is
-  // evaluated once and read back from the cache as device_cdf's serial
-  // order would, so the hit and miss counts are its counts too.  The
-  // miss lists allocate only when there are misses.
-  for (std::size_t u = 0; u < distinct; ++u) {
-    const DeviceModel& model = devices_[distinct_[u]];
-    double* const row = cdfs.data() + u * n_slas;
-    std::vector<std::size_t> misses;   // cells evaluated below
-    std::vector<double> miss_slas;     // their bounds
-    std::vector<std::size_t> repeats;  // cells repeating a missed bound
-    for (std::size_t s = 0; s < n_slas; ++s) {
-      if (cache_ != nullptr) {
-        const bool repeat =
-            std::any_of(miss_slas.begin(), miss_slas.end(),
-                        [&](double t) { return same_bits(t, slas[s]); });
-        if (repeat) {
-          repeats.push_back(s);
-          continue;
-        }
-        const std::uint64_t key = cdf_cache_key(model.fingerprint(), slas[s]);
-        if (auto cached = cache_->cdf.lookup(key)) {
-          obs::add(obs::Counter::kCdfCacheHit);
-          row[s] = *cached;
-          continue;
-        }
-        obs::add(obs::Counter::kCdfCacheMiss);
-      }
-      misses.push_back(s);
-      miss_slas.push_back(slas[s]);
-    }
-    if (misses.empty()) continue;
-    const std::vector<double> values = model.cdf_many(miss_slas);
-    for (std::size_t k = 0; k < misses.size(); ++k) {
-      row[misses[k]] = values[k];
-      if (cache_ != nullptr) {
-        cache_->cdf.insert(cdf_cache_key(model.fingerprint(), miss_slas[k]),
-                           values[k]);
-      }
-    }
-    for (const std::size_t s : repeats) row[s] = device_cdf(model, slas[s]);
+  std::vector<double> cdfs(distinct_.size() * n_slas);
+  for (std::size_t u = 0; u < distinct_.size(); ++u) {
+    device_cdfs(devices_[distinct_[u]], slas,
+                std::span<double>(cdfs.data() + u * n_slas, n_slas));
   }
-  std::vector<double> out(n_slas, 0.0);
   for (std::size_t s = 0; s < n_slas; ++s) {
     double weighted = 0.0;
     for (std::size_t d = 0; d < devices_.size(); ++d) {
@@ -380,6 +339,22 @@ std::vector<double> SystemModel::predict_sla_percentiles(
     }
     out[s] = weighted / total_rate_;
   }
+}
+
+double SystemModel::predict_sla_percentile(double sla) const {
+  COSM_REQUIRE(sla > 0, "SLA must be positive");
+  obs::Span span("core.predict_sla");
+  double percentile = 0.0;
+  sweep(std::span<const double>(&sla, 1), std::span<double>(&percentile, 1));
+  return percentile;
+}
+
+std::vector<double> SystemModel::predict_sla_percentiles(
+    const std::vector<double>& slas) const {
+  for (const double sla : slas) COSM_REQUIRE(sla > 0, "SLA must be positive");
+  obs::Span span("core.predict_sla_sweep");
+  std::vector<double> out(slas.size(), 0.0);
+  sweep(slas, out);
   return out;
 }
 
@@ -387,7 +362,10 @@ double SystemModel::predict_sla_percentile_device(std::size_t device,
                                                   double sla) const {
   COSM_REQUIRE(device < devices_.size(), "device index out of range");
   COSM_REQUIRE(sla > 0, "SLA must be positive");
-  return device_cdf(devices_[device], sla);
+  double cdf = 0.0;
+  device_cdfs(devices_[device], std::span<const double>(&sla, 1),
+              std::span<double>(&cdf, 1));
+  return cdf;
 }
 
 numerics::CdfDensityPoint SystemModel::cdf_density(double t) const {
@@ -395,9 +373,11 @@ numerics::CdfDensityPoint SystemModel::cdf_density(double t) const {
   const std::size_t distinct = distinct_.size();
   std::vector<numerics::CdfDensityPoint> points(distinct);
   for (std::size_t u = 0; u < distinct; ++u) {
-    points[u] = devices_[distinct_[u]].cdf_density(t);
+    devices_[distinct_[u]].cdf_density(
+        std::span<const double>(&t, 1),
+        std::span<numerics::CdfDensityPoint>(&points[u], 1));
   }
-  // Same weights and order as predict_sla_percentile, so F is its value.
+  // Same weights and order as the SLA sweep, so F is its value.
   double cdf = 0.0;
   double density = 0.0;
   numerics::InversionQuality quality = numerics::InversionQuality::kConverged;

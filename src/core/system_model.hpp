@@ -49,8 +49,8 @@ std::uint64_t device_model_key(const FrontendParams& frontend,
                                const DeviceParams& params,
                                const ModelOptions& options);
 
-// The Euler order of every model CDF (device_cdf, the SLA sweeps, the
-// quantile probes): the smallest M whose F stays within
+// The Euler order of every model CDF (the SLA sweeps and the quantile
+// probes): the smallest M whose F stays within
 // numerics::kCdfErrorBudget of the M = 20 inversion over the model's
 // envelope — the service cluster family, its MG1K/MM1K 4-process, noWTA
 // and tiered variants, 5-55 req/s per device, SLAs of 20-500 ms.
@@ -60,7 +60,7 @@ std::uint64_t device_model_key(const FrontendParams& frontend,
 inline constexpr int kModelEulerOrder = 11;
 
 // Key under which PredictionCache::cdf stores one device's CDF value at
-// one SLA point: (DeviceModel::fingerprint(), SLA bits).  device_cdf
+// one SLA point: (DeviceModel::fingerprint(), SLA bits).  The SLA sweep
 // derives its keys through this function, so external invalidation can
 // never drift from the lookup path.
 std::uint64_t cdf_cache_key(std::uint64_t device_fingerprint, double sla);
@@ -110,14 +110,13 @@ class DeviceModel {
   // PredictionCache entries.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
-  // The device's (wrapped) response CDF at t, each base read an Euler
-  // inversion of the tape at kModelEulerOrder (two for hedging, at t and
-  // t - delay); t in seconds, 0 for t <= 0.
-  double cdf(double t) const;
-  // Element i is bit-identical to cdf(ts[i]); ONE batched tape call.
-  std::vector<double> cdf_many(std::span<const double> ts) const;
-  // (F, f) at t: one quantile-search probe.  F is bit-identical to cdf(t).
-  numerics::CdfDensityPoint cdf_density(double t) const;
+  // The device's one evaluation: out[i] receives the (wrapped) response
+  // (F, f) at ts[i], every base read an Euler inversion of the tape at
+  // kModelEulerOrder, all of them ONE batched tape call (hedging adds each
+  // t - delay to the same call).  t in seconds; F = 0 and f = 0 for
+  // t <= 0.  Precondition: out.size() == ts.size().
+  void cdf_density(std::span<const double> ts,
+                   std::span<numerics::CdfDensityPoint> out) const;
   // Mean response latency in seconds: the tree's mean for one attempt
   // (taken at build), the wrap's integral of 1 - F over one batched base
   // inversion otherwise (computed on each call, never at build).
@@ -196,17 +195,18 @@ class SystemModel {
   const std::vector<DeviceModel>& devices() const { return devices_; }
 
   // P[response latency <= sla] over the whole system (Eq. 3), each
-  // device's CDF its DeviceModel::cdf (inversions at kModelEulerOrder).
-  // Precondition: sla > 0 (seconds).
+  // device's CDF its DeviceModel::cdf_density (inversions at
+  // kModelEulerOrder): a one-element SLA sweep.  Precondition: sla > 0
+  // (seconds).
   double predict_sla_percentile(double sla) const;
-  // Batch form: one value per entry of `slas`, each distinct device
+  // The SLA sweep: one value per entry of `slas`, each distinct device
   // evaluating the cells the cache does not hold in one batched tape
-  // call.  Equivalent to —
-  // and bit-identical with — calling predict_sla_percentile per element.
+  // call.  Equivalent to — and bit-identical with — calling
+  // predict_sla_percentile per element.
   std::vector<double> predict_sla_percentiles(
       const std::vector<double>& slas) const;
-  // Same, restricted to one device.  Preconditions: device index in
-  // range, sla > 0 (seconds).
+  // Same, restricted to one device: that device's one-element sweep.
+  // Preconditions: device index in range, sla > 0 (seconds).
   double predict_sla_percentile_device(std::size_t device,
                                        double sla) const;
   // Inverse: latency bound (seconds) such that `percentile` of requests
@@ -231,7 +231,14 @@ class SystemModel {
   double mean_response_latency() const;
 
  private:
-  double device_cdf(const DeviceModel& model, double sla) const;
+  // The one cache-aware CDF path: row[s] = `model`'s F at slas[s], read
+  // from PredictionCache::cdf or evaluated, the misses in one
+  // DeviceModel::cdf_density call.  row.size() == slas.size().
+  void device_cdfs(const DeviceModel& model, std::span<const double> slas,
+                   std::span<double> row) const;
+  // The SLA sweep: out[s] = the rate-weighted system F at slas[s]
+  // (Eq. 3), device_cdfs per distinct device.  out.size() == slas.size().
+  void sweep(std::span<const double> slas, std::span<double> out) const;
   // One quantile-search probe: system F and f at t (Eq. 3 and its
   // derivative).
   numerics::CdfDensityPoint cdf_density(double t) const;

@@ -61,8 +61,13 @@ double Distribution::variance() const {
 }
 
 double Distribution::cdf(double t) const {
-  return cdf_from_laplace(
-      [this](std::complex<double> s) { return laplace(s); }, t);
+  CdfDensityPoint point;
+  invert_cdf(
+      [this](std::span<const std::complex<double>> s,
+             std::span<std::complex<double>> out) { laplace_many(s, out); },
+      std::span<const double>(&t, 1), 20,
+      std::span<CdfDensityPoint>(&point, 1));
+  return point.cdf.value;
 }
 
 double Distribution::sample(Rng&) const {

@@ -55,12 +55,12 @@ class Distribution {
 
   // Batched transform evaluation: out[i] = laplace(s[i]) for every i.
   // The default implementation is a scalar loop, so every subclass is
-  // automatically correct; it exists so batched inversion (lt_inversion's
-  // BatchLaplaceFn overloads, TransformTape's generic-leaf op) has one
-  // compatibility entry point for distributions the tape compiler cannot
-  // flatten.  Overrides MUST produce bit-identical values to the scalar
-  // loop (same per-point arithmetic order) — the inversion layer's
-  // bit-identity guarantee rests on it.  Precondition: out.size() ==
+  // automatically correct; it exists so batched inversion (the default
+  // cdf below, TransformTape's generic-leaf op) has one compatibility
+  // entry point for distributions the tape compiler cannot flatten.
+  // Overrides MUST produce bit-identical values to the scalar loop (same
+  // per-point arithmetic order) — the inversion layer's bit-identity
+  // guarantee rests on it.  Precondition: out.size() ==
   // s.size().
   virtual void laplace_many(std::span<const std::complex<double>> s,
                             std::span<std::complex<double>> out) const;
@@ -79,7 +79,8 @@ class Distribution {
   virtual double variance() const;
 
   // P[T <= t].  The default implementation numerically inverts
-  // laplace(s)/s with the Abate–Whitt Euler algorithm and clamps to [0,1].
+  // laplace(s)/s with the Abate–Whitt Euler algorithm (numerics::invert_cdf
+  // over laplace_many, m = 20) and clamps to [0,1].
   virtual double cdf(double t) const;
 
   // Draw a variate.  Throws std::logic_error for transform-only

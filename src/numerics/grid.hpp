@@ -3,7 +3,7 @@
 // An independent prediction path used to cross-validate Laplace-transform
 // inversion: any Distribution can be discretized (by CDF differencing, so
 // atoms land in the right bin), grids convolve via FFT, and the grid CDF
-// can be compared against cdf_from_laplace at the SLA points.  Tests use
+// can be compared against invert_cdf at the SLA points.  Tests use
 // both representations and require agreement.
 #pragma once
 

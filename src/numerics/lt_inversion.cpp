@@ -15,13 +15,12 @@ namespace cosm::numerics {
 
 namespace {
 
-// Node weights: the Euler xi weights depend only on the term count, yet
-// every inversion used to recompute them (~2M lgamma/exp calls per CDF
-// query — a measurable slice of the ~3 µs budget when the transform
-// itself is a shallow tree).  They cover the whole stable range M in
-// [2, 30] (check_euler_args) and are built once, at first use, into a
-// table read without a lock.
-std::vector<double> build_euler_xi(int m) {
+// Reduction weights: the Euler weights depend only on the term count, so
+// they are built once, at first use, for the whole stable range m in
+// [2, 30] (check_order) into a table read without a lock.  Row m holds
+// eta_k = (-1)^k xi_k 10^{m/3}, the binomially smoothed xi_k of Abate &
+// Whitt (2006) signed and scaled, multiplied in that order.
+std::vector<double> build_euler_eta(int m) {
   std::vector<double> xi(static_cast<std::size_t>(2 * m + 1), 0.0);
   xi[0] = 0.5;
   for (int k = 1; k <= m; ++k) xi[static_cast<std::size_t>(k)] = 1.0;
@@ -34,18 +33,22 @@ std::vector<double> build_euler_xi(int m) {
         xi[static_cast<std::size_t>(2 * m - k + 1)] +
         std::pow(2.0, -m) * binom;
   }
+  const double scale = std::pow(10.0, m / 3.0);
+  for (std::size_t k = 0; k < xi.size(); ++k) {
+    xi[k] = (k % 2 == 0 ? 1.0 : -1.0) * xi[k] * scale;
+  }
   return xi;
 }
 
 constexpr int kEulerMinM = 2;
 constexpr int kEulerMaxM = 30;
 
-// Precondition: m in [kEulerMinM, kEulerMaxM] (check_euler_args).
-const std::vector<double>& euler_xi(int m) {
+// Precondition: m in [kEulerMinM, kEulerMaxM] (check_order).
+const std::vector<double>& euler_eta(int m) {
   static const std::vector<std::vector<double>> table = [] {
     std::vector<std::vector<double>> rows;
     for (int order = kEulerMinM; order <= kEulerMaxM; ++order) {
-      rows.push_back(build_euler_xi(order));
+      rows.push_back(build_euler_eta(order));
     }
     return rows;
   }();
@@ -87,15 +90,25 @@ class ScratchLease {
   std::unique_ptr<ContourScratch> scratch_;
 };
 
-void check_euler_args(double t, int m) {
-  COSM_REQUIRE(t > 0, "euler inversion requires t > 0");
+void check_order(int m) {
   COSM_REQUIRE(m >= kEulerMinM && m <= kEulerMaxM,
                "euler M out of the stable range [2, 30]");
 }
 
+// Classifies a raw (pre-clamp) CDF value against the thresholds of
+// InversionQuality.
+InversionQuality classify_cdf_value(double raw) {
+  if (!std::isfinite(raw)) return InversionQuality::kNonFinite;
+  // excess > 0 means the raw sum sits outside [0, 1] by that much.
+  const double excess = std::max(0.0 - raw, raw - 1.0);
+  if (excess <= kCdfErrorBudget) return InversionQuality::kConverged;
+  if (excess <= 1e-3) return InversionQuality::kTruncated;
+  return InversionQuality::kClamped;
+}
+
 // Records the per-inversion obs accounting: one verdict counter, the
 // call, and the contour budget spent.
-void count_inversion(InversionQuality quality, int terms) {
+void count_inversion(InversionQuality quality, std::size_t terms) {
   if (!obs::enabled()) return;
   switch (quality) {
     case InversionQuality::kConverged:
@@ -112,52 +125,26 @@ void count_inversion(InversionQuality quality, int terms) {
       break;
   }
   obs::add(obs::Counter::kInversionCalls);
-  obs::add(obs::Counter::kInversionTerms,
-           static_cast<std::uint64_t>(terms));
+  obs::add(obs::Counter::kInversionTerms, static_cast<std::uint64_t>(terms));
 }
 
-// Clamp + classify + count in one place: every CDF inversion in this file
-// funnels through here, so no out-of-range raw sum can vanish without at
-// least a counter bump.  The returned value preserves the historical
-// arithmetic exactly: std::clamp for finite raws, and a non-finite raw
-// passes through std::clamp unchanged (both comparisons are false) — so
-// checked and unchecked callers see bit-identical doubles.
-CdfPoint finish_cdf(double raw, int terms) {
-  const InversionQuality quality = classify_cdf_value(raw);
-  count_inversion(quality, terms);
-  return CdfPoint{std::clamp(raw, 0.0, 1.0), quality};
-}
-
-// Fills the Euler contour for t into `scratch` and evaluates lt_many over
-// it: scratch.values[k] = L[f](nodes[k]).  The batched inverters share
-// this, so the CDF and (F, f) entry points see the same node values.
-void euler_evaluate(const BatchLaplaceFn& lt_many, double t, int m,
-                    ContourScratch& scratch) {
-  check_euler_args(t, m);
-  const std::size_t terms = static_cast<std::size_t>(euler_terms(m));
-  scratch.nodes.resize(terms);
-  scratch.values.resize(terms);
-  euler_fill_nodes(t, m, scratch.nodes);
-  lt_many(scratch.nodes, scratch.values);
-}
-
-// DIV-BY-S in place (inverting L[f](s)/s turns the density transform into
-// the CDF transform), then the Euler reduction: the raw, unclamped F(t).
-double euler_cdf_raw(double t, int m, ContourScratch& scratch) {
-  for (std::size_t k = 0; k < scratch.values.size(); ++k) {
-    scratch.values[k] = scratch.values[k] / scratch.nodes[k];
+// Euler reduction (1/t) sum_k eta_k Re v_k over one contour's values.
+double euler_reduce(double t, const std::vector<double>& eta,
+                    const std::complex<double>* values) {
+  double sum = 0.0;
+  for (std::size_t k = 0; k < eta.size(); ++k) {
+    sum += eta[k] * values[k].real();
   }
-  return euler_reduce(t, m, scratch.values);
+  return sum / t;
 }
 
 }  // namespace
 
-// --------------------------- contour plumbing ----------------------------
-
 int euler_terms(int m) { return 2 * m + 1; }
 
 void euler_fill_nodes(double t, int m, std::span<std::complex<double>> out) {
-  check_euler_args(t, m);
+  COSM_REQUIRE(t > 0, "euler inversion requires t > 0");
+  check_order(m);
   const int terms = euler_terms(m);
   COSM_REQUIRE(out.size() == static_cast<std::size_t>(terms),
                "euler node span has the wrong length");
@@ -170,162 +157,48 @@ void euler_fill_nodes(double t, int m, std::span<std::complex<double>> out) {
   }
 }
 
-double euler_reduce(double t, int m,
-                    std::span<const std::complex<double>> values) {
-  check_euler_args(t, m);
-  const int terms = euler_terms(m);
-  COSM_REQUIRE(values.size() == static_cast<std::size_t>(terms),
-               "euler value span has the wrong length");
-  // f(t) ~ (1/t) sum_{k=0}^{2M} eta_k Re v_k with Euler-smoothed eta_k.
-  const std::vector<double>& xi = euler_xi(m);
-  const double scale = std::pow(10.0, m / 3.0);
-  double sum = 0.0;
-  for (int k = 0; k < terms; ++k) {
-    const double eta =
-        (k % 2 == 0 ? 1.0 : -1.0) * xi[static_cast<std::size_t>(k)] * scale;
-    sum += eta * values[static_cast<std::size_t>(k)].real();
-  }
-  return sum / t;
-}
-
-// ------------------------------- inverters -------------------------------
-
-double invert_euler(const LaplaceFn& lt, double t, int m) {
-  check_euler_args(t, m);
-  const std::size_t terms = static_cast<std::size_t>(euler_terms(m));
-  ScratchLease scratch;
-  scratch->nodes.resize(terms);
-  scratch->values.resize(terms);
-  euler_fill_nodes(t, m, scratch->nodes);
-  for (std::size_t k = 0; k < terms; ++k) {
-    scratch->values[k] = lt(scratch->nodes[k]);
-  }
-  return euler_reduce(t, m, scratch->values);
-}
-
-double invert_euler(const BatchLaplaceFn& lt_many, double t, int m) {
-  ScratchLease scratch;
-  euler_evaluate(lt_many, t, m, *scratch);
-  return euler_reduce(t, m, scratch->values);
-}
-
-InversionQuality classify_cdf_value(double raw) {
-  if (!std::isfinite(raw)) return InversionQuality::kNonFinite;
-  // excess > 0 means the raw sum sits outside [0, 1] by that much.
-  const double excess = std::max(0.0 - raw, raw - 1.0);
-  if (excess <= kCdfErrorBudget) return InversionQuality::kConverged;
-  if (excess <= 1e-3) return InversionQuality::kTruncated;
-  return InversionQuality::kClamped;
-}
-
-CdfPoint cdf_from_laplace_checked(const LaplaceFn& lt, double t, int m) {
-  if (t <= 0.0) return CdfPoint{0.0, InversionQuality::kConverged};
-  check_euler_args(t, m);
-  const std::size_t terms = static_cast<std::size_t>(euler_terms(m));
-  ScratchLease scratch;
-  scratch->nodes.resize(terms);
-  scratch->values.resize(terms);
-  euler_fill_nodes(t, m, scratch->nodes);
-  // DIV-BY-S: inverting L[f](s)/s turns the density transform into the
-  // CDF transform; the division is fused after evaluation.
-  for (std::size_t k = 0; k < terms; ++k) {
-    scratch->values[k] = lt(scratch->nodes[k]) / scratch->nodes[k];
-  }
-  return finish_cdf(euler_reduce(t, m, scratch->values),
-                    static_cast<int>(terms));
-}
-
-CdfPoint cdf_from_laplace_checked(const BatchLaplaceFn& lt_many, double t,
-                                  int m) {
-  if (t <= 0.0) return CdfPoint{0.0, InversionQuality::kConverged};
-  ScratchLease scratch;
-  euler_evaluate(lt_many, t, m, *scratch);
-  return finish_cdf(euler_cdf_raw(t, m, *scratch), euler_terms(m));
-}
-
-CdfDensityPoint cdf_density_from_laplace(const BatchLaplaceFn& lt_many,
-                                         double t, int m) {
-  if (t <= 0.0) return {};
-  ScratchLease scratch;
-  euler_evaluate(lt_many, t, m, *scratch);
-  // The density reduces the node values before euler_cdf_raw divides
-  // them by s in place.
-  const double density = euler_reduce(t, m, scratch->values);
-  return {finish_cdf(euler_cdf_raw(t, m, *scratch), euler_terms(m)),
-          density};
-}
-
-double cdf_from_laplace(const LaplaceFn& lt, double t, int m) {
-  return cdf_from_laplace_checked(lt, t, m).value;
-}
-
-double cdf_from_laplace(const BatchLaplaceFn& lt_many, double t, int m) {
-  return cdf_from_laplace_checked(lt_many, t, m).value;
-}
-
-namespace {
-
-// Shared worker for both cdf_many overloads; `quality` may be empty (no
-// propagation) or ts-sized.
-std::vector<double> cdf_many_impl(const BatchLaplaceFn& lt_many,
-                                  std::span<const double> ts, int m,
-                                  std::span<InversionQuality> quality) {
-  COSM_REQUIRE(quality.empty() || quality.size() == ts.size(),
-               "quality span must match the t grid");
-  std::vector<double> out(ts.size(), 0.0);
-  for (std::size_t i = 0; i < quality.size(); ++i) {
-    quality[i] = InversionQuality::kConverged;  // exact 0 for t <= 0
-  }
+void invert_cdf(const BatchLaplaceFn& lt_many, std::span<const double> ts,
+                int m, std::span<CdfDensityPoint> out) {
+  COSM_REQUIRE(out.size() == ts.size(), "invert_cdf needs one output per t");
+  check_order(m);
+  std::fill(out.begin(), out.end(), CdfDensityPoint{});
+  const std::size_t live = static_cast<std::size_t>(
+      std::count_if(ts.begin(), ts.end(), [](double t) { return t > 0.0; }));
+  if (live == 0) return;
+  obs::Span span("numerics.cdf_many");
   // Concatenate the contours of every positive t into one node array so
   // the transform is evaluated exactly once.
-  std::vector<std::size_t> live;
-  live.reserve(ts.size());
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (ts[i] > 0.0) {
-      check_euler_args(ts[i], m);
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) return out;
-  obs::Span span("numerics.cdf_many");
   const std::size_t terms = static_cast<std::size_t>(euler_terms(m));
   ScratchLease scratch;
-  scratch->nodes.resize(terms * live.size());
-  scratch->values.resize(terms * live.size());
-  for (std::size_t b = 0; b < live.size(); ++b) {
-    euler_fill_nodes(ts[live[b]], m,
-                     std::span<std::complex<double>>(
-                         scratch->nodes.data() + b * terms, terms));
+  scratch->nodes.resize(terms * live);
+  scratch->values.resize(terms * live);
+  std::complex<double>* nodes = scratch->nodes.data();
+  for (const double t : ts) {
+    if (!(t > 0.0)) continue;
+    euler_fill_nodes(t, m, std::span<std::complex<double>>(nodes, terms));
+    nodes += terms;
   }
   lt_many(scratch->nodes, scratch->values);
-  for (std::size_t b = 0; b < live.size(); ++b) {
-    std::complex<double>* nodes = scratch->nodes.data() + b * terms;
-    std::complex<double>* values = scratch->values.data() + b * terms;
+  const std::vector<double>& eta = euler_eta(m);
+  nodes = scratch->nodes.data();
+  std::complex<double>* values = scratch->values.data();
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    const double t = ts[i];
+    if (!(t > 0.0)) continue;
+    // f reduces the node values as they are; DIV-BY-S in place then turns
+    // them into the CDF transform's (L[F](s) = L[f](s)/s), and the same
+    // reduction gives the raw, unclamped F.
+    const double density = euler_reduce(t, eta, values);
     for (std::size_t k = 0; k < terms; ++k) values[k] = values[k] / nodes[k];
-    const double raw = euler_reduce(
-        ts[live[b]], m,
-        std::span<const std::complex<double>>(values, terms));
-    const CdfPoint point = finish_cdf(raw, static_cast<int>(terms));
-    out[live[b]] = point.value;
-    if (!quality.empty()) quality[live[b]] = point.quality;
+    const double raw = euler_reduce(t, eta, values);
+    const InversionQuality quality = classify_cdf_value(raw);
+    count_inversion(quality, terms);
+    // A non-finite raw passes through std::clamp unchanged (both
+    // comparisons are false).
+    out[i] = {{std::clamp(raw, 0.0, 1.0), quality}, density};
+    nodes += terms;
+    values += terms;
   }
-  return out;
-}
-
-}  // namespace
-
-std::vector<double> cdf_many_from_laplace(const BatchLaplaceFn& lt_many,
-                                          std::span<const double> ts,
-                                          int m) {
-  return cdf_many_impl(lt_many, ts, m, {});
-}
-
-std::vector<double> cdf_many_from_laplace(
-    const BatchLaplaceFn& lt_many, std::span<const double> ts, int m,
-    std::span<InversionQuality> quality) {
-  COSM_REQUIRE(quality.size() == ts.size(),
-               "quality span must match the t grid");
-  return cdf_many_impl(lt_many, ts, m, quality);
 }
 
 double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,

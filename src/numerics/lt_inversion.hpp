@@ -11,36 +11,35 @@
 // At a jump discontinuity of F the inversion converges to the midpoint; SLA
 // evaluation points in the experiments sit away from the model's atoms.
 //
-// Batching: every inversion materializes its whole contour up front and
-// issues ONE transform evaluation over all nodes, then reduces.  The
-// scalar LaplaceFn overloads loop that evaluation per node; the
-// BatchLaplaceFn overloads hand the full node array to the callee (a
-// Distribution::laplace_many loop, or a compiled TransformTape) in one
-// call.  Per-node arithmetic is identical either way, so scalar and
-// batched paths are bit-identical — the contract the tape's perf gates
-// and tests/numerics/test_transform_tape.cpp enforce.
+// One inverter: invert_cdf takes many t at once, materializes the Euler
+// contours of all of them, makes ONE batched transform evaluation over
+// the concatenation, and reduces each point's node values twice — as-is
+// for the density f(t), then divided by s for the CDF F(t).  The callee
+// is a BatchLaplaceFn: a Distribution::laplace_many loop, a compiled
+// TransformTape, or a test's scalar tree walk wrapped in a loop.  The
+// per-node arithmetic does not depend on how the points are grouped, so
+// element i of a multi-t call is bit-identical to a one-t call at ts[i].
 //
-// Thread-safety: every function here is safe to call concurrently — the
-// Euler xi weights are built once per term count into a read-only
-// table, contour scratch buffers are thread-local, and all remaining
-// state is call-local.  The provided `lt`
-// callback itself must be safe to invoke from multiple threads; every
-// Distribution in this repo qualifies (they are immutable after
-// construction).
+// Thread-safety: invert_cdf is safe to call concurrently — the Euler
+// weights are built once per term count into a read-only table, contour
+// scratch buffers are thread-local, and all remaining state is
+// call-local.  The provided `lt_many` callback itself must be safe to
+// invoke from multiple threads; every Distribution in this repo
+// qualifies (they are immutable after construction).
 //
 // Units: `t` is in the same unit as the random variable behind the
-// transform — seconds everywhere in this repo.  `lt` must be the
-// Laplace(–Stieltjes) transform with `s` in reciprocal units (1/s).
+// transform — seconds everywhere in this repo.  `lt_many` must evaluate
+// the Laplace(–Stieltjes) transform with `s` in reciprocal units (1/s).
 #pragma once
 
 #include <complex>
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 namespace cosm::numerics {
 
+// A scalar transform s -> L(s) (core of numerics::LaplaceDistribution).
 using LaplaceFn = std::function<std::complex<double>(std::complex<double>)>;
 // Batched transform evaluation: fill out[i] = L(s[i]) for every i (spans
 // have equal length).  Bind Distribution::laplace_many or
@@ -53,17 +52,6 @@ using BatchLaplaceFn = std::function<void(
 // more than this; it sets the Euler order the model inverts at
 // (core::kModelEulerOrder) and solve_quantile's stop.
 inline constexpr double kCdfErrorBudget = 1e-7;
-
-// Inverts L[f] at t with the Euler algorithm using 2M+1 terms.
-// Preconditions: t > 0 (seconds), 2 <= m <= 30 — M around 20 is the sweet
-// spot in double precision (the binomial weights grow like 10^{M/3};
-// beyond ~M=25 cancellation dominates).  Violations throw
-// std::invalid_argument.  Costs 2M+1 evaluations of `lt` on the vertical
-// contour Re s = M ln(10) / (3t).
-double invert_euler(const LaplaceFn& lt, double t, int m = 20);
-// Batched form: one lt_many call over the whole contour; bit-identical to
-// the scalar overload.
-double invert_euler(const BatchLaplaceFn& lt_many, double t, int m = 20);
 
 // Quality verdict of one CDF inversion — how far the raw Euler sum sat
 // outside the mathematically required [0, 1] before the clamp:
@@ -78,10 +66,10 @@ double invert_euler(const BatchLaplaceFn& lt_many, double t, int m = 20);
 //                  inversion diverged for this transform/t/m combination;
 //  * kNonFinite  — the raw value was NaN or infinite (overflow inside the
 //                  transform or the reduction).
-// Every inversion bumps exactly one obs counter (inversion.converged /
-// .truncated / .clamped / .nonfinite) so failed inversions are visible in
-// any traced run; the *_checked entry points additionally hand the
-// verdict to the caller.  See docs/OBSERVABILITY.md for the semantics.
+// Every inverted point bumps exactly one obs counter (inversion.converged
+// / .truncated / .clamped / .nonfinite) so failed inversions are visible
+// in any traced run, and hands the verdict to the caller.  See
+// docs/OBSERVABILITY.md for the semantics.
 enum class InversionQuality : std::uint8_t {
   kConverged,
   kTruncated,
@@ -89,71 +77,36 @@ enum class InversionQuality : std::uint8_t {
   kNonFinite,
 };
 
-// Classifies a raw (pre-clamp) CDF value against the thresholds above.
-InversionQuality classify_cdf_value(double raw);
-
-// A CDF point with its quality verdict.  `value` preserves the historical
-// return exactly (clamped to [0, 1]; a non-finite raw value propagates
-// unchanged) so checked and unchecked paths are bit-identical.
+// A CDF value with its quality verdict.  `value` is the raw Euler sum
+// clamped to [0, 1]; a non-finite raw value propagates unchanged.
 struct CdfPoint {
   double value = 0.0;
   InversionQuality quality = InversionQuality::kConverged;
 };
 
-// Evaluates the CDF at t of the distribution whose density transform is
-// `lt`, by inverting lt(s)/s; the result is clamped to [0, 1].  t <= 0
-// returns 0 (our latencies are strictly positive away from atoms at zero,
-// where inversion is ill-posed anyway).  This is the pipeline's unit of
-// work — one SLA-percentile query per device costs exactly one call —
-// and what core::PredictionCache memoizes across identical devices.
-// The inversion's quality verdict is recorded in the obs counters; use
-// the _checked form to receive it directly.
-double cdf_from_laplace(const LaplaceFn& lt, double t, int m = 20);
-// Batched form; bit-identical to the scalar overload.
-double cdf_from_laplace(const BatchLaplaceFn& lt_many, double t, int m = 20);
-
-// Checked forms: same value, plus the quality verdict.  A kClamped or
-// kNonFinite verdict means the returned value is NOT a valid CDF estimate
-// and must not be silently trusted.
-CdfPoint cdf_from_laplace_checked(const LaplaceFn& lt, double t, int m = 20);
-CdfPoint cdf_from_laplace_checked(const BatchLaplaceFn& lt_many, double t,
-                                  int m = 20);
-
-// Multi-point CDF evaluation: one value per entry of `ts` (entries <= 0
-// yield 0).  Materializes the contours of ALL t-points and issues a
-// single lt_many call over the concatenation, so SLA sweeps amortize
-// transform setup (tape dispatch, virtual-call batching) across points.  Element i is bit-identical to
-// cdf_from_laplace(lt_many, ts[i], m).
-std::vector<double> cdf_many_from_laplace(const BatchLaplaceFn& lt_many,
-                                          std::span<const double> ts,
-                                          int m = 20);
-// Quality-propagating form: quality[i] receives the verdict for ts[i]
-// (entries with ts[i] <= 0 report kConverged for their exact 0).
-// Precondition: quality.size() == ts.size().  Values are bit-identical
-// to the quality-less overload — out-of-range raw sums are still clamped
-// into the returned vector, but the verdict tells the caller (and the
-// obs counters tell any traced run) that flooring happened.
-std::vector<double> cdf_many_from_laplace(const BatchLaplaceFn& lt_many,
-                                          std::span<const double> ts, int m,
-                                          std::span<InversionQuality> quality);
-
-// One probe of a quantile search: the CDF at t and the density at t,
-// read from ONE transform evaluation over the Euler contour (the identity
-// L[F](s) = L[f](s)/s: the same node values, reduced as values/s, give F,
-// and reduced as-is give f).  `cdf` is bit-identical to
-// cdf_from_laplace_checked at the same t; `density` is the raw Euler sum
-// (unclamped; near atoms and at the ~1e-8 error floor it can be slightly
-// negative).
+// F and f at one t, read from the same contour values (the identity
+// L[F](s) = L[f](s)/s).  `density` is the raw Euler sum (unclamped; near
+// atoms and at the ~1e-8 error floor it can be slightly negative).
 struct CdfDensityPoint {
   CdfPoint cdf;
   double density = 0.0;
 };
 
-// Evaluates F(t) and f(t) from one contour fill and one lt_many call.
-// Counts as ONE inversion (inversion.calls), with F's quality verdict.
-// t <= 0 returns {0, kConverged} and density 0 without evaluating.
-CdfDensityPoint cdf_density_from_laplace(const BatchLaplaceFn& lt_many,
-                                         double t, int m = 20);
+// The one Euler inverter (Abate–Whitt 2006, 2m+1 terms on the vertical
+// contour Re s = m ln(10) / (3t)): out[i] receives F(ts[i]), its verdict
+// and f(ts[i]) of the distribution whose density transform `lt_many`
+// evaluates.  Every t > 0 costs 2m+1 transform values, all of them
+// gathered into ONE lt_many call; each bumps inversion.calls, one verdict
+// counter and 2m+1 inversion.terms, and a call with any t > 0 opens the
+// numerics.cdf_many span.  t <= 0 (or NaN) yields {0, kConverged} and
+// density 0 without evaluating (our latencies are strictly positive away
+// from atoms at zero, where inversion is ill-posed anyway).
+// Preconditions: out.size() == ts.size(), 2 <= m <= 30 — m around 20 is
+// the sweet spot in double precision (the binomial weights grow like
+// 10^{m/3}; beyond ~m=25 cancellation dominates).  Violations throw
+// std::invalid_argument.
+void invert_cdf(const BatchLaplaceFn& lt_many, std::span<const double> ts,
+                int m, std::span<CdfDensityPoint> out);
 
 // The one quantile solver: core::SystemModel::latency_quantile runs it
 // over the model's (F, f) probes.
@@ -186,23 +139,15 @@ using CdfDensityFn = std::function<CdfDensityPoint(double)>;
 double solve_quantile(const CdfDensityFn& probe, double p, double mean_hint,
                       double t_max = 1e9);
 
-// ------------------- contour plumbing (shared internals) ------------------
+// ------------------------------ the contour ------------------------------
 //
-// The scalar inverters, the batched inverters, and TransformTape's fused
-// inversion entry points all build the same Euler contours and reduce
-// with the same weights, in the same node order.  These helpers are the single
-// source of truth for that arithmetic; they are public so the tape unit
-// (and tests) can reuse them, but they are an implementation detail of
-// the inversion layer, not a stable API.
+// The nodes invert_cdf evaluates, public so tests can exercise the
+// transform kernels on the exact points inversion feeds them.
 
 // Number of Euler contour nodes for term count m: 2m + 1.
 int euler_terms(int m);
-// Fills out[k] = (M ln10/3 + i·pi·k) / t for k in [0, 2m]; out.size()
-// must equal euler_terms(m).
+// Fills out[k] = (m ln10/3 + i·pi·k) / t for k in [0, 2m].  Preconditions:
+// t > 0, 2 <= m <= 30, out.size() == euler_terms(m).
 void euler_fill_nodes(double t, int m, std::span<std::complex<double>> out);
-// Euler reduction sum_k eta_k Re(values[k]) / t, with the same weight
-// expressions and summation order as the scalar loop.
-double euler_reduce(double t, int m,
-                    std::span<const std::complex<double>> values);
 
 }  // namespace cosm::numerics

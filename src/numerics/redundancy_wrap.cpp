@@ -147,11 +147,13 @@ double RedundancyWrap::mean(const TransformTape& base, double base_mean,
     ts[i] = base_mean * x / (1.0 - x);
     if (hedged) ts[kNodes + i] = ts[i] - delay_;
   }
-  const std::vector<double> f = base.cdf_many(ts, m);
+  std::vector<CdfDensityPoint> f(ts.size());
+  base.invert_cdf(ts, m, f);
   double total = 0.0;
   for (std::size_t i = 0; i < kNodes; ++i) {
     const double x = (static_cast<double>(i) + 0.5) / kNodes;
-    const double survival = 1.0 - cdf(f[i], hedged ? f[kNodes + i] : 0.0);
+    const double survival =
+        1.0 - cdf(f[i].cdf.value, hedged ? f[kNodes + i].cdf.value : 0.0);
     total += survival / ((1.0 - x) * (1.0 - x));
   }
   return total * base_mean / kNodes;

@@ -85,7 +85,7 @@ class RedundancyWrap {
                               const CdfDensityPoint& base_shifted) const;
 
   // Mean of the wrapped latency, integral of (1 - F_w) over t >= 0, from
-  // ONE base.cdf_many call at Euler order m.  `base_mean` is the base's
+  // ONE base.invert_cdf call at Euler order m.  `base_mean` is the base's
   // mean (seconds): returned as is when mode() is kNone, otherwise
   // required finite and > 0.  Accurate to about 2e-3 relative (the
   // model's atoms cost the midpoint rule its second order): a seed and a

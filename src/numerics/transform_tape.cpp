@@ -629,22 +629,12 @@ void TransformTape::evaluate(std::span<const std::complex<double>> s,
 
 // ----------------------------- entry points ------------------------------
 
-BatchLaplaceFn TransformTape::batch_fn() const {
-  return [this](std::span<const std::complex<double>> s,
-                std::span<std::complex<double>> out) { evaluate(s, out); };
-}
-
-double TransformTape::cdf(double t, int m) const {
-  return cdf_from_laplace(batch_fn(), t, m);
-}
-
-std::vector<double> TransformTape::cdf_many(std::span<const double> ts,
-                                            int m) const {
-  return cdf_many_from_laplace(batch_fn(), ts, m);
-}
-
-CdfDensityPoint TransformTape::cdf_density(double t, int m) const {
-  return cdf_density_from_laplace(batch_fn(), t, m);
+void TransformTape::invert_cdf(std::span<const double> ts, int m,
+                               std::span<CdfDensityPoint> out) const {
+  numerics::invert_cdf(
+      [this](std::span<const std::complex<double>> s,
+             std::span<std::complex<double>> values) { evaluate(s, values); },
+      ts, m, out);
 }
 
 }  // namespace cosm::numerics

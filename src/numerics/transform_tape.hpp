@@ -27,8 +27,9 @@
 // LEAF-GENERIC ops that call Distribution::laplace_many — the
 // compatibility path, still batched, never a compile failure.  The
 // DIV-BY-S op of CDF inversion (inverting L(s)/s instead of L(s)) is
-// fused into the cdf entry points after evaluation rather than stored on
-// the tape, so one compiled tape serves both density and CDF queries.
+// applied by numerics::invert_cdf after evaluation rather than stored on
+// the tape, so one compiled tape evaluation serves both the density and
+// the CDF of each point.
 //
 // Compile.  compile() runs two passes over the tree.  The first visits
 // each (node, argument context) key once per occurrence, counts the
@@ -63,9 +64,9 @@
 //
 // Allocation.  Steady-state evaluation allocates nothing: workspaces
 // (value stack, scaled-argument batches, CSE slots) are leased from a
-// thread-local pool and sized once per tape.  Entry points that run whole
-// inversions (cdf, cdf_many, cdf_density) reuse the contour
-// scratch of numerics/lt_inversion.cpp the same way.
+// thread-local pool and sized once per tape.  The inversion entry point
+// (invert_cdf) reuses the contour scratch of numerics/lt_inversion.cpp the
+// same way.
 //
 // Fingerprints.  fingerprint() folds the full op stream and parameter
 // values (generic leaves contribute numerics::fingerprint of the wrapped
@@ -111,22 +112,12 @@ class TransformTape {
   void evaluate(std::span<const std::complex<double>> s,
                 std::span<std::complex<double>> out) const;
 
-  // The tape as a BatchLaplaceFn, for lt_inversion's batched overloads.
-  BatchLaplaceFn batch_fn() const;
-
-  // CDF at t via batched Euler inversion of L(s)/s (the fused DIV-BY-S
-  // op); bit-identical to cdf_from_laplace on the scalar tree.
-  double cdf(double t, int m = 20) const;
-
-  // CDF at many points with ONE batched evaluation over all contours —
-  // the amortized path for SLA sweeps and the wrapped mean.  Element
-  // i is bit-identical to cdf(ts[i], m).
-  std::vector<double> cdf_many(std::span<const double> ts, int m = 20) const;
-
-  // CDF and density at t from ONE batched evaluation of the Euler contour
-  // (cdf_density_from_laplace); the CDF is bit-identical to cdf(t, m).
-  // This is one probe of a quantile search.
-  CdfDensityPoint cdf_density(double t, int m = 20) const;
+  // The tape's one inversion entry point: numerics::invert_cdf over
+  // evaluate(), so out[i] holds F, its verdict and f at ts[i] from ONE
+  // batched evaluation over every contour.  Bit-identical to invert_cdf
+  // over the scalar tree walk.  Preconditions as invert_cdf's.
+  void invert_cdf(std::span<const double> ts, int m,
+                  std::span<CdfDensityPoint> out) const;
 
   // Structural 64-bit identity of the compiled program (see header doc).
   std::uint64_t fingerprint() const { return fingerprint_; }

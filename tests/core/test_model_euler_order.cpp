@@ -83,11 +83,14 @@ std::vector<double> worst_errors(const std::vector<int>& orders) {
                                 variant.options);
         const numerics::TransformTape& tape =
             model.devices()[0].response_tape();
-        const std::vector<double> reference = tape.cdf_many(slas, 20);
+        std::vector<numerics::CdfDensityPoint> reference(slas.size());
+        tape.invert_cdf(slas, 20, reference);
+        std::vector<numerics::CdfDensityPoint> got(slas.size());
         for (std::size_t o = 0; o < orders.size(); ++o) {
-          const std::vector<double> got = tape.cdf_many(slas, orders[o]);
+          tape.invert_cdf(slas, orders[o], got);
           for (std::size_t i = 0; i < slas.size(); ++i) {
-            worst[o] = std::max(worst[o], std::abs(got[i] - reference[i]));
+            worst[o] = std::max(worst[o], std::abs(got[i].cdf.value -
+                                                   reference[i].cdf.value));
           }
         }
       }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <complex>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,13 +86,34 @@ double oracle_cdf(const RedundancyWrap& wrap, double f, double f_shifted) {
   return 1.0 - std::pow(1.0 - os, 1.0 - c) * std::pow(1.0 - f, c);
 }
 
-// The base's scalar tree walk inverted at M = 20.
+// The base's scalar tree walk, fed to the inverter one node at a time,
+// inverted at M = 20.
 double tree_walk_cdf(const numerics::DistPtr& base, double t) {
-  if (t <= 0.0) return 0.0;
-  const numerics::LaplaceFn lt = [&base](std::complex<double> s) {
-    return base->laplace(s);
-  };
-  return numerics::cdf_from_laplace(lt, t, 20);
+  const numerics::BatchLaplaceFn lt =
+      [&base](std::span<const std::complex<double>> s,
+              std::span<std::complex<double>> out) {
+        for (std::size_t i = 0; i < s.size(); ++i) out[i] = base->laplace(s[i]);
+      };
+  CdfDensityPoint point;
+  numerics::invert_cdf(lt, std::span<const double>(&t, 1), 20,
+                       std::span<CdfDensityPoint>(&point, 1));
+  return point.cdf.value;
+}
+
+// The tape's unwrapped (F, f) at t, at the model's Euler order.
+CdfDensityPoint tape_point(const numerics::TransformTape& tape, double t) {
+  CdfDensityPoint point;
+  tape.invert_cdf(std::span<const double>(&t, 1), kModelEulerOrder,
+                  std::span<CdfDensityPoint>(&point, 1));
+  return point;
+}
+
+// A device's wrapped (F, f) at t: a one-element evaluation.
+CdfDensityPoint device_point(const DeviceModel& device, double t) {
+  CdfDensityPoint point;
+  device.cdf_density(std::span<const double>(&t, 1),
+                     std::span<CdfDensityPoint>(&point, 1));
+  return point;
 }
 
 double tolerance(const RedundancyWrap& wrap) {
@@ -116,8 +138,8 @@ TEST(RedundancyWrapOracle, CdfWithinBudgetOfTreeWalkClosedForm) {
         const double oracle = oracle_cdf(c.wrap, tree_walk_cdf(base, t),
                                          tree_walk_cdf(base, t - d));
         const double mapped = c.wrap.cdf(
-            tape.cdf(t, kModelEulerOrder),
-            t > d ? tape.cdf(t - d, kModelEulerOrder) : 0.0);
+            tape_point(tape, t).cdf.value,
+            t > d ? tape_point(tape, t - d).cdf.value : 0.0);
         EXPECT_NEAR(mapped, oracle, tolerance(c.wrap))
             << c.label << " at " << rate << " req/s, t = " << t;
       }
@@ -151,16 +173,18 @@ TEST(RedundancyWrapOracle, DeviceModelAppliesTheWrapAtBuild) {
     EXPECT_EQ(device.response_tape().fingerprint(),
               plain.devices()[0].fingerprint());
     EXPECT_NE(device.fingerprint(), plain.devices()[0].fingerprint());
-    const std::vector<double> swept = device.cdf_many(kSlas);
+    std::vector<CdfDensityPoint> swept(kSlas.size());
+    device.cdf_density(kSlas, swept);
     for (std::size_t i = 0; i < kSlas.size(); ++i) {
       const double t = kSlas[i];
       const double d = wrap.delay();
       const double oracle = oracle_cdf(wrap, tree_walk_cdf(base, t),
                                        tree_walk_cdf(base, t - d));
-      EXPECT_NEAR(device.cdf(t), oracle, tolerance(wrap)) << t;
-      EXPECT_EQ(swept[i], device.cdf(t)) << t;
-      EXPECT_EQ(device.cdf_density(t).cdf.value, device.cdf(t)) << t;
-      EXPECT_EQ(model.predict_sla_percentile_device(0, t), device.cdf(t))
+      const CdfDensityPoint one = device_point(device, t);
+      EXPECT_NEAR(one.cdf.value, oracle, tolerance(wrap)) << t;
+      EXPECT_EQ(swept[i].cdf.value, one.cdf.value) << t;
+      EXPECT_EQ(swept[i].density, one.density) << t;
+      EXPECT_EQ(model.predict_sla_percentile_device(0, t), one.cdf.value)
           << t;
     }
   }
@@ -169,10 +193,7 @@ TEST(RedundancyWrapOracle, DeviceModelAppliesTheWrapAtBuild) {
 TEST(RedundancyWrapOracle, DensityIsTheDerivativeOfTheCdf) {
   const SystemModel model(family(30.0));
   const numerics::TransformTape& tape = model.devices()[0].response_tape();
-  const auto base = [&tape](double t) {
-    return t > 0.0 ? tape.cdf_density(t, kModelEulerOrder)
-                   : CdfDensityPoint{};
-  };
+  const auto base = [&tape](double t) { return tape_point(tape, t); };
   constexpr double kStep = 1e-4;
   for (const WrapCase& c : wrap_cases()) {
     const double d = c.wrap.delay();

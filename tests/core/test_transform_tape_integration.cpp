@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <complex>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/system_model.hpp"
@@ -122,12 +124,23 @@ TEST(TapeIntegration, DeviceTapeCdfBitIdenticalToScalarTreeWalk) {
     const DeviceModel& device = model.devices()[d];
     const DistPtr response =
         response_tree(model.frontend(), params.devices[d], {});
-    const numerics::LaplaceFn lt = [&response](std::complex<double> s) {
-      return response->laplace(s);
-    };
-    for (const double sla : {0.005, 0.02, 0.05, 0.15}) {
-      EXPECT_EQ(device.response_tape().cdf(sla),
-                numerics::cdf_from_laplace(lt, sla));
+    // The scalar tree walk, fed to the inverter one node at a time, is
+    // the oracle.
+    const numerics::BatchLaplaceFn tree_walk =
+        [&response](std::span<const std::complex<double>> s,
+                    std::span<std::complex<double>> out) {
+          for (std::size_t i = 0; i < s.size(); ++i) {
+            out[i] = response->laplace(s[i]);
+          }
+        };
+    const std::vector<double> slas = {0.005, 0.02, 0.05, 0.15};
+    std::vector<numerics::CdfDensityPoint> tape(slas.size());
+    std::vector<numerics::CdfDensityPoint> oracle(slas.size());
+    device.response_tape().invert_cdf(slas, 20, tape);
+    numerics::invert_cdf(tree_walk, slas, 20, oracle);
+    for (std::size_t i = 0; i < slas.size(); ++i) {
+      EXPECT_EQ(tape[i].cdf.value, oracle[i].cdf.value) << slas[i];
+      EXPECT_EQ(tape[i].density, oracle[i].density) << slas[i];
     }
   }
 }
@@ -138,8 +151,11 @@ TEST(TapeIntegration, PredictionMatchesManualTapeWeightedSum) {
   double weighted = 0.0;
   double total = 0.0;
   for (const auto& device : model.devices()) {
-    weighted += device.arrival_rate() *
-                device.response_tape().cdf(sla, kModelEulerOrder);
+    numerics::CdfDensityPoint point;
+    device.response_tape().invert_cdf(
+        std::span<const double>(&sla, 1), kModelEulerOrder,
+        std::span<numerics::CdfDensityPoint>(&point, 1));
+    weighted += device.arrival_rate() * point.cdf.value;
     total += device.arrival_rate();
   }
   EXPECT_EQ(model.predict_sla_percentile(sla), weighted / total);

@@ -1,17 +1,19 @@
-// Inversion-quality verdicts: the clamp in cdf_from_laplace used to be
-// silent — a wildly out-of-range Euler sum was floored into [0, 1] and
-// handed to callers as a valid CDF value.  These tests pin the new
-// behavior: the returned value is unchanged (bit-identical to the
-// historical clamp), but the verdict is classified, surfaced through the
-// _checked entry points, propagated by cdf_many_from_laplace, and
-// counted in the obs registry.
+// Inversion-quality verdicts: a wildly out-of-range Euler sum is still
+// clamped into [0, 1], but invert_cdf classifies every point's raw sum,
+// hands the verdict to the caller with the value, and counts it in the
+// obs registry.  A multi-t call is bit-identical, point by point, to
+// one-t calls.
 #include "numerics/lt_inversion.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "numerics/distribution.hpp"
@@ -31,139 +33,172 @@ struct ObsGuard {
   }
 };
 
-LaplaceFn gamma_lt() {
+// A scalar transform as the inverter's batch callee: one call per node.
+BatchLaplaceFn batch_of(LaplaceFn lt) {
+  return [lt = std::move(lt)](std::span<const std::complex<double>> s,
+                              std::span<std::complex<double>> out) {
+    for (std::size_t i = 0; i < s.size(); ++i) out[i] = lt(s[i]);
+  };
+}
+
+// A one-t call of the inverter.
+CdfDensityPoint invert_at(const BatchLaplaceFn& lt, double t) {
+  CdfDensityPoint point;
+  invert_cdf(lt, std::span<const double>(&t, 1), 20,
+             std::span<CdfDensityPoint>(&point, 1));
+  return point;
+}
+
+BatchLaplaceFn gamma_lt() {
   static const Gamma gamma(3.0, 300.0);
-  return [](std::complex<double> s) { return gamma.laplace(s); };
+  return batch_of([](std::complex<double> s) { return gamma.laplace(s); });
 }
 
 // Not a probability transform at all: L[F](s) = c / s inverts to the
-// constant c, so the raw CDF value is far outside [0, 1] — a controlled,
-// deterministic divergence.
-LaplaceFn constant_lt(double c) {
-  return [c](std::complex<double>) { return std::complex<double>(c, 0.0); };
+// constant c, so the raw CDF value is c — far outside [0, 1] for c = 5, a
+// controlled, deterministic divergence.
+BatchLaplaceFn constant_lt(double c) {
+  return batch_of(
+      [c](std::complex<double>) { return std::complex<double>(c, 0.0); });
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 TEST(ClassifyCdfValue, Thresholds) {
-  EXPECT_EQ(classify_cdf_value(0.5), InversionQuality::kConverged);
-  EXPECT_EQ(classify_cdf_value(0.0), InversionQuality::kConverged);
-  EXPECT_EQ(classify_cdf_value(1.0), InversionQuality::kConverged);
-  EXPECT_EQ(classify_cdf_value(-1e-10), InversionQuality::kConverged);
-  EXPECT_EQ(classify_cdf_value(1.0 + 1e-10), InversionQuality::kConverged);
+  // The constant transform c inverts to a raw sum of c (to ~1e-13), so
+  // its verdict is the classification of c itself.
+  const auto verdict = [](double c) {
+    return invert_at(constant_lt(c), 0.01).cdf.quality;
+  };
+  EXPECT_EQ(verdict(0.5), InversionQuality::kConverged);
+  EXPECT_EQ(verdict(0.0), InversionQuality::kConverged);
+  EXPECT_EQ(verdict(1.0), InversionQuality::kConverged);
+  EXPECT_EQ(verdict(-1e-10), InversionQuality::kConverged);
+  EXPECT_EQ(verdict(1.0 + 1e-10), InversionQuality::kConverged);
   // The converged band is the model's CDF error budget (1e-7 on F).
-  EXPECT_EQ(classify_cdf_value(1.0 + 3e-8), InversionQuality::kConverged);
-  EXPECT_EQ(classify_cdf_value(1.0 + 2e-7), InversionQuality::kTruncated);
-  EXPECT_EQ(classify_cdf_value(-2e-7), InversionQuality::kTruncated);
-  EXPECT_EQ(classify_cdf_value(-1e-6), InversionQuality::kTruncated);
-  EXPECT_EQ(classify_cdf_value(1.0 + 1e-4), InversionQuality::kTruncated);
-  EXPECT_EQ(classify_cdf_value(-0.4), InversionQuality::kClamped);
-  EXPECT_EQ(classify_cdf_value(5.0), InversionQuality::kClamped);
-  EXPECT_EQ(classify_cdf_value(std::numeric_limits<double>::quiet_NaN()),
+  EXPECT_EQ(verdict(1.0 + 3e-8), InversionQuality::kConverged);
+  EXPECT_EQ(verdict(1.0 + 2e-7), InversionQuality::kTruncated);
+  EXPECT_EQ(verdict(-2e-7), InversionQuality::kTruncated);
+  EXPECT_EQ(verdict(-1e-6), InversionQuality::kTruncated);
+  EXPECT_EQ(verdict(1.0 + 1e-4), InversionQuality::kTruncated);
+  EXPECT_EQ(verdict(-0.4), InversionQuality::kClamped);
+  EXPECT_EQ(verdict(5.0), InversionQuality::kClamped);
+  EXPECT_EQ(verdict(std::numeric_limits<double>::quiet_NaN()),
             InversionQuality::kNonFinite);
-  EXPECT_EQ(classify_cdf_value(std::numeric_limits<double>::infinity()),
+  EXPECT_EQ(verdict(std::numeric_limits<double>::infinity()),
             InversionQuality::kNonFinite);
 }
 
 TEST(InversionQualityVerdict, WellBehavedTransformConverges) {
-  const CdfPoint point = cdf_from_laplace_checked(gamma_lt(), 0.01);
+  const CdfPoint point = invert_at(gamma_lt(), 0.01).cdf;
   EXPECT_EQ(point.quality, InversionQuality::kConverged);
   EXPECT_GT(point.value, 0.0);
   EXPECT_LT(point.value, 1.0);
 }
 
-TEST(InversionQualityVerdict, CheckedValueIsBitIdenticalToLegacy) {
-  for (const double t : {1e-4, 1e-3, 0.01, 0.05, 0.5}) {
-    EXPECT_EQ(cdf_from_laplace(gamma_lt(), t),
-              cdf_from_laplace_checked(gamma_lt(), t).value);
+TEST(InversionQualityVerdict, MixedBatchElementsMatchOneTCalls) {
+  // Gamma, except below Re s = 100 (the contours of t >= 0.16 at m = 20),
+  // where the transform is the divergent constant 7: one call holds
+  // normal points, a divergent point and t <= 0 points.
+  static const Gamma gamma(3.0, 300.0);
+  const BatchLaplaceFn lt = batch_of([](std::complex<double> s) {
+    return s.real() < 100.0 ? std::complex<double>(7.0, 0.0)
+                            : gamma.laplace(s);
+  });
+  const std::vector<double> ts = {0.005, 0.0, 0.5, 0.02, -1.0, 0.05};
+  std::vector<CdfDensityPoint> batch(ts.size());
+  invert_cdf(lt, ts, 20, batch);
+  EXPECT_EQ(batch[2].cdf.quality, InversionQuality::kClamped);
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    const CdfDensityPoint one = invert_at(lt, ts[i]);
+    EXPECT_TRUE(same_bits(batch[i].cdf.value, one.cdf.value)) << ts[i];
+    EXPECT_EQ(batch[i].cdf.quality, one.cdf.quality) << ts[i];
+    EXPECT_TRUE(same_bits(batch[i].density, one.density)) << ts[i];
+    if (i != 2) {
+      EXPECT_EQ(batch[i].cdf.quality, InversionQuality::kConverged) << ts[i];
+    }
   }
-  // The divergent transform too: the clamp result itself is preserved.
-  EXPECT_EQ(cdf_from_laplace(constant_lt(5.0), 0.01),
-            cdf_from_laplace_checked(constant_lt(5.0), 0.01).value);
 }
 
 TEST(InversionQualityVerdict, ForcedDivergenceIsReportedNotSilent) {
-  const CdfPoint point = cdf_from_laplace_checked(constant_lt(5.0), 0.01);
-  // Historical behavior: the value is clamped into [0, 1]...
+  const CdfPoint point = invert_at(constant_lt(5.0), 0.01).cdf;
+  // The value is clamped into [0, 1]...
   EXPECT_GE(point.value, 0.0);
   EXPECT_LE(point.value, 1.0);
-  // ...new behavior: the caller is told the value is a fabrication.
+  // ...and the caller is told it is a fabrication.
   EXPECT_EQ(point.quality, InversionQuality::kClamped);
 }
 
 TEST(InversionQualityVerdict, NonFiniteTransformIsFlagged) {
-  const LaplaceFn nan_lt = [](std::complex<double>) {
+  const BatchLaplaceFn nan_lt = batch_of([](std::complex<double>) {
     return std::complex<double>(std::numeric_limits<double>::quiet_NaN(),
                                 0.0);
-  };
-  const CdfPoint point = cdf_from_laplace_checked(nan_lt, 0.01);
+  });
+  const CdfPoint point = invert_at(nan_lt, 0.01).cdf;
   EXPECT_EQ(point.quality, InversionQuality::kNonFinite);
-  // The legacy value contract (NaN passes through std::clamp) holds.
+  // A NaN raw sum passes through the clamp.
   EXPECT_TRUE(std::isnan(point.value));
-  EXPECT_TRUE(std::isnan(cdf_from_laplace(nan_lt, 0.01)));
 }
 
 TEST(InversionQualityVerdict, NonPositiveTimeIsExactZero) {
-  const CdfPoint point = cdf_from_laplace_checked(gamma_lt(), 0.0);
-  EXPECT_EQ(point.value, 0.0);
-  EXPECT_EQ(point.quality, InversionQuality::kConverged);
+  const CdfDensityPoint point = invert_at(gamma_lt(), 0.0);
+  EXPECT_EQ(point.cdf.value, 0.0);
+  EXPECT_EQ(point.cdf.quality, InversionQuality::kConverged);
+  EXPECT_EQ(point.density, 0.0);
 }
 
 TEST(CdfManyQuality, PropagatesPerPointVerdicts) {
-  const Gamma gamma(3.0, 300.0);
-  const BatchLaplaceFn batch = [&](std::span<const std::complex<double>> s,
-                                   std::span<std::complex<double>> out) {
-    for (std::size_t i = 0; i < s.size(); ++i) out[i] = gamma.laplace(s[i]);
-  };
   const std::vector<double> ts = {0.0, 0.005, 0.02, -1.0, 0.1};
-  std::vector<InversionQuality> quality(ts.size(),
-                                        InversionQuality::kNonFinite);
-  const std::vector<double> values =
-      cdf_many_from_laplace(batch, ts, 20, quality);
-  const std::vector<double> legacy = cdf_many_from_laplace(batch, ts, 20);
-  ASSERT_EQ(values.size(), ts.size());
+  std::vector<CdfDensityPoint> points(
+      ts.size(), CdfDensityPoint{{-1.0, InversionQuality::kNonFinite}, -1.0});
+  invert_cdf(gamma_lt(), ts, 20, points);
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_EQ(values[i], legacy[i]) << "value drift at point " << i;
-    EXPECT_EQ(quality[i], InversionQuality::kConverged) << "point " << i;
+    EXPECT_EQ(points[i].cdf.quality, InversionQuality::kConverged)
+        << "point " << i;
+    if (ts[i] <= 0.0) {
+      EXPECT_EQ(points[i].cdf.value, 0.0) << "point " << i;
+    } else {
+      EXPECT_GT(points[i].cdf.value, 0.0) << "point " << i;
+      EXPECT_LT(points[i].cdf.value, 1.0) << "point " << i;
+    }
   }
 }
 
 TEST(CdfManyQuality, DivergentBatchFlagsEveryLivePoint) {
-  const BatchLaplaceFn batch = [](std::span<const std::complex<double>> s,
-                                  std::span<std::complex<double>> out) {
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      out[i] = std::complex<double>(7.0, 0.0);
-    }
-  };
   const std::vector<double> ts = {0.01, 0.0, 0.02};
-  std::vector<InversionQuality> quality(ts.size(),
-                                        InversionQuality::kConverged);
-  cdf_many_from_laplace(batch, ts, 20, quality);
-  EXPECT_EQ(quality[0], InversionQuality::kClamped);
-  EXPECT_EQ(quality[1], InversionQuality::kConverged);  // exact 0 at t<=0
-  EXPECT_EQ(quality[2], InversionQuality::kClamped);
+  std::vector<CdfDensityPoint> points(ts.size());
+  invert_cdf(constant_lt(7.0), ts, 20, points);
+  EXPECT_EQ(points[0].cdf.quality, InversionQuality::kClamped);
+  EXPECT_EQ(points[1].cdf.quality, InversionQuality::kConverged);  // t<=0
+  EXPECT_EQ(points[2].cdf.quality, InversionQuality::kClamped);
 }
 
 TEST(CdfManyQuality, MismatchedQualitySpanThrows) {
-  const BatchLaplaceFn batch = [](std::span<const std::complex<double>> s,
-                                  std::span<std::complex<double>> out) {
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      out[i] = std::complex<double>(1.0, 0.0);
-    }
-  };
+  // The output span carries each point's verdict: one per t.
   const std::vector<double> ts = {0.01, 0.02};
-  std::vector<InversionQuality> wrong(1);
-  EXPECT_THROW(cdf_many_from_laplace(batch, ts, 20, wrong),
+  std::vector<CdfDensityPoint> wrong(1);
+  EXPECT_THROW(invert_cdf(constant_lt(1.0), ts, 20, wrong),
                std::invalid_argument);
 }
 
 TEST(InversionQualityCounters, EveryInversionBumpsExactlyOneVerdict) {
   ObsGuard guard;
-  cdf_from_laplace_checked(gamma_lt(), 0.01);        // converged
-  cdf_from_laplace_checked(constant_lt(5.0), 0.01);  // clamped
+  invert_at(gamma_lt(), 0.01);        // converged
+  invert_at(constant_lt(5.0), 0.01);  // clamped
   EXPECT_EQ(obs::counter_value(obs::Counter::kInversionConverged), 1u);
   EXPECT_EQ(obs::counter_value(obs::Counter::kInversionClamped), 1u);
   EXPECT_EQ(obs::counter_value(obs::Counter::kInversionCalls), 2u);
   // Euler at m=20 costs 2m+1 = 41 contour terms per inversion.
   EXPECT_EQ(obs::counter_value(obs::Counter::kInversionTerms), 82u);
+  // A multi-t call counts one inversion per t > 0, none for t <= 0.
+  const std::vector<double> ts = {0.01, 0.0, 0.02};
+  std::vector<CdfDensityPoint> points(ts.size());
+  invert_cdf(gamma_lt(), ts, 20, points);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kInversionConverged), 3u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kInversionCalls), 4u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kInversionTerms), 164u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Validation of the Euler Laplace-transform inversion against
+// Validation of the Euler Laplace-transform inverter (invert_cdf) against
 // distributions with closed-form CDFs, plus agreement with an independent
 // fixed-Talbot contour on a transform that only exists in LT space (an
 // M/G/1-style rational form).
@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <numbers>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "numerics/distribution.hpp"
 #include "numerics/special.hpp"
@@ -17,14 +20,36 @@
 namespace cosm::numerics {
 namespace {
 
-// Known pair: f(t) = rate * e^{-rate t}, L[f](s) = rate / (rate + s).
+// A scalar transform as the inverter's batch callee: one call per node.
+BatchLaplaceFn batch_of(LaplaceFn lt) {
+  return [lt = std::move(lt)](std::span<const std::complex<double>> s,
+                              std::span<std::complex<double>> out) {
+    for (std::size_t i = 0; i < s.size(); ++i) out[i] = lt(s[i]);
+  };
+}
+
+// A one-t call of the inverter.
+CdfDensityPoint invert_at(const BatchLaplaceFn& lt, double t, int m = 20) {
+  CdfDensityPoint point;
+  invert_cdf(lt, std::span<const double>(&t, 1), m,
+             std::span<CdfDensityPoint>(&point, 1));
+  return point;
+}
+
+// Known pair: f(t) = rate * e^{-rate t}, L[f](s) = rate / (rate + s); the
+// density comes from the same multi-t call as F.
 TEST(EulerInversion, RecoversExponentialDensity) {
   const double rate = 3.0;
-  const LaplaceFn lt = [rate](std::complex<double> s) {
+  const BatchLaplaceFn lt = batch_of([rate](std::complex<double> s) {
     return rate / (rate + s);
-  };
-  for (double t : {0.05, 0.2, 0.5, 1.0, 2.0}) {
-    EXPECT_NEAR(invert_euler(lt, t), rate * std::exp(-rate * t), 1e-8) << t;
+  });
+  const std::vector<double> ts = {0.05, 0.2, 0.5, 1.0, 2.0};
+  std::vector<CdfDensityPoint> points(ts.size());
+  invert_cdf(lt, ts, 20, points);
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    const double t = ts[i];
+    EXPECT_NEAR(points[i].density, rate * std::exp(-rate * t), 1e-8) << t;
+    EXPECT_NEAR(points[i].cdf.value, 1.0 - std::exp(-rate * t), 2e-7) << t;
   }
 }
 
@@ -44,13 +69,12 @@ class CdfInversionTest : public ::testing::TestWithParam<CdfCase> {};
 
 TEST_P(CdfInversionTest, MatchesClosedFormCdf) {
   const auto& dist = *GetParam().dist;
-  const LaplaceFn lt = [&dist](std::complex<double> s) {
-    return dist.laplace(s);
-  };
+  const BatchLaplaceFn lt = batch_of(
+      [&dist](std::complex<double> s) { return dist.laplace(s); });
   const double scale = dist.mean();
   for (double frac : {0.1, 0.25, 0.5, 1.0, 1.5, 2.5, 4.0, 6.0}) {
     const double t = frac * scale;
-    EXPECT_NEAR(cdf_from_laplace(lt, t), dist.cdf(t), GetParam().tol)
+    EXPECT_NEAR(invert_at(lt, t).cdf.value, dist.cdf(t), GetParam().tol)
         << GetParam().label << " t=" << t;
   }
 }
@@ -72,20 +96,24 @@ TEST(CdfInversion, HandlesAtomAtZeroMixtures) {
   // still track the continuous part shifted by the atom mass.
   const double miss = 0.3;
   const Gamma disk(2.0, 100.0);
-  const LaplaceFn lt = [&](std::complex<double> s) {
+  const BatchLaplaceFn lt = batch_of([&](std::complex<double> s) {
     return (1.0 - miss) + miss * disk.laplace(s);
-  };
+  });
   for (double t : {0.005, 0.02, 0.05}) {
     const double expected = (1.0 - miss) + miss * disk.cdf(t);
-    EXPECT_NEAR(cdf_from_laplace(lt, t), expected, 1e-6) << t;
+    EXPECT_NEAR(invert_at(lt, t).cdf.value, expected, 1e-6) << t;
   }
 }
 
 TEST(CdfInversion, NonPositiveTimeIsZero) {
   const Exponential e(1.0);
-  const LaplaceFn lt = [&e](std::complex<double> s) { return e.laplace(s); };
-  EXPECT_EQ(cdf_from_laplace(lt, 0.0), 0.0);
-  EXPECT_EQ(cdf_from_laplace(lt, -1.0), 0.0);
+  const BatchLaplaceFn lt = batch_of(
+      [&e](std::complex<double> s) { return e.laplace(s); });
+  for (const double t : {0.0, -1.0}) {
+    const CdfDensityPoint point = invert_at(lt, t);
+    EXPECT_EQ(point.cdf.value, 0.0) << t;
+    EXPECT_EQ(point.density, 0.0) << t;
+  }
 }
 
 // Fixed-Talbot inversion (Abate & Valkó 2004) with m nodes on the contour
@@ -117,21 +145,27 @@ TEST(CrossAlgorithm, AgreeOnMG1StyleTransform) {
   };
   const LaplaceFn w_cdf = [&w](std::complex<double> s) { return w(s) / s; };
   for (double t : {0.01, 0.03, 0.08, 0.2}) {
-    const double euler = invert_euler(w_cdf, t);
+    // The raw Euler sum for F: the density read of the CDF's transform.
+    const double euler = invert_at(batch_of(w_cdf), t).density;
     EXPECT_NEAR(euler, talbot_invert(w_cdf, t), 1e-7) << t;
     EXPECT_GE(euler, 1.0 - rho - 1e-6) << t;  // atom at zero: P[W=0] = 1-rho
     EXPECT_LE(euler, 1.0 + 1e-9) << t;
+    // The CDF read of W's own transform divides by s inside the inverter:
+    // the same sum, clamped.
+    EXPECT_EQ(invert_at(batch_of(w), t).cdf.value,
+              std::clamp(euler, 0.0, 1.0))
+        << t;
   }
 }
 
 // solve_quantile over (F, f) probes read from one Euler contour of the
-// transform (cdf_density_from_laplace).
+// transform (a one-t invert_cdf call).
 CdfDensityFn laplace_probe(const Distribution& d) {
   const BatchLaplaceFn lt = [&d](std::span<const std::complex<double>> s,
                                  std::span<std::complex<double>> out) {
     d.laplace_many(s, out);
   };
-  return [lt](double t) { return cdf_density_from_laplace(lt, t); };
+  return [lt](double t) { return invert_at(lt, t); };
 }
 
 TEST(QuantileFromLaplace, InvertsExponentialQuantiles) {
@@ -152,9 +186,15 @@ TEST(QuantileFromLaplace, RejectsBadLevels) {
 }
 
 TEST(Inversion, ParameterValidation) {
-  const LaplaceFn lt = [](std::complex<double> s) { return 1.0 / (1.0 + s); };
-  EXPECT_THROW(invert_euler(lt, 0.0), std::invalid_argument);
-  EXPECT_THROW(invert_euler(lt, 1.0, 50), std::invalid_argument);
+  // The term count must lie in the stable range [2, 30], whatever the t.
+  const BatchLaplaceFn lt = batch_of(
+      [](std::complex<double> s) { return 1.0 / (1.0 + s); });
+  for (const int m : {1, 31, 50}) {
+    EXPECT_THROW(invert_at(lt, 1.0, m), std::invalid_argument) << m;
+    EXPECT_THROW(invert_at(lt, 0.0, m), std::invalid_argument) << m;
+  }
+  EXPECT_NO_THROW(invert_at(lt, 1.0, 2));
+  EXPECT_NO_THROW(invert_at(lt, 1.0, 30));
 }
 
 }  // namespace

@@ -63,6 +63,31 @@ namespace {
 
 using Complex = std::complex<double>;
 
+// The scalar tree walk as the inverter's batch callee: the oracle every
+// tape inversion is checked against, bit for bit.
+BatchLaplaceFn tree_walk(const DistPtr& tree) {
+  return [tree](std::span<const Complex> s, std::span<Complex> out) {
+    for (std::size_t i = 0; i < s.size(); ++i) out[i] = tree->laplace(s[i]);
+  };
+}
+
+// (F, f) at each t from one inversion call, over the tape or the tree.
+std::vector<CdfDensityPoint> tape_points(const TransformTape& tape,
+                                         const std::vector<double>& ts) {
+  std::vector<CdfDensityPoint> out(ts.size());
+  tape.invert_cdf(ts, 20, out);
+  return out;
+}
+std::vector<CdfDensityPoint> tree_points(const DistPtr& tree,
+                                         const std::vector<double>& ts) {
+  std::vector<CdfDensityPoint> out(ts.size());
+  invert_cdf(tree_walk(tree), ts, 20, out);
+  return out;
+}
+double tape_cdf(const TransformTape& tape, double t) {
+  return tape_points(tape, {t})[0].cdf.value;
+}
+
 // Contour-like probe points plus the guard-branch neighborhoods (tiny
 // |s| for the P–K / M/M/1/K / M/G/1/K / Gamma guard branches).
 std::vector<Complex> probe_points() {
@@ -304,12 +329,14 @@ TEST(TransformTape, CdfMatchesScalarInversionBitwise) {
   const queueing::MG1 mg1(150.0, service);
   const DistPtr sojourn = mg1.sojourn_time();
   const TransformTape tape = TransformTape::compile(sojourn);
-  const LaplaceFn lt = [&sojourn](Complex s) { return sojourn->laplace(s); };
   for (const double t : {1e-4, 2.3e-3, 8e-3, 2.5e-2, 0.4}) {
-    EXPECT_EQ(tape.cdf(t), cdf_from_laplace(lt, t));
+    const CdfDensityPoint got = tape_points(tape, {t})[0];
+    const CdfDensityPoint oracle = tree_points(sojourn, {t})[0];
+    EXPECT_EQ(got.cdf.value, oracle.cdf.value) << "t = " << t;
+    EXPECT_EQ(got.density, oracle.density) << "t = " << t;
   }
-  EXPECT_EQ(tape.cdf(0.0), 0.0);
-  EXPECT_EQ(tape.cdf(-1.0), 0.0);
+  EXPECT_EQ(tape_cdf(tape, 0.0), 0.0);
+  EXPECT_EQ(tape_cdf(tape, -1.0), 0.0);
 }
 
 TEST(TransformTape, CdfManyMatchesPerPointBitwise) {
@@ -320,10 +347,13 @@ TEST(TransformTape, CdfManyMatchesPerPointBitwise) {
   const TransformTape tape = TransformTape::compile(response);
   const std::vector<double> ts = {-1.0, 0.0,  1e-4, 5e-3, 5e-3,
                                   2e-2, 0.11, 0.5,  2.0};
-  const std::vector<double> batch = tape.cdf_many(ts);
+  const std::vector<CdfDensityPoint> batch = tape_points(tape, ts);
   ASSERT_EQ(batch.size(), ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    EXPECT_EQ(batch[i], tape.cdf(ts[i])) << "t = " << ts[i];
+    const CdfDensityPoint one = tape_points(tape, {ts[i]})[0];
+    EXPECT_EQ(batch[i].cdf.value, one.cdf.value) << "t = " << ts[i];
+    EXPECT_EQ(batch[i].cdf.quality, one.cdf.quality) << "t = " << ts[i];
+    EXPECT_EQ(batch[i].density, one.density) << "t = " << ts[i];
   }
 }
 
@@ -339,12 +369,11 @@ TEST(TransformTape, CdfDensityReadsBothFromOneContour) {
   for (const double t : {1e-3, 2e-3, 5e-3, 1e-2, 2e-2}) {
     const std::uint64_t before =
         obs::counter_value(obs::Counter::kInversionCalls);
-    const CdfDensityPoint point = tape.cdf_density(t);
+    const CdfDensityPoint point = tape_points(tape, {t})[0];
     EXPECT_EQ(obs::counter_value(obs::Counter::kInversionCalls), before + 1);
-    // F is the tape's CDF to the bit; f is its derivative.
-    EXPECT_EQ(point.cdf.value, tape.cdf(t)) << "t = " << t;
     const double h = 1e-3 * t;
-    const double central = (tape.cdf(t + h) - tape.cdf(t - h)) / (2.0 * h);
+    const double central =
+        (tape_cdf(tape, t + h) - tape_cdf(tape, t - h)) / (2.0 * h);
     EXPECT_NEAR(point.density, central, 1e-5 * central) << "t = " << t;
   }
   obs::set_enabled(false);
@@ -584,10 +613,12 @@ TEST(TransformTapeFuzz, RandomTreeCdfManyMatchesScalarCdf) {
     TreeFuzzer fuzzer(seed);
     const DistPtr tree = fuzzer.build(3);
     const TransformTape tape = TransformTape::compile(tree);
-    const LaplaceFn lt = [&tree](Complex s) { return tree->laplace(s); };
-    const std::vector<double> batch = tape.cdf_many(ts);
+    const std::vector<CdfDensityPoint> batch = tape_points(tape, ts);
     for (std::size_t i = 0; i < ts.size(); ++i) {
-      ASSERT_EQ(batch[i], cdf_from_laplace(lt, ts[i]))
+      const CdfDensityPoint oracle = tree_points(tree, {ts[i]})[0];
+      ASSERT_EQ(batch[i].cdf.value, oracle.cdf.value)
+          << "seed " << seed << " t = " << ts[i];
+      ASSERT_EQ(batch[i].density, oracle.density)
           << "seed " << seed << " t = " << ts[i];
     }
   }

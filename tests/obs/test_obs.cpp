@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <complex>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -173,25 +176,24 @@ TEST(ObsDisabled, EnablingDoesNotChangeNumericResults) {
   // The instrumented inversion path must produce bit-identical doubles
   // whether or not anyone is watching.
   const numerics::Gamma gamma(3.0, 300.0);
-  const numerics::LaplaceFn lt = [&](std::complex<double> s) {
-    return gamma.laplace(s);
-  };
-  std::vector<double> off;
+  const numerics::BatchLaplaceFn lt =
+      [&](std::span<const std::complex<double>> s,
+          std::span<std::complex<double>> out) { gamma.laplace_many(s, out); };
+  const std::array<double, 3> ts = {0.001, 0.01, 0.05};
+  std::array<numerics::CdfDensityPoint, 3> off;
   {
     ObsGuard guard(false);
-    for (const double t : {0.001, 0.01, 0.05}) {
-      off.push_back(numerics::cdf_from_laplace(lt, t));
-    }
+    numerics::invert_cdf(lt, ts, 20, off);
   }
-  std::vector<double> on;
+  std::array<numerics::CdfDensityPoint, 3> on;
   {
     ObsGuard guard(true);
-    for (const double t : {0.001, 0.01, 0.05}) {
-      on.push_back(numerics::cdf_from_laplace(lt, t));
-    }
+    numerics::invert_cdf(lt, ts, 20, on);
   }
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    EXPECT_EQ(off[i], on[i]);  // exact doubles, not a tolerance
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    // Exact doubles, not a tolerance.
+    EXPECT_EQ(off[i].cdf.value, on[i].cdf.value);
+    EXPECT_EQ(off[i].density, on[i].density);
   }
 }
 
