@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "sim/cluster.hpp"
 #include "sim/source.hpp"
@@ -272,6 +275,54 @@ TEST(Cluster, DeterministicAcrossRuns) {
   const auto second = run_once();
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(first.second, second.second);  // bitwise-identical latencies
+}
+
+// OpenLoopSource hands a replica list to the cluster when retries may fail
+// over, and a single device otherwise.  Both paths make the same draws (one
+// replica index, then the write bit), so with nothing to fail over from
+// (no faults, no timeouts) the two runs see the same arrivals land on the
+// same devices — the invariant that lets one source serve both paths.
+TEST(Cluster, ReplicaListSubmitDrawsLikeSingleDevice) {
+  const auto run = [](std::uint32_t max_retries) {
+    ClusterConfig config;
+    config.device_count = 4;
+    config.request_timeout = 30.0;  // armed, but nothing runs this long
+    config.max_retries = max_retries;
+    config.failover = true;
+    config.seed = 11;
+    Cluster cluster(config);
+    workload::CatalogConfig cat_config;
+    cat_config.object_count = 1000;
+    cat_config.size_distribution = workload::default_size_distribution();
+    cat_config.seed = 12;
+    const workload::ObjectCatalog catalog(cat_config);
+    const workload::Placement placement({.partition_count = 64,
+                                         .replica_count = 3,
+                                         .device_count = 4,
+                                         .seed = 13});
+    workload::PhasePlan plan;
+    plan.warmup_duration = 0.0;
+    plan.transition_duration = 0.0;
+    plan.benchmark_start_rate = 60.0;
+    plan.benchmark_end_rate = 60.0;
+    plan.benchmark_step_duration = 10.0;
+    OpenLoopSource source(cluster, catalog, placement, plan, cosm::Rng(14),
+                          /*write_fraction=*/0.2);
+    source.start();
+    cluster.engine().run_until(source.horizon());
+    cluster.engine().run_all();
+    EXPECT_GT(source.write_arrivals(), 0u);
+    EXPECT_EQ(cluster.metrics().timeouts(), 0u);
+    EXPECT_EQ(cluster.metrics().failures(), 0u);
+    std::vector<std::pair<double, std::uint32_t>> seen;
+    for (const auto& sample : cluster.metrics().requests()) {
+      seen.emplace_back(sample.frontend_arrival, sample.device);
+    }
+    return seen;
+  };
+  const auto single_device = run(0);
+  ASSERT_GT(single_device.size(), 400u);
+  EXPECT_EQ(run(1), single_device);
 }
 
 TEST(Cluster, ValidatesConfiguration) {

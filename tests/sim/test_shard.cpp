@@ -6,7 +6,9 @@
 // explicitly NOT promised (docs/PERFORMANCE.md) — different shard counts
 // are different, equally valid samples of the same scenario.
 #include <cstdint>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,6 +148,61 @@ TEST(Shard, RepeatRunsAreBitIdenticalPerShardCount) {
     expect_identical(first, second);
   }
 }
+
+// Golden fingerprints of sharded runs (sampled mode, serial round-robin,
+// seed 42), recorded before the sharded arrival path was folded into
+// OpenLoopSource.  Serial == threaded and repeat determinism only compare
+// a build with itself; these pin the sharded bits across changes to the
+// arrival stream, the window hand-off and the per-shard set-up.  Both
+// submit paths are covered: single-device (the plan's defaults) and the
+// replica list (retries failing over around an outage of global device 5,
+// which sits past shard 0's device range, or a hedge).
+struct ShardGoldenScenario {
+  const char* name;
+  std::uint32_t shards;
+  std::uint32_t max_retries;  // > 0 with failover: replica-list submit
+  double hedge_delay;         // > 0: replica-list submit
+  std::uint64_t expected;
+};
+
+// gtest copies the printed parameter into each ctest name; print the
+// scenario name, never the struct's bytes (the name pointer moves).
+void PrintTo(const ShardGoldenScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
+
+const ShardGoldenScenario shard_golden_scenarios[] = {
+    {"two_shards_single_device", 2, 0, 0.0, 0x77ce18587f5a7077ULL},
+    {"four_shards_single_device", 4, 0, 0.0, 0x072d09e0e65b7ef5ULL},
+    {"two_shards_failover_list", 2, 1, 0.0, 0xdcc1920583aed2f9ULL},
+    {"four_shards_failover_list", 4, 1, 0.0, 0xa2c5ab822714992aULL},
+    {"four_shards_hedged_list", 4, 0, 0.04, 0x8c7c95457c0f086bULL},
+};
+
+class ShardGolden : public ::testing::TestWithParam<ShardGoldenScenario> {};
+
+TEST_P(ShardGolden, SampledFingerprintMatchesRecording) {
+  const ShardGoldenScenario& scenario = GetParam();
+  ReplicationPlan plan = sharded_plan(scenario.shards, /*streaming=*/false);
+  plan.cluster.max_retries = scenario.max_retries;
+  plan.cluster.failover = true;
+  plan.cluster.hedge_delay = scenario.hedge_delay;
+  if (scenario.max_retries > 0) {
+    plan.cluster.faults.device_outage(/*device=*/5, /*start=*/3.0,
+                                      /*duration=*/2.0);
+  }
+  plan.shard_threads = 1;
+  const ReplicationResult result = run_sharded_replication(plan, 42);
+  ASSERT_GT(result.completed, 100u);
+  EXPECT_EQ(result.fingerprint, scenario.expected)
+      << scenario.name << ": 0x" << std::hex << result.fingerprint;
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, ShardGolden,
+                         ::testing::ValuesIn(shard_golden_scenarios),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 TEST(Shard, StreamingMatchesSampledUnderSharding) {
   // Same seeds, same sharded simulation — only the recording differs, so
