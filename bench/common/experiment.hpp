@@ -9,7 +9,7 @@
 // simulator's ground-truth configuration.
 //
 // Rate points are independent simulations (each with its own warmup at the
-// target rate), so the sweep parallelizes across a thread pool.  Scale the
+// target rate), so the sweep runs them in parallel with cosm::parallel_for.  Scale the
 // dwell with --scale=<f> or COSM_BENCH_SCALE for quicker smoke runs.
 #pragma once
 

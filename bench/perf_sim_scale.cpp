@@ -34,7 +34,9 @@
 // only on ratios measured in the same run.  Exit status: 0 ok,
 // 1 determinism/bit-identity violation, 2 throughput regression
 // (streaming slower than 1.5x sampled, or the scaled 4-shard speedup gate
-// failing where enforced), 3 JSON write/readback failure.
+// failing where enforced), 3 JSON write/readback failure; 3 takes
+// precedence over 1, and 1 over 2.  stderr names every failed check, one
+// line each.
 //
 // Flags: --rate=R      (system arrivals/s; default 150)
 //        --duration=S  (benchmark phase seconds; default 115)
@@ -484,23 +486,48 @@ int main(int argc, char** argv) {
     std::cout << "  wrote " << config.trace_json << "\n";
   }
 
-  if (!deterministic || !modes_agree || !replications_identical ||
-      !scaled_deterministic || !scaled_bit_identical) {
-    std::cerr << "FAIL: determinism contract violated (repeat fingerprints, "
-                 "streaming/sampled agreement, serial/parallel replication "
-                 "identity, or sharded serial/threaded identity)\n";
-    return 1;
+  // One stderr line per failed check.  Any determinism failure exits 1;
+  // otherwise any unmet timing gate exits 2.
+  const auto unstable = [](const std::vector<ModeResult>& list) {
+    std::string names;
+    for (const ModeResult& mode : list) {
+      if (mode.deterministic) continue;
+      names += (names.empty() ? "" : ", ") + mode.name;
+    }
+    return names;
+  };
+  struct Check {
+    bool ok;
+    int code;
+    std::string message;
+  };
+  const Check checks[] = {
+      {deterministic, 1,
+       "repeat runs not bit-identical in mode(s): " + unstable(modes)},
+      {modes_agree, 1,
+       "streaming and sampled modes disagree on events or requests"},
+      {replications_identical, 1,
+       "parallel replication set not bit-identical to the serial one"},
+      {scaled_deterministic, 1,
+       "repeat runs not bit-identical in scaled mode(s): " +
+           unstable(scaled)},
+      {scaled_bit_identical, 1,
+       "scaled 4-shard threaded run not bit-identical to its serial "
+       "reference"},
+      {scaled_speedup_ok, 2,
+       "scaled 4-shard speedup " + fmt(scaled_speedup, 2) +
+           "x below the 2x gate (" + std::to_string(hardware) +
+           " hardware threads)"},
+      {streaming_ok, 2,
+       "streaming metrics cost more than 1.5x sampled wall time (" +
+           fmt(streaming.wall_ms, 2) + " ms against " +
+           fmt(sampled.wall_ms, 2) + " ms)"},
+  };
+  int status = 0;
+  for (const Check& check : checks) {
+    if (check.ok) continue;
+    std::cerr << "FAIL: " << check.message << "\n";
+    status = status == 0 ? check.code : std::min(status, check.code);
   }
-  if (!scaled_speedup_ok) {
-    std::cerr << "FAIL: scaled 4-shard speedup " << fmt(scaled_speedup, 2)
-              << "x below the 2x gate (" << hardware
-              << " hardware threads)\n";
-    return 2;
-  }
-  if (!streaming_ok) {
-    std::cerr << "FAIL: streaming metrics cost more than 1.5x sampled wall "
-                 "time\n";
-    return 2;
-  }
-  return 0;
+  return status;
 }

@@ -4,13 +4,6 @@
 
 namespace cosm::sim {
 
-void Engine::reserve(std::size_t events) {
-  // The arena is fixed slabs (stable addresses) and grows a slab at a
-  // time on its own; the contiguous structures are worth pre-sizing.
-  heap_.reserve(events);
-  free_slots_.reserve(events);
-}
-
 // Classic hole-based sifts: the node being placed rides in `node`, holes
 // move instead of swapping, so each level costs one 24-byte store.
 

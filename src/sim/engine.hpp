@@ -116,27 +116,6 @@ class Engine {
         Node{std::bit_cast<std::uint64_t>(time), seq, slot});
   }
 
-  // External-event injection lane for the sharded coordinator
-  // (sim/shard.hpp): files `fn` at absolute time `time` from OUTSIDE the
-  // engine's own event flow — the cross-shard mailbox drain calls this
-  // between run_until() windows.  Mechanically identical to
-  // schedule_at_inline (same calendar, same (time, seq) total order); the
-  // separate name documents the contract that makes cross-thread use safe:
-  // the caller must be the thread driving this engine, the engine must be
-  // quiescent (between run_until calls), and `time` must be >= now() —
-  // which the window protocol guarantees because injected arrivals always
-  // land strictly beyond the fence of the window just drained.  Injection
-  // order assigns seq, so the per-shard total order is a pure function of
-  // (local schedule order, mailbox drain order), both deterministic.
-  template <typename F>
-  void inject_at_inline(double time, F&& fn) {
-    schedule_at_inline(time, std::forward<F>(fn));
-  }
-
-  // Pre-sizes the calendar and the callback arena (a perf knob only;
-  // growth is otherwise amortized-geometric as usual).
-  void reserve(std::size_t events);
-
   // Runs events in timestamp order until the calendar is empty or the next
   // event is after `end_time`; the clock ends at min(end_time, last event).
   void run_until(double end_time);

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <mutex>
 #include <thread>
 
 #include "common/parallel_for.hpp"
 #include "common/require.hpp"
-#include "obs/obs.hpp"
-#include "sim/cluster.hpp"
-#include "sim/shard.hpp"
-#include "sim/source.hpp"
 
 namespace cosm::sim {
 
@@ -29,45 +24,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 }  // namespace
-
-ReplicationResult run_replication(const ReplicationPlan& plan,
-                                  std::uint64_t seed) {
-  if (plan.cluster.shards > 1) return run_sharded_replication(plan, seed);
-  obs::Span span("sim.replication");
-  obs::add(obs::Counter::kSimReplications);
-  ClusterConfig cluster_config = plan.cluster;
-  cluster_config.seed = seed;
-  Cluster cluster(cluster_config);
-
-  workload::CatalogConfig cat_config = plan.catalog;
-  cat_config.seed = seed + 1;
-  const workload::ObjectCatalog catalog(
-      cat_config, detail::shared_popularity(cat_config.object_count,
-                                            cat_config.zipf_skew));
-
-  workload::PlacementConfig placement_config = plan.placement;
-  placement_config.seed = seed + 2;
-  const workload::Placement placement(placement_config);
-
-  if (plan.streaming) {
-    cluster.metrics().enable_streaming(plan.streaming_config);
-  }
-
-  OpenLoopSource source(cluster, catalog, placement, plan.phases,
-                        cosm::Rng(seed + 3), plan.write_fraction);
-  cluster.metrics().sample_start_time = source.benchmark_start_time();
-  const auto loop_start = std::chrono::steady_clock::now();
-  source.start();
-  cluster.engine().run_until(source.horizon());
-  cluster.engine().run_all();
-  const auto loop_stop = std::chrono::steady_clock::now();
-
-  return detail::summarize_replication(
-      cluster.metrics(), cluster.engine().events_processed(),
-      std::chrono::duration<double, std::milli>(loop_stop - loop_start)
-          .count(),
-      plan.streaming, seed);
-}
 
 std::shared_ptr<const cosm::ZipfSampler> detail::shared_popularity(
     std::uint64_t object_count, double zipf_skew) {

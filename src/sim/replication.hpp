@@ -9,9 +9,10 @@
 // the property tests/sim/test_replication.cpp pins and the perf harness
 // gates on.
 //
-// Seed derivation per replication follows the figure benches' run_point:
-// cluster s, catalog s+1, placement s+2, arrival source s+3, so a
-// single-seed plan reproduces exactly what a hand-rolled run produces.
+// Seed derivation per replication follows the figure benches' run_point
+// (cluster s, catalog s+1, placement s+2, source s+3; written once, in
+// the set-up sim/shard.cpp shares between sharded and unsharded runs), so
+// a single-seed plan reproduces exactly what a hand-rolled run produces.
 #pragma once
 
 #include <cstdint>

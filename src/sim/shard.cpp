@@ -14,7 +14,9 @@
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
 #include "sim/cluster.hpp"
-#include "workload/arrivals.hpp"
+#include "sim/source.hpp"
+#include "workload/catalog.hpp"
+#include "workload/placement.hpp"
 
 namespace cosm::sim {
 
@@ -62,12 +64,109 @@ double shard_window_length(const ClusterConfig& config) {
 
 namespace {
 
-// Per-shard seed lane: shard s derives cluster/placement/source seeds at
-// base + 16s + {0, 2, 3}, so shard 0 reuses the unsharded derivation and
-// lanes never collide for shards <= 64 (the validate() cap).  The object
-// router takes the otherwise-unused +7 lane.
+// Seed lanes: shard s takes cluster seed + 16s, placement seed + 16s + 2
+// and source seed + 16s + 3; the one catalog takes seed + 1 and the object
+// router seed + 7.  Shard 0 therefore has the figure benches' run_point
+// lanes (cluster s, catalog s+1, placement s+2, source s+3), and lanes
+// never collide for shards <= 64 (the ClusterConfig::validate cap).
 constexpr std::uint64_t kShardSeedStride = 16;
+constexpr std::uint64_t kCatalogSeedOffset = 1;
+constexpr std::uint64_t kPlacementSeedOffset = 2;
+constexpr std::uint64_t kSourceSeedOffset = 3;
 constexpr std::uint64_t kRouteSeedOffset = 7;
+
+// One shard: a Cluster over its devices and frontends, its placement ring,
+// and the source drawing its rate / shards share of the arrivals.
+struct Shard {
+  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<workload::Placement> placement;
+  std::unique_ptr<OpenLoopSource> source;
+};
+
+// Everything one replication simulates; an unsharded plan is one shard.
+struct ReplicationSetup {
+  ShardTopology topo;
+  std::unique_ptr<const workload::ObjectCatalog> catalog;  // one, global
+  std::vector<Shard> shards;
+};
+
+// Builds a replication's shards on the seed lanes above.  A shard gets the
+// faults of its own devices, renumbered to local ids, and every
+// network-jitter event.
+ReplicationSetup set_up_replication(const ReplicationPlan& plan,
+                                    std::uint64_t seed) {
+  {
+    // Validate the whole topology (shard bounds, lookahead, fault targets)
+    // before any per-shard config is derived from it.
+    ClusterConfig base = plan.cluster;
+    base.seed = seed;
+    base.finalize();
+  }
+  ReplicationSetup setup;
+  setup.topo = ShardTopology::build(plan.cluster);
+  const std::uint32_t shards = setup.topo.shards;
+  COSM_REQUIRE(plan.placement.device_count == plan.cluster.device_count,
+               "placement and cluster disagree on device count");
+  COSM_REQUIRE(
+      plan.placement.replica_count <= setup.topo.min_devices(),
+      "replica sets are shard-local: placement.replica_count must fit the "
+      "smallest shard (floor(device_count / shards) devices); lower shards "
+      "or replica_count");
+
+  workload::CatalogConfig cat_config = plan.catalog;
+  cat_config.seed = seed + kCatalogSeedOffset;
+  setup.catalog = std::make_unique<const workload::ObjectCatalog>(
+      cat_config,
+      detail::shared_popularity(cat_config.object_count,
+                                cat_config.zipf_skew));
+
+  // Poisson splitting: each shard's source draws rate / shards, and the
+  // shards' superposed streams are the plan's full Poisson process.
+  std::vector<workload::PhaseSegment> segments =
+      workload::expand_phases(plan.phases);
+  for (workload::PhaseSegment& segment : segments) segment.rate /= shards;
+
+  setup.shards.resize(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const std::uint64_t lane = seed + kShardSeedStride * s;
+    ClusterConfig config = plan.cluster;
+    config.shards = 1;
+    config.shard_window = 0.0;
+    config.device_count = setup.topo.devices_of(s);
+    config.frontend_processes = setup.topo.frontends_of(s);
+    config.seed = lane;
+    // Jitter mutates the live network latency, which cannot break the
+    // lookahead: the dispatch delay is the configured window, fixed
+    // before the run.
+    config.faults = FaultSchedule{};
+    const std::uint32_t offset = setup.topo.device_offset(s);
+    for (const FaultEvent& event : plan.cluster.faults.events()) {
+      if (event.kind == FaultKind::kNetworkJitter) {
+        config.faults.add(event);
+      } else if (event.device >= offset &&
+                 event.device < offset + config.device_count) {
+        FaultEvent local = event;
+        local.device -= offset;
+        config.faults.add(local);
+      }
+    }
+    Shard& shard = setup.shards[s];
+    shard.cluster = std::make_unique<Cluster>(std::move(config));
+    if (plan.streaming) {
+      shard.cluster->metrics().enable_streaming(plan.streaming_config);
+    }
+
+    workload::PlacementConfig placement_config = plan.placement;
+    placement_config.device_count = setup.topo.devices_of(s);
+    placement_config.seed = lane + kPlacementSeedOffset;
+    shard.placement = std::make_unique<workload::Placement>(placement_config);
+
+    shard.source = std::make_unique<OpenLoopSource>(
+        *shard.cluster, *setup.catalog, *shard.placement, segments,
+        cosm::Rng(lane + kSourceSeedOffset), plan.write_fraction);
+  }
+  return setup;
+}
 
 // Centralized barrier: counter + generation, acquire/release on the
 // generation so everything a shard wrote before arriving (mailboxes, its
@@ -115,194 +214,76 @@ class SpinBarrier {
   std::atomic<std::uint64_t> generation_{0};
 };
 
-// One generated arrival, possibly crossing a shard boundary.  All RNG
-// draws happen on the SENDER (one uniform_index for the replica pick plus
-// an optional bernoulli for the write bit, mirroring
-// OpenLoopSource::fire), but only the drawn index travels: the owner
-// re-derives the replica list from its own ring at submission time, so
-// the mailbox record stays a small POD and the submission callback fits
-// EventCallback's inline storage.
-struct ShardArrival {
-  double submit_time = 0.0;   // t_gen + window, strictly beyond the fence
-  std::uint64_t object_id = 0;
-  std::uint32_t primary = 0;  // replica index drawn in the owner's ring
-  bool multi = false;         // replica-list path vs single-device path
-  bool is_write = false;
+struct ShardedRun;
+
+// The hand-off context of one shard's source.
+struct Sender {
+  ShardedRun* run = nullptr;
+  std::uint32_t shard = 0;
 };
 
-class ShardSource;
-
-struct Shard {
-  std::unique_ptr<Cluster> cluster;
-  std::unique_ptr<workload::Placement> placement;
-};
-
+// Its sources and queued events hold pointers into it, so it never moves.
 struct ShardedRun {
-  const ReplicationPlan* plan = nullptr;
-  ShardTopology topo;
+  ShardedRun() = default;
+  ShardedRun(ShardedRun&&) = delete;
+
+  ReplicationSetup setup;
   double window = 0.0;
   double horizon = 0.0;
   std::uint64_t route_seed = 0;
-  const workload::ObjectCatalog* catalog = nullptr;
-  std::vector<Shard> shards;
-  std::vector<std::unique_ptr<ShardSource>> sources;
+  std::vector<Sender> senders;
   // Per-(sender, owner) SPSC mailboxes: the sender appends during its
   // window, the owner drains between the two barriers — the phases never
   // overlap, so plain vectors suffice.
-  std::vector<std::vector<ShardArrival>> mailboxes;
+  std::vector<std::vector<Arrival>> mailboxes;
 
-  std::vector<ShardArrival>& mailbox(std::uint32_t sender,
-                                     std::uint32_t owner) {
-    return mailboxes[static_cast<std::size_t>(sender) * topo.shards + owner];
+  std::uint32_t shards() const { return setup.topo.shards; }
+  Engine& engine(std::uint32_t shard) {
+    return setup.shards[shard].cluster->engine();
+  }
+  std::vector<Arrival>& mailbox(std::uint32_t sender, std::uint32_t owner) {
+    return mailboxes[static_cast<std::size_t>(sender) * shards() + owner];
   }
 };
 
-// Executes one arrival on its owner: resolve the replica pick against the
-// owner's ring (the sender only drew the index) and submit.  Runs at
-// engine.now() == arrival.submit_time.
-void submit_arrival(Cluster& cluster, const workload::Placement& placement,
-                    const workload::ObjectCatalog& catalog,
-                    const ShardArrival& arrival) {
-  const std::uint64_t size = catalog.size_of(arrival.object_id);
-  if (arrival.multi) {
-    std::vector<std::uint32_t> replicas =
-        placement.replicas_of(arrival.object_id);
-    std::rotate(replicas.begin(),
-                replicas.begin() + static_cast<std::ptrdiff_t>(
-                                       arrival.primary),
-                replicas.end());
-    cluster.submit_request(arrival.object_id, size, std::move(replicas),
-                           arrival.is_write);
-  } else {
-    const auto& ring = placement.replicas_of_partition(
-        placement.partition_of(arrival.object_id));
-    cluster.submit_request(arrival.object_id, size, ring[arrival.primary],
-                           arrival.is_write);
-  }
-}
-
-// Files an arrival on its owner's calendar: the mailbox drain injects
-// (engine quiescent between windows), a shard-local arrival schedules
-// mid-window like any other event.
+// Files an arrival on its owner's calendar at arrival.time, where it runs
+// submit_arrival against the owner's cluster and ring.
 void file_arrival(ShardedRun& run, std::uint32_t owner,
-                  const ShardArrival& arrival, bool injected) {
-  Cluster* cluster = run.shards[owner].cluster.get();
-  const workload::Placement* placement = run.shards[owner].placement.get();
-  const workload::ObjectCatalog* catalog = run.catalog;
-  auto fire = [cluster, placement, catalog, arrival] {
-    submit_arrival(*cluster, *placement, *catalog, arrival);
-  };
-  if (injected) {
-    cluster->engine().inject_at_inline(arrival.submit_time, std::move(fire));
-  } else {
-    cluster->engine().schedule_at_inline(arrival.submit_time,
-                                         std::move(fire));
-  }
+                  const Arrival& arrival) {
+  const Shard& shard = run.setup.shards[owner];
+  Cluster* cluster = shard.cluster.get();
+  const workload::Placement* placement = shard.placement.get();
+  const workload::ObjectCatalog* catalog = run.setup.catalog.get();
+  cluster->engine().schedule_at_inline(
+      arrival.time, [cluster, placement, catalog, arrival] {
+        submit_arrival(*cluster, *placement, *catalog, arrival);
+      });
 }
 
-// Open-loop source of one shard: OpenLoopSource's phase walk at
-// rate / shards (Poisson splitting: the shards' superposed arrival stream
-// is the plan's full Poisson process; only Poisson arrivals shard this
-// way, which is all ReplicationPlan generates).  Every arrival resolves
+// The hand-off of every shard's OpenLoopSource.  A drawn arrival resolves
 // its owner shard by object hash and is submitted one full window after
-// its generation time — the dispatch delay that gives the conservative
-// protocol its lookahead.
-class ShardSource {
- public:
-  ShardSource(ShardedRun& run, std::uint32_t shard, cosm::Rng rng)
-      : run_(run),
-        shard_(shard),
-        segments_(workload::expand_phases(run.plan->phases)),
-        rng_(rng),
-        write_fraction_(run.plan->write_fraction) {
-    COSM_REQUIRE(!segments_.empty(), "phase plan expands to no segments");
-    for (auto& segment : segments_) segment.rate /= run.topo.shards;
-    const ClusterConfig& config = run.plan->cluster;
-    const bool redundancy =
-        config.hedge_delay > 0.0 || config.fanout_n > 1 ||
-        config.replica_choice != ClusterConfig::ReplicaChoice::kPrimary;
-    multi_ = (config.max_retries > 0 && config.failover) || redundancy;
+// its draw — the dispatch delay that gives the conservative protocol its
+// lookahead.  A shard-local arrival is filed mid-window like any other
+// event; a crossing one waits in the mailbox for the owner's drain.
+void hand_off(void* context, const Arrival& drawn) {
+  const Sender& sender = *static_cast<const Sender*>(context);
+  ShardedRun& run = *sender.run;
+  Arrival arrival = drawn;
+  arrival.time += run.window;
+  const std::uint32_t owner =
+      shard_of_object(arrival.object_id, run.route_seed, run.shards());
+  if (owner == sender.shard) {
+    file_arrival(run, owner, arrival);
+  } else {
+    run.mailbox(sender.shard, owner).push_back(arrival);
   }
-
-  double horizon() const {
-    const auto& last = segments_.back();
-    return last.start_time + last.duration;
-  }
-
-  double benchmark_start_time() const {
-    for (const auto& segment : segments_) {
-      if (segment.is_benchmark) return segment.start_time;
-    }
-    return horizon();
-  }
-
-  void start() {
-    double expected = 0.0;
-    for (const auto& segment : segments_) {
-      if (segment.is_benchmark) expected += segment.rate * segment.duration;
-    }
-    constexpr double kReserveCap = 1 << 24;
-    run_.shards[shard_].cluster->metrics().reserve_request_samples(
-        static_cast<std::size_t>(std::min(1.1 * expected, kReserveCap)));
-    schedule_next(0, segments_.front().start_time);
-  }
-
- private:
-  void schedule_next(std::size_t segment_index, double time) {
-    while (segment_index < segments_.size()) {
-      const auto& segment = segments_[segment_index];
-      const double gap = arrivals_.next_gap(segment.rate, rng_);
-      const double at = std::max(time, segment.start_time) + gap;
-      if (at < segment.start_time + segment.duration) {
-        run_.shards[shard_].cluster->engine().schedule_at_inline(
-            at, [this, segment_index, at] { fire(segment_index, at); });
-        return;
-      }
-      ++segment_index;
-      if (segment_index < segments_.size()) {
-        time = segments_[segment_index].start_time;
-      }
-    }
-  }
-
-  void fire(std::size_t segment_index, double generated_at) {
-    const workload::ObjectId object = run_.catalog->sample_object(rng_);
-    const std::uint32_t owner =
-        shard_of_object(object, run_.route_seed, run_.topo.shards);
-    const workload::Placement& placement = *run_.shards[owner].placement;
-    ShardArrival arrival;
-    arrival.submit_time = generated_at + run_.window;
-    arrival.object_id = object;
-    arrival.multi = multi_;
-    // One uniform_index draw either way, exactly like OpenLoopSource: the
-    // primary rotation of the replica-list path and choose_replica's pick
-    // both reduce to an index into the owner's replica ring.
-    arrival.primary = static_cast<std::uint32_t>(
-        rng_.uniform_index(placement.replica_count()));
-    arrival.is_write =
-        write_fraction_ > 0.0 && rng_.bernoulli(write_fraction_);
-    if (owner == shard_) {
-      file_arrival(run_, owner, arrival, /*injected=*/false);
-    } else {
-      run_.mailbox(shard_, owner).push_back(arrival);
-    }
-    schedule_next(segment_index, generated_at);
-  }
-
-  ShardedRun& run_;
-  const std::uint32_t shard_;
-  std::vector<workload::PhaseSegment> segments_;
-  cosm::Rng rng_;
-  workload::PoissonArrivals arrivals_;
-  const double write_fraction_;
-  bool multi_ = false;
-};
+}
 
 // One window of one shard: run to the fence, with the obs window /
 // empty-window (wasted lookahead) accounting gated so the disabled path
 // reads no extra state.
 void run_window(ShardedRun& run, std::uint32_t shard, double fence) {
-  Engine& engine = run.shards[shard].cluster->engine();
+  Engine& engine = run.engine(shard);
   if (!obs::enabled()) {
     engine.run_until(fence);
     return;
@@ -315,17 +296,24 @@ void run_window(ShardedRun& run, std::uint32_t shard, double fence) {
   }
 }
 
-// Drains every mailbox addressed to `owner` in sender order, injecting
-// each arrival on the owner's calendar.  Runs between the two window
-// barriers (or in the serial round-robin), so no sender is appending.
+// Drains every mailbox addressed to `owner` in sender order, filing each
+// arrival on the owner's calendar.  This is the one place events enter an
+// engine from outside its own event flow, and it is safe because:
+//  - it runs on the thread driving the owner's engine, between the two
+//    window barriers (or in the serial round-robin), so the engine is
+//    quiescent and no sender is appending;
+//  - every arrival lands strictly beyond the fence of the window just
+//    run (it was drawn inside that window and shifted by a full window),
+//    so it is in the engine's future;
+//  - filing order assigns seq, so the owner's (time, seq) total order is
+//    a pure function of (local schedule order, sender-ordered drain
+//    order), both deterministic.
 void drain_inbound(ShardedRun& run, std::uint32_t owner) {
   std::uint64_t delivered = 0;
-  for (std::uint32_t sender = 0; sender < run.topo.shards; ++sender) {
+  for (std::uint32_t sender = 0; sender < run.shards(); ++sender) {
     if (sender == owner) continue;
-    std::vector<ShardArrival>& box = run.mailbox(sender, owner);
-    for (const ShardArrival& arrival : box) {
-      file_arrival(run, owner, arrival, /*injected=*/true);
-    }
+    std::vector<Arrival>& box = run.mailbox(sender, owner);
+    for (const Arrival& arrival : box) file_arrival(run, owner, arrival);
     delivered += box.size();
     box.clear();  // capacity retained for the next window
   }
@@ -334,28 +322,55 @@ void drain_inbound(ShardedRun& run, std::uint32_t owner) {
   }
 }
 
-// SPMD body of one shard worker.  Every worker computes the identical
-// fence sequence (pure double arithmetic from shared window/horizon), so
-// the barriers line up without any coordinator thread.  After the final
-// window no source can generate further cross-shard traffic — sources
-// are the only producers and their last event precedes the horizon — so
-// the post-loop drain is barrier-free.  noexcept: a worker that threw
-// would leave the others spinning at the barrier forever, so an error
-// inside a window terminates the process instead.
-void run_shard_windows(ShardedRun& run, std::uint32_t shard,
-                       SpinBarrier& barrier) noexcept {
+// Runs shards [first, last) through every window, calling sync() after
+// the window's events and again after its drains.  The threaded path runs
+// one shard per worker with a barrier as sync (SPMD: every worker computes
+// the identical fence sequence, pure double arithmetic from the shared
+// window and horizon, so the barriers line up without a coordinator); the
+// serial round-robin runs all shards on one thread with no sync, in the
+// same per-shard event and drain orders.  After the final window no
+// source can generate further cross-shard traffic — sources are the only
+// producers and their last event precedes the horizon — so the closing
+// run_all needs no drain.
+template <typename Sync>
+void run_windows(ShardedRun& run, std::uint32_t first, std::uint32_t last,
+                 Sync&& sync) {
   double fence = 0.0;
   while (fence < run.horizon) {
     fence = std::min(fence + run.window, run.horizon);
-    run_window(run, shard, fence);
-    barrier.arrive_and_wait();
-    drain_inbound(run, shard);
-    barrier.arrive_and_wait();
+    for (std::uint32_t s = first; s < last; ++s) run_window(run, s, fence);
+    sync();
+    for (std::uint32_t s = first; s < last; ++s) drain_inbound(run, s);
+    sync();
   }
-  run.shards[shard].cluster->engine().run_all();
+  for (std::uint32_t s = first; s < last; ++s) run.engine(s).run_all();
 }
 
 }  // namespace
+
+ReplicationResult run_replication(const ReplicationPlan& plan,
+                                  std::uint64_t seed) {
+  if (plan.cluster.shards > 1) return run_sharded_replication(plan, seed);
+  obs::Span span("sim.replication");
+  obs::add(obs::Counter::kSimReplications);
+  // One shard owning the whole topology: its source submits every arrival
+  // at once on its own cluster.
+  const ReplicationSetup setup = set_up_replication(plan, seed);
+  Cluster& cluster = *setup.shards.front().cluster;
+  OpenLoopSource& source = *setup.shards.front().source;
+  cluster.metrics().sample_start_time = source.benchmark_start_time();
+  const auto loop_start = std::chrono::steady_clock::now();
+  source.start();
+  cluster.engine().run_until(source.horizon());
+  cluster.engine().run_all();
+  const auto loop_stop = std::chrono::steady_clock::now();
+
+  return detail::summarize_replication(
+      cluster.metrics(), cluster.engine().events_processed(),
+      std::chrono::duration<double, std::milli>(loop_stop - loop_start)
+          .count(),
+      plan.streaming, seed);
+}
 
 ReplicationResult run_sharded_replication(const ReplicationPlan& plan,
                                           std::uint64_t seed) {
@@ -363,106 +378,41 @@ ReplicationResult run_sharded_replication(const ReplicationPlan& plan,
   obs::add(obs::Counter::kSimReplications);
   COSM_REQUIRE(plan.cluster.shards > 1,
                "run_sharded_replication needs shards > 1");
-  {
-    // Trigger the sharding validations (lookahead, shard/device bounds)
-    // on the base topology before any sub-config is derived.
-    ClusterConfig base = plan.cluster;
-    base.seed = seed;
-    base.finalize();
-  }
 
   ShardedRun run;
-  run.plan = &plan;
-  run.topo = ShardTopology::build(plan.cluster);
+  run.setup = set_up_replication(plan, seed);
   run.window = shard_window_length(plan.cluster);
   run.route_seed = seed + kRouteSeedOffset;
-  const std::uint32_t shards = run.topo.shards;
-
-  COSM_REQUIRE(
-      plan.placement.replica_count <= run.topo.min_devices(),
-      "replica sets are shard-local: placement.replica_count must fit the "
-      "smallest shard (floor(device_count / shards) devices); lower shards "
-      "or replica_count");
-
-  workload::CatalogConfig cat_config = plan.catalog;
-  cat_config.seed = seed + 1;  // one global catalog, same lane as unsharded
-  const workload::ObjectCatalog catalog(
-      cat_config, detail::shared_popularity(cat_config.object_count,
-                                            cat_config.zipf_skew));
-  run.catalog = &catalog;
-
-  run.shards.resize(shards);
+  const std::uint32_t shards = run.shards();
   run.mailboxes.assign(static_cast<std::size_t>(shards) * shards, {});
-  run.sources.reserve(shards);
+  run.senders.resize(shards);
+  run.horizon = run.setup.shards.front().source->horizon();
   for (std::uint32_t s = 0; s < shards; ++s) {
-    ClusterConfig config = plan.cluster;
-    config.shards = 1;
-    config.shard_window = 0.0;
-    config.device_count = run.topo.devices_of(s);
-    config.frontend_processes = run.topo.frontends_of(s);
-    config.seed = seed + kShardSeedStride * s;
-    // Faults retarget to their owner shard's local device ids; network
-    // jitter is cluster-wide and lands on every shard.  (Jitter mutates
-    // the live network latency, which cannot break the lookahead: the
-    // dispatch delay is the configured window, fixed before the run.)
-    config.faults = FaultSchedule{};
-    const std::uint32_t offset = run.topo.device_offset(s);
-    for (const FaultEvent& event : plan.cluster.faults.events()) {
-      if (event.kind == FaultKind::kNetworkJitter) {
-        config.faults.add(event);
-      } else if (event.device >= offset &&
-                 event.device < offset + config.device_count) {
-        FaultEvent local = event;
-        local.device -= offset;
-        config.faults.add(local);
-      }
-    }
-    run.shards[s].cluster = std::make_unique<Cluster>(std::move(config));
-    if (plan.streaming) {
-      run.shards[s].cluster->metrics().enable_streaming(
-          plan.streaming_config);
-    }
-
-    workload::PlacementConfig placement_config = plan.placement;
-    placement_config.device_count = run.topo.devices_of(s);
-    placement_config.seed = seed + kShardSeedStride * s + 2;
-    run.shards[s].placement =
-        std::make_unique<workload::Placement>(placement_config);
-
-    run.sources.push_back(std::make_unique<ShardSource>(
-        run, s, cosm::Rng(seed + kShardSeedStride * s + 3)));
-  }
-
-  run.horizon = run.sources.front()->horizon();
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    // Arrivals are submitted one window after generation, so the warmup
+    const Shard& shard = run.setup.shards[s];
+    run.senders[s] = Sender{&run, s};
+    detail::hand_off_arrivals(*shard.source, hand_off, &run.senders[s]);
+    // Arrivals are submitted one window after their draw, so the warmup
     // boundary shifts with them: a sample belongs to the benchmark phase
-    // iff its generating draw did.
-    run.shards[s].cluster->metrics().sample_start_time =
-        run.sources[s]->benchmark_start_time() + run.window;
+    // iff its draw did.
+    shard.cluster->metrics().sample_start_time =
+        shard.source->benchmark_start_time() + run.window;
   }
 
   const auto loop_start = std::chrono::steady_clock::now();
-  for (std::uint32_t s = 0; s < shards; ++s) run.sources[s]->start();
+  for (const Shard& shard : run.setup.shards) shard.source->start();
   if (plan.shard_threads == 1) {
-    // Serial round-robin: the same windows, drains, and per-shard event
-    // orders as the threaded path, interleaved on one thread — the
-    // reference the bit-identity tests compare against.
-    double fence = 0.0;
-    while (fence < run.horizon) {
-      fence = std::min(fence + run.window, run.horizon);
-      for (std::uint32_t s = 0; s < shards; ++s) run_window(run, s, fence);
-      for (std::uint32_t s = 0; s < shards; ++s) drain_inbound(run, s);
-    }
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      run.shards[s].cluster->engine().run_all();
-    }
+    // Serial round-robin: the reference the bit-identity tests compare
+    // the threaded path against.
+    run_windows(run, 0, shards, [] {});
   } else {
     // One thread per shard (threads == shards): workers block at window
-    // barriers, so no two shards may share a thread.
+    // barriers, so no two shards may share a thread.  noexcept: a worker
+    // that threw would leave the others spinning at the barrier forever,
+    // so an error inside a window terminates the process instead.
     SpinBarrier barrier(shards);
-    cosm::parallel_for(shards, shards, [&](std::size_t s) {
-      run_shard_windows(run, static_cast<std::uint32_t>(s), barrier);
+    cosm::parallel_for(shards, shards, [&](std::size_t s) noexcept {
+      const auto shard = static_cast<std::uint32_t>(s);
+      run_windows(run, shard, shard + 1, [&] { barrier.arrive_and_wait(); });
     });
   }
   const auto loop_stop = std::chrono::steady_clock::now();
@@ -473,9 +423,9 @@ ReplicationResult run_sharded_replication(const ReplicationPlan& plan,
   if (plan.streaming) merged.enable_streaming(plan.streaming_config);
   std::uint64_t events = 0;
   for (std::uint32_t s = 0; s < shards; ++s) {
-    merged.merge_from(run.shards[s].cluster->metrics(),
-                      run.topo.device_offset(s));
-    events += run.shards[s].cluster->engine().events_processed();
+    merged.merge_from(run.setup.shards[s].cluster->metrics(),
+                      run.setup.topo.device_offset(s));
+    events += run.engine(s).events_processed();
   }
   return detail::summarize_replication(
       merged, events,

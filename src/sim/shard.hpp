@@ -9,10 +9,15 @@
 // own devices, and every replica set is therefore shard-local — retries,
 // failover, hedges, and (n,k) fan-out reads never cross a shard boundary.
 // The only cross-shard interaction is the open-loop arrival stream, and
-// it crosses in exactly one direction: a per-shard source generates
-// arrivals at rate/shards (Poisson splitting: the superposition over
-// shards is the plan's full Poisson process) and forwards each arrival to
-// its owner shard.
+// it crosses in exactly one direction.  Every shard runs an ordinary
+// sim::OpenLoopSource at rate/shards (Poisson splitting: the superposition
+// over shards is the plan's full Poisson process); the source's hand-off
+// files each drawn arrival on its owner shard one window after the draw —
+// on the shard's own calendar when it owns the object, else in the
+// (sender, owner) mailbox.  The owner submits it with sim::submit_arrival,
+// exactly as an unsharded source submits at once.  An unsharded
+// replication (run_replication, defined in shard.cpp) is built by the same
+// set-up as one shard owning the whole topology.
 //
 // Window protocol (the conservative synchronization):
 //
@@ -20,13 +25,13 @@
 //
 //   per window k, every shard:         between windows, every shard:
 //     run_until(fence_k)  ──barrier──▶   drain inbound mailboxes,
-//                                        injecting arrivals at their
+//                                        filing arrivals at their
 //                         ◀─barrier──    submit times (all > fence_k)
 //
 // Correctness rests on a lookahead the workload provides by construction:
 // an arrival generated at t_gen (inside window k) is *submitted* at
 // t_sub = t_gen + W, which lies strictly beyond fence_k — so when the
-// owner drains its mailboxes at the barrier, every injected event is in
+// owner drains its mailboxes at the barrier, every filed event is in
 // that engine's future and the per-shard (time, seq) total order is a
 // pure function of (local schedule order, sender-ordered drain order).
 // Both are deterministic, hence the hard gate: bit-identical results for

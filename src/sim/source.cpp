@@ -1,6 +1,7 @@
 #include "sim/source.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "common/require.hpp"
@@ -97,35 +98,50 @@ void OpenLoopSource::schedule_next(std::size_t segment_index, double time) {
 
 void OpenLoopSource::fire(std::size_t segment_index, double time) {
   ++arrivals_;
-  const workload::ObjectId object = catalog_.sample_object(rng_);
-  const auto& config = cluster_.config();
-  const bool redundancy =
-      config.hedge_delay > 0.0 || config.fanout_n > 1 ||
-      config.replica_choice != ClusterConfig::ReplicaChoice::kPrimary;
-  if ((config.max_retries > 0 && config.failover) || redundancy) {
-    // Hand the full replica set to the cluster so retries can fail over
-    // (and hedges / fan-out reads / replica-choice scheduling can spread).
-    // Exactly one uniform_index draw, same as choose_replica, so seeded
-    // runs are unchanged by the retry knobs being on.
-    std::vector<std::uint32_t> replicas = placement_.replicas_of(object);
-    const std::size_t primary = rng_.uniform_index(replicas.size());
-    std::rotate(replicas.begin(),
-                replicas.begin() + static_cast<std::ptrdiff_t>(primary),
-                replicas.end());
-    const bool is_write =
-        write_fraction_ > 0.0 && rng_.bernoulli(write_fraction_);
-    if (is_write) ++write_arrivals_;
-    cluster_.submit_request(object, catalog_.size_of(object),
-                            std::move(replicas), is_write);
+  Arrival arrival;
+  arrival.time = time;
+  arrival.object_id = catalog_.sample_object(rng_);
+  arrival.primary = static_cast<std::uint32_t>(
+      rng_.uniform_index(placement_.replica_count()));
+  arrival.is_write = write_fraction_ > 0.0 && rng_.bernoulli(write_fraction_);
+  if (arrival.is_write) ++write_arrivals_;
+  if (hand_off_ == nullptr) {
+    submit_arrival(cluster_, placement_, catalog_, arrival);
   } else {
-    const auto device = placement_.choose_replica(object, rng_);
-    const bool is_write =
-        write_fraction_ > 0.0 && rng_.bernoulli(write_fraction_);
-    if (is_write) ++write_arrivals_;
-    cluster_.submit_request(object, catalog_.size_of(object), device,
-                            is_write);
+    hand_off_(hand_off_context_, arrival);
   }
   schedule_next(segment_index, time);
+}
+
+void detail::hand_off_arrivals(OpenLoopSource& source, ArrivalHandOff fn,
+                               void* context) {
+  source.hand_off_ = fn;
+  source.hand_off_context_ = context;
+}
+
+void submit_arrival(Cluster& cluster, const workload::Placement& placement,
+                    const workload::ObjectCatalog& catalog,
+                    const Arrival& arrival) {
+  const std::uint64_t size = catalog.size_of(arrival.object_id);
+  const std::vector<workload::DeviceId>& ring =
+      placement.replicas_of_partition(
+          placement.partition_of(arrival.object_id));
+  const ClusterConfig& config = cluster.config();
+  const bool replica_list =
+      (config.max_retries > 0 && config.failover) ||
+      config.hedge_delay > 0.0 || config.fanout_n > 1 ||
+      config.replica_choice != ClusterConfig::ReplicaChoice::kPrimary;
+  if (!replica_list) {
+    cluster.submit_request(arrival.object_id, size, ring[arrival.primary],
+                           arrival.is_write);
+    return;
+  }
+  std::vector<std::uint32_t> replicas(ring.size());
+  std::rotate_copy(ring.begin(),
+                   ring.begin() + static_cast<std::ptrdiff_t>(arrival.primary),
+                   ring.end(), replicas.begin());
+  cluster.submit_request(arrival.object_id, size, std::move(replicas),
+                         arrival.is_write);
 }
 
 std::uint64_t replay_trace(Cluster& cluster,

@@ -1,13 +1,22 @@
-// Open-loop workload source.
+// Open-loop workload source: the one generator of the simulator's arrival
+// stream, sharded or not.
 //
 // Drives a Cluster with Poisson arrivals through a workload::PhasePlan
 // without materializing the trace: each arrival event samples an object,
-// picks a replica (random, like Swift's proxy) and schedules the next
+// draws the index of its primary replica (random, like Swift's proxy) and
+// the write bit, hands the drawn Arrival on, and schedules the next
 // arrival.  Open loop means arrivals never wait for completions — exactly
 // the paper's modified-ssbench behaviour (Sec. V-A).
+//
+// Where a drawn arrival goes is the only thing that differs between
+// callers.  By default it is submitted at once on the source's own cluster
+// (submit_arrival).  A sharded run (sim/shard.hpp) gives every shard one
+// source at rate / shards and hands each arrival off to its owner shard,
+// which submits it one window later.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim/cluster.hpp"
@@ -17,6 +26,35 @@
 #include "workload/trace.hpp"
 
 namespace cosm::sim {
+
+// One drawn arrival.  Only the replica *index* is drawn; submit_arrival
+// resolves it against the serving placement's ring, so the record is a
+// small POD that fits a mailbox and an event capture.
+struct Arrival {
+  double time = 0.0;  // submission time (the draw time unless handed off)
+  workload::ObjectId object_id = 0;
+  std::uint32_t primary = 0;  // index into the object's replica ring
+  bool is_write = false;
+};
+
+// Submits `arrival` on `cluster` now: the object's replica list rotated to
+// start at the drawn primary when the cluster can use several replicas
+// (failover retries, hedges, fan-out, replica choice), else the primary
+// alone.  Both forms consume the same draws.
+void submit_arrival(Cluster& cluster, const workload::Placement& placement,
+                    const workload::ObjectCatalog& catalog,
+                    const Arrival& arrival);
+
+class OpenLoopSource;
+
+namespace detail {
+// Sends every arrival `source` draws to fn(context, arrival) instead of
+// submitting it on the source's own cluster: the sharded runner's seam
+// (sim/shard.cpp), one indirect call and no allocation per arrival.
+using ArrivalHandOff = void (*)(void* context, const Arrival& arrival);
+void hand_off_arrivals(OpenLoopSource& source, ArrivalHandOff fn,
+                       void* context);
+}  // namespace detail
 
 class OpenLoopSource {
  public:
@@ -51,6 +89,9 @@ class OpenLoopSource {
   double benchmark_start_time() const;
 
  private:
+  friend void detail::hand_off_arrivals(OpenLoopSource&,
+                                        detail::ArrivalHandOff, void*);
+
   void schedule_next(std::size_t segment_index, double time);
   void fire(std::size_t segment_index, double time);
 
@@ -61,6 +102,8 @@ class OpenLoopSource {
   cosm::Rng rng_;
   double write_fraction_;
   workload::ArrivalProcessPtr arrival_process_;
+  detail::ArrivalHandOff hand_off_ = nullptr;  // null: submit_arrival
+  void* hand_off_context_ = nullptr;
   std::uint64_t arrivals_ = 0;
   std::uint64_t write_arrivals_ = 0;
 };
