@@ -40,10 +40,6 @@ const std::vector<DeviceId>& Placement::replicas_of_partition(
   return ring_[partition];
 }
 
-std::vector<DeviceId> Placement::replicas_of(ObjectId id) const {
-  return ring_[partition_of(id)];
-}
-
 DeviceId Placement::choose_replica(ObjectId id, cosm::Rng& rng) const {
   const auto& replicas = ring_[partition_of(id)];
   return replicas[rng.uniform_index(replicas.size())];

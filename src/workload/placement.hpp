@@ -31,7 +31,6 @@ class Placement {
   // as replica_count <= device_count.
   const std::vector<DeviceId>& replicas_of_partition(
       std::uint32_t partition) const;
-  std::vector<DeviceId> replicas_of(ObjectId id) const;
 
   // Swift frontends pick a replica (randomly in our router, matching the
   // paper's note that "randomness exists in the replica choosing scheme").

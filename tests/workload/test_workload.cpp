@@ -156,7 +156,8 @@ TEST(Placement, ChooseReplicaCoversAllReplicas) {
                        .seed = 1});
   cosm::Rng rng(3);
   const ObjectId id = 7;
-  const auto replicas = placement.replicas_of(id);
+  const auto& replicas =
+      placement.replicas_of_partition(placement.partition_of(id));
   std::vector<int> seen(5, 0);
   for (int i = 0; i < 3000; ++i) ++seen[placement.choose_replica(id, rng)];
   for (const DeviceId d : replicas) EXPECT_GT(seen[d], 800);
