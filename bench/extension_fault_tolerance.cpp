@@ -165,12 +165,15 @@ int main(int argc, char** argv) {
 
   cosm::Table table({"SLA (ms)", "healthy sim", "healthy model", "err",
                      "faulted sim", "degraded what-if", "err"});
+  const std::vector<double> degraded =
+      cosm::core::attainment(cosm::core::degrade(healthy.params, scenario),
+                             {kSlas[0], kSlas[1], kSlas[2]})
+          .percentiles;
   double band = 0.0;
   double worst_degraded_err = 0.0;
   for (int i = 0; i < 3; ++i) {
     const double healthy_pred = healthy_model.predict_sla_percentile(kSlas[i]);
-    const double degraded_pred = cosm::core::degraded_sla_percentile(
-        healthy.params, scenario, kSlas[i]);
+    const double degraded_pred = degraded[i];
     const double healthy_err = std::abs(healthy_pred - healthy.observed[i]);
     const double degraded_err = std::abs(degraded_pred - faulted.observed[i]);
     band = std::max(band, healthy_err);

@@ -184,12 +184,14 @@ int main(int argc, char** argv) {
               100.0 * healthy_model.predict_sla_percentile(kSla),
               kSla * 1e3);
   std::printf("  device 2 disk x%.0f:       %6.2f%%\n", kInflation,
-              100.0 * cosm::core::degraded_sla_percentile(healthy, slow,
-                                                          kSla));
+              100.0 * cosm::core::attainment(cosm::core::degrade(healthy, slow),
+                                             {kSla})
+                          .percentiles.front());
   std::printf("  device 0 down + retries: %6.2f%%  (retry-inflated "
               "lambda x%.2f)\n",
-              100.0 * cosm::core::degraded_sla_percentile(healthy, outage,
-                                                          kSla),
+              100.0 * cosm::core::attainment(
+                          cosm::core::degrade(healthy, outage), {kSla})
+                          .percentiles.front(),
               outage.retry_rate_factor);
   if (hedge_delay > 0.0) {
     cosm::core::ModelOptions hedged_options;
@@ -199,8 +201,9 @@ int main(int argc, char** argv) {
     std::printf("  hedged at %3.0f ms:        %6.2f%%  (order-statistic "
                 "response, hedge-inflated lambda)\n",
                 hedge_delay * 1e3,
-                100.0 * cosm::core::redundant_sla_percentile(
-                            healthy, kSla, hedged_options));
+                100.0 * cosm::core::attainment(healthy, {kSla},
+                                               hedged_options)
+                            .percentiles.front());
   }
   std::printf("\nCompare each prediction with the matching drill phase "
               "above: the what-if brackets the simulator without running "

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/errors.hpp"
+#include "core/whatif.hpp"
 #include "example_common.hpp"
 
 int main(int argc, char** argv) {
@@ -24,20 +24,14 @@ int main(int argc, char** argv) {
 
   double admission_threshold = 0.0;
   for (double rate = 40.0; rate <= 320.0; rate += 20.0) {
-    double percentile = 0.0;
-    bool overloaded = false;
     // Only genuine saturation reads as "(overloaded)"; a bad parameter
-    // (NaN rate, missing distribution) is a bug and must propagate.
-    try {
-      const cosm::core::SystemModel model(
-          cosm_examples::make_cluster(rate, kDevices));
-      percentile = model.predict_sla_percentile(sla);
-    } catch (const cosm::core::OverloadError&) {
-      overloaded = true;
-    }
-    const bool admit = !overloaded && percentile >= target;
+    // (NaN rate, missing distribution) is a bug and still throws.
+    const cosm::core::Attainment attained = cosm::core::attainment(
+        cosm_examples::make_cluster(rate, kDevices), {sla});
+    const double percentile = attained.percentiles.front();
+    const bool admit = !attained.overloaded && percentile >= target;
     if (admit) admission_threshold = rate;
-    if (overloaded) {
+    if (attained.overloaded) {
       std::printf("%-14.0f %-20s %s\n", rate, "(overloaded)", "shed");
     } else {
       std::printf("%-14.0f %-20.2f %s\n", rate, 100.0 * percentile,

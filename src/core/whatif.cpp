@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/require.hpp"
+#include "core/errors.hpp"
 #include "numerics/compose.hpp"
 #include "obs/obs.hpp"
 
@@ -16,19 +17,91 @@ void SlaTarget::validate() const {
                "target percentile must be in (0, 1)");
 }
 
-bool meets_target(const SystemParams& params, const SlaTarget& target,
-                  ModelOptions options, PredictionCache* cache) {
-  target.validate();
-  try {
-    const SystemModel model(params, options, cache);
-    return model.predict_sla_percentile(target.sla) >= target.percentile;
-  } catch (const OverloadError&) {
-    // Saturation is a *result* here, not a caller bug: an overloaded
-    // configuration certainly misses the target.  Genuinely invalid
-    // parameters still propagate as std::invalid_argument.
-    return false;
+namespace {
+
+void validate_redundancy(const RedundancyOptions& redundancy) {
+  using Mode = RedundancyOptions::Mode;
+  if (redundancy.mode == Mode::kHedge) {
+    COSM_REQUIRE(std::isfinite(redundancy.hedge_delay) &&
+                     redundancy.hedge_delay > 0,
+                 "hedge delay must be finite and positive");
+  }
+  if (redundancy.mode == Mode::kMinOfN ||
+      redundancy.mode == Mode::kKthOfN) {
+    COSM_REQUIRE(redundancy.n >= 1, "redundancy needs n >= 1");
+    COSM_REQUIRE(redundancy.k >= 1 && redundancy.k <= redundancy.n,
+                 "redundancy needs 1 <= k <= n");
   }
 }
+
+}  // namespace
+
+Attainment attainment(SystemParams params, const std::vector<double>& slas,
+                      ModelOptions options, PredictionCache* cache) {
+  for (const double sla : slas) {
+    COSM_REQUIRE(sla > 0, "SLA bound must be positive");
+  }
+  const RedundancyOptions& red = options.redundancy;
+  validate_redundancy(red);
+  try {
+    using Mode = RedundancyOptions::Mode;
+    if (red.mode == Mode::kNone) {
+      const SystemModel model(std::move(params), options, cache);
+      return {model.predict_sla_percentiles(slas), false};
+    }
+    obs::Span span("whatif.redundant_sla");
+    if (red.mode != Mode::kHedge) {
+      const SystemModel model(apply_redundancy_load(params, red), options,
+                              cache);
+      return {model.predict_sla_percentiles(slas), false};
+    }
+    // Hedging: the inflation factor 2 - F(d) needs F(d) of the hedged
+    // system itself.  Seed from the HEALTHY model's F(d) — the
+    // optimistic end, so a stable fixed point is approached from below
+    // rather than pre-declared overloaded by the factor-2 worst case —
+    // then iterate: each round rebuilds the model at the implied load
+    // and re-reads F(d).  The map is monotone and bounded in [1, 2], so
+    // a few rounds settle it far below the model's own accuracy; bail
+    // out early once the factor moves < 1e-4.  Overload at any round
+    // means the true hedged load has no stable fixed point.  The
+    // iteration never reads an SLA, so each round reads F(d) and every
+    // F(sla) in one sweep, points = {d, slas...}.
+    std::vector<double> points;
+    points.reserve(slas.size() + 1);
+    points.push_back(red.hedge_delay);
+    points.insert(points.end(), slas.begin(), slas.end());
+    std::vector<double> cdfs =
+        SystemModel(params, options, cache).predict_sla_percentiles(points);
+    double last_factor = 1.0;
+    for (int round = 0; round < 4; ++round) {
+      const double factor = redundancy_arrival_inflation(red, cdfs.front());
+      if (std::abs(factor - last_factor) < 1e-4) break;
+      last_factor = factor;
+      const SystemModel model(apply_redundancy_load(params, red, cdfs.front()),
+                              options, cache);
+      cdfs = model.predict_sla_percentiles(points);
+    }
+    cdfs.erase(cdfs.begin());
+    return {std::move(cdfs), false};
+  } catch (const OverloadError&) {
+    // Saturation is a *result* here, not a caller bug: an overloaded
+    // configuration certainly misses every SLA.  Genuinely invalid
+    // parameters still propagate as std::invalid_argument.
+    return {std::vector<double>(slas.size(), 0.0), true};
+  }
+}
+
+namespace {
+
+// The test the device-count and admission-rate searches probe with.
+bool meets_target(SystemParams params, const SlaTarget& target,
+                  const ModelOptions& options, PredictionCache* cache) {
+  target.validate();
+  return attainment(std::move(params), {target.sla}, options, cache)
+             .percentiles.front() >= target.percentile;
+}
+
+}  // namespace
 
 std::optional<unsigned> min_devices_for(const ClusterFactory& factory,
                                         double total_rate,
@@ -176,38 +249,6 @@ SystemParams degrade(const SystemParams& healthy,
   return params;
 }
 
-double degraded_sla_percentile(const SystemParams& healthy,
-                               const DegradedScenario& scenario, double sla,
-                               ModelOptions options,
-                               PredictionCache* cache) {
-  COSM_REQUIRE(sla > 0, "SLA bound must be positive");
-  try {
-    const SystemModel model(degrade(healthy, scenario), options, cache);
-    return model.predict_sla_percentile(sla);
-  } catch (const OverloadError&) {
-    return 0.0;  // the degraded system misses any SLA
-  }
-}
-
-namespace {
-
-void validate_redundancy(const RedundancyOptions& redundancy) {
-  using Mode = RedundancyOptions::Mode;
-  if (redundancy.mode == Mode::kHedge) {
-    COSM_REQUIRE(std::isfinite(redundancy.hedge_delay) &&
-                     redundancy.hedge_delay > 0,
-                 "hedge delay must be finite and positive");
-  }
-  if (redundancy.mode == Mode::kMinOfN ||
-      redundancy.mode == Mode::kKthOfN) {
-    COSM_REQUIRE(redundancy.n >= 1, "redundancy needs n >= 1");
-    COSM_REQUIRE(redundancy.k >= 1 && redundancy.k <= redundancy.n,
-                 "redundancy needs 1 <= k <= n");
-  }
-}
-
-}  // namespace
-
 double redundancy_arrival_inflation(const RedundancyOptions& redundancy,
                                     double cdf_at_delay) {
   validate_redundancy(redundancy);
@@ -261,51 +302,7 @@ SystemParams apply_redundancy_load(const SystemParams& healthy,
   return params;
 }
 
-double redundant_sla_percentile(const SystemParams& healthy, double sla,
-                                ModelOptions options,
-                                PredictionCache* cache) {
-  COSM_REQUIRE(sla > 0, "SLA bound must be positive");
-  const RedundancyOptions& red = options.redundancy;
-  validate_redundancy(red);
-  obs::Span span("whatif.redundant_sla");
-  try {
-    if (red.mode != RedundancyOptions::Mode::kHedge) {
-      const SystemModel model(apply_redundancy_load(healthy, red), options,
-                              cache);
-      return model.predict_sla_percentile(sla);
-    }
-    // Hedging: the inflation factor 2 - F(d) needs F(d) of the hedged
-    // system itself.  Seed from the HEALTHY model's F(d) — the
-    // optimistic end, so a stable fixed point is approached from below
-    // rather than pre-declared overloaded by the factor-2 worst case —
-    // then iterate: each round rebuilds the model at the implied load
-    // and re-reads F(d).  The map is monotone and bounded in [1, 2], so
-    // a few rounds settle it far below the model's own accuracy; bail
-    // out early once the factor moves < 1e-4.  Overload at any round
-    // means the true hedged load has no stable fixed point: return 0.
-    const SystemModel seed_model(healthy, options, cache);
-    double cdf_at_delay =
-        seed_model.predict_sla_percentile(red.hedge_delay);
-    double percentile = seed_model.predict_sla_percentile(sla);
-    double last_factor = 1.0;
-    for (int round = 0; round < 4; ++round) {
-      const double factor =
-          redundancy_arrival_inflation(red, cdf_at_delay);
-      if (std::abs(factor - last_factor) < 1e-4) break;
-      last_factor = factor;
-      const SystemModel model(
-          apply_redundancy_load(healthy, red, cdf_at_delay), options,
-          cache);
-      cdf_at_delay = model.predict_sla_percentile(red.hedge_delay);
-      percentile = model.predict_sla_percentile(sla);
-    }
-    return percentile;
-  } catch (const OverloadError&) {
-    return 0.0;  // redundancy saturated the cluster: the "hurt" side
-  }
-}
-
-std::vector<RedundancyChoice> evaluate_redundancy_policies(
+std::optional<RedundancyChoice> best_redundancy_policy(
     const SystemParams& healthy,
     const std::vector<RedundancyOptions>& candidates, double sla,
     ModelOptions options, PredictionCache* cache) {
@@ -314,38 +311,17 @@ std::vector<RedundancyChoice> evaluate_redundancy_policies(
     validate_redundancy(candidate);
   }
   obs::Span span("whatif.redundancy_search");
-  ModelOptions baseline_options = options;
-  baseline_options.redundancy = RedundancyOptions{};
-  double baseline = 0.0;
-  try {
-    const SystemModel model(healthy, baseline_options, cache);
-    baseline = model.predict_sla_percentile(sla);
-  } catch (const OverloadError&) {
-    baseline = 0.0;
-  }
-  std::vector<RedundancyChoice> choices;
-  choices.reserve(candidates.size());
-  for (const RedundancyOptions& candidate : candidates) {
-    ModelOptions candidate_options = options;
-    candidate_options.redundancy = candidate;
-    const double percentile =
-        redundant_sla_percentile(healthy, sla, candidate_options, cache);
-    choices.push_back({candidate, percentile, percentile > baseline});
-  }
-  return choices;
-}
-
-std::optional<RedundancyChoice> best_redundancy_policy(
-    const SystemParams& healthy,
-    const std::vector<RedundancyOptions>& candidates, double sla,
-    ModelOptions options, PredictionCache* cache) {
-  const std::vector<RedundancyChoice> choices =
-      evaluate_redundancy_policies(healthy, candidates, sla, options,
-                                   cache);
+  options.redundancy = RedundancyOptions{};
+  const double baseline =
+      attainment(healthy, {sla}, options, cache).percentiles.front();
   std::optional<RedundancyChoice> best;
-  for (const RedundancyChoice& choice : choices) {
-    if (!choice.beats_baseline) continue;
-    if (!best || choice.percentile > best->percentile) best = choice;
+  for (const RedundancyOptions& candidate : candidates) {
+    options.redundancy = candidate;
+    const double percentile =
+        attainment(healthy, {sla}, options, cache).percentiles.front();
+    if (percentile > baseline && (!best || percentile > best->percentile)) {
+      best = RedundancyChoice{candidate, percentile};
+    }
   }
   return best;
 }
@@ -370,7 +346,7 @@ std::vector<std::pair<std::size_t, double>> sla_miss_contributions(
   return contributions;
 }
 
-std::vector<TierPlanPoint> tier_capacity_sweep(
+std::optional<TierPlanPoint> min_tier_capacity_for(
     const TierFactory& factory, const std::vector<TierCandidate>& candidates,
     const SlaTarget& target, ModelOptions options,
     PredictionCache* cache) {
@@ -381,33 +357,15 @@ std::vector<TierPlanPoint> tier_capacity_sweep(
                  "tier candidate hit ratio must be in [0, 1]");
   }
   obs::Span span("whatif.tier_sweep");
-  std::vector<TierPlanPoint> points;
-  points.reserve(candidates.size());
-  for (const TierCandidate& candidate : candidates) {
-    double percentile = 0.0;
-    try {
-      const SystemModel model(factory(candidate), options, cache);
-      percentile = model.predict_sla_percentile(target.sla);
-    } catch (const OverloadError&) {
-      percentile = 0.0;  // this tier size leaves the disk saturated
-    }
-    points.push_back({candidate, percentile, percentile >= target.percentile});
-  }
-  return points;
-}
-
-std::optional<TierPlanPoint> min_tier_capacity_for(
-    const TierFactory& factory, const std::vector<TierCandidate>& candidates,
-    const SlaTarget& target, ModelOptions options,
-    PredictionCache* cache) {
-  const std::vector<TierPlanPoint> points =
-      tier_capacity_sweep(factory, candidates, target, options, cache);
   std::optional<TierPlanPoint> best;
-  for (const TierPlanPoint& point : points) {
-    if (!point.meets_target) continue;
-    if (!best || point.candidate.capacity_chunks <
-                     best->candidate.capacity_chunks) {
-      best = point;
+  for (const TierCandidate& candidate : candidates) {
+    const double percentile =
+        attainment(factory(candidate), {target.sla}, options, cache)
+            .percentiles.front();
+    if (percentile >= target.percentile &&
+        (!best ||
+         candidate.capacity_chunks < best->candidate.capacity_chunks)) {
+      best = TierPlanPoint{candidate, percentile};
     }
   }
   return best;

@@ -3,11 +3,21 @@
 // and elastic storage — exposed as library functions over SystemModel so
 // operators (and the example programs) don't re-derive the searches.
 //
-// All functions treat "overloaded" (model precondition violation) as
-// "target not met" rather than propagating the exception: an overloaded
-// configuration certainly misses any SLA target (the paper's "it is
-// enough to know that the system does not perform well in such
-// situations").
+// The attainment contract.  Every what-if asks one question of one
+// parameter set: "P[latency <= sla] for each SLA, or is it overloaded?",
+// and attainment() is the one function that answers it.  On overload
+// (the model's stability precondition violated) every entry is 0 and
+// `overloaded` is true: an overloaded configuration certainly misses any
+// SLA (the paper's "it is enough to know that the system does not
+// perform well in such situations").  Invalid parameters still throw
+// std::invalid_argument.  Under options.redundancy the answer is for the
+// redundancy-inflated load (apply_redundancy_load; a hedge at its
+// self-consistent fixed point).  Entry i of a multi-SLA call equals the
+// one-SLA call attainment(params, {slas[i]}) bit for bit, and without
+// redundancy it equals SystemModel::predict_sla_percentile(slas[i]).
+// Every recommender below is a search over attainment(): a bisection
+// (min_devices_for, max_admission_rate, elastic_schedule), an argmax
+// (best_redundancy_policy) or a scan (min_tier_capacity_for).
 //
 // Execution: every search runs on the calling thread and takes a
 // trailing PredictionCache* (nullptr: no caching).  Every model a search
@@ -21,7 +31,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/errors.hpp"
 #include "core/system_model.hpp"
 
 namespace cosm::core {
@@ -40,12 +49,22 @@ struct SlaTarget {
 using ClusterFactory =
     std::function<SystemParams(double total_rate, unsigned device_count)>;
 
-// Whether `params` meets the target; false when overloaded.
-bool meets_target(const SystemParams& params, const SlaTarget& target,
-                  ModelOptions options = {}, PredictionCache* cache = nullptr);
+// The attainment of one parameter set at every SLA bound (seconds).
+struct Attainment {
+  std::vector<double> percentiles;  // P[latency <= slas[i]]; 0 if overloaded
+  bool overloaded = false;
+};
+
+// The one what-if primitive (see the contract above).  `params` is taken
+// by value so a freshly built parameter set moves into the model.
+// Preconditions: every sla > 0; valid options.redundancy.
+Attainment attainment(SystemParams params, const std::vector<double>& slas,
+                      ModelOptions options = {},
+                      PredictionCache* cache = nullptr);
 
 // Capacity planning: smallest device count in [min_devices, max_devices]
-// meeting the target at `total_rate`; nullopt if none does.
+// whose attainment at target.sla reaches target.percentile at
+// `total_rate`; nullopt if none does.
 // Preconditions: factory non-null, 1 <= min_devices <= max_devices.
 std::optional<unsigned> min_devices_for(const ClusterFactory& factory,
                                         double total_rate,
@@ -116,17 +135,10 @@ struct DegradedScenario {
 // [0, 1).
 double retry_arrival_inflation(double failure_prob, unsigned max_retries);
 
-// Applies the scenario to healthy parameters, returning the degraded set.
+// Applies the scenario to healthy parameters, returning the degraded set;
+// attainment(degrade(healthy, scenario), slas) is the degraded what-if.
 SystemParams degrade(const SystemParams& healthy,
                      const DegradedScenario& scenario);
-
-// P[latency <= sla] under the scenario; 0 when the degraded system is
-// overloaded (the degraded system certainly misses the SLA then).
-// Precondition: sla > 0 (seconds).
-double degraded_sla_percentile(const SystemParams& healthy,
-                               const DegradedScenario& scenario, double sla,
-                               ModelOptions options = {},
-                               PredictionCache* cache = nullptr);
 
 // ----- Redundancy what-if (tail-tolerance extension) -----
 //
@@ -158,44 +170,25 @@ double redundancy_data_inflation(const RedundancyOptions& redundancy,
                                  double cdf_at_delay = 0.0);
 
 // Applies the two multipliers to every device (and the frontend rate),
-// returning the redundancy-inflated parameter set.
+// returning the redundancy-inflated parameter set.  attainment() applies
+// it under options.redundancy; for a hedge, F(d) depends on the inflated
+// load which depends on F(d), so it iterates the fixed point (a few
+// rounds; the map is a contraction for stable systems).  Redundancy that
+// saturates the cluster reads as overloaded: the "hurt" side.
 SystemParams apply_redundancy_load(const SystemParams& healthy,
                                    const RedundancyOptions& redundancy,
                                    double cdf_at_delay = 0.0);
 
-// P[latency <= sla] under `options.redundancy`, with the arrival
-// inflation applied self-consistently: for hedging, F(d) depends on the
-// inflated load which depends on F(d), so the helper iterates the fixed
-// point (a few rounds; the map is a contraction for stable systems).
-// Returns 0 when the inflated system is overloaded — redundancy that
-// saturates the cluster certainly misses the SLA, which is the "hurt"
-// side of the crossover.  Precondition: sla > 0.
-double redundant_sla_percentile(const SystemParams& healthy, double sla,
-                                ModelOptions options = {},
-                                PredictionCache* cache = nullptr);
-
-// One evaluated redundancy policy: the options, the achieved percentile
-// at the target SLA (0 when overloaded), and whether it beats the
-// single-attempt baseline.
+// Policy search: the candidate with the highest attainment at `sla`
+// among those beating the single-attempt (kNone) baseline; ties resolve
+// to the earliest candidate, and nullopt means no candidate beats the
+// baseline.  Use candidates spanning hedge deadlines and redundancy
+// degrees to search both axes against one SLA target.
 struct RedundancyChoice {
   RedundancyOptions options;
-  double percentile = 0.0;
-  bool beats_baseline = false;
+  double percentile = 0.0;  // attainment at the target SLA
 };
 
-// Policy search: evaluates every candidate plus the single-attempt
-// baseline, and
-// returns the candidates in input order with `beats_baseline` filled.
-// The best policy is the max-percentile entry; ties resolve to the
-// earliest candidate.  Use candidates spanning hedge deadlines and
-// redundancy degrees to search both axes against one SLA target.
-std::vector<RedundancyChoice> evaluate_redundancy_policies(
-    const SystemParams& healthy,
-    const std::vector<RedundancyOptions>& candidates, double sla,
-    ModelOptions options = {}, PredictionCache* cache = nullptr);
-
-// The argmax over evaluate_redundancy_policies — nullopt when no
-// candidate beats the single-attempt baseline at the target.
 std::optional<RedundancyChoice> best_redundancy_policy(
     const SystemParams& healthy,
     const std::vector<RedundancyOptions>& candidates, double sla,
@@ -220,19 +213,13 @@ using TierFactory = std::function<SystemParams(const TierCandidate&)>;
 
 struct TierPlanPoint {
   TierCandidate candidate;
-  double percentile = 0.0;  // P[latency <= sla]; 0 when overloaded
-  bool meets_target = false;
+  double percentile = 0.0;  // attainment at target.sla
 };
 
-// Evaluates every candidate, returned in input order.
-std::vector<TierPlanPoint> tier_capacity_sweep(
-    const TierFactory& factory, const std::vector<TierCandidate>& candidates,
-    const SlaTarget& target, ModelOptions options = {},
-    PredictionCache* cache = nullptr);
-
-// "How much SSD buys p99 <= d?": the smallest-capacity candidate meeting
-// the target, or nullopt when none does.  Ties on capacity resolve to
-// the earliest candidate.
+// "How much SSD buys p99 <= d?": a scan evaluating every candidate in
+// input order, returning the smallest-capacity candidate meeting the
+// target, or nullopt when none does.  Ties on capacity resolve to the
+// earliest candidate.
 std::optional<TierPlanPoint> min_tier_capacity_for(
     const TierFactory& factory, const std::vector<TierCandidate>& candidates,
     const SlaTarget& target, ModelOptions options = {},

@@ -482,20 +482,13 @@ JsonValue WhatIfService::op_sla(const JsonValue& request) const {
     if (!(sla > 0.0)) throw RequestError("SLA bounds must be > 0 (seconds)");
   }
   JsonValue response = make_response(request, true);
+  // Saturation is a result, not an error: every percentile reads 0 (the
+  // attainment contract, core/whatif.hpp).
+  const core::Attainment attained = core::attainment(
+      cluster->build(point.rate, point.devices), slas, {}, &cache_);
   JsonValue percentiles = JsonValue::array();
-  try {
-    const core::SystemModel model(cluster->build(point.rate, point.devices),
-                                  {}, &cache_);
-    for (const double p : model.predict_sla_percentiles(slas)) {
-      percentiles.push_back(p);
-    }
-    response.set("overloaded", false);
-  } catch (const core::OverloadError&) {
-    // Saturation is a result, not an error: the system certainly misses
-    // every SLA (the whatif convention, core/whatif.hpp).
-    for (std::size_t i = 0; i < slas.size(); ++i) percentiles.push_back(0.0);
-    response.set("overloaded", true);
-  }
+  for (const double p : attained.percentiles) percentiles.push_back(p);
+  response.set("overloaded", attained.overloaded);
   count_predictions(slas.size());
   if (request.find("slas") != nullptr) {
     response.set("percentiles", std::move(percentiles));

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "core/errors.hpp"
 #include "core/system_model.hpp"
 #include "core/whatif.hpp"
 #include "numerics/distribution.hpp"
@@ -470,9 +471,9 @@ TEST(PredictionCache, DegradedSweepCachedMatchesUncached) {
   // every answer must match the uncached one bit for bit.
   PredictionCache cache;
   for (const DegradedScenario& scenario : scenarios) {
-    EXPECT_EQ(cosm::core::degraded_sla_percentile(healthy, scenario, 0.12, {},
-                                                  &cache),
-              cosm::core::degraded_sla_percentile(healthy, scenario, 0.12));
+    const SystemParams degraded = cosm::core::degrade(healthy, scenario);
+    EXPECT_EQ(cosm::core::attainment(degraded, {0.12}, {}, &cache).percentiles,
+              cosm::core::attainment(degraded, {0.12}).percentiles);
   }
 }
 
@@ -482,8 +483,11 @@ TEST(PredictionCache, OverloadBehaviorCachedMatchesUncached) {
   PredictionCache cache;
   EXPECT_THROW(SystemModel(overloaded, {}, &cache),
                cosm::core::OverloadError);
-  EXPECT_FALSE(cosm::core::meets_target(overloaded, SlaTarget{0.12, 0.9}, {},
-                                        &cache));
+  const cosm::core::Attainment attained =
+      cosm::core::attainment(overloaded, {0.12}, {}, &cache);
+  EXPECT_TRUE(attained.overloaded);
+  EXPECT_FALSE(attained.percentiles.front() >=
+               (SlaTarget{0.12, 0.9}).percentile);
 }
 
 }  // namespace

@@ -132,18 +132,22 @@ TEST(TierWhatIf, SweepAndMinCapacityPickSmallestCompliantTier) {
   const std::vector<TierCandidate> candidates = {
       {0, 0.0}, {1024, 0.35}, {4096, 0.65}, {16384, 0.9}};
   const SlaTarget target{0.060, 0.93};
-  const auto points = tier_capacity_sweep(factory, candidates, target);
-  ASSERT_EQ(points.size(), candidates.size());
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].percentile, points[i - 1].percentile);
+  std::vector<double> percentiles;
+  for (const TierCandidate& candidate : candidates) {
+    percentiles.push_back(
+        attainment(factory(candidate), {target.sla}).percentiles.front());
+  }
+  for (std::size_t i = 1; i < percentiles.size(); ++i) {
+    EXPECT_GE(percentiles[i], percentiles[i - 1]);
   }
   const auto best = min_tier_capacity_for(factory, candidates, target);
   ASSERT_TRUE(best.has_value());
   // The smallest compliant capacity, not merely the best percentile.
-  for (const auto& point : points) {
-    if (point.meets_target) {
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (percentiles[i] >= target.percentile) {
       EXPECT_EQ(best->candidate.capacity_chunks,
-                point.candidate.capacity_chunks);
+                candidates[i].capacity_chunks);
+      EXPECT_EQ(best->percentile, percentiles[i]);
       break;
     }
   }

@@ -1,12 +1,15 @@
-// What-if analysis tests: the searches must agree with brute-force
-// evaluation of the underlying model, and degrade gracefully at the
-// overload boundary.
+// What-if analysis tests: attainment() keeps its contract in every
+// redundancy mode, the searches agree with brute-force evaluation of
+// attainment(), and overload reads as a miss rather than an exception.
 #include "core/whatif.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
 namespace cosm::core {
 namespace {
@@ -39,6 +42,92 @@ SystemParams even_cluster(double total_rate, unsigned devices) {
 const ClusterFactory kFactory = [](double rate, unsigned devices) {
   return even_cluster(rate, devices);
 };
+
+// Whether `params` meets `target`: the test every recommender searches
+// with.
+bool meets_target(const SystemParams& params, const SlaTarget& target) {
+  return attainment(params, {target.sla}).percentiles.front() >=
+         target.percentile;
+}
+
+struct AttainmentCase {
+  const char* name;
+  RedundancyOptions::Mode mode;
+  bool cached;
+};
+
+void PrintTo(const AttainmentCase& c, std::ostream* os) { *os << c.name; }
+
+RedundancyOptions redundancy_for(RedundancyOptions::Mode mode) {
+  RedundancyOptions redundancy;
+  redundancy.mode = mode;
+  redundancy.hedge_delay = 0.05;  // also one of the SLAs below
+  if (mode == RedundancyOptions::Mode::kMinOfN) redundancy.n = 2;
+  if (mode == RedundancyOptions::Mode::kKthOfN) {
+    redundancy.n = 3;
+    redundancy.k = 2;
+  }
+  return redundancy;
+}
+
+class AttainmentContract : public ::testing::TestWithParam<AttainmentCase> {};
+
+TEST_P(AttainmentContract, MatchesSingleSlaQueriesAndZeroesOverload) {
+  const AttainmentCase& c = GetParam();
+  ModelOptions options;
+  options.redundancy = redundancy_for(c.mode);
+  PredictionCache shared;
+  PredictionCache* cache = c.cached ? &shared : nullptr;
+  const std::vector<double> slas = {0.02, 0.05, 0.1, 0.05, 0.2};
+  const SystemParams stable = even_cluster(40.0, 4);
+
+  const Attainment all = attainment(stable, slas, options, cache);
+  ASSERT_FALSE(all.overloaded);
+  ASSERT_EQ(all.percentiles.size(), slas.size());
+  for (std::size_t i = 0; i < slas.size(); ++i) {
+    // Entry i of the multi-SLA call is the one-SLA call, bit for bit.
+    const Attainment one = attainment(stable, {slas[i]}, options, cache);
+    EXPECT_FALSE(one.overloaded);
+    EXPECT_EQ(all.percentiles[i], one.percentiles.front()) << slas[i];
+    EXPECT_GT(all.percentiles[i], 0.0);
+    if (c.mode == RedundancyOptions::Mode::kNone) {
+      EXPECT_EQ(all.percentiles[i],
+                SystemModel(stable, options, cache)
+                    .predict_sla_percentile(slas[i]))
+          << slas[i];
+    }
+  }
+  // A cache changes no bit.
+  EXPECT_EQ(all.percentiles, attainment(stable, slas, options).percentiles);
+
+  const Attainment saturated =
+      attainment(even_cluster(400.0, 4), slas, options, cache);
+  EXPECT_TRUE(saturated.overloaded);
+  EXPECT_EQ(saturated.percentiles, std::vector<double>(slas.size(), 0.0));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, AttainmentContract,
+    ::testing::Values(
+        AttainmentCase{"none", RedundancyOptions::Mode::kNone, false},
+        AttainmentCase{"none_cached", RedundancyOptions::Mode::kNone, true},
+        AttainmentCase{"hedge", RedundancyOptions::Mode::kHedge, false},
+        AttainmentCase{"hedge_cached", RedundancyOptions::Mode::kHedge, true},
+        AttainmentCase{"min_of_n", RedundancyOptions::Mode::kMinOfN, false},
+        AttainmentCase{"min_of_n_cached", RedundancyOptions::Mode::kMinOfN,
+                       true},
+        AttainmentCase{"kth_of_n", RedundancyOptions::Mode::kKthOfN, false},
+        AttainmentCase{"kth_of_n_cached", RedundancyOptions::Mode::kKthOfN,
+                       true}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(Attainment, InvalidParametersStillThrow) {
+  SystemParams bad = even_cluster(80.0, 4);
+  bad.devices[0].arrival_rate = -1.0;
+  EXPECT_THROW(attainment(bad, {0.1}), std::invalid_argument);
+  EXPECT_THROW(attainment(even_cluster(80.0, 4), {0.0}),
+               std::invalid_argument);
+}
 
 TEST(SlaTarget, Validation) {
   EXPECT_THROW(SlaTarget({.sla = 0.0}).validate(), std::invalid_argument);
@@ -210,13 +299,14 @@ TEST(DegradedWhatIf, RetryInflationAndOverloadMapToZero) {
   const SystemParams healthy = even_cluster(80.0, 4);
   DegradedScenario mild;
   mild.retry_rate_factor = 1.1;
-  EXPECT_LT(degraded_sla_percentile(healthy, mild, 0.1),
+  EXPECT_LT(attainment(degrade(healthy, mild), {0.1}).percentiles.front(),
             SystemModel(healthy).predict_sla_percentile(0.1));
   // Retry storm beyond saturation: reported as certainly-missing, not as
   // an exception.
   DegradedScenario storm;
   storm.retry_rate_factor = 20.0;
-  EXPECT_EQ(degraded_sla_percentile(healthy, storm, 0.1), 0.0);
+  EXPECT_EQ(attainment(degrade(healthy, storm), {0.1}).percentiles.front(),
+            0.0);
 }
 
 }  // namespace
