@@ -176,16 +176,17 @@ void Cluster::submit_request(std::uint64_t object_id,
 
 void Cluster::submit_request(std::uint64_t object_id,
                              std::uint64_t size_bytes,
-                             std::vector<std::uint32_t> replicas,
-                             bool is_write) {
-  COSM_REQUIRE(!replicas.empty(), "need at least one replica device");
-  for (std::uint32_t device : replicas) {
+                             std::span<const std::uint32_t> ring,
+                             std::size_t primary, bool is_write) {
+  COSM_REQUIRE(primary < ring.size(), "primary must index the replica ring");
+  for (std::uint32_t device : ring) {
     COSM_REQUIRE(device < devices_.size(), "device id out of range");
   }
   RequestPtr req = pool_.acquire();
-  // Assign (not move): copying into the pooled vector reuses its capacity,
-  // where a move would free it and adopt the caller's buffer.
-  req->replicas.assign(replicas.begin(), replicas.end());
+  // Rotate into the pooled (cleared, capacity-retaining) vector.
+  const auto first = ring.begin() + static_cast<std::ptrdiff_t>(primary);
+  req->replicas.assign(first, ring.end());
+  req->replicas.insert(req->replicas.end(), ring.begin(), first);
   submit_acquired(std::move(req), object_id, size_bytes, is_write);
 }
 

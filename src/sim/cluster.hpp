@@ -27,8 +27,10 @@
 // what-if model consumes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -77,11 +79,14 @@ class Cluster {
   // (write-workload extension); reads are the default.
   void submit_request(std::uint64_t object_id, std::uint64_t size_bytes,
                       std::uint32_t device, bool is_write = false);
-  // Replica-list overload (robustness extension): the first entry is the
-  // primary; with config.failover, retries rotate through the rest.
+  // Replica-list overload (robustness extension): the request's replica
+  // list is `ring` rotated to start at index `primary`, which is the
+  // primary; with config.failover, retries rotate through the rest.  The
+  // rotation is written straight into the pooled request, so a submit
+  // allocates nothing once the pool is warm.
   void submit_request(std::uint64_t object_id, std::uint64_t size_bytes,
-                      std::vector<std::uint32_t> replicas,
-                      bool is_write = false);
+                      std::span<const std::uint32_t> ring,
+                      std::size_t primary, bool is_write = false);
 
   BackendDevice& device(std::uint32_t id);
   FrontendProcess& frontend(std::uint32_t id);

@@ -136,11 +136,7 @@ void submit_arrival(Cluster& cluster, const workload::Placement& placement,
                            arrival.is_write);
     return;
   }
-  std::vector<std::uint32_t> replicas(ring.size());
-  std::rotate_copy(ring.begin(),
-                   ring.begin() + static_cast<std::ptrdiff_t>(arrival.primary),
-                   ring.end(), replicas.begin());
-  cluster.submit_request(arrival.object_id, size, std::move(replicas),
+  cluster.submit_request(arrival.object_id, size, ring, arrival.primary,
                          arrival.is_write);
 }
 

@@ -334,6 +334,10 @@ TEST(Cluster, ValidatesConfiguration) {
   EXPECT_THROW(Cluster{config2}, std::invalid_argument);
   Cluster ok(deterministic_config());
   EXPECT_THROW(ok.submit_request(1, 100, 5), std::invalid_argument);
+  const std::vector<std::uint32_t> ring = {0, 1};
+  EXPECT_THROW(ok.submit_request(1, 100, ring, 2), std::invalid_argument);
+  EXPECT_THROW(ok.submit_request(1, 100, std::vector<std::uint32_t>{}, 0),
+               std::invalid_argument);
 }
 
 }  // namespace

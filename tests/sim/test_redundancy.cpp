@@ -47,7 +47,7 @@ TEST(Redundancy, HedgedAttemptWinsAgainstSlowPrimary) {
   config.faults.disk_slowdown(0, 0.0, 10.0, 10.0);
   Cluster cluster(config);
   cluster.engine().schedule_at(1.0, [&] {
-    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1});
+    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1}, 0);
   });
   cluster.engine().run_all();
 
@@ -82,7 +82,7 @@ TEST(Redundancy, HedgeDoesNotFireWhenPrimaryMeetsDeadline) {
   config.hedge_delay = 0.05;
   Cluster cluster(config);
   cluster.engine().schedule_at(0.0, [&] {
-    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1});
+    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1}, 0);
   });
   cluster.engine().run_all();
 
@@ -107,7 +107,7 @@ TEST(Redundancy, FanoutCompletesOnKthArrival) {
   config.faults.disk_slowdown(2, 0.0, 10.0, 10.0);
   Cluster cluster(config);
   cluster.engine().schedule_at(0.0, [&] {
-    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1, 2});
+    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1, 2}, 0);
   });
   cluster.engine().run_all();
 
@@ -143,7 +143,7 @@ TEST(Redundancy, FanoutGroupFailureIsOneFailedSample) {
   config.faults.device_outage(1, 0.0, 10.0);
   Cluster cluster(config);
   cluster.engine().schedule_at(1.0, [&] {
-    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1});
+    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1}, 0);
   });
   cluster.engine().run_all();
 
@@ -169,7 +169,7 @@ TEST(Redundancy, LeastOutstandingSpreadsAcrossReplicas) {
   cluster.engine().schedule_at(0.0, [&] {
     for (int i = 0; i < 4; ++i) {
       cluster.submit_request(static_cast<std::uint64_t>(i), 1000,
-                             std::vector<std::uint32_t>{0, 1});
+                             std::vector<std::uint32_t>{0, 1}, 0);
     }
   });
   cluster.engine().run_all();
@@ -208,7 +208,7 @@ RunResult run_seeded(Configure&& configure) {
     const std::uint32_t primary = i % 2 == 0 ? 0u : 1u;
     cluster.engine().schedule_at(t, [&cluster, primary] {
       cluster.submit_request(
-          1, 20000, std::vector<std::uint32_t>{primary, 1u - primary});
+          1, 20000, std::vector<std::uint32_t>{0u, 1u}, primary);
     });
   }
   cluster.engine().run_all();

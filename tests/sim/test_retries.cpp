@@ -42,7 +42,7 @@ TEST(Retries, FailoverCountsOnceWithTotalLatency) {
   config.faults.device_outage(0, 0.0, 10.0);
   Cluster cluster(config);
   cluster.engine().schedule_at(1.0, [&] {
-    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1});
+    cluster.submit_request(1, 1000, std::vector<std::uint32_t>{0, 1}, 0);
   });
   cluster.engine().run_all();
 
@@ -142,7 +142,7 @@ TEST(Retries, DeterministicForFixedSeed) {
       const std::uint32_t primary = i % 2 == 0 ? 0u : 1u;
       cluster.engine().schedule_at(t, [&cluster, primary] {
         cluster.submit_request(
-            1, 20000, std::vector<std::uint32_t>{primary, 1u - primary});
+            1, 20000, std::vector<std::uint32_t>{0u, 1u}, primary);
       });
     }
     cluster.engine().run_all();
