@@ -51,12 +51,6 @@ MeanValueBaseline::MeanValueBaseline(SystemParams params)
   mean_latency_ /= total_rate_;
 }
 
-double MeanValueBaseline::mean_response_latency_device(
-    std::size_t device) const {
-  COSM_REQUIRE(device < device_means_.size(), "device index out of range");
-  return device_means_[device];
-}
-
 double MeanValueBaseline::predict_sla_percentile(double sla) const {
   COSM_REQUIRE(sla > 0, "SLA must be positive");
   double weighted = 0.0;

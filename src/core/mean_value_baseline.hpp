@@ -22,7 +22,6 @@ class MeanValueBaseline {
   // Rate-weighted mean response latency across devices: frontend M/M/1
   // sojourn + backend M/M/1 sojourn over the union-operation mean.
   double mean_response_latency() const { return mean_latency_; }
-  double mean_response_latency_device(std::size_t device) const;
 
   // Exponential-tail percentile: 1 - exp(-sla / mean), mixed by rate.
   double predict_sla_percentile(double sla) const;

@@ -90,16 +90,4 @@ GridDensity GridDensity::convolve_with(const GridDensity& other,
   return GridDensity(dt_, std::move(out));
 }
 
-GridDensity GridDensity::mix_with(const GridDensity& other, double w) const {
-  COSM_REQUIRE(std::abs(dt_ - other.dt_) < 1e-15 * dt_,
-               "grids must share the bin width");
-  COSM_REQUIRE(w >= 0 && w <= 1, "mixture weight must be in [0, 1]");
-  std::vector<double> out(std::max(mass_.size(), other.mass_.size()), 0.0);
-  for (std::size_t i = 0; i < mass_.size(); ++i) out[i] += w * mass_[i];
-  for (std::size_t i = 0; i < other.mass_.size(); ++i) {
-    out[i] += (1.0 - w) * other.mass_[i];
-  }
-  return GridDensity(dt_, std::move(out));
-}
-
 }  // namespace cosm::numerics

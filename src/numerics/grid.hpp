@@ -40,10 +40,6 @@ class GridDensity {
   GridDensity convolve_with(const GridDensity& other,
                             std::size_t max_bins) const;
 
-  // Pointwise mixture: this*w + other*(1-w); grids must share dt, shorter
-  // grid is zero-extended.
-  GridDensity mix_with(const GridDensity& other, double w) const;
-
  private:
   double dt_;
   std::vector<double> mass_;

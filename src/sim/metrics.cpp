@@ -58,12 +58,6 @@ void SimMetrics::on_request_complete(const RequestSample& sample) {
   }
 }
 
-stats::QuantileEstimate SimMetrics::latency_quantile_checked(double p) const {
-  COSM_REQUIRE(p >= 0.0 && p <= 1.0, "quantile p must be in [0, 1]");
-  if (latency_hist_) return latency_hist_->quantile_checked(p);
-  return {latency_quantile(p), stats::QuantileBound::kExact};
-}
-
 double SimMetrics::latency_quantile(double p) const {
   COSM_REQUIRE(p >= 0.0 && p <= 1.0, "quantile p must be in [0, 1]");
   if (latency_hist_) return latency_hist_->quantile(p);

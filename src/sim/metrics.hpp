@@ -126,12 +126,6 @@ class SimMetrics {
   // available in BOTH modes: exact (nth_element over retained samples) in
   // sampled mode, within one bucket width in streaming mode.
   double latency_quantile(double p) const;
-  // Same value plus the clamp verdict: sampled mode is always kExact
-  // (selection over raw samples); streaming mode surfaces the
-  // histogram's bound when the quantile fell in a clamp bucket (latency
-  // outside [hist_min, hist_max]) instead of letting a fabricated
-  // number pass for a measurement.
-  stats::QuantileEstimate latency_quantile_checked(double p) const;
   std::uint64_t latency_count() const { return latency_count_; }
   const stats::StreamingStats& latency_moments() const {
     return latency_moments_;

@@ -41,8 +41,6 @@ TEST(MeanValueBaseline, HandComputedMean) {
       0.0005 + 0.2 * 0.010 + 0.1 * 0.008 + 1.5 * 0.5 * (2.8 / 233.33);
   const double backend = 1.0 / (1.0 / union_mean - rate);
   EXPECT_NEAR(baseline.mean_response_latency(), frontend + backend, 1e-12);
-  EXPECT_NEAR(baseline.mean_response_latency_device(0), frontend + backend,
-              1e-12);
 }
 
 TEST(MeanValueBaseline, ExponentialTailPercentile) {
@@ -73,19 +71,34 @@ TEST(MeanValueBaseline, RejectsOverloadedStations) {
 }
 
 TEST(MeanValueBaseline, MixesDevicesByRate) {
-  SystemParams params = simple_params(40.0);
-  DeviceParams second = params.devices[0];
-  second.arrival_rate = 20.0;
-  second.data_read_rate = 30.0;
-  second.data_miss_ratio = 1.0;  // slower device
-  params.devices.push_back(second);
+  // Per-device baselines built separately, each with a frontend at the
+  // same per-process rate (20/s) as the mixed system's, so the frontend
+  // sojourn is common and only the backend term differs.
+  const SystemParams first = simple_params(40.0);  // 2 frontend processes
+  SystemParams second = simple_params(20.0);
+  second.frontend.processes = 1;
+  second.devices[0].data_read_rate = 30.0;
+  second.devices[0].data_miss_ratio = 1.0;  // slower device
+  SystemParams params = first;
+  params.devices.push_back(second.devices[0]);
   params.frontend.arrival_rate = 60.0;
+  params.frontend.processes = 3;
   const MeanValueBaseline baseline(params);
-  const double d0 = baseline.mean_response_latency_device(0);
-  const double d1 = baseline.mean_response_latency_device(1);
+  const MeanValueBaseline b0(first);
+  const MeanValueBaseline b1(second);
+  const double d0 = b0.mean_response_latency();
+  const double d1 = b1.mean_response_latency();
   EXPECT_GT(d1, d0);
   EXPECT_NEAR(baseline.mean_response_latency(),
               (40.0 * d0 + 20.0 * d1) / 60.0, 1e-12);
+  for (double sla : {0.02, 0.1}) {
+    EXPECT_NEAR(baseline.predict_sla_percentile(sla),
+                (40.0 * b0.predict_sla_percentile(sla) +
+                 20.0 * b1.predict_sla_percentile(sla)) /
+                    60.0,
+                1e-12)
+        << sla;
+  }
 }
 
 }  // namespace

@@ -84,16 +84,6 @@ TEST(GridDensity, ConvolutionAgreesWithLaplaceInversion) {
   }
 }
 
-TEST(GridDensity, MixWeightsComponents) {
-  const GridDensity a(0.1, {1.0, 0.0});
-  const GridDensity b(0.1, {0.0, 0.0, 1.0});
-  const GridDensity mix = a.mix_with(b, 0.25);
-  EXPECT_EQ(mix.bins(), 3u);
-  EXPECT_NEAR(mix.mass()[0], 0.25, 1e-15);
-  EXPECT_NEAR(mix.mass()[2], 0.75, 1e-15);
-  EXPECT_NEAR(mix.total_mass(), 1.0, 1e-15);
-}
-
 TEST(GridDensity, ConvolutionTruncationFoldsOverflow) {
   const GridDensity a(1.0, {0.5, 0.5});
   const GridDensity b(1.0, {0.5, 0.5});
@@ -108,7 +98,6 @@ TEST(GridDensity, Validation) {
   const GridDensity a(0.1, {1.0});
   const GridDensity b(0.2, {1.0});
   EXPECT_THROW(a.convolve_with(b, 10), std::invalid_argument);
-  EXPECT_THROW(a.mix_with(b, 0.5), std::invalid_argument);
   EXPECT_THROW(a.quantile(1.5), std::invalid_argument);
 }
 

@@ -103,35 +103,19 @@ TEST(MetricsStreaming, EnableStreamingRejectedAfterSamples) {
   EXPECT_THROW(metrics.enable_streaming(), std::exception);
 }
 
-TEST(MetricsStreaming, CheckedQuantileFlagsOutOfRangeMass) {
+TEST(MetricsStreaming, OutOfRangeMassReadsAsTheClampBound) {
   SimMetrics metrics(1);
   StreamingConfig config;
   config.hist_min = 1e-3;
   config.hist_max = 1.0;
   metrics.enable_streaming(config);
   // Every latency beyond hist_max: the streaming histogram can only
-  // bound the quantile, and the checked surface must say so instead of
-  // fabricating a value.
+  // bound the quantile from below, so it reports the clamp bound rather
+  // than a value inside the histogram's range.
   for (int i = 0; i < 100; ++i) {
     metrics.on_request_complete(sample_at(0.0, 50.0));
   }
-  const cosm::stats::QuantileEstimate p99 =
-      metrics.latency_quantile_checked(0.99);
-  EXPECT_EQ(p99.bound, cosm::stats::QuantileBound::kLowerBound);
-  EXPECT_GE(p99.value, 1.0);
-  // Legacy surface keeps returning the same (bound) value.
-  EXPECT_EQ(metrics.latency_quantile(0.99), p99.value);
-}
-
-TEST(MetricsStreaming, CheckedQuantileIsExactInSampledMode) {
-  SimMetrics metrics(1);
-  for (int i = 0; i < 100; ++i) {
-    metrics.on_request_complete(sample_at(0.0, 0.01 * (i + 1)));
-  }
-  const cosm::stats::QuantileEstimate p50 =
-      metrics.latency_quantile_checked(0.5);
-  EXPECT_EQ(p50.bound, cosm::stats::QuantileBound::kExact);
-  EXPECT_EQ(p50.value, metrics.latency_quantile(0.5));
+  EXPECT_GE(metrics.latency_quantile(0.99), 1.0);
 }
 
 TEST(MetricsStreaming, ReserveIsNoOpInStreamingMode) {
